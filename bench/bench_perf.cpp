@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the analysis and simulation
-// kernels -- demand-bound evaluation, the pseudo-polynomial speedup search
-// (Theorem 2), the resetting-time solver (Corollary 5), task generation and
+// kernels -- demand-bound evaluation, the fused sweep's speedup search
+// (Theorem 2) and resetting-time solver (Corollary 5), task generation and
 // simulator throughput -- plus a campaign-throughput benchmark of the
 // parallel engine (BM_CampaignAnalyze, one arg per worker count).
 //
@@ -201,22 +201,35 @@ void BM_DbfHiTotal(benchmark::State& state) {
 }
 BENCHMARK(BM_DbfHiTotal);
 
+// The Theorem 2 part of the facade alone. Arg n runs on the seed-n set of
+// utilization n/10, so BM_MinSpeedup/7 is the BM_FusedAnalyze input.
 void BM_MinSpeedup(benchmark::State& state) {
   const TaskSet set = make_set(static_cast<std::uint64_t>(state.range(0)),
                                static_cast<double>(state.range(0)) / 10.0, -1.0, 2.0);
-  for (auto _ : state) benchmark::DoNotOptimize(min_speedup(set).s_min);
+  const Analyzer analyzer;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        analyzer.analyze(set, 2.0, {.speedup = true, .reset = false, .lo = false})
+            .value()
+            .s_min);
   state.SetLabel(std::to_string(set.size()) + " tasks");
 }
-BENCHMARK(BM_MinSpeedup)->Arg(4)->Arg(6)->Arg(8);
+BENCHMARK(BM_MinSpeedup)->Arg(4)->Arg(6)->Arg(7)->Arg(8);
 
+// The Corollary 5 part of the facade alone, on the BM_FusedAnalyze input.
 void BM_ResettingTime(benchmark::State& state) {
   const TaskSet set = make_set(7, 0.7, -1.0, 2.0);
-  for (auto _ : state) benchmark::DoNotOptimize(resetting_time(set, 2.0).delta_r);
+  const Analyzer analyzer;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        analyzer.analyze(set, 2.0, {.speedup = false, .reset = true, .lo = false})
+            .value()
+            .delta_r);
 }
 BENCHMARK(BM_ResettingTime);
 
-// The fused facade sweep against the two independent walks it replaces
-// (BM_MinSpeedup + BM_ResettingTime measure those separately).
+// Both parts in one fused sweep, on the same input as BM_MinSpeedup/7 and
+// BM_ResettingTime: the shared ticks are fetched once.
 void BM_FusedAnalyze(benchmark::State& state) {
   const TaskSet set = make_set(7, 0.7, -1.0, 2.0);
   const Analyzer analyzer;

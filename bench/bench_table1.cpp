@@ -31,17 +31,17 @@ int main(int argc, char** argv) {
                "tau2's original D(HI)=5, T(HI)=15):\n";
   params.print(std::cout);
 
-  const SpeedupResult s_base = min_speedup(base);
-  const SpeedupResult s_degraded = min_speedup(degraded);
+  const AnalysisReport s_base = Analyzer().analyze(base).value();
+  const AnalysisReport s_degraded = Analyzer().analyze(degraded).value();
 
   TextTable results;
   results.set_header({"variant", "LO-mode sched.", "s_min", "paper", "argmax delta"});
-  results.add_row({"no degradation", lo_mode_schedulable(base) ? "yes" : "NO",
+  results.add_row({"no degradation", s_base.lo_schedulable ? "yes" : "NO",
                    TextTable::num(s_base.s_min, 6), "4/3 = 1.3333",
-                   TextTable::num(static_cast<long long>(s_base.argmax))});
-  results.add_row({"D2(HI)=15, T2(HI)=20", lo_mode_schedulable(degraded) ? "yes" : "NO",
+                   TextTable::num(static_cast<long long>(s_base.s_min_argmax))});
+  results.add_row({"D2(HI)=15, T2(HI)=20", s_degraded.lo_schedulable ? "yes" : "NO",
                    TextTable::num(s_degraded.s_min, 6), "~0.92",
-                   TextTable::num(static_cast<long long>(s_degraded.argmax))});
+                   TextTable::num(static_cast<long long>(s_degraded.s_min_argmax))});
   std::cout << "\nMinimum HI-mode speedup (Eq. 8):\n";
   results.print(std::cout);
   std::cout << "\nWith degradation s_min < 1: \"the system can actually slow down in HI\n"

@@ -392,7 +392,7 @@ int main(int argc, char** argv) {
               for (std::size_t li = 0; li < kLatenciesMs.size(); ++li) {
                 token.throw_if_cancelled();
                 const auto latency = static_cast<Ticks>(kLatenciesMs[li] * 10.0);
-                const LatencySpeedupResult r = min_speedup_with_latency(*set, latency);
+                const LatencySpeedupReport r = min_speedup_with_latency(*set, latency);
                 item.s_min[li] = r.s_min;
                 item.delta_r[li] = std::isfinite(r.s_min)
                                        ? resetting_time_with_latency(*set, 2.0, latency)

@@ -61,13 +61,12 @@ int main(int argc, char** argv) {
   }
 
   // 2. Minimum speedup, with and without the DVFS transition latency.
-  const SpeedupResult s_min = min_speedup(set);
-  std::cout << "[2] minimum HI-mode speedup s_min = " << TextTable::num(s_min.s_min, 4)
-            << (s_min.s_min <= max_speed ? "  (within envelope)" : "  EXCEEDS ENVELOPE")
-            << "\n";
+  const double s_min = min_speedup_value(set);
+  std::cout << "[2] minimum HI-mode speedup s_min = " << TextTable::num(s_min, 4)
+            << (s_min <= max_speed ? "  (within envelope)" : "  EXCEEDS ENVELOPE") << "\n";
   const auto latency = static_cast<Ticks>(args.get_int("latency", 0));
   if (latency > 0) {
-    const LatencySpeedupResult with_latency = min_speedup_with_latency(set, latency);
+    const LatencySpeedupReport with_latency = min_speedup_with_latency(set, latency);
     std::cout << "    with " << latency << "-tick DVFS transition latency: s_min = "
               << TextTable::num(with_latency.s_min, 4)
               << (with_latency.s_min <= max_speed ? "" : "  EXCEEDS ENVELOPE") << "\n";
@@ -80,7 +79,7 @@ int main(int argc, char** argv) {
   // 3. Resetting-time curve.
   std::cout << "[3] resetting time:";
   for (double f : {1.0, 0.75, 0.5}) {
-    const double s = max_speed * f + s_min.s_min * (1.0 - f);
+    const double s = max_speed * f + s_min * (1.0 - f);
     const double dr = resetting_time_value(set, s);
     std::cout << "  dR(" << TextTable::num(s, 2) << "x) = "
               << TextTable::num(dr / ticks_per_ms, 1) << " ms";

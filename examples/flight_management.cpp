@@ -36,13 +36,18 @@ int main(int argc, char** argv) {
   std::cout << "overrun preparation: x = " << mx.x
             << " (HI deadlines shortened to x*T in normal mode)\n";
 
-  const SpeedupResult smin = min_speedup(set);
-  const ResetResult reset = resetting_time(set, speed);
-  std::cout << "required HI-mode speedup: s_min = " << smin.s_min << "\n"
+  const Expected<AnalysisReport> analyzed =
+      Analyzer().analyze(set, speed, {.speedup = true, .reset = true, .lo = false});
+  if (!analyzed) {
+    std::cout << "analysis failed: " << analyzed.error_message() << "\n";
+    return 1;
+  }
+  const AnalysisReport& report = analyzed.value();
+  std::cout << "required HI-mode speedup: s_min = " << report.s_min << "\n"
             << "chosen speedup s = " << speed << " -> worst-case recovery "
-            << reset.delta_r << " ms"
-            << (reset.delta_r < 3000 ? "  (< 3 s, matches the paper)" : "") << "\n";
-  if (smin.s_min > speed) {
+            << report.delta_r << " ms"
+            << (report.delta_r < 3000 ? "  (< 3 s, matches the paper)" : "") << "\n";
+  if (report.s_min > speed) {
     std::cout << "chosen speed below s_min; deadlines cannot be guaranteed\n";
     return 1;
   }
@@ -65,7 +70,7 @@ int main(int argc, char** argv) {
   t.add_row({"deadline misses", TextTable::num(static_cast<long long>(r.misses.size()))});
   t.add_row({"overrun episodes", TextTable::num(static_cast<long long>(r.mode_switches))});
   t.add_row({"longest boost [ms]", TextTable::num(r.max_hi_dwell(), 1)});
-  t.add_row({"analytic bound [ms]", TextTable::num(reset.delta_r, 1)});
+  t.add_row({"analytic bound [ms]", TextTable::num(report.delta_r, 1)});
   double boost_time = 0.0;
   for (double d : r.hi_dwell_times) boost_time += d;
   t.add_row({"time overclocked [%]", TextTable::num(100.0 * boost_time / cfg.horizon, 3)});

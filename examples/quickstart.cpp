@@ -37,16 +37,15 @@ int main() {
             << (lo_mode_schedulable(set) ? "yes" : "NO") << "\n";
 
   // 2. Minimum processor speedup to survive overruns (Theorem 2).
-  const SpeedupResult speedup = min_speedup(set);
-  std::cout << "Minimum HI-mode speedup s_min = " << speedup.s_min
-            << "  (worst interval length " << speedup.argmax << " ms)\n";
+  const AnalysisReport report = Analyzer().analyze(set).value();
+  std::cout << "Minimum HI-mode speedup s_min = " << report.s_min
+            << "  (worst interval length " << report.s_min_argmax << " ms)\n";
 
   // 3. How long the boost lasts at a given speed (Corollary 5): the system
   // returns to LO mode and nominal speed at the first idle instant.
-  for (double s : {speedup.s_min, 1.5, 2.0}) {
-    const ResetResult reset = resetting_time(set, s);
-    std::cout << "  at speed " << s << ": back to normal within " << reset.delta_r
-              << " ms\n";
+  for (double s : {report.s_min, 1.5, 2.0}) {
+    std::cout << "  at speed " << s << ": back to normal within "
+              << resetting_time_value(set, s) << " ms\n";
   }
 
   // 4. End-to-end verdict for a DVFS envelope of "2x for at most 1 second".

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include "core/adb.hpp"
@@ -20,8 +19,9 @@ constexpr unsigned kSpeedupMask = 1u;
 constexpr unsigned kResetMask = 2u;
 
 /// State of the Theorem 2 ratio maximisation, advanced one DBF_HI breakpoint
-/// at a time. The update arithmetic mirrors min_speedup() operation for
-/// operation so the fused facade agrees with it bit for bit.
+/// at a time. On each linear piece of the total demand the ratio demand/Delta
+/// is monotone, so the supremum is attained at a breakpoint: its value or its
+/// left limit.
 struct SpeedupSearch {
   bool active = false;
   double best = 0.0;
@@ -49,19 +49,10 @@ struct SpeedupSearch {
     k = static_cast<double>(set.total_hi_wcet());  // DBF_HI <= U*Delta + K
     best = u_hi;
 
-    // DBF_HI(delta + T(HI)) = DBF_HI(delta) + C(HI) per task, so the total
-    // demand repeats (shifted by U*H) every hyperperiod H = lcm T_i(HI); the
-    // mediant inequality then confines the supremum to (0, H].
-    for (const McTask& t : set) {
-      if (t.dropped_in_hi()) continue;
-      const Ticks period = t.period(Mode::HI);
-      const Ticks gcd = std::gcd(hyperperiod, period);
-      if (hyperperiod / gcd > kInfTicks / period) {
-        hyperperiod = kInfTicks;  // overflow: fall back to the envelope rules
-        break;
-      }
-      hyperperiod = hyperperiod / gcd * period;
-    }
+    // The demand repeats, shifted by U*H, every hyperperiod H; the mediant
+    // inequality then confines the supremum to (0, H]. On overflow H is
+    // kInfTicks and the envelope rules alone stop the search.
+    hyperperiod = hi_hyperperiod(set);
     active = true;
   }
 
@@ -106,8 +97,9 @@ struct SpeedupSearch {
 };
 
 /// State of the Corollary 5 crossing search, advanced one ADB_HI breakpoint
-/// at a time; mirrors resetting_time() exactly (same long double segment
-/// arithmetic, same counting).
+/// at a time. The total arrived demand is linear between breakpoints, so the
+/// crossing with the supply line s*Delta is solved exactly (in long double)
+/// on each segment.
 struct ResetSearch {
   bool active = false;
   double delta_r = 0.0;
@@ -207,7 +199,7 @@ RBS_HOT_PATH std::size_t run_fused_sweep(const TaskSet& set, TaggedBreakpointMer
     if (worked) ++fused;
   }
   // Merger exhausted with the crossing still open: the demand is constant
-  // past the last breakpoint (the separate walk's `!next` tail step).
+  // past the last breakpoint.
   if (reset.active) {
     bool worked = false;
     reset.step(set, std::nullopt, limits, &worked);

@@ -4,17 +4,16 @@
 // task set: the minimum HI-mode speedup s_min (Theorem 2), the resetting
 // time Delta_R at a given speed (Corollary 5), and the LO/HI/system
 // schedulability verdicts -- in a single `AnalysisReport`, computed with a
-// *fused* breakpoint sweep. DBF_HI and ADB_HI share their arithmetic
+// *fused* breakpoint sweep. This sweep is the library's only implementation
+// of Theorem 2 and Corollary 5. DBF_HI and ADB_HI share their arithmetic
 // breakpoint families (window starts, ramp starts, ramp saturations), so one
 // TaggedBreakpointMerger walk serves both the Theorem 2 ratio maximisation
 // and the Corollary 5 crossing search; ticks shared by both families are
 // fetched from the heap once instead of twice, and a settled sub-analysis
-// skips foreign ticks for free. The fused sweep therefore never visits more
-// breakpoints than the two independent walks it replaces, and its results
-// agree with `min_speedup` / `resetting_time` bit for bit (enforced by
-// tests/core/analysis_test.cpp).
+// skips foreign ticks for free. tests/core/analysis_test.cpp checks every
+// result against a brute-force exact oracle that shares none of this code.
 //
-// The legacy one-shot helpers (`min_speedup_value`, `hi_mode_schedulable`,
+// The one-shot helpers (`min_speedup_value`, `hi_mode_schedulable`,
 // `system_schedulable`, `resetting_time_value`) are thin inline wrappers over
 // this facade; batched/parallel evaluation over many task sets goes through
 // campaign/runner.hpp, which maps `analyze()` on a thread pool.
@@ -28,13 +27,16 @@
 
 namespace rbs {
 
-/// The resource/precision knobs shared by every sub-analysis; folds the
-/// duplicated `max_breakpoints` / `rel_tol` fields of the retired
-/// per-algorithm option structs into one place.
+/// Default cap on the breakpoints one pseudo-polynomial walk may examine
+/// (every sub-analysis here, the LO-mode test, the latency-aware walks);
+/// exceeded only by adversarial inputs.
+inline constexpr std::size_t kBreakpointBudget = 20'000'000;
+
+/// The resource/precision knobs shared by every sub-analysis.
 struct AnalysisLimits {
   /// Hard cap on examined breakpoints, applied to each sub-analysis
-  /// independently; exceeded only by adversarial inputs.
-  std::size_t max_breakpoints = 20'000'000;
+  /// independently.
+  std::size_t max_breakpoints = kBreakpointBudget;
   /// Secondary stopping rule of the speedup search: stop once the remaining
   /// uncertainty (U + K/Delta) - best drops below rel_tol * best and report
   /// the residual via `s_min_error_bound` (the exact rule cannot fire when
@@ -114,8 +116,9 @@ struct AnalysisReport {
   double speed = 1.0;  ///< the speed the report was computed for
   double u_lo = 0.0;   ///< total LO-mode utilization
   double u_hi = 0.0;   ///< total HI-mode utilization
-  /// Breakpoints charged to the Theorem 2 / Corollary 5 sub-analyses (the
-  /// numbers the independent walks would report).
+  /// Per-consumer work: the merged ticks charged to the Theorem 2 (resp.
+  /// Corollary 5) search, i.e. those tagged for it and reached while it was
+  /// still open (Corollary 5 also counts its step past the last breakpoint).
   std::size_t speedup_breakpoints = 0;
   std::size_t reset_breakpoints = 0;
   /// Distinct merged ticks the fused sweep actually evaluated; always

@@ -24,47 +24,11 @@ struct ArithSeq {
   Ticks period = 0;
 };
 
-/// Merges several arithmetic sequences into one strictly increasing stream.
-class BreakpointMerger {
- public:
-  explicit BreakpointMerger(const std::vector<ArithSeq>& seqs) {
-    for (const ArithSeq& s : seqs) {
-      if (s.start >= kInfTicks) continue;  // sequences of dropped tasks
-      heap_.push(s);
-    }
-  }
-
-  /// Next breakpoint strictly greater than all previously returned ones, or
-  /// nullopt when all sequences are exhausted (only possible with singletons).
-  /// Hot: called once per breakpoint of every pseudo-polynomial walk. The
-  /// heap was sized at construction; pop-then-push never reallocates.
-  std::optional<Ticks> next() RBS_HOT_PATH {
-    while (!heap_.empty()) {
-      ArithSeq top = heap_.top();
-      heap_.pop();
-      if (top.period > 0 && top.start < kInfTicks - top.period)
-        heap_.push({top.start + top.period, top.period});
-      if (top.start > last_) {
-        last_ = top.start;
-        return top.start;
-      }
-      // duplicate of an already-emitted point: skip
-    }
-    return std::nullopt;
-  }
-
- private:
-  struct Later {
-    bool operator()(const ArithSeq& a, const ArithSeq& b) const { return a.start > b.start; }
-  };
-  std::priority_queue<ArithSeq, std::vector<ArithSeq>, Later> heap_;
-  Ticks last_ = -1;  // breakpoints are non-negative
-};
-
 /// An arithmetic sequence annotated with the consumers (a bitmask) it serves.
 /// The fused analysis sweep (core/analysis.hpp) walks the DBF_HI and ADB_HI
 /// breakpoint families in one pass; the mask tells it which sub-analysis each
 /// merged tick belongs to, so a settled consumer skips foreign ticks for free.
+/// Single-consumer walks pass mask 0.
 struct TaggedSeq {
   ArithSeq seq;
   unsigned mask = 0;
@@ -86,8 +50,10 @@ class TaggedBreakpointMerger {
     }
   }
 
-  /// Next merged breakpoint, or nullopt when every sequence is exhausted.
-  /// Hot: one call per merged tick of the fused analysis sweep.
+  /// Next merged breakpoint, or nullopt when every sequence is exhausted
+  /// (only possible with singletons). Hot: one call per merged tick of every
+  /// pseudo-polynomial walk. The heap was sized at construction; pop-then-push
+  /// never reallocates.
   std::optional<Point> next() RBS_HOT_PATH {
     if (heap_.empty()) return std::nullopt;
     Point p{heap_.top().at, 0};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "support/rt_annotations.hpp"
 
@@ -83,6 +84,18 @@ std::vector<ArithSeq> dbf_hi_breakpoints(const McTask& task) {
   const Ticks ramp_end = g + task.wcet(Mode::LO);
   if (ramp_end > 0 && ramp_end < t) seqs.push_back({ramp_end, t});
   return seqs;
+}
+
+Ticks hi_hyperperiod(const TaskSet& set) {
+  Ticks hyperperiod = 1;
+  for (const McTask& t : set) {
+    if (t.dropped_in_hi()) continue;
+    const Ticks period = t.period(Mode::HI);
+    const Ticks gcd = std::gcd(hyperperiod, period);
+    if (hyperperiod / gcd > kInfTicks / period) return kInfTicks;
+    hyperperiod = hyperperiod / gcd * period;
+  }
+  return hyperperiod;
 }
 
 ArithSeq dbf_lo_breakpoints(const McTask& task) {

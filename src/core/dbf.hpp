@@ -46,6 +46,12 @@ namespace rbs {
 /// g = D(HI)-D(LO). Empty for dropped tasks.
 [[nodiscard]] std::vector<ArithSeq> dbf_hi_breakpoints(const McTask& task);
 
+/// H = lcm T_i(HI) over the tasks not dropped in HI mode (1 when there are
+/// none), or kInfTicks when it overflows. DBF_HI(delta + T(HI)) = DBF_HI(delta)
+/// + C(HI) per task, so the total HI-mode demand repeats, shifted by U_HI*H,
+/// every H ticks: the walks of Theorem 2 and its latency variant stop there.
+[[nodiscard]] Ticks hi_hyperperiod(const TaskSet& set);
+
 /// Breakpoint (jump) sequence of dbf_lo for one task: k*T(LO) + D(LO).
 [[nodiscard]] ArithSeq dbf_lo_breakpoints(const McTask& task);
 

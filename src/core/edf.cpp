@@ -48,24 +48,25 @@ EdfTestResult lo_mode_test(const TaskSet& set, const EdfTestOptions& options) {
     delta_max = kInfTicks - 1;
   }
 
-  std::vector<ArithSeq> seqs;
+  std::vector<TaggedSeq> seqs;
   seqs.reserve(set.size());
-  for (const McTask& t : set) seqs.push_back(dbf_lo_breakpoints(t));
-  BreakpointMerger merger(seqs);
+  for (const McTask& t : set) seqs.push_back({dbf_lo_breakpoints(t), 0});
+  TaggedBreakpointMerger merger(seqs);
 
-  while (auto d = merger.next()) {
-    if (*d > delta_max) break;
+  while (const auto point = merger.next()) {
+    const Ticks d = point->tick;
+    if (d > delta_max) break;
     if (++result.breakpoints_visited > options.max_breakpoints) {
       result.schedulable = false;
       result.conclusive = false;
       return result;
     }
-    const Ticks demand = dbf_lo_total(set, *d);
+    const Ticks demand = dbf_lo_total(set, d);
     const long double supply =
-        static_cast<long double>(options.speed) * static_cast<long double>(*d);
+        static_cast<long double>(options.speed) * static_cast<long double>(d);
     if (static_cast<long double>(demand) > supply) {
       result.schedulable = false;
-      result.violation_delta = *d;
+      result.violation_delta = d;
       return result;
     }
   }

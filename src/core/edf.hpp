@@ -11,6 +11,7 @@
 
 #include <cstddef>
 
+#include "core/analysis.hpp"
 #include "core/task.hpp"
 
 namespace rbs {
@@ -19,7 +20,7 @@ struct EdfTestOptions {
   /// Processor speed available in LO mode (1.0 in the paper).
   double speed = 1.0;
   /// Safety valve for pathological sets with utilization ~ speed.
-  std::size_t max_breakpoints = 20'000'000;
+  std::size_t max_breakpoints = kBreakpointBudget;
 };
 
 struct EdfTestResult {

@@ -4,10 +4,10 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include "core/adb.hpp"
+#include "core/analysis.hpp"
 #include "core/breakpoints.hpp"
 #include "core/dbf.hpp"
 
@@ -22,9 +22,9 @@ double required_boost(double demand, double delta, double latency) {
 
 }  // namespace
 
-LatencySpeedupResult min_speedup_with_latency(const TaskSet& set, Ticks latency) {
+LatencySpeedupReport min_speedup_with_latency(const TaskSet& set, Ticks latency) {
   assert(latency >= 0);
-  LatencySpeedupResult result;
+  LatencySpeedupReport result;
   if (set.empty()) return result;
 
   // Demand at Delta = 0 needs infinite speed regardless of latency.
@@ -37,41 +37,32 @@ LatencySpeedupResult min_speedup_with_latency(const TaskSet& set, Ticks latency)
   const double k = static_cast<double>(set.total_hi_wcet());
   const auto lat = static_cast<double>(latency);
 
-  // Hyperperiod stop (see speedup.cpp; the mediant argument carries over).
-  Ticks hyperperiod = 1;
-  for (const McTask& t : set) {
-    if (t.dropped_in_hi()) continue;
-    const Ticks period = t.period(Mode::HI);
-    const Ticks gcd = std::gcd(hyperperiod, period);
-    if (hyperperiod / gcd > kInfTicks / period) {
-      hyperperiod = kInfTicks;
-      break;
-    }
-    hyperperiod = hyperperiod / gcd * period;
-  }
+  // Hyperperiod stop (the mediant argument of Theorem 2 carries over).
+  const Ticks hyperperiod = hi_hyperperiod(set);
 
   double best = std::max(1.0, u_hi);
   Ticks argmax = 0;
 
-  std::vector<ArithSeq> seqs;
+  std::vector<TaggedSeq> seqs;
   for (const McTask& t : set)
-    for (const ArithSeq& s : dbf_hi_breakpoints(t)) seqs.push_back(s);
-  BreakpointMerger merger(seqs);
+    for (const ArithSeq& s : dbf_hi_breakpoints(t)) seqs.push_back({s, 0});
+  TaggedBreakpointMerger merger(seqs);
 
   std::size_t visited = 0;
-  while (auto d = merger.next()) {
-    if (*d == 0) continue;
-    if (*d > hyperperiod + latency) break;
-    const auto delta = static_cast<double>(*d);
-    const auto demand = static_cast<double>(dbf_hi_total(set, *d));
-    const auto demand_left = static_cast<double>(dbf_hi_total_left(set, *d));
-    if (*d <= latency) {
+  while (const auto point = merger.next()) {
+    const Ticks d = point->tick;
+    if (d == 0) continue;
+    if (d > hyperperiod + latency) break;
+    const auto delta = static_cast<double>(d);
+    const auto demand = static_cast<double>(dbf_hi_total(set, d));
+    const auto demand_left = static_cast<double>(dbf_hi_total_left(set, d));
+    if (d <= latency) {
       // Nominal-speed feasibility inside the window: the demand (piecewise
       // linear with slopes possibly > 1) may cross the supply line Delta at
       // a value or just before a jump -- both are breakpoint-checked.
       if (demand > delta || demand_left > delta) {
         result.s_min = std::numeric_limits<double>::infinity();
-        result.argmax = *d;
+        result.argmax = d;
         return result;
       }
       continue;
@@ -84,7 +75,7 @@ LatencySpeedupResult min_speedup_with_latency(const TaskSet& set, Ticks latency)
         u_hi >= 1.0
             ? 1.0 + (u_hi - 1.0) * delta / (delta - lat) + k / (delta - lat)
             : 1.0 + k / (delta - lat);
-    if (++visited > 20'000'000) {
+    if (++visited > kBreakpointBudget) {
       result.exact = false;
       result.error_bound = std::max(0.0, envelope - best);
       break;
@@ -93,7 +84,7 @@ LatencySpeedupResult min_speedup_with_latency(const TaskSet& set, Ticks latency)
                                  required_boost(demand_left, delta, lat));
     if (cand > best) {
       best = cand;
-      argmax = *d;
+      argmax = d;
     }
     if (envelope <= best) break;
   }
@@ -117,22 +108,22 @@ double resetting_time_with_latency(const TaskSet& set, double s, Ticks latency) 
                        static_cast<long double>(s - 1.0);
   };
 
-  std::vector<ArithSeq> seqs;
+  std::vector<TaggedSeq> seqs;
   for (const McTask& t : set)
-    for (const ArithSeq& q : adb_hi_breakpoints(t)) seqs.push_back(q);
-  seqs.push_back({latency, 0});  // the supply kink is a breakpoint too
-  BreakpointMerger merger(seqs);
+    for (const ArithSeq& q : adb_hi_breakpoints(t)) seqs.push_back({q, 0});
+  seqs.push_back({{latency, 0}, 0});  // the supply kink is a breakpoint too
+  TaggedBreakpointMerger merger(seqs);
 
   Ticks prev = 0;
   long double value_at_prev = static_cast<long double>(adb_hi_total(set, 0));
   if (value_at_prev <= 0) return 0.0;
 
   auto next = merger.next();
-  if (next && *next == 0) next = merger.next();
+  if (next && next->tick == 0) next = merger.next();
 
   std::size_t visited = 0;
   while (true) {
-    if (++visited > 20'000'000) return std::numeric_limits<double>::infinity();
+    if (++visited > kBreakpointBudget) return std::numeric_limits<double>::infinity();
     if (value_at_prev <= supply(prev)) return static_cast<double>(prev);
 
     if (!next) {  // constant demand beyond prev (all tasks dropped)
@@ -145,7 +136,7 @@ double resetting_time_with_latency(const TaskSet& set, double s, Ticks latency) 
           static_cast<long double>(s));
     }
 
-    const Ticks b = *next;
+    const Ticks b = next->tick;
     const long double left_limit = static_cast<long double>(adb_hi_total_left(set, b));
     const long double demand_slope =
         (left_limit - value_at_prev) / static_cast<long double>(b - prev);

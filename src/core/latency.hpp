@@ -27,7 +27,7 @@
 
 namespace rbs {
 
-struct LatencySpeedupResult {
+struct LatencySpeedupReport {
   /// Least sufficient boost factor (>= 1); +inf when demand within the
   /// latency window already overflows nominal speed.
   double s_min = 1.0;
@@ -37,7 +37,7 @@ struct LatencySpeedupResult {
 };
 
 /// Theorem 2 under transition latency `latency` (ticks, >= 0).
-LatencySpeedupResult min_speedup_with_latency(const TaskSet& set, Ticks latency);
+LatencySpeedupReport min_speedup_with_latency(const TaskSet& set, Ticks latency);
 
 /// Corollary 5 under transition latency; +inf when s <= U_HI or the demand
 /// never fits. `s` must be >= 1.

@@ -3,20 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <tuple>
 
 #include "core/analysis.hpp"
 #include "support/tolerance.hpp"
 
 namespace rbs {
-
-namespace {
-
-// The renaming/permutation-invariant sort key breaking utilization ties: a
-// pure function of the task's numeric parameters. Tasks with identical keys
-// are interchangeable for every analysis in this library, so falling back to
-// input order among them cannot change any verdict.
-using TieKey = std::tuple<int, Ticks, Ticks, Ticks, Ticks, Ticks, Ticks>;
 
 TieKey tie_key(const McTask& task) {
   return {task.is_hi() ? 0 : 1,
@@ -24,6 +15,8 @@ TieKey tie_key(const McTask& task) {
           task.deadline(Mode::LO), task.deadline(Mode::HI),
           task.period(Mode::LO),  task.period(Mode::HI)};
 }
+
+namespace {
 
 // Feasibility of one core's task collection under the core's budgets: one
 // fused Analyzer call answers LO-mode, HI-mode and resetting time together.

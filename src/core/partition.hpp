@@ -27,11 +27,22 @@
 #include <cstddef>
 #include <limits>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "core/task.hpp"
 
 namespace rbs {
+
+/// The renaming/permutation-invariant sort key breaking utilization ties, a
+/// pure function of the task's numeric parameters:
+///   (criticality (HI first), C(LO), C(HI), D(LO), D(HI), T(LO), T(HI)).
+/// Tasks with identical keys are interchangeable for every analysis in this
+/// library, so falling back to input order among them cannot change any
+/// verdict. Shared by the FFD order here and the migration pool of
+/// multi/resilience.hpp.
+using TieKey = std::tuple<int, Ticks, Ticks, Ticks, Ticks, Ticks, Ticks>;
+[[nodiscard]] TieKey tie_key(const McTask& task);
 
 /// The speedup/reset budget of one core. Heterogeneous multicores (big.LITTLE
 /// style) give each core its own DVFS ceiling and thermal envelope; the

@@ -11,40 +11,22 @@
 // solver walks its breakpoints and solves the crossing with the supply line
 // s * Delta exactly on each linear segment. The result is finite iff
 // s > U_HI (the HI-mode utilization); otherwise +inf is returned.
+//
+// The computation is the Corollary 5 part of the unified Analyzer facade
+// (core/analysis.hpp); `AnalysisLimits::discard_dropped_carryover` models a
+// runtime that aborts the carry-over job of a terminated LO task at the
+// mode switch (ablation; the paper's Eq. 10 corresponds to false).
 #pragma once
-
-#include <cstddef>
 
 #include "core/analysis.hpp"
 #include "core/task.hpp"
 
 namespace rbs {
 
-struct ResetOptions {
-  /// Model a runtime that aborts the carry-over job of a terminated LO task
-  /// at the mode switch instead of letting it finish (ablation; the paper's
-  /// Eq. 10 corresponds to false).
-  bool discard_dropped_carryover = false;
-  /// Hard cap on examined breakpoints.
-  std::size_t max_breakpoints = 20'000'000;
-};
-
-struct ResetResult {
-  /// Delta_R in ticks; +inf when s <= U_HI or the budget was exhausted.
-  double delta_r = 0.0;
-  /// False only when max_breakpoints was exhausted (delta_r then +inf,
-  /// conservatively).
-  bool exact = true;
-  std::size_t breakpoints_visited = 0;
-};
-
-/// Computes Delta_R per Corollary 5 for HI-mode speedup factor `s` (> 0).
-[[nodiscard]] ResetResult resetting_time(const TaskSet& set, double s, const ResetOptions& options = {});
-
-/// Convenience wrapper returning only the bound (ticks); a thin layer over
-/// the unified Analyzer facade (core/analysis.hpp). Prefer analyze() when
-/// s_min or the verdicts of the same set are also needed -- the facade
-/// computes everything in one fused breakpoint sweep.
+/// Convenience wrapper returning only the bound (ticks) for speedup `s`
+/// (> 0). Prefer analyze() when s_min or the verdicts of the same set are
+/// also needed -- the facade computes everything in one fused breakpoint
+/// sweep.
 [[nodiscard]] inline double resetting_time_value(const TaskSet& set, double s) {
   return Analyzer()
       .analyze(set, s, {.speedup = false, .reset = true, .lo = false})

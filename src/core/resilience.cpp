@@ -5,7 +5,7 @@
 #include <limits>
 #include <string>
 
-#include "core/reset.hpp"
+#include "core/analysis.hpp"
 #include "core/speedup.hpp"
 
 namespace rbs {
@@ -24,6 +24,17 @@ std::vector<std::size_t> sacrifice_order(const TaskSet& set) {
     return set[a].utilization(Mode::HI) > set[b].utilization(Mode::HI);
   });
   return order;
+}
+
+/// Delta_R of `set` at `speed` under the options' carry-over model. Callers
+/// pass a finite, positive speed; should the facade still reject the request,
+/// +inf is the conservative answer.
+double reset_time(const TaskSet& set, double speed, const ResilienceOptions& options) {
+  AnalysisLimits limits;
+  limits.discard_dropped_carryover = options.discard_dropped_carryover;
+  const Expected<AnalysisReport> report =
+      Analyzer(limits).analyze(set, speed, {.speedup = false, .reset = true, .lo = false});
+  return report ? report->delta_r : kInf;
 }
 
 McTask rebuild(const McTask& t) {
@@ -68,12 +79,11 @@ DegradedGuarantee analyze_degraded(const TaskSet& set, double achieved_speed,
   g.nominal_s_min = min_speedup_value(set);
   g.s_min_with_fallback = g.nominal_s_min;
   g.delta_r = kInf;
-  const ResetOptions ropts{options.discard_dropped_carryover, 20'000'000};
 
   if (hi_mode_schedulable(set, achieved_speed)) {
     g.schedulable_unmodified = true;
     g.feasible = true;
-    g.delta_r = resetting_time(set, achieved_speed, ropts).delta_r;
+    g.delta_r = reset_time(set, achieved_speed, options);
     return g;
   }
 
@@ -89,7 +99,7 @@ DegradedGuarantee analyze_degraded(const TaskSet& set, double achieved_speed,
       g.feasible = true;
       g.fallback.terminated = terminated;
       g.s_min_with_fallback = min_speedup_value(reduced.value());
-      g.delta_r = resetting_time(reduced.value(), achieved_speed, ropts).delta_r;
+      g.delta_r = reset_time(reduced.value(), achieved_speed, options);
       return g;
     }
   }
@@ -129,8 +139,7 @@ double degraded_resetting_time(const TaskSet& set, double achieved_speed,
                                const FallbackPlan& fallback, const ResilienceOptions& options) {
   const Expected<TaskSet> reduced = apply_termination(set, fallback.terminated);
   if (!reduced) return kInf;
-  const ResetOptions ropts{options.discard_dropped_carryover, 20'000'000};
-  return resetting_time(reduced.value(), achieved_speed, ropts).delta_r;
+  return reset_time(reduced.value(), achieved_speed, options);
 }
 
 }  // namespace rbs

@@ -31,7 +31,7 @@
 namespace rbs {
 
 struct ResilienceOptions {
-  /// Matches ResetOptions/SimConfig: abort the carry-over job of a
+  /// Matches AnalysisLimits/SimConfig: abort the carry-over job of a
   /// terminated LO task at the mode switch instead of letting it finish.
   bool discard_dropped_carryover = false;
 };

@@ -15,47 +15,19 @@
 //     shortened, see the discussion after Theorem 2)  =>  s_min = +inf;
 //   * the supremum can be below 1: the system may *slow down* in HI mode when
 //     service degradation sheds enough load (Example 1).
+//
+// The computation is the Theorem 2 part of the unified Analyzer facade
+// (core/analysis.hpp): the witness (`s_min_argmax`), the exactness flag and
+// the work counters are fields of its AnalysisReport. The one-shot helpers
+// below are thin wrappers over it; prefer analyze() directly when more than
+// one quantity of the same set is needed -- the facade computes them all in
+// one fused breakpoint sweep.
 #pragma once
-
-#include <cstddef>
 
 #include "core/analysis.hpp"
 #include "core/task.hpp"
-#include "support/tolerance.hpp"
 
 namespace rbs {
-
-struct SpeedupOptions {
-  /// Hard cap on examined breakpoints; exceeded only by adversarial inputs.
-  std::size_t max_breakpoints = 20'000'000;
-  /// Secondary stopping rule: when the remaining uncertainty
-  /// (U + K/Delta) - best drops below rel_tol * best the search stops and
-  /// reports the (tiny) residual via `error_bound`. Needed because the exact
-  /// rule cannot fire when the supremum *equals* the utilization limit.
-  double rel_tol = kSpeedTol.relative;
-};
-
-struct SpeedupResult {
-  /// The minimum speedup factor (Eq. 8); +inf when Delta=0 demand is positive.
-  double s_min = 0.0;
-  /// True when the stopping rule proved s_min optimal (always, unless the
-  /// breakpoint budget was exhausted).
-  bool exact = true;
-  /// When !exact: the true s_min lies in [s_min, s_min + error_bound].
-  double error_bound = 0.0;
-  /// Interval length attaining the supremum (0 when the Delta->inf limit,
-  /// i.e. the HI-mode utilization, dominates).
-  Ticks argmax = 0;
-  std::size_t breakpoints_visited = 0;
-};
-
-/// Computes s_min per Theorem 2.
-[[nodiscard]] SpeedupResult min_speedup(const TaskSet& set, const SpeedupOptions& options = {});
-
-// The one-shot helpers below are thin wrappers over the unified Analyzer
-// facade (core/analysis.hpp); prefer analyze() directly when more than one
-// quantity of the same set is needed -- the facade computes them all in one
-// fused breakpoint sweep.
 
 /// Convenience wrapper returning only the factor.
 [[nodiscard]] inline double min_speedup_value(const TaskSet& set) {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <tuple>
 #include <utility>
 
 #include "support/tolerance.hpp"
@@ -12,17 +11,6 @@
 namespace rbs::multi {
 
 namespace {
-
-// The renaming/permutation-invariant key ordering equal-utilization tasks in
-// the migration pool, mirroring core/partition.cpp's FFD tie-break.
-using TieKey = std::tuple<int, Ticks, Ticks, Ticks, Ticks, Ticks, Ticks>;
-
-TieKey tie_key(const McTask& task) {
-  return {task.is_hi() ? 0 : 1,
-          task.wcet(Mode::LO),    task.wcet(Mode::HI),
-          task.deadline(Mode::LO), task.deadline(Mode::HI),
-          task.period(Mode::LO),  task.period(Mode::HI)};
-}
 
 // Mutable view of one core while a scenario's spare assignment is built.
 struct CoreState {

@@ -49,7 +49,7 @@ struct SimConfig {
   double initial_offset_spread = 0.0;
 
   /// Abort the carry-over job of a terminated LO task at the mode switch
-  /// instead of letting it finish (matches ResetOptions).
+  /// instead of letting it finish (matches AnalysisLimits).
   bool discard_dropped_carryover = false;
 
   /// DVFS transition latency: after the mode switch the processor keeps

@@ -130,7 +130,7 @@ TEST(Lemma7Test, UpperBoundsExactResetTime) {
     for (double y : {1.5, 2.0})
       for (double s : {2.0, 3.0, 4.0}) {
         const TaskSet set = skel.materialize(x, y);
-        const double exact = resetting_time(set, s).delta_r;
+        const double exact = resetting_time_value(set, s);
         const double bound = lemma7_reset_bound(set, s);
         if (std::isinf(bound)) continue;  // s <= s_bar: bound is vacuous
         EXPECT_GE(bound + 1e-9, exact) << "x=" << x << " y=" << y << " s=" << s;
@@ -173,7 +173,7 @@ TEST(Lemma7Test, BoundHoldsOnRandomImplicitSets) {
     const double bound = lemma7_reset_bound(set, 3.0);
     if (std::isinf(bound)) continue;
     ++tested;
-    EXPECT_GE(bound + 1e-9, resetting_time(set, 3.0).delta_r);
+    EXPECT_GE(bound + 1e-9, resetting_time_value(set, 3.0));
   }
   EXPECT_GT(tested, 0);
 }

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/breakpoints.hpp"
 
 namespace rbs {
@@ -14,6 +17,13 @@ namespace {
 
 McTask tau1() { return McTask::hi("tau1", 2, 4, 5, 10, 10); }
 McTask tau2() { return McTask::lo("tau2", 3, 12, 12); }
+
+/// `seqs` for a single-consumer walk (mask 0).
+std::vector<TaggedSeq> untagged(const std::vector<ArithSeq>& seqs) {
+  std::vector<TaggedSeq> tagged;
+  for (const ArithSeq& s : seqs) tagged.push_back({s, 0});
+  return tagged;
+}
 
 // ---- dbf_lo (Eq. 4) ------------------------------------------------------
 
@@ -192,43 +202,65 @@ TEST(DbfHiTest, TotalsSumOverTasks) {
 TEST(DbfHiTest, BreakpointsCoverAllSlopeChanges) {
   // Between consecutive breakpoints the function must be exactly linear.
   for (const McTask& t : {tau1(), McTask::lo("l", 5, 17, 17, 23, 29)}) {
-    BreakpointMerger merger(dbf_hi_breakpoints(t));
-    Ticks prev = *merger.next();
+    TaggedBreakpointMerger merger(untagged(dbf_hi_breakpoints(t)));
+    Ticks prev = merger.next()->tick;
     while (true) {
-      const auto next = merger.next();
-      ASSERT_TRUE(next.has_value());
-      if (*next > 300) break;
+      const auto point = merger.next();
+      ASSERT_TRUE(point.has_value());
+      const Ticks next = point->tick;
+      if (next > 300) break;
       // Linear on [prev, next): check via second differences on the interior.
-      for (Ticks d = prev + 2; d < *next; ++d) {
+      for (Ticks d = prev + 2; d < next; ++d) {
         const Ticks second_diff = dbf_hi(t, d) - 2 * dbf_hi(t, d - 1) + dbf_hi(t, d - 2);
         EXPECT_EQ(second_diff, 0) << describe(t) << " delta=" << d;
       }
       // And continuous in the interior (left limit == value).
-      for (Ticks d = prev + 1; d < *next; ++d)
+      for (Ticks d = prev + 1; d < next; ++d)
         EXPECT_EQ(dbf_hi_left(t, d), dbf_hi(t, d)) << describe(t) << " delta=" << d;
-      prev = *next;
+      prev = next;
     }
   }
 }
 
+/// The next `count` ticks of a merger, in order.
+std::vector<Ticks> drain(TaggedBreakpointMerger& merger, std::size_t count) {
+  std::vector<Ticks> ticks;
+  while (ticks.size() < count) {
+    const auto point = merger.next();
+    if (!point) break;
+    ticks.push_back(point->tick);
+  }
+  return ticks;
+}
+
 TEST(BreakpointMergerTest, MergesAndDeduplicates) {
-  BreakpointMerger merger({{0, 10}, {5, 10}, {0, 4}});
-  std::vector<Ticks> got;
-  for (int i = 0; i < 8; ++i) got.push_back(*merger.next());
-  EXPECT_EQ(got, (std::vector<Ticks>{0, 4, 5, 8, 10, 12, 15, 16}));
+  TaggedBreakpointMerger merger(untagged({{0, 10}, {5, 10}, {0, 4}}));
+  EXPECT_EQ(drain(merger, 8), (std::vector<Ticks>{0, 4, 5, 8, 10, 12, 15, 16}));
 }
 
 TEST(BreakpointMergerTest, SingletonSequencesExhaust) {
-  BreakpointMerger merger({{3, 0}, {1, 0}, {3, 0}});
-  EXPECT_EQ(merger.next(), std::optional<Ticks>(1));
-  EXPECT_EQ(merger.next(), std::optional<Ticks>(3));
-  EXPECT_EQ(merger.next(), std::nullopt);
+  TaggedBreakpointMerger merger(untagged({{3, 0}, {1, 0}, {3, 0}}));
+  EXPECT_EQ(drain(merger, 3), (std::vector<Ticks>{1, 3}));
+  EXPECT_FALSE(merger.next().has_value());
 }
 
 TEST(BreakpointMergerTest, InfiniteStartsAreIgnored) {
-  BreakpointMerger merger({{kInfTicks, 10}, {2, 0}});
-  EXPECT_EQ(merger.next(), std::optional<Ticks>(2));
-  EXPECT_EQ(merger.next(), std::nullopt);
+  TaggedBreakpointMerger merger(untagged({{kInfTicks, 10}, {2, 0}}));
+  EXPECT_EQ(drain(merger, 2), (std::vector<Ticks>{2}));
+}
+
+TEST(BreakpointMergerTest, SharedTickCarriesUnionOfMasks) {
+  // {0, 6, 12, ...} tagged 1 and {0, 4, 8, 12, ...} tagged 2 meet at 0 and
+  // 12: those ticks come out once, tagged 3.
+  TaggedBreakpointMerger merger({{{0, 6}, 1u}, {{0, 4}, 2u}});
+  const std::vector<std::pair<Ticks, unsigned>> expected = {
+      {0, 3u}, {4, 2u}, {6, 1u}, {8, 2u}, {12, 3u}, {16, 2u}, {18, 1u}};
+  for (const auto& [tick, mask] : expected) {
+    const auto point = merger.next();
+    ASSERT_TRUE(point.has_value());
+    EXPECT_EQ(point->tick, tick);
+    EXPECT_EQ(point->mask, mask) << "tick " << tick;
+  }
 }
 
 }  // namespace

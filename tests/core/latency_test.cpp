@@ -17,7 +17,7 @@ namespace {
 
 TEST(LatencySpeedupTest, ZeroLatencyMatchesTheorem2WhenBoostNeeded) {
   // Table I needs s_min = 4/3 > 1, so restricting to s >= 1 changes nothing.
-  const LatencySpeedupResult r = min_speedup_with_latency(table1_base(), 0);
+  const LatencySpeedupReport r = min_speedup_with_latency(table1_base(), 0);
   EXPECT_NEAR(r.s_min, 4.0 / 3.0, 1e-12);
   EXPECT_EQ(r.argmax, 3);
 }
@@ -25,7 +25,7 @@ TEST(LatencySpeedupTest, ZeroLatencyMatchesTheorem2WhenBoostNeeded) {
 TEST(LatencySpeedupTest, ZeroLatencyFlooredAtOne) {
   // The degraded variant could slow down (s_min = 12/13); with the latency
   // model's s >= 1 semantics the answer floors at 1.
-  const LatencySpeedupResult r = min_speedup_with_latency(table1_degraded(), 0);
+  const LatencySpeedupReport r = min_speedup_with_latency(table1_degraded(), 0);
   EXPECT_DOUBLE_EQ(r.s_min, 1.0);
 }
 
@@ -44,7 +44,7 @@ TEST(LatencySpeedupTest, HandComputedValue) {
   // Table I, latency 1: the binding interval is still Delta = 3 with demand
   // 4: 4 <= 3 + (3-1)(s-1) => s >= 3/2. Check interval 6 (demand 7):
   // 7 <= 6 + 5(s-1) => s >= 6/5 -- smaller. So s_min = 1.5.
-  const LatencySpeedupResult r = min_speedup_with_latency(table1_base(), 1);
+  const LatencySpeedupReport r = min_speedup_with_latency(table1_base(), 1);
   EXPECT_NEAR(r.s_min, 1.5, 1e-12);
   EXPECT_EQ(r.argmax, 3);
 }
@@ -52,7 +52,7 @@ TEST(LatencySpeedupTest, HandComputedValue) {
 TEST(LatencySpeedupTest, InfiniteWhenWindowOverflows) {
   // Demand of 4 work units due at Delta = 3 cannot be served at nominal
   // speed once the latency covers the whole interval.
-  const LatencySpeedupResult r = min_speedup_with_latency(table1_base(), 3);
+  const LatencySpeedupReport r = min_speedup_with_latency(table1_base(), 3);
   EXPECT_TRUE(std::isinf(r.s_min));
 }
 
@@ -147,7 +147,7 @@ TEST(LatencySimTest, LatencyAwareBoundAboveZeroLatencyBound) {
   // interval is short (Table I: 1.5 vs 4/3).
   const TaskSet set = table1_base();
   EXPECT_GT(min_speedup_with_latency(set, 1).s_min,
-            min_speedup(set).s_min + 0.1);
+            min_speedup_value(set) + 0.1);
 }
 
 }  // namespace

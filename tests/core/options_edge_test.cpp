@@ -1,4 +1,4 @@
-// Edge cases of the analysis options, result metadata, and small utilities
+// Edge cases of the analysis limits, result metadata, and small utilities
 // not covered elsewhere.
 #include <gtest/gtest.h>
 
@@ -11,36 +11,39 @@
 namespace rbs {
 namespace {
 
-TEST(SpeedupOptionsTest, BreakpointCapReportsHonestError) {
+/// Theorem 2 and Corollary 5 (at s = 2) under a breakpoint cap.
+AnalysisReport capped_report(const TaskSet& set, std::size_t max_breakpoints) {
+  AnalysisLimits limits;
+  limits.max_breakpoints = max_breakpoints;
+  return Analyzer(limits).analyze(set, 2.0, {.speedup = true, .reset = true, .lo = false}).value();
+}
+
+TEST(SpeedupLimitsTest, BreakpointCapReportsHonestError) {
   // Force the cap below convergence: the result must be marked inexact with
   // a non-negative error bound that still brackets the true value.
-  SpeedupOptions options;
-  options.max_breakpoints = 2;
-  const SpeedupResult capped = min_speedup(table1_base(), options);
-  const SpeedupResult full = min_speedup(table1_base());
-  EXPECT_FALSE(capped.exact);
-  EXPECT_GE(capped.error_bound, 0.0);
-  EXPECT_LE(full.s_min, capped.s_min + capped.error_bound + 1e-12);
+  const AnalysisReport capped = capped_report(table1_base(), 2);
+  const AnalysisReport full = capped_report(table1_base(), kBreakpointBudget);
+  EXPECT_FALSE(capped.s_min_exact);
+  EXPECT_GE(capped.s_min_error_bound, 0.0);
+  EXPECT_LE(full.s_min, capped.s_min + capped.s_min_error_bound + 1e-12);
   EXPECT_GE(full.s_min + 1e-12, capped.s_min);  // reported value is a lower witness
 }
 
-TEST(SpeedupOptionsTest, BreakpointCountReported) {
-  const SpeedupResult r = min_speedup(table1_base());
-  EXPECT_GT(r.breakpoints_visited, 0u);
-  EXPECT_LT(r.breakpoints_visited, 1000u);  // hyperperiod 105: a few hundred max
+TEST(SpeedupLimitsTest, BreakpointCountReported) {
+  const AnalysisReport r = capped_report(table1_base(), kBreakpointBudget);
+  EXPECT_GT(r.speedup_breakpoints, 0u);
+  EXPECT_LT(r.speedup_breakpoints, 1000u);  // hyperperiod 105: a few hundred max
 }
 
-TEST(ResetOptionsTest, BreakpointCapGivesConservativeInfinity) {
-  ResetOptions options;
-  options.max_breakpoints = 1;
-  const ResetResult r = resetting_time(table1_base(), 2.0, options);
-  EXPECT_FALSE(r.exact);
+TEST(ResetLimitsTest, BreakpointCapGivesConservativeInfinity) {
+  const AnalysisReport r = capped_report(table1_base(), 1);
+  EXPECT_FALSE(r.delta_r_exact);
   EXPECT_TRUE(std::isinf(r.delta_r));
 }
 
-TEST(ResetOptionsTest, BreakpointCountReported) {
-  const ResetResult r = resetting_time(table1_base(), 2.0);
-  EXPECT_GT(r.breakpoints_visited, 0u);
+TEST(ResetLimitsTest, BreakpointCountReported) {
+  const AnalysisReport r = capped_report(table1_base(), kBreakpointBudget);
+  EXPECT_GT(r.reset_breakpoints, 0u);
 }
 
 TEST(InfTicksTest, SentinelArithmeticSafe) {

@@ -7,6 +7,7 @@
 
 #include "core/adb.hpp"
 #include "core/dbf.hpp"
+#include "core/exact_oracle.hpp"
 #include "core/reset.hpp"
 #include "core/speedup.hpp"
 #include "gen/rng.hpp"
@@ -15,23 +16,11 @@
 namespace rbs {
 namespace {
 
-// Brute-force supremum of total DBF_HI(delta)/delta over integer points and
-// left limits up to `bound` -- a lower witness of s_min.
-double brute_ratio_max(const TaskSet& set, Ticks bound) {
-  double best = 0.0;
-  for (Ticks d = 1; d <= bound; ++d) {
-    best = std::max(best, static_cast<double>(dbf_hi_total(set, d)) / static_cast<double>(d));
-    best = std::max(best,
-                    static_cast<double>(dbf_hi_total_left(set, d)) / static_cast<double>(d));
-  }
-  return best;
-}
-
 // ---- exhaustive single-HI-task family ------------------------------------
 
 TEST(SingleTaskFamilyTest, SpeedupMatchesBruteForce) {
-  // Every HI task with T <= 8: the algorithm must agree with a brute-force
-  // scan over several hyperperiods (the per-task supremum lies in (0, T]).
+  // Every HI task with T <= 8: the algorithm must agree with the exact
+  // oracle (the per-task supremum lies in (0, T]).
   int cases = 0;
   for (Ticks t = 2; t <= 8; ++t)
     for (Ticks d_hi = 1; d_hi <= t; ++d_hi)
@@ -39,7 +28,9 @@ TEST(SingleTaskFamilyTest, SpeedupMatchesBruteForce) {
         for (Ticks c_lo = 1; c_lo <= d_lo; ++c_lo)
           for (Ticks c_hi = c_lo; c_hi <= d_hi; ++c_hi) {
             const TaskSet set({McTask::hi("h", c_lo, c_hi, d_lo, d_hi, t)});
-            const SpeedupResult r = min_speedup(set);
+            const AnalysisReport r =
+                Analyzer().analyze(set, 1.0, {.speedup = true, .reset = false, .lo = false})
+                    .value();
             ++cases;
             if (std::isinf(r.s_min)) {
               // Infinite iff positive demand at delta = 0.
@@ -48,10 +39,11 @@ TEST(SingleTaskFamilyTest, SpeedupMatchesBruteForce) {
             }
             // When the supremum *equals* the utilization limit the search can
             // only close the gap to rel_tol; the residual must be tiny.
-            if (!r.exact) ASSERT_LE(r.error_bound, 1e-6 * std::max(1.0, r.s_min));
-            const double brute =
-                std::max(brute_ratio_max(set, 40 * t), set.total_utilization(Mode::HI));
-            EXPECT_NEAR(r.s_min, brute, r.error_bound + 1e-12)
+            if (!r.s_min_exact) {
+              ASSERT_LE(r.s_min_error_bound, 1e-6 * std::max(1.0, r.s_min));
+            }
+            const double brute = oracle::exact_s_min(set).s_min.rounded();
+            EXPECT_NEAR(r.s_min, brute, r.s_min_error_bound + 1e-12)
                 << "C=(" << c_lo << "," << c_hi << ") D=(" << d_lo << "," << d_hi
                 << ") T=" << t;
           }

@@ -13,11 +13,19 @@
 namespace rbs {
 namespace {
 
+/// The Corollary 5 part of the facade alone, optionally aborting the
+/// carry-over jobs of terminated LO tasks.
+AnalysisReport reset_report(const TaskSet& set, double s, bool discard = false) {
+  AnalysisLimits limits;
+  limits.discard_dropped_carryover = discard;
+  return Analyzer(limits).analyze(set, s, {.speedup = false, .reset = true, .lo = false}).value();
+}
+
 TEST(ResetTest, Table1AtSpeedTwoIsSix) {
   // Example 2: "if s is increased to 2, then the service resetting time can
   // be reduced to 6".
-  const ResetResult r = resetting_time(table1_base(), 2.0);
-  EXPECT_TRUE(r.exact);
+  const AnalysisReport r = reset_report(table1_base(), 2.0);
+  EXPECT_TRUE(r.delta_r_exact);
   EXPECT_NEAR(r.delta_r, 6.0, 1e-9);
 }
 
@@ -62,19 +70,15 @@ TEST(ResetTest, AllDroppedCarryOverOnly) {
                      McTask::lo_terminated("b", 3, 20, 20)});
   EXPECT_NEAR(resetting_time_value(set, 2.0), 5.0 / 2.0, 1e-9);
   // Discarding the carry-over makes the reset instantaneous.
-  ResetOptions opt;
-  opt.discard_dropped_carryover = true;
-  EXPECT_DOUBLE_EQ(resetting_time(set, 2.0, opt).delta_r, 0.0);
+  EXPECT_DOUBLE_EQ(reset_report(set, 2.0, /*discard=*/true).delta_r, 0.0);
 }
 
 TEST(ResetTest, DiscardingCarryOverNeverDelaysReset) {
   const TaskSet set({McTask::hi("h", 3, 5, 4, 7, 7),
                      McTask::lo_terminated("l", 2, 15, 15)});
-  ResetOptions discard;
-  discard.discard_dropped_carryover = true;
   for (double s : {1.0, 1.5, 2.0, 3.0})
-    EXPECT_LE(resetting_time(set, s, discard).delta_r,
-              resetting_time(set, s).delta_r + 1e-9);
+    EXPECT_LE(reset_report(set, s, /*discard=*/true).delta_r,
+              resetting_time_value(set, s) + 1e-9);
 }
 
 TEST(ResetTest, DegradationShortensReset) {
@@ -122,8 +126,8 @@ TEST(ResetTest, RandomSetsFiniteAboveUtilization) {
     if (!skeleton) continue;
     const TaskSet set = skeleton->materialize(0.5, 2.0);
     const double u_hi = set.total_utilization(Mode::HI);
-    const ResetResult r = resetting_time(set, u_hi + 0.3);
-    EXPECT_TRUE(r.exact);
+    const AnalysisReport r = reset_report(set, u_hi + 0.3);
+    EXPECT_TRUE(r.delta_r_exact);
     EXPECT_TRUE(std::isfinite(r.delta_r));
     EXPECT_GT(r.delta_r, 0.0);
   }

@@ -5,8 +5,8 @@
 
 #include <cmath>
 
-#include "core/dbf.hpp"
 #include "core/edf.hpp"
+#include "core/exact_oracle.hpp"
 #include "gen/paper_examples.hpp"
 #include "gen/rng.hpp"
 #include "gen/taskgen.hpp"
@@ -14,27 +14,22 @@
 namespace rbs {
 namespace {
 
-// Reference implementation: scan every integer point and left limit up to a
-// bound; valid lower witness of the supremum.
-double brute_force_ratio_max(const TaskSet& set, Ticks up_to) {
-  double best = 0.0;
-  for (Ticks d = 1; d <= up_to; ++d) {
-    best = std::max(best, static_cast<double>(dbf_hi_total(set, d)) / static_cast<double>(d));
-    best = std::max(best,
-                    static_cast<double>(dbf_hi_total_left(set, d)) / static_cast<double>(d));
-  }
-  return best;
+constexpr AnalysisParts kSpeedupOnly{.speedup = true, .reset = false, .lo = false};
+
+/// The Theorem 2 part of the facade alone.
+AnalysisReport speedup_report(const TaskSet& set) {
+  return Analyzer().analyze(set, 1.0, kSpeedupOnly).value();
 }
 
 TEST(SpeedupTest, Table1BaseIsFourThirds) {
-  const SpeedupResult r = min_speedup(table1_base());
-  EXPECT_TRUE(r.exact);
+  const AnalysisReport r = speedup_report(table1_base());
+  EXPECT_TRUE(r.s_min_exact);
   EXPECT_NEAR(r.s_min, 4.0 / 3.0, 1e-12);
 }
 
 TEST(SpeedupTest, Table1DegradedAllowsSlowdown) {
-  const SpeedupResult r = min_speedup(table1_degraded());
-  EXPECT_TRUE(r.exact);
+  const AnalysisReport r = speedup_report(table1_degraded());
+  EXPECT_TRUE(r.s_min_exact);
   EXPECT_NEAR(r.s_min, 12.0 / 13.0, 1e-12);  // the paper's ~0.92
   EXPECT_LT(r.s_min, 1.0);                   // "the system can actually slow down"
 }
@@ -51,9 +46,9 @@ TEST(SpeedupTest, EmptySetNeedsNoSpeedup) {
 TEST(SpeedupTest, UnpreparedHiTaskNeedsInfiniteSpeedup) {
   // D(LO) == D(HI) with C(HI) > C(LO): demand at Delta=0 (see Theorem 2).
   const TaskSet set({McTask::hi("h", 2, 4, 10, 10, 10)});
-  const SpeedupResult r = min_speedup(set);
+  const AnalysisReport r = speedup_report(set);
   EXPECT_TRUE(std::isinf(r.s_min));
-  EXPECT_EQ(r.argmax, 0);
+  EXPECT_EQ(r.s_min_argmax, 0);
 }
 
 TEST(SpeedupTest, AllTasksDroppedNeedsNothing) {
@@ -66,9 +61,9 @@ TEST(SpeedupTest, SingleHiTaskKnownValue) {
   // tau1 of Table I alone: DBF_HI peaks at delta = g + C(LO) = 3 + 3 = 6 with
   // demand C(HI) = 5, and at every later window the density only drops.
   const TaskSet set({McTask::hi("h", 3, 5, 4, 7, 7)});
-  const SpeedupResult r = min_speedup(set);
+  const AnalysisReport r = speedup_report(set);
   EXPECT_NEAR(r.s_min, 5.0 / 6.0, 1e-12);
-  EXPECT_EQ(r.argmax, 6);
+  EXPECT_EQ(r.s_min_argmax, 6);
 }
 
 TEST(SpeedupTest, MatchesBruteForceOnRandomSets) {
@@ -81,14 +76,14 @@ TEST(SpeedupTest, MatchesBruteForceOnRandomSets) {
     const auto skeleton = generate_task_set(params, rng);
     if (!skeleton) continue;
     const TaskSet set = skeleton->materialize(0.5, 2.0);
-    const SpeedupResult r = min_speedup(set);
-    ASSERT_TRUE(r.exact);
-    // The brute-force scan up to a generous bound is a lower witness; if the
+    const AnalysisReport r = speedup_report(set);
+    ASSERT_TRUE(r.s_min_exact);
+    // The oracle's scan up to a generous bound is a lower witness; if the
     // algorithm's argmax falls inside the scan it must match exactly.
     const Ticks bound = 3000;
-    const double brute = brute_force_ratio_max(set, bound);
+    const double brute = oracle::max_ratio(set, bound).rounded();
     EXPECT_GE(r.s_min + 1e-12, brute) << "trial " << trial;
-    if (r.argmax > 0 && r.argmax <= bound) {
+    if (r.s_min_argmax > 0 && r.s_min_argmax <= bound) {
       EXPECT_NEAR(r.s_min, std::max(brute, set.total_utilization(Mode::HI)), 1e-12)
           << "trial " << trial;
     }
@@ -169,14 +164,10 @@ TEST(SpeedupTest, ScalingAllParametersLeavesSpeedupInvariant) {
 }
 
 TEST(SpeedupTest, ReportsArgmaxWitness) {
-  const SpeedupResult r = min_speedup(table1_base());
-  ASSERT_GT(r.argmax, 0);
+  const AnalysisReport r = speedup_report(table1_base());
+  ASSERT_GT(r.s_min_argmax, 0);
   // The ratio at the witness (value or left limit) reproduces s_min.
-  const double at = static_cast<double>(dbf_hi_total(table1_base(), r.argmax)) /
-                    static_cast<double>(r.argmax);
-  const double at_left = static_cast<double>(dbf_hi_total_left(table1_base(), r.argmax)) /
-                         static_cast<double>(r.argmax);
-  EXPECT_NEAR(std::max(at, at_left), r.s_min, 1e-12);
+  EXPECT_EQ(oracle::ratio_at(table1_base(), r.s_min_argmax).rounded(), r.s_min);
 }
 
 }  // namespace

@@ -55,15 +55,14 @@ TEST_P(AnalysisSimTest, BoundsHoldOnExecutedSchedules) {
   const TaskSet set = skeleton->materialize(mx.x, 2.0);
   ASSERT_TRUE(lo_mode_schedulable(set));
 
-  const SpeedupResult sr = min_speedup(set);
-  ASSERT_TRUE(std::isfinite(sr.s_min));
+  const double s_min = min_speedup_value(set);
+  ASSERT_TRUE(std::isfinite(s_min));
   // Essentially s_min; nudged above the HI-mode utilization so Delta_R stays
   // finite and its breakpoint walk cheap (s_min can equal U_HI exactly).
-  const double s =
-      std::max({sr.s_min + 1e-9, set.total_utilization(Mode::HI) + 0.02, 0.05});
+  const double s = std::max({s_min + 1e-9, set.total_utilization(Mode::HI) + 0.02, 0.05});
 
-  const ResetResult reset = resetting_time(set, s);
-  ASSERT_TRUE(std::isfinite(reset.delta_r));
+  const double delta_r = resetting_time_value(set, s);
+  ASSERT_TRUE(std::isfinite(delta_r));
 
   sim::SimConfig cfg;
   cfg.horizon = 30000.0;
@@ -77,10 +76,10 @@ TEST_P(AnalysisSimTest, BoundsHoldOnExecutedSchedules) {
   const sim::SimResult r = sim::simulate(set, cfg);
 
   EXPECT_FALSE(r.deadline_missed())
-      << "s_min=" << sr.s_min << " misses=" << r.misses.size() << " first task "
+      << "s_min=" << s_min << " misses=" << r.misses.size() << " first task "
       << (r.misses.empty() ? -1 : static_cast<int>(r.misses[0].task_index));
   for (double dwell : r.hi_dwell_times)
-    EXPECT_LE(dwell, reset.delta_r + 1e-6) << "dwell exceeds Delta_R=" << reset.delta_r;
+    EXPECT_LE(dwell, delta_r + 1e-6) << "dwell exceeds Delta_R=" << delta_r;
   if (sc.overrun_probability > 0.0) EXPECT_GT(r.mode_switches, 0u);
 }
 
@@ -112,11 +111,10 @@ TEST_P(TerminationSimTest, BoundsHoldWithLoTaskTermination) {
   if (!mx.feasible) GTEST_SKIP();
   const TaskSet set = skeleton->materialize_terminating(mx.x);
 
-  const SpeedupResult sr = min_speedup(set);
   const double s =
-      std::max({sr.s_min + 1e-9, set.total_utilization(Mode::HI) + 0.02, 0.2});
-  const ResetResult reset = resetting_time(set, s);
-  ASSERT_TRUE(std::isfinite(reset.delta_r));
+      std::max({min_speedup_value(set) + 1e-9, set.total_utilization(Mode::HI) + 0.02, 0.2});
+  const double delta_r = resetting_time_value(set, s);
+  ASSERT_TRUE(std::isfinite(delta_r));
 
   sim::SimConfig cfg;
   cfg.horizon = 30000.0;
@@ -127,7 +125,7 @@ TEST_P(TerminationSimTest, BoundsHoldWithLoTaskTermination) {
   const sim::SimResult r = sim::simulate(set, cfg);
 
   EXPECT_FALSE(r.deadline_missed());
-  for (double dwell : r.hi_dwell_times) EXPECT_LE(dwell, reset.delta_r + 1e-6);
+  for (double dwell : r.hi_dwell_times) EXPECT_LE(dwell, delta_r + 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomWorkloads, TerminationSimTest,
@@ -179,9 +177,9 @@ TEST(FmsSimTest, EndToEndRecoveryWithinPaperEnvelope) {
 
   const double s_min = min_speedup_value(set);
   EXPECT_LT(s_min, 2.0);
-  const ResetResult reset = resetting_time(set, 2.0);
-  ASSERT_TRUE(std::isfinite(reset.delta_r));
-  EXPECT_LT(reset.delta_r, 3000.0);  // 3 s at 1 tick = 1 ms
+  const double delta_r = resetting_time_value(set, 2.0);
+  ASSERT_TRUE(std::isfinite(delta_r));
+  EXPECT_LT(delta_r, 3000.0);  // 3 s at 1 tick = 1 ms
 
   sim::SimConfig cfg;
   cfg.horizon = 120000.0;  // 2 minutes
@@ -191,7 +189,7 @@ TEST(FmsSimTest, EndToEndRecoveryWithinPaperEnvelope) {
   const sim::SimResult r = sim::simulate(set, cfg);
   EXPECT_FALSE(r.deadline_missed());
   EXPECT_GT(r.mode_switches, 0u);
-  for (double dwell : r.hi_dwell_times) EXPECT_LE(dwell, reset.delta_r + 1e-6);
+  for (double dwell : r.hi_dwell_times) EXPECT_LE(dwell, delta_r + 1e-6);
 }
 
 }  // namespace

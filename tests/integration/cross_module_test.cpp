@@ -31,7 +31,7 @@ TEST_P(LatencyCrossTest, ZeroLatencyMatchesPlainAnalyses) {
   const TaskSet set = skeleton->materialize(rng.uniform(0.3, 0.8), 2.0);
 
   const double plain = min_speedup_value(set);
-  const LatencySpeedupResult with_l0 = min_speedup_with_latency(set, 0);
+  const LatencySpeedupReport with_l0 = min_speedup_with_latency(set, 0);
   if (std::isinf(plain)) {
     EXPECT_TRUE(std::isinf(with_l0.s_min));
   } else {
