@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the analysis and simulation
 // kernels -- demand-bound evaluation, the fused sweep's speedup search
-// (Theorem 2) and resetting-time solver (Corollary 5), task generation and
-// simulator throughput -- plus a campaign-throughput benchmark of the
-// parallel engine (BM_CampaignAnalyze, one arg per worker count).
+// (Theorem 2) and resetting-time solver (Corollary 5), the full analysis over
+// task count n (BM_FusedAnalyzeN), task generation and simulator throughput
+// -- plus a campaign-throughput benchmark of the parallel engine
+// (BM_CampaignAnalyze, one arg per worker count).
 //
 // Campaign mode (instead of google-benchmark):
 //
@@ -28,7 +29,10 @@
 // small throughput summary.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -57,6 +61,36 @@ TaskSet make_set(std::uint64_t seed, double u_bound, double x, double y) {
     return skeleton->materialize(x > 0 ? x : mx.x, y);
   }
   throw std::runtime_error("could not generate benchmark set");
+}
+
+// UUniFast set of n tasks at U_LO = 0.6 whose periods are re-drawn from a
+// harmonic grid (hyperperiod 10^4 ticks), keeping each task's utilization and
+// C(HI)/C(LO) up to rounding, prepared at the exact minimum x and y = 2. The
+// grid bounds the breakpoint count, so the cost of an analysis follows n.
+TaskSet make_harmonic_set(int n, std::uint64_t seed) {
+  static constexpr std::array<Ticks, 8> kGrid = {200, 250, 500, 1000, 2000, 2500, 5000, 10000};
+  Rng rng(seed);
+  UUniFastParams params;
+  params.n_tasks = n;
+  params.u_total_lo = 0.6;
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    std::vector<ImplicitTask> tasks = generate_uunifast_set(params, rng).tasks();
+    for (ImplicitTask& t : tasks) {
+      const double u = t.u_lo();
+      const double gamma = static_cast<double>(t.c_hi) / static_cast<double>(t.c_lo);
+      t.period = kGrid[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(kGrid.size()) - 1))];
+      t.c_lo = std::clamp<Ticks>(std::llround(u * static_cast<double>(t.period)), 1, t.period);
+      t.c_hi = t.criticality == Criticality::HI
+                   ? std::clamp<Ticks>(std::llround(gamma * static_cast<double>(t.c_lo)),
+                                       t.c_lo, t.period)
+                   : t.c_lo;
+    }
+    const ImplicitSet skeleton(std::move(tasks));
+    const MinXResult mx = min_x_for_lo(skeleton);
+    if (mx.feasible) return skeleton.materialize(mx.x, 2.0);
+  }
+  throw std::runtime_error("could not generate harmonic benchmark set");
 }
 
 // ---------------------------------------------------------------------------
@@ -229,17 +263,40 @@ void BM_ResettingTime(benchmark::State& state) {
 BENCHMARK(BM_ResettingTime);
 
 // Both parts in one fused sweep, on the same input as BM_MinSpeedup/7 and
-// BM_ResettingTime: the shared ticks are fetched once.
+// BM_ResettingTime: the shared ticks are fetched once. `breakpoints` is the
+// fused sweep's tick count per call, so time / breakpoints is the cost of one
+// tick; it depends only on the input, so a change to it is a change in work.
 void BM_FusedAnalyze(benchmark::State& state) {
   const TaskSet set = make_set(7, 0.7, -1.0, 2.0);
   const Analyzer analyzer;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        analyzer.analyze(set, 2.0, {.speedup = true, .reset = true, .lo = false})
-            .value()
-            .s_min);
+  std::size_t breakpoints = 0;
+  for (auto _ : state) {
+    const AnalysisReport r =
+        analyzer.analyze(set, 2.0, {.speedup = true, .reset = true, .lo = false}).value();
+    breakpoints = r.fused_breakpoints;
+    benchmark::DoNotOptimize(r.s_min);
+  }
+  state.counters["breakpoints"] = static_cast<double>(breakpoints);
 }
 BENCHMARK(BM_FusedAnalyze);
+
+// The full analysis (fused sweep plus the LO-mode test) over task count n on
+// harmonic-grid UUniFast sets, the analyze_wide input family of rbs_bench.
+// `breakpoints` counts the fused and LO ticks of one call: with incremental
+// demand each tick costs O(log n) heap work, not an O(n) re-sum.
+void BM_FusedAnalyzeN(benchmark::State& state) {
+  const TaskSet set = make_harmonic_set(static_cast<int>(state.range(0)), 5);
+  const Analyzer analyzer;
+  std::size_t breakpoints = 0;
+  for (auto _ : state) {
+    const AnalysisReport r = analyzer.analyze(set, 2.0).value();
+    breakpoints = r.fused_breakpoints + r.lo_breakpoints;
+    benchmark::DoNotOptimize(r.s_min);
+  }
+  state.counters["breakpoints"] = static_cast<double>(breakpoints);
+  state.SetLabel(std::to_string(set.size()) + " tasks");
+}
+BENCHMARK(BM_FusedAnalyzeN)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_LoModeForwardSweep(benchmark::State& state) {
   const TaskSet set = make_set(21, 0.9, 0.4, 2.0);  // constrained deadlines
@@ -317,7 +374,9 @@ BENCHMARK(BM_EventKernelThroughput);
 // End-to-end campaign throughput (generate + prepare + fused analyze per
 // item) at 1/2/4/8 workers. On a single-core host the >1 args merely
 // exercise the pool; the scaling numbers are meaningful on real multi-core
-// runners.
+// runners. The workers do the work while the main thread waits, so the
+// timing and the sets/s rate are wall-clock (UseRealTime): the main thread's
+// CPU time leaves the workers out and would inflate the rate.
 void BM_CampaignAnalyze(benchmark::State& state) {
   const auto jobs = static_cast<unsigned>(state.range(0));
   constexpr std::size_t kSets = 32;
@@ -330,7 +389,13 @@ void BM_CampaignAnalyze(benchmark::State& state) {
   state.counters["sets/s"] =
       benchmark::Counter(static_cast<double>(items), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_CampaignAnalyze)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CampaignAnalyze)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /// True for argv entries that belong to campaign mode, not google-benchmark.
 bool is_campaign_flag(const char* arg, bool* eats_value) {

@@ -58,16 +58,11 @@ RBS_HOT_PATH Ticks adb_hi_total_left(const TaskSet& set, Ticks delta, bool disca
   return sum;
 }
 
-std::vector<ArithSeq> adb_hi_breakpoints(const McTask& task) {
-  if (task.dropped_in_hi()) return {};
+Ticks adb_hi_breakpoints(const McTask& task, unsigned mask, std::vector<TaggedSeq>& out) {
+  if (task.dropped_in_hi()) return 0;
   const Ticks t = task.period(Mode::HI);
-  const Ticks gap = t - task.deadline(Mode::LO);
-  std::vector<ArithSeq> seqs;
-  seqs.push_back({0, t});
-  if (gap > 0 && gap < t) seqs.push_back({gap, t});
-  const Ticks ramp_end = gap + task.wcet(Mode::LO);
-  if (ramp_end > 0 && ramp_end < t) seqs.push_back({ramp_end, t});
-  return seqs;
+  return append_ramp_family(t, t - task.deadline(Mode::LO), task.wcet(Mode::LO),
+                            task.wcet(Mode::HI), mask, out);
 }
 
 }  // namespace rbs

@@ -32,9 +32,11 @@ namespace rbs {
 [[nodiscard]] Ticks adb_hi_total(const TaskSet& set, Ticks delta, bool discard_dropped_carryover = false);
 [[nodiscard]] Ticks adb_hi_total_left(const TaskSet& set, Ticks delta, bool discard_dropped_carryover = false);
 
-/// Breakpoint sequences of adb_hi for one task: window starts k*T(HI), ramp
-/// starts k*T(HI) + (T(HI)-D(LO)) and saturations C(LO) later. Empty for
-/// dropped tasks (their ADB is constant).
-[[nodiscard]] std::vector<ArithSeq> adb_hi_breakpoints(const McTask& task);
+/// Appends the breakpoint sequences of adb_hi for one task to `out`, tagged
+/// `mask`, with their deltas (append_ramp_family): window starts k*T(HI),
+/// ramp starts k*T(HI) + (T(HI)-D(LO)) and saturations C(LO) later. Returns
+/// the task's slope just right of Delta = 0. Appends nothing (and returns 0)
+/// for dropped tasks: their ADB is constant.
+Ticks adb_hi_breakpoints(const McTask& task, unsigned mask, std::vector<TaggedSeq>& out);
 
 }  // namespace rbs

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/adb.hpp"
@@ -15,13 +16,17 @@ namespace rbs {
 
 namespace {
 
-constexpr unsigned kSpeedupMask = 1u;
-constexpr unsigned kResetMask = 2u;
+constexpr unsigned kSpeedupConsumer = 0;
+constexpr unsigned kResetConsumer = 1;
+constexpr unsigned kSpeedupMask = 1u << kSpeedupConsumer;
+constexpr unsigned kResetMask = 1u << kResetConsumer;
+static_assert(kResetConsumer < kMergerConsumers);
 
 /// State of the Theorem 2 ratio maximisation, advanced one DBF_HI breakpoint
 /// at a time. On each linear piece of the total demand the ratio demand/Delta
 /// is monotone, so the supremum is attained at a breakpoint: its value or its
-/// left limit.
+/// left limit. DBF_HI jumps only upward, so the left limit never beats the
+/// value and only the value is compared.
 struct SpeedupSearch {
   bool active = false;
   double best = 0.0;
@@ -32,6 +37,7 @@ struct SpeedupSearch {
   bool exact = true;
   double error_bound = 0.0;
   std::size_t visited = 0;
+  RunningDemand demand;  ///< total DBF_HI; its slope at 0 is set with the sequences
 
   void init(const TaskSet& set, double total_u_hi) {
     if (set.empty()) return;  // s_min = 0, settled
@@ -56,8 +62,10 @@ struct SpeedupSearch {
     active = true;
   }
 
-  /// Evaluates the ratio at breakpoint `d`; clears `active` once settled.
-  void step(const TaskSet& set, Ticks d, const AnalysisLimits& limits, bool* worked) {
+  /// Evaluates the ratio at breakpoint `d`, whose DBF_HI deltas are `delta`;
+  /// clears `active` once settled.
+  void step(Ticks d, const TaggedBreakpointMerger::Delta& delta, const AnalysisLimits& limits,
+            bool* worked) {
     if (d == 0) return;  // handled in init()
     if (d > hyperperiod) {  // supremum settled exactly (see init)
       active = false;
@@ -70,20 +78,15 @@ struct SpeedupSearch {
       active = false;
       return;
     }
-    const double delta = static_cast<double>(d);
-    const double ratio_right = static_cast<double>(dbf_hi_total(set, d)) / delta;
-    const double ratio_left = static_cast<double>(dbf_hi_total_left(set, d)) / delta;
-    if (ratio_right > best) {
-      best = ratio_right;
-      argmax = d;
-    }
-    if (ratio_left > best) {
-      best = ratio_left;
+    demand.advance(d, delta);
+    const double ratio = static_cast<double>(demand.value) / static_cast<double>(d);
+    if (ratio > best) {
+      best = ratio;
       argmax = d;
     }
     // Beyond Delta, demand/Delta <= U + K/Delta; once that envelope drops to
     // the best ratio seen, the supremum is settled.
-    const double slack = (u_hi + k / delta) - best;
+    const double slack = (u_hi + k / static_cast<double>(d)) - best;
     if (slack <= 0) {
       active = false;
       return;
@@ -106,13 +109,10 @@ struct ResetSearch {
   bool exact = true;
   std::size_t visited = 0;
   long double speed = 1.0L;
-  Ticks prev = 0;
-  long double value_at_prev = 0.0L;
-  bool discard = false;
+  RunningDemand demand;  ///< total ADB_HI; its slope at 0 is set with the sequences
 
   void init(const TaskSet& set, double s, double u_hi, const AnalysisLimits& limits) {
     speed = s;
-    discard = limits.discard_dropped_carryover;
     if (set.empty()) return;  // Delta_R = 0: nothing ever arrives
 
     // ADB_HI grows asymptotically at rate U_HI; the supply s*Delta can only
@@ -121,15 +121,16 @@ struct ResetSearch {
       delta_r = std::numeric_limits<double>::infinity();
       return;
     }
-    value_at_prev = static_cast<long double>(adb_hi_total(set, 0, discard));
-    if (value_at_prev <= 0) return;  // all carry-over discarded, no demand
+    demand.value = adb_hi_total(set, 0, limits.discard_dropped_carryover);
+    if (demand.value <= 0) return;  // all carry-over discarded, no demand
     active = true;
   }
 
   /// Advances over the segment ending at breakpoint `b` (nullopt: the demand
-  /// is constant beyond `prev`); clears `active` once the crossing is found.
-  void step(const TaskSet& set, std::optional<Ticks> b, const AnalysisLimits& limits,
-            bool* worked) {
+  /// is constant beyond the last one), whose ADB_HI deltas are `delta`;
+  /// clears `active` once the crossing is found.
+  void step(std::optional<Ticks> b, const TaggedBreakpointMerger::Delta& delta,
+            const AnalysisLimits& limits, bool* worked) {
     if (b && *b == 0) return;  // the leading 0 breakpoint is consumed for free
     *worked = true;
     if (++visited > limits.max_breakpoints) {
@@ -139,8 +140,10 @@ struct ResetSearch {
       return;
     }
 
+    const auto value_at_prev = static_cast<long double>(demand.value);
+    const auto prev = static_cast<long double>(demand.at);
     // Condition already met at the segment start?
-    if (value_at_prev <= speed * static_cast<long double>(prev)) {
+    if (value_at_prev <= speed * prev) {
       delta_r = static_cast<double>(prev);
       active = false;
       return;
@@ -154,22 +157,18 @@ struct ResetSearch {
       return;
     }
 
-    const long double left_limit = static_cast<long double>(adb_hi_total_left(set, *b, discard));
-    const long double slope = (left_limit - value_at_prev) / static_cast<long double>(*b - prev);
-
     // Crossing inside (prev, b): value_at_prev + slope*(Delta - prev) = s*Delta.
+    const auto slope = static_cast<long double>(demand.slope);
     if (speed > slope) {
-      const long double crossing =
-          (value_at_prev - slope * static_cast<long double>(prev)) / (speed - slope);
-      if (crossing >= static_cast<long double>(prev) && crossing < static_cast<long double>(*b)) {
+      const long double crossing = (value_at_prev - slope * prev) / (speed - slope);
+      if (crossing >= prev && crossing < static_cast<long double>(*b)) {
         delta_r = static_cast<double>(crossing);
         active = false;
         return;
       }
     }
 
-    value_at_prev = static_cast<long double>(adb_hi_total(set, *b, discard));
-    prev = *b;
+    demand.advance(*b, delta);
   }
 };
 
@@ -177,32 +176,32 @@ struct ResetSearch {
 /// Sequences are tagged with the consumer they serve; a tick evaluates only
 /// the consumers that are both tagged on it and still searching, so a settled
 /// consumer costs nothing and shared ticks are fetched from the heap once.
+/// Each consumer updates its running demand from the deltas the merger summed
+/// for it, so a tick costs O(1) per popped sequence, not O(n).
 /// Returns the number of breakpoints that did real work.
 ///
 /// This loop dominates every analysis call, so it is RBS_HOT_PATH: rbs_lint's
-/// rt pass keeps the whole reachable tree (merger, both searches, the
-/// dbf/adb totals) free of allocation, locking, I/O and throw. The merger and
-/// tagged-sequence setup stays with the caller -- building those vectors is
-/// the one-time cold part.
-RBS_HOT_PATH std::size_t run_fused_sweep(const TaskSet& set, TaggedBreakpointMerger& merger,
-                                         SpeedupSearch& speedup, ResetSearch& reset,
-                                         const AnalysisLimits& limits) {
+/// rt pass keeps the whole reachable tree (merger, both searches) free of
+/// allocation, locking, I/O and throw. The merger and tagged-sequence setup
+/// stays with the caller -- building those vectors is the one-time cold part.
+RBS_HOT_PATH std::size_t run_fused_sweep(TaggedBreakpointMerger& merger, SpeedupSearch& speedup,
+                                         ResetSearch& reset, const AnalysisLimits& limits) {
   std::size_t fused = 0;
   while (speedup.active || reset.active) {
     const auto point = merger.next();
     if (!point) break;
     bool worked = false;
     if (speedup.active && (point->mask & kSpeedupMask) != 0)
-      speedup.step(set, point->tick, limits, &worked);
+      speedup.step(point->tick, point->delta[kSpeedupConsumer], limits, &worked);
     if (reset.active && (point->mask & kResetMask) != 0)
-      reset.step(set, point->tick, limits, &worked);
+      reset.step(point->tick, point->delta[kResetConsumer], limits, &worked);
     if (worked) ++fused;
   }
   // Merger exhausted with the crossing still open: the demand is constant
   // past the last breakpoint.
   if (reset.active) {
     bool worked = false;
-    reset.step(set, std::nullopt, limits, &worked);
+    reset.step(std::nullopt, {}, limits, &worked);
     if (worked) ++fused;
   }
   return fused;
@@ -245,18 +244,18 @@ RBS_DET_PATH Expected<AnalysisReport> analyze_impl(const TaskSet& set, double sp
   if (parts.reset) reset.init(set, speed, report.u_hi, limits);
 
   // --- the fused sweep -----------------------------------------------------
-  // Cold setup (the tagged-sequence vectors and the merger's heap), then the
-  // allocation-free hot loop in run_fused_sweep above.
+  // Cold setup (the tagged-sequence vector, each search's slope at 0 and the
+  // merger's heap), then the allocation-free hot loop in run_fused_sweep.
   if (speedup.active || reset.active) {
     std::vector<TaggedSeq> seqs;
     if (speedup.active)
       for (const McTask& t : set)
-        for (const ArithSeq& s : dbf_hi_breakpoints(t)) seqs.push_back({s, kSpeedupMask});
+        speedup.demand.slope += dbf_hi_breakpoints(t, kSpeedupMask, seqs);
     if (reset.active)
       for (const McTask& t : set)
-        for (const ArithSeq& s : adb_hi_breakpoints(t)) seqs.push_back({s, kResetMask});
-    TaggedBreakpointMerger merger(seqs);
-    report.fused_breakpoints += run_fused_sweep(set, merger, speedup, reset, limits);
+        reset.demand.slope += adb_hi_breakpoints(t, kResetMask, seqs);
+    TaggedBreakpointMerger merger(std::move(seqs));
+    report.fused_breakpoints += run_fused_sweep(merger, speedup, reset, limits);
   }
 
   if (parts.speedup) {

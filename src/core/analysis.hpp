@@ -10,8 +10,12 @@
 // TaggedBreakpointMerger walk serves both the Theorem 2 ratio maximisation
 // and the Corollary 5 crossing search; ticks shared by both families are
 // fetched from the heap once instead of twice, and a settled sub-analysis
-// skips foreign ticks for free. tests/core/analysis_test.cpp checks every
-// result against a brute-force exact oracle that shares none of this code.
+// skips foreign ticks for free. Each search keeps its total demand as
+// running state, updated from the jump and slope deltas the popped sequences
+// carry (core/breakpoints.hpp), so a tick costs O(log n) heap work per popped
+// sequence rather than an O(n) re-sum. tests/core/analysis_test.cpp checks
+// every result against a brute-force exact oracle that shares none of this
+// code.
 //
 // The one-shot helpers (`min_speedup_value`, `hi_mode_schedulable`,
 // `system_schedulable`, `resetting_time_value`) are thin inline wrappers over

@@ -68,22 +68,10 @@ RBS_HOT_PATH Ticks dbf_hi_total(const TaskSet& set, Ticks delta) {
   return sum;
 }
 
-RBS_HOT_PATH Ticks dbf_hi_total_left(const TaskSet& set, Ticks delta) {
-  Ticks sum = 0;
-  for (const McTask& t : set) sum += dbf_hi_left(t, delta);
-  return sum;
-}
-
-std::vector<ArithSeq> dbf_hi_breakpoints(const McTask& task) {
-  if (task.dropped_in_hi()) return {};
-  const Ticks t = task.period(Mode::HI);
-  const Ticks g = task.deadline_extension();
-  std::vector<ArithSeq> seqs;
-  seqs.push_back({0, t});  // window starts: the floor(delta/T) jumps
-  if (g > 0 && g < t) seqs.push_back({g, t});
-  const Ticks ramp_end = g + task.wcet(Mode::LO);
-  if (ramp_end > 0 && ramp_end < t) seqs.push_back({ramp_end, t});
-  return seqs;
+Ticks dbf_hi_breakpoints(const McTask& task, unsigned mask, std::vector<TaggedSeq>& out) {
+  if (task.dropped_in_hi()) return 0;
+  return append_ramp_family(task.period(Mode::HI), task.deadline_extension(),
+                            task.wcet(Mode::LO), task.wcet(Mode::HI), mask, out);
 }
 
 Ticks hi_hyperperiod(const TaskSet& set) {
@@ -98,8 +86,8 @@ Ticks hi_hyperperiod(const TaskSet& set) {
   return hyperperiod;
 }
 
-ArithSeq dbf_lo_breakpoints(const McTask& task) {
-  return {task.deadline(Mode::LO), task.period(Mode::LO)};
+TaggedSeq dbf_lo_breakpoints(const McTask& task, unsigned mask) {
+  return {{task.deadline(Mode::LO), task.period(Mode::LO)}, mask, task.wcet(Mode::LO), 0};
 }
 
 }  // namespace rbs

@@ -8,9 +8,12 @@
 //               by the switch.
 //
 // Both functions are evaluated exactly over integer ticks. dbf_hi is
-// piecewise linear (the carry-over term ramps with slope 1), so the ratio
-// maximisation of Theorem 2 also needs the *left limit* at a breakpoint;
-// dbf_hi_left provides it.
+// piecewise linear (the carry-over term ramps with slope 1) and jumps only
+// upward, so the ratio maximisation of Theorem 2 needs only its values at the
+// breakpoints. The walks never call these per tick: the breakpoint sequences
+// below carry each tick's jump and slope change, and the walks keep the total
+// demand as running state (core/breakpoints.hpp). dbf_hi_left is the
+// reference the tests check those running left limits against.
 #pragma once
 
 #include <vector>
@@ -29,7 +32,6 @@ namespace rbs {
 [[nodiscard]] Ticks dbf_hi(const McTask& task, Ticks delta);
 
 /// lim_{eps->0+} dbf_hi(task, delta - eps), for delta >= 1.
-/// Needed because sup_Delta DBF/Delta can be attained "just before" a jump.
 [[nodiscard]] Ticks dbf_hi_left(const McTask& task, Ticks delta);
 
 /// Sum of dbf_lo over the whole set.
@@ -38,13 +40,12 @@ namespace rbs {
 /// Sum of dbf_hi over the whole set.
 [[nodiscard]] Ticks dbf_hi_total(const TaskSet& set, Ticks delta);
 
-/// Sum of dbf_hi_left over the whole set.
-[[nodiscard]] Ticks dbf_hi_total_left(const TaskSet& set, Ticks delta);
-
-/// Breakpoint sequences of dbf_hi for one task: window starts k*T(HI), ramp
-/// starts k*T(HI)+g and ramp saturations k*T(HI)+g+C(LO), with
-/// g = D(HI)-D(LO). Empty for dropped tasks.
-[[nodiscard]] std::vector<ArithSeq> dbf_hi_breakpoints(const McTask& task);
+/// Appends the breakpoint sequences of dbf_hi for one task to `out`, tagged
+/// `mask`, with their deltas (append_ramp_family): window starts k*T(HI),
+/// ramp starts k*T(HI)+g and ramp saturations k*T(HI)+g+C(LO), with
+/// g = D(HI)-D(LO). Returns the task's slope just right of Delta = 0.
+/// Appends nothing (and returns 0) for dropped tasks.
+Ticks dbf_hi_breakpoints(const McTask& task, unsigned mask, std::vector<TaggedSeq>& out);
 
 /// H = lcm T_i(HI) over the tasks not dropped in HI mode (1 when there are
 /// none), or kInfTicks when it overflows. DBF_HI(delta + T(HI)) = DBF_HI(delta)
@@ -52,7 +53,8 @@ namespace rbs {
 /// every H ticks: the walks of Theorem 2 and its latency variant stop there.
 [[nodiscard]] Ticks hi_hyperperiod(const TaskSet& set);
 
-/// Breakpoint (jump) sequence of dbf_lo for one task: k*T(LO) + D(LO).
-[[nodiscard]] ArithSeq dbf_lo_breakpoints(const McTask& task);
+/// Breakpoint (jump) sequence of dbf_lo for one task, tagged `mask`:
+/// k*T(LO) + D(LO), each tick adding C(LO).
+[[nodiscard]] TaggedSeq dbf_lo_breakpoints(const McTask& task, unsigned mask);
 
 }  // namespace rbs

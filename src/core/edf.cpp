@@ -1,5 +1,8 @@
 #include "core/edf.hpp"
 
+#include <utility>
+#include <vector>
+
 #include "core/breakpoints.hpp"
 #include "core/dbf.hpp"
 #include "support/tolerance.hpp"
@@ -50,9 +53,12 @@ EdfTestResult lo_mode_test(const TaskSet& set, const EdfTestOptions& options) {
 
   std::vector<TaggedSeq> seqs;
   seqs.reserve(set.size());
-  for (const McTask& t : set) seqs.push_back({dbf_lo_breakpoints(t), 0});
-  TaggedBreakpointMerger merger(seqs);
+  for (const McTask& t : set) seqs.push_back(dbf_lo_breakpoints(t, 1u));
+  TaggedBreakpointMerger merger(std::move(seqs));
 
+  // DBF_LO is a step function that is 0 before the first deadline (D >= 1):
+  // the running total only adds each tick's jumps.
+  Ticks demand = 0;
   while (const auto point = merger.next()) {
     const Ticks d = point->tick;
     if (d > delta_max) break;
@@ -61,7 +67,7 @@ EdfTestResult lo_mode_test(const TaskSet& set, const EdfTestOptions& options) {
       result.conclusive = false;
       return result;
     }
-    const Ticks demand = dbf_lo_total(set, d);
+    demand += point->delta[0].jump;
     const long double supply =
         static_cast<long double>(options.speed) * static_cast<long double>(d);
     if (static_cast<long double>(demand) > supply) {

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/adb.hpp"
@@ -44,23 +45,26 @@ LatencySpeedupReport min_speedup_with_latency(const TaskSet& set, Ticks latency)
   Ticks argmax = 0;
 
   std::vector<TaggedSeq> seqs;
-  for (const McTask& t : set)
-    for (const ArithSeq& s : dbf_hi_breakpoints(t)) seqs.push_back({s, 0});
-  TaggedBreakpointMerger merger(seqs);
+  RunningDemand total;  // DBF_HI, 0 at Delta = 0 (checked above)
+  for (const McTask& t : set) total.slope += dbf_hi_breakpoints(t, 1u, seqs);
+  TaggedBreakpointMerger merger(std::move(seqs));
 
+  // DBF_HI jumps only upward, so its left limits never exceed its values and
+  // (required_boost being non-decreasing in the demand) never win: only the
+  // values are checked.
   std::size_t visited = 0;
   while (const auto point = merger.next()) {
     const Ticks d = point->tick;
     if (d == 0) continue;
     if (d > hyperperiod + latency) break;
+    total.advance(d, point->delta[0]);
     const auto delta = static_cast<double>(d);
-    const auto demand = static_cast<double>(dbf_hi_total(set, d));
-    const auto demand_left = static_cast<double>(dbf_hi_total_left(set, d));
+    const auto demand = static_cast<double>(total.value);
     if (d <= latency) {
       // Nominal-speed feasibility inside the window: the demand (piecewise
-      // linear with slopes possibly > 1) may cross the supply line Delta at
-      // a value or just before a jump -- both are breakpoint-checked.
-      if (demand > delta || demand_left > delta) {
+      // linear with slopes possibly > 1) may cross the supply line Delta
+      // only at a breakpoint value.
+      if (demand > delta) {
         result.s_min = std::numeric_limits<double>::infinity();
         result.argmax = d;
         return result;
@@ -80,8 +84,7 @@ LatencySpeedupReport min_speedup_with_latency(const TaskSet& set, Ticks latency)
       result.error_bound = std::max(0.0, envelope - best);
       break;
     }
-    const double cand = std::max(required_boost(demand, delta, lat),
-                                 required_boost(demand_left, delta, lat));
+    const double cand = required_boost(demand, delta, lat);
     if (cand > best) {
       best = cand;
       argmax = d;
@@ -109,20 +112,20 @@ double resetting_time_with_latency(const TaskSet& set, double s, Ticks latency) 
   };
 
   std::vector<TaggedSeq> seqs;
-  for (const McTask& t : set)
-    for (const ArithSeq& q : adb_hi_breakpoints(t)) seqs.push_back({q, 0});
+  RunningDemand total;  // ADB_HI
+  total.value = adb_hi_total(set, 0);
+  if (total.value <= 0) return 0.0;
+  for (const McTask& t : set) total.slope += adb_hi_breakpoints(t, 1u, seqs);
   seqs.push_back({{latency, 0}, 0});  // the supply kink is a breakpoint too
-  TaggedBreakpointMerger merger(seqs);
-
-  Ticks prev = 0;
-  long double value_at_prev = static_cast<long double>(adb_hi_total(set, 0));
-  if (value_at_prev <= 0) return 0.0;
+  TaggedBreakpointMerger merger(std::move(seqs));
 
   auto next = merger.next();
   if (next && next->tick == 0) next = merger.next();
 
   std::size_t visited = 0;
   while (true) {
+    const Ticks prev = total.at;
+    const auto value_at_prev = static_cast<long double>(total.value);
     if (++visited > kBreakpointBudget) return std::numeric_limits<double>::infinity();
     if (value_at_prev <= supply(prev)) return static_cast<double>(prev);
 
@@ -137,9 +140,7 @@ double resetting_time_with_latency(const TaskSet& set, double s, Ticks latency) 
     }
 
     const Ticks b = next->tick;
-    const long double left_limit = static_cast<long double>(adb_hi_total_left(set, b));
-    const long double demand_slope =
-        (left_limit - value_at_prev) / static_cast<long double>(b - prev);
+    const auto demand_slope = static_cast<long double>(total.slope);
     const long double supply_slope = prev >= latency ? static_cast<long double>(s) : 1.0L;
 
     if (supply_slope > demand_slope) {
@@ -151,8 +152,7 @@ double resetting_time_with_latency(const TaskSet& set, double s, Ticks latency) 
         return static_cast<double>(crossing);
     }
 
-    value_at_prev = static_cast<long double>(adb_hi_total(set, b));
-    prev = b;
+    total.advance(b, next->delta[0]);
     next = merger.next();
   }
 }

@@ -18,19 +18,24 @@ TieKey tie_key(const McTask& task) {
 
 namespace {
 
-// Feasibility of one core's task collection under the core's budgets: one
-// fused Analyzer call answers LO-mode, HI-mode and resetting time together.
-// Acceptance is tolerance-routed: the facade's own hi_schedulable flag uses
-// an exact s_min <= speed comparison, so a set sitting exactly on the budget
-// must be re-judged here with approx_le or rounding noise would flip it.
+// Feasibility of one core's task collection under the core's budgets. The
+// LO-mode test runs first and alone: it rejects most failing probes, and a
+// rejected probe then never pays for the HI-mode sweep. Only a LO-feasible
+// set gets the fused sweep, which answers HI mode and resetting time
+// together. Acceptance is tolerance-routed: the facade's own hi_schedulable
+// flag uses an exact s_min <= speed comparison, so a set sitting exactly on
+// the budget must be re-judged here with approx_le or rounding noise would
+// flip it.
 bool core_feasible(const std::vector<McTask>& tasks, const CoreBudget& budget) {
   AnalysisRequest request;
   request.set = TaskSet(tasks);
   request.speed = budget.hi_speedup;
-  request.parts.reset = std::isfinite(budget.max_reset);
+  request.parts = {.speedup = false, .reset = false, .lo = true};
+  const Expected<AnalysisReport> lo = analyze(request);
+  if (!lo || !lo->lo_schedulable) return false;
+  request.parts = {.speedup = true, .reset = std::isfinite(budget.max_reset), .lo = false};
   const Expected<AnalysisReport> report = analyze(request);
   if (!report) return false;
-  if (!report->lo_schedulable) return false;
   if (!approx_le(report->s_min, budget.hi_speedup, kSpeedTol)) return false;
   if (std::isfinite(budget.max_reset) &&
       definitely_gt(report->delta_r, budget.max_reset, kTimeTol))

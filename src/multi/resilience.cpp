@@ -39,10 +39,12 @@ bool reset_ok(double delta_r, double max_reset) {
 }
 
 // Tolerance-routed acceptance of `local` on a core with `budget`: first the
-// plain fused verdict, then the fallback tiers (LO termination) when the
-// plain verdict fails. `shed` receives LOCAL indices of terminated LO tasks.
-// LO-mode schedulability is checked on both paths -- analyze_degraded only
-// certifies HI mode, and termination never lowers LO-mode demand.
+// plain verdict, then the fallback tiers (LO termination) when the plain
+// verdict fails. `shed` receives LOCAL indices of terminated LO tasks.
+// LO-mode schedulability gates both paths -- analyze_degraded only certifies
+// HI mode, and termination never lowers LO-mode demand -- so it runs first
+// and alone, and a LO-infeasible receiver never pays for the HI-mode sweep.
+// The LO test and the sweep count as one analyzer call.
 bool accept_on_core(const Ctx& ctx, const TaskSet& local, const CoreBudget& budget,
                     std::vector<std::size_t>& shed) {
   shed.clear();
@@ -51,9 +53,13 @@ bool accept_on_core(const Ctx& ctx, const TaskSet& local, const CoreBudget& budg
   areq.speed = budget.hi_speedup;
   areq.lo_speed = ctx.req->lo_speed;
   areq.limits = ctx.req->limits;
+  areq.parts = {.speedup = false, .reset = false, .lo = true};
   ++*ctx.analyzer_calls;
+  const Expected<AnalysisReport> lo = analyze(areq);
+  if (!lo || !lo->lo_schedulable) return false;
+  areq.parts = {.speedup = true, .reset = true, .lo = false};
   const Expected<AnalysisReport> report = analyze(areq);
-  if (!report || !report->lo_schedulable) return false;
+  if (!report) return false;
   if (approx_le(report->s_min, budget.hi_speedup, kSpeedTol) &&
       reset_ok(report->delta_r, budget.max_reset))
     return true;

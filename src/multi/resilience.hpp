@@ -112,7 +112,9 @@ struct MultiReport {
   std::vector<FailureScenario> scenarios;
   std::size_t scenarios_checked = 0;
   std::size_t scenarios_infeasible = 0;
-  std::size_t analyzer_calls = 0;  ///< work counter (facade invocations)
+  /// Work counter: feasibility checks run through the facade. A receiver's
+  /// LO-mode probe and the HI-mode sweep it admits count as one check.
+  std::size_t analyzer_calls = 0;
 };
 
 /// One self-contained unit of resilience-analysis work.

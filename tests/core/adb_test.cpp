@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/dbf.hpp"
+#include "core/demand_walk.hpp"
 
 namespace rbs {
 namespace {
@@ -110,8 +114,50 @@ TEST(AdbTest, ImplicitNormalFormIdentity) {
 }
 
 TEST(AdbTest, BreakpointsEmptyForDroppedTask) {
-  EXPECT_TRUE(adb_hi_breakpoints(McTask::lo_terminated("l", 3, 12, 12)).empty());
-  EXPECT_FALSE(adb_hi_breakpoints(tau1()).empty());
+  std::vector<TaggedSeq> seqs;
+  EXPECT_EQ(adb_hi_breakpoints(McTask::lo_terminated("l", 3, 12, 12), 1u, seqs), 0);
+  EXPECT_TRUE(seqs.empty());
+  adb_hi_breakpoints(tau1(), 1u, seqs);
+  EXPECT_FALSE(seqs.empty());
+}
+
+// ---- running totals from the sequences' deltas ---------------------------
+
+/// Sets covering every delta case of append_ramp_family for ADB_HI, whose
+/// offset is T(HI) - D(LO); each mixes periods so several tasks share ticks.
+std::vector<TaskSet> delta_cases() {
+  return {
+      // D(LO) = T(HI): offset 0, with C(HI) = C(LO) and C(HI) > C(LO).
+      TaskSet({tau2(), McTask::hi("a", 2, 5, 12, 12, 12), tau1()}),
+      // offset + C(LO) = T (C(LO) = D(LO)): the ramp ends on the next window.
+      TaskSet({McTask::hi("b", 3, 5, 3, 10, 10), McTask::lo("c", 2, 2, 5), tau2()}),
+      // C(LO) = D(LO) = T: offset 0 and the ramp spans the window (+1 - 1).
+      TaskSet({McTask::lo("d", 4, 4, 4), McTask::hi("e", 6, 6, 6, 6, 6),
+               McTask::hi("f", 1, 3, 2, 3, 3)}),
+      // Degraded LO service and dropped tasks (constant ADB, no sequences).
+      TaskSet({McTask::lo("g", 3, 12, 12, 15, 20), McTask::lo_terminated("h", 3, 12, 12),
+               McTask::lo_terminated("i", 1, 2, 5), tau1()}),
+      // Many tasks on one period: every tick is shared.
+      TaskSet({McTask::hi("j", 1, 3, 4, 10, 10), McTask::hi("k", 2, 4, 5, 10, 10),
+               McTask::lo("l", 3, 10, 10), McTask::lo("m", 2, 7, 10, 9, 10),
+               McTask::hi("n", 3, 5, 3, 10, 10)}),
+  };
+}
+
+TEST(AdbDeltaTest, RunningAdbHiMatchesTaskSums) {
+  for (const bool discard : {false, true}) {
+    for (const TaskSet& set : delta_cases()) {
+      SCOPED_TRACE(describe(set[0]) + (discard ? " (discard)" : ""));
+      std::vector<TaggedSeq> seqs;
+      RunningDemand start;
+      start.value = adb_hi_total(set, 0, discard);
+      for (const McTask& t : set) start.slope += adb_hi_breakpoints(t, 1u, seqs);
+      expect_running_total(
+          seqs, start, two_hyperperiods(set),
+          [&](Ticks d) { return adb_hi_total(set, d, discard); },
+          [&](Ticks d) { return adb_hi_total_left(set, d, discard); });
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/breakpoints.hpp"
+#include "core/demand_walk.hpp"
 
 namespace rbs {
 namespace {
@@ -66,9 +67,13 @@ TEST(DbfLoTest, MonotoneNonDecreasing) {
 
 TEST(DbfLoTest, BreakpointSequenceMatchesJumps) {
   const McTask t = tau1();
-  const ArithSeq seq = dbf_lo_breakpoints(t);
+  const TaggedSeq tagged = dbf_lo_breakpoints(t, 1u);
+  const ArithSeq seq = tagged.seq;
   EXPECT_EQ(seq.start, 5);
   EXPECT_EQ(seq.period, 10);
+  EXPECT_EQ(tagged.mask, 1u);
+  EXPECT_EQ(tagged.jump, 2);  // C(LO)
+  EXPECT_EQ(tagged.slope, 0);
   // Jumps happen exactly at the sequence points.
   for (Ticks d = 1; d <= 100; ++d) {
     const bool jumped = dbf_lo(t, d) != dbf_lo(t, d - 1);
@@ -122,6 +127,9 @@ TEST(DbfHiTest, DegradedLoTaskShiftsRamp) {
 TEST(DbfHiTest, DroppedTaskHasNoHiDemand) {
   const McTask t = McTask::lo_terminated("tau2", 3, 12, 12);
   for (Ticks d : {0, 1, 5, 100, 10000}) EXPECT_EQ(dbf_hi(t, d), 0);
+  std::vector<TaggedSeq> seqs;
+  EXPECT_EQ(dbf_hi_breakpoints(t, 1u, seqs), 0);
+  EXPECT_TRUE(seqs.empty());
 }
 
 TEST(DbfHiTest, UnpreparedHiTaskDemandsAtZero) {
@@ -202,7 +210,9 @@ TEST(DbfHiTest, TotalsSumOverTasks) {
 TEST(DbfHiTest, BreakpointsCoverAllSlopeChanges) {
   // Between consecutive breakpoints the function must be exactly linear.
   for (const McTask& t : {tau1(), McTask::lo("l", 5, 17, 17, 23, 29)}) {
-    TaggedBreakpointMerger merger(untagged(dbf_hi_breakpoints(t)));
+    std::vector<TaggedSeq> seqs;
+    dbf_hi_breakpoints(t, 0, seqs);
+    TaggedBreakpointMerger merger(seqs);
     Ticks prev = merger.next()->tick;
     while (true) {
       const auto point = merger.next();
@@ -219,6 +229,63 @@ TEST(DbfHiTest, BreakpointsCoverAllSlopeChanges) {
         EXPECT_EQ(dbf_hi_left(t, d), dbf_hi(t, d)) << describe(t) << " delta=" << d;
       prev = next;
     }
+  }
+}
+
+// ---- running totals from the sequences' deltas ---------------------------
+
+/// Sets covering every delta case of append_ramp_family, for DBF_HI and
+/// DBF_LO; each mixes periods so several tasks share ticks.
+std::vector<TaskSet> delta_cases() {
+  return {
+      // offset g = 0 with C(HI) = C(LO) (LO task, HI task), plus a HI task
+      // with g > 0 on a shared period.
+      TaskSet({McTask::lo("a", 3, 12, 12), McTask::hi("b", 2, 2, 6, 6, 12), tau1()}),
+      // g = 0 with C(HI) > C(LO): DBF_HI(0) > 0 and the ramp starts at 0.
+      TaskSet({McTask::hi("c", 2, 5, 8, 8, 12), McTask::lo("d", 1, 4, 6)}),
+      // g + C(LO) = T: the ramp ends on the next window start (slope -1).
+      TaskSet({McTask::hi("e", 3, 5, 3, 10, 10), McTask::hi("f", 1, 2, 4, 5, 5), tau2()}),
+      // C(LO) = D(LO) = T: g = 0 and the ramp spans the window (+1 - 1).
+      TaskSet({McTask::lo("g", 4, 4, 4), McTask::hi("h", 5, 5, 5, 5, 5),
+               McTask::hi("i", 2, 3, 4, 6, 6)}),
+      // Degraded LO service and dropped tasks (no DBF_HI sequences).
+      TaskSet({McTask::lo("j", 3, 12, 12, 15, 20), McTask::lo_terminated("k", 3, 12, 12),
+               McTask::lo_terminated("l", 1, 2, 5), tau1()}),
+      // Many tasks on one period: every tick is shared.
+      TaskSet({McTask::hi("m", 1, 3, 4, 10, 10), McTask::hi("n", 2, 4, 5, 10, 10),
+               McTask::lo("o", 3, 10, 10), McTask::lo("p", 2, 7, 10, 9, 10),
+               McTask::hi("q", 3, 5, 3, 10, 10)}),
+  };
+}
+
+TEST(DbfDeltaTest, RunningDbfHiMatchesTaskSums) {
+  for (const TaskSet& set : delta_cases()) {
+    SCOPED_TRACE(describe(set[0]));
+    std::vector<TaggedSeq> seqs;
+    RunningDemand start;
+    start.value = dbf_hi_total(set, 0);
+    for (const McTask& t : set) start.slope += dbf_hi_breakpoints(t, 1u, seqs);
+    expect_running_total(
+        seqs, start, two_hyperperiods(set), [&](Ticks d) { return dbf_hi_total(set, d); },
+        [&](Ticks d) {
+          Ticks sum = 0;
+          for (const McTask& t : set) sum += dbf_hi_left(t, d);
+          return sum;
+        });
+  }
+}
+
+TEST(DbfDeltaTest, RunningDbfLoMatchesTaskSums) {
+  for (const TaskSet& set : delta_cases()) {
+    SCOPED_TRACE(describe(set[0]));
+    std::vector<TaggedSeq> seqs;
+    for (const McTask& t : set) seqs.push_back(dbf_lo_breakpoints(t, 1u));
+    RunningDemand start;
+    start.value = dbf_lo_total(set, 0);
+    // DBF_LO steps at integer ticks, so its left limit at d is its value at d - 1.
+    expect_running_total(
+        seqs, start, two_hyperperiods(set), [&](Ticks d) { return dbf_lo_total(set, d); },
+        [&](Ticks d) { return dbf_lo_total(set, d - 1); });
   }
 }
 
@@ -260,6 +327,38 @@ TEST(BreakpointMergerTest, SharedTickCarriesUnionOfMasks) {
     ASSERT_TRUE(point.has_value());
     EXPECT_EQ(point->tick, tick);
     EXPECT_EQ(point->mask, mask) << "tick " << tick;
+  }
+}
+
+TEST(BreakpointMergerTest, SharedTickSumsDeltasPerConsumer) {
+  // Consumer 0 owns {0, 6, 12, ...} and {12}; consumer 1 owns {0, 4, 8, 12,
+  // ...} and {12}; the singleton {12} tagged 3 serves both. At 12 each
+  // consumer gets only the deltas of its own sequences.
+  TaggedBreakpointMerger merger({{{0, 6}, 1u, 2, 1},
+                                 {{12, 0}, 1u, 3, -1},
+                                 {{0, 4}, 2u, 5, -1},
+                                 {{12, 0}, 2u, 7, 2},
+                                 {{12, 0}, 3u, 100, 10}});
+  struct Expected {
+    Ticks tick;
+    unsigned mask;
+    Ticks jump0, slope0, jump1, slope1;
+  };
+  const std::vector<Expected> expected = {{0, 3u, 2, 1, 5, -1},
+                                          {4, 2u, 0, 0, 5, -1},
+                                          {6, 1u, 2, 1, 0, 0},
+                                          {8, 2u, 0, 0, 5, -1},
+                                          {12, 3u, 105, 10, 112, 11},
+                                          {16, 2u, 0, 0, 5, -1}};
+  for (const Expected& e : expected) {
+    const auto point = merger.next();
+    ASSERT_TRUE(point.has_value());
+    EXPECT_EQ(point->tick, e.tick);
+    EXPECT_EQ(point->mask, e.mask) << "tick " << e.tick;
+    EXPECT_EQ(point->delta[0].jump, e.jump0) << "tick " << e.tick;
+    EXPECT_EQ(point->delta[0].slope, e.slope0) << "tick " << e.tick;
+    EXPECT_EQ(point->delta[1].jump, e.jump1) << "tick " << e.tick;
+    EXPECT_EQ(point->delta[1].slope, e.slope1) << "tick " << e.tick;
   }
 }
 

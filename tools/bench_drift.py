@@ -5,13 +5,23 @@ Usage:
     bench_perf --benchmark_format=json > current.json
     python3 tools/bench_drift.py current.json results/BENCH_perf.json [--tolerance 0.35]
 
-Benchmarks are matched by name; cpu_time is normalized to nanoseconds before
-comparison. A benchmark regresses when its current cpu_time exceeds the
-reference by more than the tolerance fraction. Exit status is 1 when any
-benchmark regresses, 0 otherwise -- CI runs this warn-only
-(`... || echo "::warning::..."`) because shared runners are too noisy for a
-hard perf gate; the committed reference is refreshed deliberately alongside
-perf-relevant changes.
+Benchmarks are matched by name; times are normalized to nanoseconds before
+comparison. A benchmark regresses when its current time exceeds the
+reference by more than the tolerance fraction. The time is cpu_time, except
+for benchmarks registered with UseRealTime() (their names end in
+`/real_time`): those run their work on other threads, so their wall time is
+the one that means anything.
+
+Work counters are screened exactly. Every `breakpoints` counter (the ticks
+one analysis call walks, a pure function of the benchmark's input) must
+equal the reference's; a mismatch, or a counter the current run no longer
+reports, means the analysis does different work, not that the runner was
+noisy.
+
+Exit status: 2 when any work counter mismatches, else 1 when any benchmark's
+time regresses, else 0. CI fails on 2 and only warns on 1, because shared
+runners are too noisy for a hard timing gate; the committed reference is
+refreshed deliberately alongside perf-relevant changes.
 
 Simulator benchmarks (BM_Simulator* / BM_EventKernel*) guard the event
 kernel's dispatch loop, so they get their own, tighter tolerance
@@ -25,7 +35,7 @@ Flat throughput artifacts (results/BENCH_service.json from `service_load
 --json`, results/BENCH_multicore.json from `bench_multicore --json`) are also
 accepted: when the JSON document has no "benchmarks" array the screen switches
 to throughput mode, comparing every `*_per_sec` field. Throughput regresses
-in the opposite direction from cpu_time -- a benchmark is flagged when the
+in the opposite direction from time -- a rate is flagged (exit 1) when the
 current rate falls below reference * (1 - tolerance).
 
 Only the standard library is used; there is nothing to install.
@@ -40,6 +50,13 @@ _TO_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 # Benchmarks guarding the event-driven simulator kernel (bench_perf.cpp).
 _SIMULATOR_PREFIXES = ("BM_Simulator", "BM_EventKernel")
 
+# Exact work counters: the screen compares these for equality, not timing.
+_WORK_COUNTERS = ("breakpoints",)
+
+# Exit statuses (see the module docstring).
+_EXIT_TIMING = 1
+_EXIT_WORK = 2
+
 
 def is_simulator_bench(name):
     return name.startswith(_SIMULATOR_PREFIXES)
@@ -50,18 +67,60 @@ def load_doc(path):
         return json.load(handle)
 
 
-def load_cpu_times(doc):
-    """Returns {benchmark name: cpu_time in ns} for plain iteration runs."""
+def iteration_rows(doc):
+    """The plain iteration rows of a google-benchmark document."""
+    return [
+        bench
+        for bench in doc.get("benchmarks", [])
+        # skip aggregate rows (mean/median/stddev)
+        if bench.get("run_type", "iteration") == "iteration"
+    ]
+
+
+def load_times(doc):
+    """Returns {benchmark name: time in ns} for plain iteration runs."""
     times = {}
-    for bench in doc.get("benchmarks", []):
-        if bench.get("run_type", "iteration") != "iteration":
-            continue  # skip aggregate rows (mean/median/stddev)
+    for bench in iteration_rows(doc):
         unit = bench.get("time_unit", "ns")
         if unit not in _TO_NS:
             print(f"note: {bench['name']}: unknown time_unit {unit!r}, skipped")
             continue
-        times[bench["name"]] = float(bench["cpu_time"]) * _TO_NS[unit]
+        field = "real_time" if bench["name"].endswith("/real_time") else "cpu_time"
+        times[bench["name"]] = float(bench[field]) * _TO_NS[unit]
     return times
+
+
+def load_work_counters(doc):
+    """Returns {(benchmark name, counter): value} for the exact work counters."""
+    return {
+        (bench["name"], counter): float(bench[counter])
+        for bench in iteration_rows(doc)
+        for counter in _WORK_COUNTERS
+        if counter in bench
+    }
+
+
+def drift_work(current, reference):
+    """Exact screen: every reference work counter must be reproduced."""
+    mismatches = []
+    for key in sorted(reference):
+        name, counter = key
+        ref = reference[key]
+        cur = current.get(key)
+        if cur is None:
+            mismatches.append(f"{name} {counter}: {ref:.0f} in reference, missing now")
+        elif cur != ref:
+            mismatches.append(f"{name} {counter}: {ref:.0f} in reference, {cur:.0f} now")
+    new = sorted(set(current) - set(reference))
+    if new:
+        print(f"\nnote: {len(new)} work counter(s) new, no baseline")
+    if mismatches:
+        print(f"\n{len(mismatches)} work counter(s) differ from the reference:")
+        for line in mismatches:
+            print(f"  {line}")
+    else:
+        print(f"\nall {len(reference)} work counter(s) match the reference exactly")
+    return mismatches
 
 
 def load_rates(doc):
@@ -100,7 +159,7 @@ def drift_rates(current, reference, tolerance):
         print(f"\n{len(regressions)} rate(s) below -{tolerance:.0%} tolerance:")
         for name, why in regressions:
             print(f"  {name}: {why}")
-        return 1
+        return _EXIT_TIMING
     print(f"\nall rates within -{tolerance:.0%} of reference")
     return 0
 
@@ -113,7 +172,7 @@ def main(argv):
         "--tolerance",
         type=float,
         default=0.35,
-        help="allowed fractional cpu_time increase before a benchmark counts "
+        help="allowed fractional time increase before a benchmark counts "
         "as regressed (default: 0.35)",
     )
     parser.add_argument(
@@ -134,8 +193,8 @@ def main(argv):
             load_rates(current_doc), load_rates(reference_doc), args.tolerance
         )
 
-    current = load_cpu_times(current_doc)
-    reference = load_cpu_times(reference_doc)
+    current = load_times(current_doc)
+    reference = load_times(reference_doc)
 
     regressions = []
     simulator_drift = []
@@ -148,7 +207,7 @@ def main(argv):
         max((len(name) for name in reference), default=10),
         max((len(name) for name in new_benches), default=10),
     )
-    print(f"{'benchmark':<{width}}  {'ref cpu':>12}  {'cur cpu':>12}  {'delta':>8}")
+    print(f"{'benchmark':<{width}}  {'ref time':>12}  {'cur time':>12}  {'delta':>8}")
     for name in sorted(reference):
         ref_ns = reference[name]
         if name not in current:
@@ -187,9 +246,12 @@ def main(argv):
         print(f"\n{len(regressions)} benchmark(s) beyond +{args.tolerance:.0%} tolerance:")
         for name, why in regressions:
             print(f"  {name}: {why}")
-        return 1
-    print(f"\nall benchmarks within +{args.tolerance:.0%} of reference")
-    return 0
+    else:
+        print(f"\nall benchmarks within +{args.tolerance:.0%} of reference")
+
+    if drift_work(load_work_counters(current_doc), load_work_counters(reference_doc)):
+        return _EXIT_WORK
+    return _EXIT_TIMING if regressions else 0
 
 
 if __name__ == "__main__":
