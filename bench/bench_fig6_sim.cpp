@@ -19,7 +19,7 @@
 // demand test; yields smaller x and smaller required speedups).
 //
 // The campaign maps one item per (U_bound, set) pair over the rbs::Analyzer
-// facade via campaign::CampaignRunner: each item owns a private RNG stream
+// facade via campaign::Supervisor: each item owns a private RNG stream
 // derived from --seed, so --jobs 8 output is byte-identical to --jobs 1.
 //
 // Fault tolerance (campaign/supervisor.hpp): `--checkpoint <path>` journals

@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> sweep = {2, 3, 4, 6, 8};
   const std::size_t count = sweep.size() * n_sets;
 
-  const auto t0 = std::chrono::steady_clock::now();  // rbs-lint: allow(nondet)
+  const auto t0 = std::chrono::steady_clock::now();
   const campaign::CampaignReport report = bench::run_checkpointed(
       checkpoint, "multicore", campaign_options, count,
       [&](std::size_t index, Rng& rng, const campaign::CancelToken& token) {
@@ -136,8 +136,7 @@ int main(int argc, char** argv) {
         return bench::encode_fields(encode(item));
       });
 
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - t0;  // rbs-lint: allow(nondet)
+  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - t0;
   const double seconds = elapsed.count();
 
   const std::vector<Item> items = bench::gather_items<Item>(report, decode);

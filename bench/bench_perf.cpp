@@ -9,19 +9,17 @@
 //
 //   bench_perf --smoke [--jobs N] [--sets N] [--seed N] [--csv <dir>]
 //
-// runs the same generate-and-analyze campaign twice, at --jobs 1 and at
-// --jobs N, byte-compares every result row (the determinism contract of
-// campaign/runner.hpp: output depends only on seed and item count, never on
-// the worker count) and prints both throughputs. Exit code 1 on any
-// mismatch. `--campaign` is an alias for `--smoke`. This is the `ctest -L
-// campaign` smoke gate; CI also runs it under TSan and ASan.
+// runs the same generate-and-analyze campaign twice on the campaign engine
+// (campaign/supervisor.hpp), at --jobs 1 and at --jobs N, byte-compares
+// every result row (the determinism contract: output depends only on seed
+// and item count, never on the worker count) and prints both throughputs.
+// Exit code 1 when an item fails to complete in either pass or any row
+// differs. `--campaign` is an alias for `--smoke`. This
+// is the `ctest -L campaign` smoke gate; CI also runs it under TSan and ASan.
 //
-// The --jobs N pass runs on the fault-tolerant supervisor
-// (campaign/supervisor.hpp) while the --jobs 1 baseline stays on the plain
-// CampaignRunner, so the byte-compare also cross-checks the two engines.
-// `--checkpoint <path>` / `--resume` journal the supervised pass
-// (`<path>.perf.journal`); `--item-deadline S` / `--retries N` set the
-// fault policy.
+// `--checkpoint <path>` / `--resume` journal the --jobs N pass
+// (`<path>.perf.journal`); `--item-deadline S` / `--retries N` set its
+// fault policy. The --jobs 1 pass is never journaled.
 //
 // `--json PATH` emits a machine-readable baseline: in benchmark mode it is
 // shorthand for google-benchmark's `--benchmark_out=PATH` with JSON format
@@ -43,7 +41,7 @@
 #include "gen/rng.hpp"
 #include "gen/taskgen.hpp"
 #include "rbs.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 
 namespace {
 
@@ -114,27 +112,26 @@ std::string campaign_row(std::size_t index, const Analyzer& analyzer, Rng& rng) 
   return buffer;
 }
 
-std::vector<std::string> run_campaign(unsigned jobs, std::uint64_t seed, std::size_t n_sets,
+/// The campaign on a plain, unjournaled engine at `jobs` workers.
+campaign::CampaignReport run_campaign(unsigned jobs, std::uint64_t seed, std::size_t n_sets,
                                       double* elapsed_s) {
-  campaign::CampaignOptions options;
-  options.jobs = jobs;
-  options.seed = seed;
-  const campaign::CampaignRunner runner(options);
+  campaign::SupervisorOptions options;
+  options.campaign = {jobs, seed};
+  const campaign::Supervisor supervisor(options);
   const Analyzer analyzer;
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::string> rows = runner.map<std::string>(
-      n_sets,
-      [&analyzer](std::size_t index, Rng& rng) { return campaign_row(index, analyzer, rng); });
+  const campaign::CampaignReport report = supervisor.run(
+      n_sets, [&analyzer](std::size_t index, Rng& rng, const campaign::CancelToken&) {
+        return campaign_row(index, analyzer, rng);
+      });
   const auto t1 = std::chrono::steady_clock::now();
   if (elapsed_s) *elapsed_s = std::chrono::duration<double>(t1 - t0).count();
-  return rows;
+  return report;
 }
 
-/// The supervised twin of run_campaign: same items, same per-item streams,
-/// but run through the fault-tolerant engine (journaled when --checkpoint is
-/// given). Items that did not complete yield empty rows, which the
-/// byte-compare then reports.
-std::vector<std::string> run_supervised_campaign(const bench::CheckpointConfig& cfg,
+/// The same campaign with the full fault-tolerance stack (journaled when
+/// --checkpoint is given).
+campaign::CampaignReport run_supervised_campaign(const bench::CheckpointConfig& cfg,
                                                  const campaign::CampaignOptions& options,
                                                  std::size_t n_sets, double* elapsed_s) {
   const Analyzer analyzer;
@@ -146,10 +143,7 @@ std::vector<std::string> run_supervised_campaign(const bench::CheckpointConfig& 
       });
   const auto t1 = std::chrono::steady_clock::now();
   if (elapsed_s) *elapsed_s = std::chrono::duration<double>(t1 - t0).count();
-  std::vector<std::string> rows;
-  rows.reserve(n_sets);
-  for (const campaign::ItemOutcome& item : report.items) rows.push_back(item.payload);
-  return rows;
+  return report;
 }
 
 int run_campaign_mode(const CliArgs& args) {
@@ -157,29 +151,37 @@ int run_campaign_mode(const CliArgs& args) {
   const bench::CheckpointConfig checkpoint = bench::parse_checkpoint(args);
   const auto n_sets = static_cast<std::size_t>(args.get_int("sets", 200));
   campaign::CampaignOptions resolved = options;
-  if (resolved.jobs == 0) resolved.jobs = campaign::CampaignRunner(options).jobs();
+  if (resolved.jobs == 0) resolved.jobs = campaign::Supervisor({.campaign = options}).jobs();
 
   std::cout << "campaign smoke: " << n_sets << " sets, seed " << options.seed
-            << ", comparing --jobs 1 (runner) vs --jobs " << resolved.jobs
-            << " (supervisor)\n";
+            << ", comparing --jobs 1 vs --jobs " << resolved.jobs << "\n";
 
   double serial_s = 0.0, parallel_s = 0.0;
-  const std::vector<std::string> serial = run_campaign(1, options.seed, n_sets, &serial_s);
-  const std::vector<std::string> parallel =
+  const campaign::CampaignReport serial = run_campaign(1, options.seed, n_sets, &serial_s);
+  const campaign::CampaignReport parallel =
       run_supervised_campaign(checkpoint, resolved, n_sets, &parallel_s);
+
+  // A quarantined item's payload is its error text and a pending item's is
+  // empty, so an item failing the same way in both passes would byte-compare
+  // equal: every item must have completed before the rows are compared.
+  if (!serial.all_completed() || !parallel.all_completed()) {
+    std::cout << "FAIL: " << n_sets - serial.completed << " item(s) did not complete at jobs=1, "
+              << n_sets - parallel.completed << " at jobs=" << resolved.jobs << "\n";
+    return 1;
+  }
 
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < n_sets; ++i) {
-    if (serial[i] != parallel[i]) {
-      if (++mismatches <= 5)
-        std::cout << "MISMATCH at item " << i << ":\n  jobs=1: " << serial[i]
-                  << "\n  jobs=" << resolved.jobs << ": " << parallel[i] << "\n";
-    }
+    const std::string& a = serial.items[i].payload;
+    const std::string& b = parallel.items[i].payload;
+    if (a != b && ++mismatches <= 5)
+      std::cout << "MISMATCH at item " << i << ":\n  jobs=1: " << a << "\n  jobs="
+                << resolved.jobs << ": " << b << "\n";
   }
 
   if (auto csv = bench::open_csv(args, "campaign.csv")) {
     csv->write_row({"index", "s_min", "delta_r", "lo_ok", "hi_ok", "fused_breakpoints"});
-    for (const std::string& row : parallel) csv->write_raw_line(row);
+    for (const campaign::ItemOutcome& item : parallel.items) csv->write_raw_line(item.payload);
   }
 
   const double speedup = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
@@ -327,8 +329,8 @@ void BM_TaskGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_TaskGeneration);
 
-// One-shot legacy entry point: each iteration pays validation plus a cold
-// kernel (fresh calendar/pool allocations), the pre-facade usage pattern.
+// A fresh Simulator per iteration: each run pays validation plus a cold
+// kernel (fresh calendar/pool allocations), the one-shot usage pattern.
 void BM_SimulatorThroughput(benchmark::State& state) {
   const TaskSet set = make_set(17, 0.6, -1.0, 2.0);
   sim::SimConfig cfg;
@@ -339,7 +341,7 @@ void BM_SimulatorThroughput(benchmark::State& state) {
   std::uint64_t jobs = 0;
   for (auto _ : state) {
     cfg.seed++;
-    const sim::SimResult r = sim::simulate(set, cfg);
+    const sim::SimMetrics r = sim::Simulator().run(set, cfg).value().metrics;
     jobs += r.jobs_released;
     benchmark::DoNotOptimize(r.jobs_completed);
   }
@@ -373,8 +375,8 @@ BENCHMARK(BM_EventKernelThroughput);
 
 // End-to-end campaign throughput (generate + prepare + fused analyze per
 // item) at 1/2/4/8 workers. On a single-core host the >1 args merely
-// exercise the pool; the scaling numbers are meaningful on real multi-core
-// runners. The workers do the work while the main thread waits, so the
+// exercise the campaign workers; the scaling numbers are meaningful on real
+// multi-core runners. The workers do the work while the main thread waits, so the
 // timing and the sets/s rate are wall-clock (UseRealTime): the main thread's
 // CPU time leaves the workers out and would inflate the rate.
 void BM_CampaignAnalyze(benchmark::State& state) {
@@ -382,9 +384,10 @@ void BM_CampaignAnalyze(benchmark::State& state) {
   constexpr std::size_t kSets = 32;
   std::size_t items = 0;
   for (auto _ : state) {
-    const std::vector<std::string> rows = run_campaign(jobs, 1, kSets, nullptr);
-    benchmark::DoNotOptimize(rows.data());
-    items += rows.size();
+    const campaign::CampaignReport report = run_campaign(jobs, 1, kSets, nullptr);
+    if (!report.all_completed()) state.SkipWithError("a campaign item did not complete");
+    benchmark::DoNotOptimize(report.items.data());
+    items += report.items.size();
   }
   state.counters["sets/s"] =
       benchmark::Counter(static_cast<double>(items), benchmark::Counter::kIsRate);

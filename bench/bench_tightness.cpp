@@ -18,7 +18,7 @@
 #include "gen/paper_examples.hpp"
 #include "gen/rng.hpp"
 #include "gen/taskgen.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 #include "verify/exhaustive.hpp"
 
 namespace {
@@ -29,6 +29,7 @@ using namespace rbs;
 double max_dwell_ratio(const TaskSet& set, double s, double delta_r, int seeds,
                        std::uint64_t base_seed) {
   double worst = 0.0;
+  sim::Simulator simulator;
   for (int k = 0; k < seeds; ++k) {
     sim::SimConfig cfg;
     cfg.horizon = 30000.0;
@@ -37,7 +38,7 @@ double max_dwell_ratio(const TaskSet& set, double s, double delta_r, int seeds,
     cfg.release_jitter = (k % 3 == 0) ? 0.0 : 0.3;
     cfg.initial_offset_spread = (k % 2 == 0) ? 0.0 : 1.0;
     cfg.seed = base_seed + static_cast<std::uint64_t>(k);
-    const sim::SimResult r = sim::simulate(set, cfg);
+    const sim::SimMetrics r = simulator.run(set, cfg).value().metrics;
     for (double dwell : r.hi_dwell_times) worst = std::max(worst, dwell / delta_r);
   }
   return worst;
@@ -45,6 +46,7 @@ double max_dwell_ratio(const TaskSet& set, double s, double delta_r, int seeds,
 
 // True if any stress scenario misses a deadline at speed s.
 bool any_miss(const TaskSet& set, double s, int seeds, std::uint64_t base_seed) {
+  sim::Simulator simulator;
   for (int k = 0; k < seeds; ++k) {
     sim::SimConfig cfg;
     cfg.horizon = 20000.0;
@@ -53,7 +55,7 @@ bool any_miss(const TaskSet& set, double s, int seeds, std::uint64_t base_seed) 
     cfg.release_jitter = (k % 3 == 0) ? 0.0 : 0.4;
     cfg.initial_offset_spread = (k % 2 == 0) ? 0.0 : 1.0;
     cfg.seed = base_seed * 977 + static_cast<std::uint64_t>(k);
-    if (sim::simulate(set, cfg).deadline_missed()) return true;
+    if (simulator.run(set, cfg).value().metrics.deadline_missed()) return true;
   }
   return false;
 }

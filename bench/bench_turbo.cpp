@@ -336,7 +336,7 @@ int main(int argc, char** argv) {
               cfg.seed = rng.fork_seed();
               // One-shot run through the redesigned facade; workers may run
               // concurrently, so each run gets its own engine.
-              const sim::SimResult r =
+              const sim::SimMetrics r =
                   sim::Simulator{}.run(*set, cfg).value().metrics;
               double boosted = 0.0;
               for (double d : r.hi_dwell_times) boosted += d;

@@ -17,7 +17,7 @@
 
 #include "gen/rng.hpp"
 #include "gen/taskgen.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 
 int main(int argc, char** argv) {
   using namespace rbs;
@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
   t.set_header({"U_bound", "sets", "jobs", "switches", "misses", "max dwell/Delta_R",
                 "mean dwell/Delta_R"});
   std::uint64_t total_misses = 0;
+  sim::Simulator simulator;
   for (double u : u_bounds) {
     GenParams params;
     params.u_bound = u;
@@ -64,7 +65,7 @@ int main(int argc, char** argv) {
       cfg.demand.base_fraction_min = 0.6;
       cfg.release_jitter = 0.2;
       cfg.seed = seed * 1000003 + static_cast<std::uint64_t>(i);
-      const sim::SimResult r = sim::simulate(set, cfg);
+      const sim::SimMetrics r = simulator.run(set, cfg).value().metrics;
 
       jobs += r.jobs_released;
       switches += r.mode_switches;

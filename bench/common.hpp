@@ -5,15 +5,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "campaign/journal.hpp"
-#include "campaign/runner.hpp"
 #include "campaign/supervisor.hpp"
 #include "gen/taskgen.hpp"
 #include "rbs.hpp"
@@ -52,7 +49,7 @@ inline std::optional<CsvWriter> open_csv(const CliArgs& args, const std::string&
 
 /// The shared `--jobs N` / `--seed N` campaign knobs. jobs defaults to 1 (the
 /// serial baseline); 0 means one worker per hardware core. Campaign output is
-/// byte-identical for every jobs value (see campaign/runner.hpp).
+/// byte-identical for every jobs value (see campaign/supervisor.hpp).
 inline campaign::CampaignOptions parse_campaign(const CliArgs& args,
                                                 std::uint64_t default_seed = 1) {
   campaign::CampaignOptions options;
@@ -138,66 +135,28 @@ RBS_DET_PATH inline campaign::CampaignReport run_checkpointed(
     const CheckpointConfig& cfg, const std::string& name,
     const campaign::CampaignOptions& options, std::size_t count,
     const campaign::SupervisedFn& fn) {
-  using campaign::JournalWriter;
-  using campaign::LoadedJournal;
-
   campaign::SupervisorOptions sup;
   sup.campaign = options;
   sup.soft_deadline_s = cfg.item_deadline_s;
   sup.max_attempts = cfg.max_attempts;
   sup.stop = campaign::install_stop_handlers();
 
-  const campaign::JournalHeader header{options.seed, count, name};
-  std::optional<LoadedJournal> loaded;
-  std::optional<JournalWriter> journal;
+  std::optional<campaign::OpenedJournal> journal;
   if (cfg.enabled) {
-    const std::string path = cfg.path + "." + name + ".journal";
-    bool fresh = !cfg.resume;
-    if (cfg.resume) {
-      std::error_code ec;
-      if (!std::filesystem::exists(path, ec)) {
-        std::cerr << "note: no journal at '" << path << "'; starting fresh\n";
-        fresh = true;
-      } else if (auto loaded_or = campaign::load_journal(path); !loaded_or) {
-        std::cerr << "error: cannot resume from '" << path
-                  << "': " << loaded_or.status().message() << "\n";
-        std::exit(1);
-      } else if (loaded_or.value().header.seed != header.seed ||
-                 loaded_or.value().header.items != header.items ||
-                 loaded_or.value().header.tag != header.tag) {
-        std::cerr << "error: journal '" << path
-                  << "' belongs to a different campaign (seed/items/tag mismatch); "
-                     "rerun without --resume to replace it\n";
-        std::exit(1);
-      } else {
-        loaded = std::move(loaded_or).value();
-        if (loaded->dropped_tail_bytes != 0)
-          std::cerr << "note: dropped " << loaded->dropped_tail_bytes
-                    << " torn-tail byte(s) from '" << path << "'\n";
-        auto writer = JournalWriter::resume(path, *loaded);
-        if (!writer) {
-          std::cerr << "error: cannot reopen journal '" << path
-                    << "': " << writer.status().message() << "\n";
-          std::exit(1);
-        }
-        journal = std::move(writer).value();
-      }
+    auto opened = campaign::open_journal(cfg.path + "." + name + ".journal",
+                                         {options.seed, count, name}, cfg.resume);
+    if (!opened) {
+      std::cerr << "error: " << opened.status().message() << "\n";
+      std::exit(1);
     }
-    if (fresh) {
-      auto writer = JournalWriter::create(path, header);
-      if (!writer) {
-        std::cerr << "error: cannot create journal '" << path
-                  << "': " << writer.status().message() << "\n";
-        std::exit(1);
-      }
-      journal = std::move(writer).value();
-    }
-    sup.journal = &*journal;
+    journal = std::move(opened).value();
+    if (!journal->note.empty()) std::cerr << "note: " << journal->note << "\n";
+    sup.journal = &journal->writer;
   }
 
   const campaign::Supervisor supervisor(sup);
   const campaign::CampaignReport report =
-      supervisor.run(count, fn, loaded ? &*loaded : nullptr);
+      supervisor.run(count, fn, journal && journal->loaded ? &*journal->loaded : nullptr);
 
   if (!report.journal_error.empty())
     std::cerr << "warning: journal append failed: " << report.journal_error << "\n";

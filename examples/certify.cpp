@@ -16,7 +16,7 @@
 
 #include "gen/paper_examples.hpp"
 #include "rbs.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 #include "support/taskset_io.hpp"
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
   cfg.demand.overrun_probability = 0.3;
   cfg.release_jitter = 0.1;
   cfg.max_boost_duration = turbo.duration_ok ? 0.0 : max_boost;
-  const sim::SimResult r = sim::simulate(set, cfg);
+  const sim::SimMetrics r = sim::Simulator().run(set, cfg).value().metrics;
   std::cout << "[7] simulation: " << r.jobs_released << " jobs, " << r.mode_switches
             << " overrun episodes, " << r.budget_fallbacks << " budget fallbacks, "
             << r.misses.size() << " deadline misses, worst dwell "

@@ -12,7 +12,7 @@
 
 #include "gen/fms.hpp"
 #include "rbs.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   cfg.demand.base_fraction_min = 0.5;
   cfg.release_jitter = 0.2;
   cfg.seed = 2026;
-  const sim::SimResult r = sim::simulate(set, cfg);
+  const sim::SimMetrics r = sim::Simulator().run(set, cfg).value().metrics;
 
   std::cout << "\nsimulated " << minutes << " min of flight:\n";
   TextTable t;

@@ -15,7 +15,7 @@
 
 #include "multi/mlc.hpp"
 #include "rbs.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
 
   // Execute each transition's projection as its own dual-criticality system.
   std::cout << "executed projections (10 s each, random overruns):\n";
+  sim::Simulator simulator;
   for (int k = 1; k < system.num_levels(); ++k) {
     const TaskSet proj = system.projection(k);
     sim::SimConfig cfg;
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
     cfg.demand.overrun_probability = 0.3;
     cfg.release_jitter = 0.1;
     cfg.seed = static_cast<std::uint64_t>(k) * 7 + 1;
-    const sim::SimResult r = sim::simulate(proj, cfg);
+    const sim::SimMetrics r = simulator.run(proj, cfg).value().metrics;
     std::cout << "  mode " << k - 1 << " -> " << k << ": " << r.jobs_released << " jobs, "
               << r.mode_switches << " episodes, " << r.misses.size()
               << " misses, worst dwell " << TextTable::num(r.max_hi_dwell(), 1) << " ms\n";

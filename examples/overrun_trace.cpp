@@ -9,7 +9,7 @@
 
 #include "gen/paper_examples.hpp"
 #include "rbs.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 #include "support/cli.hpp"
 
 namespace {
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   cfg.hi_speed = speed;
   cfg.demand.overrun_probability = 1.0;  // force the overrun scenario
   cfg.record_trace = true;
-  const sim::SimResult r = sim::simulate(set, cfg);
+  const sim::SimMetrics r = sim::Simulator().run(set, cfg).value().metrics;
 
   for (std::size_t i = 0; i < set.size(); ++i)
     std::cout << set[i].name() << "  |" << gantt_row(r.trace, static_cast<int>(i), horizon)

@@ -466,6 +466,32 @@ JournalWriter::~JournalWriter() {
   }
 }
 
+Expected<OpenedJournal> open_journal(const std::string& path, const JournalHeader& header,
+                                     bool resume) {
+  std::error_code ec;
+  if (!resume || !std::filesystem::exists(path, ec)) {
+    Expected<JournalWriter> writer = JournalWriter::create(path, header);
+    if (!writer) return writer.status();
+    return OpenedJournal{std::move(writer).value(), std::nullopt,
+                         resume ? "no journal at '" + path + "'; starting fresh" : ""};
+  }
+  Expected<LoadedJournal> loaded = load_journal(path);
+  if (!loaded)
+    return Status::error("cannot resume from '" + path + "': " + loaded.status().message());
+  const JournalHeader& found = loaded.value().header;
+  if (found.seed != header.seed || found.items != header.items || found.tag != header.tag)
+    return Status::error("journal '" + path +
+                         "' belongs to a different campaign (seed/items/tag mismatch); "
+                         "rerun without --resume to replace it");
+  Expected<JournalWriter> writer = JournalWriter::resume(path, loaded.value());
+  if (!writer) return writer.status();
+  std::string note;
+  if (loaded.value().dropped_tail_bytes != 0)
+    note = "dropped " + std::to_string(loaded.value().dropped_tail_bytes) +
+           " torn-tail byte(s) from '" + path + "'";
+  return OpenedJournal{std::move(writer).value(), std::move(loaded).value(), std::move(note)};
+}
+
 Status JournalWriter::append(const JournalRecord& record) {
   const std::string line = serialize_record(record);
   const LockGuard lock(mutex_);

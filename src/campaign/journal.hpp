@@ -18,12 +18,15 @@
 // several times (failed attempts, then a success or a quarantine verdict);
 // the reader folds them into per-item outcomes for crash-safe resume.
 // Replays are order-free because every item draws from its own seed stream
-// (campaign/runner.hpp), so a resumed campaign reproduces the uninterrupted
-// run byte for byte.
+// (campaign/supervisor.hpp), so a resumed campaign reproduces the
+// uninterrupted run byte for byte. open_journal() is the one place the
+// `--checkpoint` / `--resume` flags turn into a writer plus the journal to
+// resume from.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -113,6 +116,26 @@ class JournalWriter {
   Mutex mutex_;
   std::FILE* out_ RBS_GUARDED_BY(mutex_) = nullptr;
 };
+
+/// A journal opened for `--checkpoint` / `--resume`.
+struct OpenedJournal {
+  JournalWriter writer;                 ///< where new records are appended
+  std::optional<LoadedJournal> loaded;  ///< what to resume from, if anything
+  /// What the user should hear about a resume that did not simply continue:
+  /// no journal was found (a fresh one was started) or a torn tail was
+  /// dropped. Empty otherwise.
+  std::string note;
+};
+
+/// Opens the journal at `path` for the campaign `header`. Without `resume`,
+/// a fresh journal replaces whatever is there; so does `resume` when no file
+/// exists at `path`. Otherwise the journal is loaded, its header must match
+/// `header` (seed, item count and tag), and its torn tail is truncated before
+/// appending resumes. A corrupt journal, a header mismatch or a writer that
+/// cannot be opened is a descriptive error naming `path`; printing it, and
+/// the note, is the caller's job.
+[[nodiscard]] Expected<OpenedJournal> open_journal(const std::string& path,
+                                                   const JournalHeader& header, bool resume);
 
 /// Serialized forms (exposed for tests and the corruption corpus).
 [[nodiscard]] std::string serialize_header(const JournalHeader& header);

@@ -1,9 +1,9 @@
-// Fixed-size worker pool for the campaign engine.
+// Fixed-size worker pool, used by the analysis server (service/server.hpp)
+// and by rbs_lint's parallel scan.
 //
 // Deliberately minimal: a bounded set of workers created once, a FIFO job
-// queue, and a drain barrier. The campaign runner (runner.hpp) layers
-// deterministic work distribution on top; the pool itself knows nothing
-// about RNG streams or result ordering.
+// queue, and a drain barrier. Callers layer deterministic work distribution
+// on top; the pool itself knows nothing about RNG streams or result ordering.
 //
 // Lock discipline is machine-checked twice (support/thread_annotations.hpp):
 // every RBS_GUARDED_BY member below is verified against `mutex_` by Clang's
@@ -38,7 +38,7 @@ class ThreadPool {
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
   /// Enqueues one job. Jobs must not throw (wrap and capture exceptions on
-  /// the caller's side; the runner does exactly that).
+  /// the caller's side).
   void submit(std::function<void()> job) RBS_EXCLUDES(mutex_);
 
   /// Blocks until the queue is empty and no job is executing.

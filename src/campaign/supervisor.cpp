@@ -47,6 +47,16 @@ bool stop_requested() { return g_stop.load(std::memory_order_relaxed); }
 
 void request_stop() { g_stop.store(true, std::memory_order_relaxed); }
 
+std::uint64_t item_seed(std::uint64_t campaign_seed, std::uint64_t index) {
+  // SplitMix64 (Steele, Lea & Flood) over the campaign seed offset by the
+  // item index; the golden-ratio stride keeps neighbouring items' inputs far
+  // apart in the hash space.
+  std::uint64_t z = campaign_seed + 0x9e3779b97f4a7c15ULL * (index + 1);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 // --- DeadlineWatchdog -------------------------------------------------------
 
 DeadlineWatchdog::DeadlineWatchdog(Options options) : options_(std::move(options)) {

@@ -1,11 +1,20 @@
-// Fault-tolerant campaign supervisor: per-item soft deadlines, capped
-// retries, quarantine of poison items, cooperative cancellation, and
-// journal-backed crash-safe resume.
+// The campaign engine: maps a per-item job over N campaign items on a set of
+// worker threads, with per-item soft deadlines, capped retries, quarantine
+// of poison items, cooperative cancellation, and journal-backed crash-safe
+// resume.
 //
-// The plain CampaignRunner (runner.hpp) fails the whole campaign on the
-// first item error (lowest-index rethrow) and keeps every result in memory
-// until the caller writes its CSV. The Supervisor turns those all-or-nothing
-// semantics into a `CampaignReport`:
+// Determinism contract: the output of a campaign depends only on the
+// campaign seed and the item count, never on the worker count -- `--jobs 8`
+// is byte-identical to `--jobs 1`. Two mechanisms enforce this:
+//
+//   * every item draws from its *own* RNG stream, seeded as
+//     item_seed(campaign_seed, index) -- a worker never advances another
+//     item's stream, so the schedule cannot leak into the randomness;
+//   * results land in the pre-sized slot `index` of CampaignReport::items,
+//     so gathering order is input order regardless of completion order.
+//
+// A failing item never aborts the campaign; Supervisor::run returns a
+// `CampaignReport` instead:
 //
 //   * an item that throws is retried with the SAME seed stream, up to
 //     `max_attempts`; deterministic failures exhaust the budget and land in
@@ -24,11 +33,17 @@
 //     exits with kExitResumable so wrappers know `--resume` will finish the
 //     run;
 //   * with a JournalWriter attached, every finished attempt is appended
-//     durably; a later run resumes from the loaded journal and recomputes
-//     only what is missing. Determinism is preserved: items draw from
-//     per-item seed streams, so the resumed campaign's results -- and any
-//     CSV aggregated from them -- are byte-identical to an uninterrupted
-//     run at any worker count.
+//     durably; a later run resumes from the loaded journal (open_journal in
+//     campaign/journal.hpp) and recomputes only what is missing. Because
+//     items draw from per-item seed streams, the resumed campaign's results
+//     -- and any CSV aggregated from them -- are byte-identical to an
+//     uninterrupted run at any worker count.
+//
+// Thread-safety: Analyzer::analyze() is a pure function of its arguments
+// (the core analysis has no global mutable state), so any number of workers
+// may analyze distinct requests concurrently. One Supervisor runs one
+// campaign at a time -- run() is not reentrant -- but items within that
+// campaign execute concurrently.
 #pragma once
 
 #include <atomic>
@@ -43,7 +58,6 @@
 #include <vector>
 
 #include "campaign/journal.hpp"
-#include "campaign/runner.hpp"
 #include "gen/rng.hpp"
 #include "support/thread_annotations.hpp"
 
@@ -53,6 +67,19 @@ namespace rbs::campaign {
 /// finish". 75 is BSD's EX_TEMPFAIL ("temporary failure, retry later"),
 /// distinct from success (0), failure (1), and usage errors (2).
 inline constexpr int kExitResumable = 75;
+
+struct CampaignOptions {
+  /// Worker threads mapping items; 1 runs the items one after another (the
+  /// serial baseline), 0 asks the hardware for its core count.
+  unsigned jobs = 1;
+  /// Master seed every per-item RNG stream descends from.
+  std::uint64_t seed = 1;
+};
+
+/// The seed of campaign item `index`: a SplitMix64 hash of (seed, index).
+/// Streams of distinct items are statistically independent, and item i's
+/// stream is the same no matter which worker runs it.
+[[nodiscard]] std::uint64_t item_seed(std::uint64_t campaign_seed, std::uint64_t index);
 
 /// Per-item cancellation flag, set by the watchdog (deadline) or the stop
 /// path (signal). Cooperative: items poll it at convenient boundaries.
@@ -150,7 +177,7 @@ class DeadlineWatchdog {
 };
 
 struct SupervisorOptions {
-  CampaignOptions campaign;     ///< worker count + master seed (see runner.hpp)
+  CampaignOptions campaign;     ///< worker count + master seed
   double soft_deadline_s = 0.0; ///< per-item wall-clock budget; 0 disables
   std::uint32_t max_attempts = 3;  ///< attempts before quarantine (>= 1)
   JournalWriter* journal = nullptr;  ///< optional durable record sink
@@ -172,7 +199,7 @@ struct ItemOutcome {
 };
 
 /// What a supervised campaign produced: per-item outcomes plus the fault
-/// bookkeeping (instead of CampaignRunner's lowest-index rethrow).
+/// bookkeeping.
 struct CampaignReport {
   std::vector<ItemOutcome> items;       ///< input order, size = item count
   std::size_t completed = 0;            ///< items with State::kOk

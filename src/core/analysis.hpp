@@ -20,7 +20,8 @@
 // The one-shot helpers (`min_speedup_value`, `hi_mode_schedulable`,
 // `system_schedulable`, `resetting_time_value`) are thin inline wrappers over
 // this facade; batched/parallel evaluation over many task sets goes through
-// campaign/runner.hpp, which maps `analyze()` on a thread pool.
+// campaign/supervisor.hpp, which maps a per-item job such as `analyze()` over
+// worker threads.
 #pragma once
 
 #include <cstddef>

@@ -16,7 +16,8 @@
 //   report.value().delta_r;              // Corollary 5 at speed 2
 //   report.value().system_schedulable;   // LO @ unit speed && HI @ speed 2
 //
-// Batched/parallel campaigns over many sets: campaign/runner.hpp.
+// Batched/parallel campaigns over many sets: campaign/supervisor.hpp.
+// Simulating a set: sim/simulate.hpp.
 #pragma once
 
 #include "core/adb.hpp"

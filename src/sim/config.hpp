@@ -1,7 +1,7 @@
 // Simulation configuration: the demand model and the runtime-protocol knobs
 // shared by both simulator kernels (the production event kernel in
 // sim/event_kernel.hpp and the legacy stepping kernel kept in
-// sim/reference_kernel.hpp for differential testing).
+// tests/sim/reference_kernel.hpp for differential testing).
 #pragma once
 
 #include <cstdint>

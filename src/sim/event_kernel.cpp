@@ -1,6 +1,6 @@
 // Event-driven kernel implementation. Equivalence with the stepping oracle
-// (sim/reference_kernel.cpp) is load-bearing and bit-exact; the invariants
-// that make it hold:
+// (tests/sim/reference_kernel.cpp) is load-bearing and bit-exact; the
+// invariants that make it hold:
 //
 //  * The kernel visits EXACTLY the instants the stepping engine visits. An
 //    extra intermediate instant would split an advance() into two segments
@@ -117,7 +117,7 @@ void EventKernel::init() {
   // Reset the result without dropping the task_stats allocation: the vector
   // is recycled across runs of a campaign, like every other buffer here.
   auto recycled_stats = std::move(result_.task_stats);
-  result_ = SimResult{};
+  result_ = SimMetrics{};
   result_.horizon = cfg.horizon;
   recycled_stats.assign(n, TaskStats{});
   result_.task_stats = std::move(recycled_stats);

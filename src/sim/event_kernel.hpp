@@ -1,11 +1,11 @@
 // Event-driven simulator kernel (the production engine behind
 // sim/simulate.hpp).
 //
-// Replaces the legacy stepping engine (sim/reference_kernel.hpp) with a
-// discrete-event design: a deterministic binary-heap calendar of typed
-// wake-ups (sim/event_queue.hpp) plus structure-of-arrays job/task state, so
-// one dispatched instant costs O(changes) instead of the stepping engine's
-// O(tasks + jobs) rescans. The kernel is *equivalence-preserving*: it visits
+// Replaces the legacy stepping engine (now the test oracle in
+// tests/sim/reference_kernel.hpp) with a discrete-event design: a
+// deterministic binary-heap calendar of typed wake-ups (sim/event_queue.hpp)
+// plus structure-of-arrays job/task state, so one dispatched instant costs
+// O(changes) instead of the stepping engine's O(tasks + jobs) rescans. The kernel is *equivalence-preserving*: it visits
 // exactly the instants the stepping engine visits, performs the same state
 // transitions in the same fixed order, and consumes the RNG streams in the
 // same order, so the resulting SimMetrics -- and the full trace -- are
@@ -70,8 +70,7 @@ struct SimCounters {
   std::uint64_t deadline_rescans = 0;      ///< earliest-deadline recomputations
 };
 
-/// Everything one simulation run produced. `metrics` is the full SimResult
-/// (alias SimMetrics) the legacy API returned; the surrounding fields are the
+/// Everything one simulation run produced: the run's SimMetrics plus the
 /// facade's termination/exactness verdicts and work counters.
 struct SimReport {
   SimMetrics metrics;
@@ -228,7 +227,7 @@ class EventKernel {
   std::uint64_t poll_epoch_ = 0;
 
   SimCounters counters_;
-  SimResult result_;
+  SimMetrics result_;
 };
 
 }  // namespace rbs::sim

@@ -93,13 +93,13 @@ struct FaultPlan {
   double detection_period = 0.0;
 
   /// Fail-stop core fault: at this instant the core executing the plan dies.
-  /// Every in-flight job is destroyed (counted in SimResult::
+  /// Every in-flight job is destroyed (counted in SimMetrics::
   /// jobs_lost_to_fault, not as deadline misses -- a dead core has no
   /// deadlines left to miss) and the run ends with SimTermination::kCoreFault.
   /// 0 (or an instant at/after the horizon) = the core never fails. Honored
   /// by the event kernel and MulticoreSim; the stepping oracle
-  /// (sim/reference_kernel) ignores it, so differential scenarios never
-  /// schedule a core fault.
+  /// (tests/sim/reference_kernel) ignores it, so differential scenarios
+  /// never schedule a core fault.
   double core_fail_at = 0.0;
 
   /// Permanent per-core boost denial (thermal capping of one core): EVERY

@@ -30,7 +30,8 @@ struct TaskStats {
   }
 };
 
-struct SimResult {
+/// The metrics of one simulation run (SimReport::metrics).
+struct SimMetrics {
   std::uint64_t jobs_released = 0;
   std::uint64_t jobs_completed = 0;
   std::uint64_t jobs_abandoned = 0;  ///< discarded carry-over jobs of dropped tasks
@@ -69,9 +70,5 @@ struct SimResult {
     return m;
   }
 };
-
-/// Facade-era name for the metrics of one run (SimReport::metrics). SimResult
-/// remains the canonical definition for source compatibility.
-using SimMetrics = SimResult;
 
 }  // namespace rbs::sim

@@ -31,7 +31,7 @@ std::string json_escape(const std::string& s) {
 
 }  // namespace
 
-void write_trace_json(std::ostream& os, const TaskSet& set, const SimResult& result) {
+void write_trace_json(std::ostream& os, const TaskSet& set, const SimMetrics& result) {
   os.precision(std::numeric_limits<double>::max_digits10);
 
   os << "{\n  \"tasks\": [";
@@ -77,7 +77,7 @@ void write_trace_json(std::ostream& os, const TaskSet& set, const SimResult& res
      << "}\n}\n";
 }
 
-std::string trace_to_json(const TaskSet& set, const SimResult& result) {
+std::string trace_to_json(const TaskSet& set, const SimMetrics& result) {
   std::ostringstream os;
   write_trace_json(os, set, result);
   return os.str();

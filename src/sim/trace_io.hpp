@@ -30,10 +30,10 @@ namespace rbs::sim {
 
 /// Writes the trace and summary of `result` as JSON to `os`.
 /// `set` provides the task names; it must be the simulated set.
-void write_trace_json(std::ostream& os, const TaskSet& set, const SimResult& result);
+void write_trace_json(std::ostream& os, const TaskSet& set, const SimMetrics& result);
 
 /// Convenience: serialise into a string.
-std::string trace_to_json(const TaskSet& set, const SimResult& result);
+std::string trace_to_json(const TaskSet& set, const SimMetrics& result);
 
 /// The run-level counters of the "summary" section.
 struct TraceSummary {

@@ -20,7 +20,7 @@ std::string to_string(Violation::Kind kind) {
   return "?";
 }
 
-WatchdogReport check_trace(const TaskSet& set, const SimConfig& cfg, const SimResult& result,
+WatchdogReport check_trace(const TaskSet& set, const SimConfig& cfg, const SimMetrics& result,
                            const WatchdogOptions& opts) {
   WatchdogReport report;
   const double tol = opts.time_tolerance;

@@ -25,7 +25,7 @@
 
 #include "core/task.hpp"
 #include "sim/job.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 #include "support/tolerance.hpp"
 
 namespace rbs::sim {
@@ -86,11 +86,12 @@ struct WatchdogReport {
 /// Checks the recorded trace of `result` (requires SimConfig::record_trace)
 /// against the protocol invariants under `opts`. Returns every violation
 /// found; an empty report certifies the run against the active guarantee.
-[[nodiscard]] WatchdogReport check_trace(const TaskSet& set, const SimConfig& cfg, const SimResult& result,
-                           const WatchdogOptions& opts = {});
+[[nodiscard]] WatchdogReport check_trace(const TaskSet& set, const SimConfig& cfg,
+                                         const SimMetrics& result,
+                                         const WatchdogOptions& opts = {});
 
 /// Facade-report overload: checks the metrics of a SimReport produced by
-/// sim::simulate(). Incomplete runs (report.completed == false) are checked
+/// Simulator::run(). Incomplete runs (report.completed == false) are checked
 /// against their honest prefix horizon.
 [[nodiscard]] inline WatchdogReport check_trace(const TaskSet& set, const SimConfig& cfg,
                                                 const SimReport& report,

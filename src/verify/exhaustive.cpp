@@ -3,6 +3,7 @@
 #include <cmath>
 #include <functional>
 
+#include "sim/simulate.hpp"
 #include "support/tolerance.hpp"
 
 namespace rbs {
@@ -53,6 +54,7 @@ struct Explorer {
   std::vector<std::vector<Script>> per_task;
   std::vector<const Script*> chosen;
   ExploreResult result;
+  sim::Simulator simulator;  ///< one warm kernel for every enumerated pattern
 
   bool run_leaf() {
     sim::SimConfig cfg;
@@ -60,9 +62,9 @@ struct Explorer {
     cfg.hi_speed = speed;
     cfg.scripted_arrivals.reserve(chosen.size());
     for (const Script* s : chosen) cfg.scripted_arrivals.push_back(*s);
-    const sim::SimResult r = sim::simulate(set, cfg);
+    const bool missed = simulator.run(set, cfg).value().metrics.deadline_missed();
     ++result.patterns_tested;
-    if (r.deadline_missed()) {
+    if (missed) {
       ++result.patterns_missed;
       if (result.witness.empty()) {
         for (const Script* s : chosen) result.witness.push_back(*s);
@@ -95,7 +97,7 @@ struct Explorer {
 }  // namespace
 
 ExploreResult explore_patterns(const TaskSet& set, double s, const ExploreOptions& options) {
-  Explorer explorer{set, options, s, /*stop_on_first_miss=*/false, {}, {}, {}};
+  Explorer explorer{set, options, s, /*stop_on_first_miss=*/false, {}, {}, {}, {}};
   return explorer.explore();
 }
 
@@ -103,7 +105,7 @@ double exhaustive_speedup_lower_bound(const TaskSet& set, double ceiling, double
                                       const ExploreOptions& options) {
   double best = 0.0;
   for (double s = step; approx_le(s, ceiling, kStrictTol); s += step) {
-    Explorer explorer{set, options, s, /*stop_on_first_miss=*/true, {}, {}, {}};
+    Explorer explorer{set, options, s, /*stop_on_first_miss=*/true, {}, {}, {}, {}};
     const ExploreResult r = explorer.explore();
     if (r.patterns_missed > 0)
       best = s;  // a miss at speed s: anything <= s is insufficient

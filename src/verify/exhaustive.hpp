@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "core/task.hpp"
-#include "sim/simulator.hpp"
+#include "sim/config.hpp"
 
 namespace rbs {
 

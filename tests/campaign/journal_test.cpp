@@ -1,5 +1,6 @@
 // Tests for the CRC-guarded campaign journal: round-trip, kill-at-any-byte
-// recovery, corruption rejection, duplicate folding, resume-append.
+// recovery, corruption rejection, duplicate folding, resume-append, and the
+// --checkpoint/--resume opener.
 #include "campaign/journal.hpp"
 
 #include <gtest/gtest.h>
@@ -275,6 +276,54 @@ TEST(JournalTest, CreateReplacesExistingJournal) {
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().message();
   EXPECT_EQ(loaded.value().header.seed, 7u);
   EXPECT_EQ(loaded.value().records.size(), 0u);
+  std::remove(path.c_str());
+}
+
+// open_journal is the one path every --checkpoint/--resume caller takes: a
+// resume with no journal on disk, a torn tail, a journal of another
+// campaign, corruption before the tail, and a fresh start over an old file.
+TEST(JournalTest, OpenJournalCoversEveryResumeOutcome) {
+  const std::string path = temp_path("journal_open.jsonl");
+  std::remove(path.c_str());
+  {
+    const Expected<OpenedJournal> opened = open_journal(path, demo_header(), true);
+    ASSERT_TRUE(opened.is_ok()) << opened.status().message();
+    EXPECT_FALSE(opened.value().loaded.has_value());
+    EXPECT_NE(opened.value().note.find("starting fresh"), std::string::npos);
+  }
+
+  const std::string full = make_journal(path);
+  write_file(path, full + "{\"i\":3,\"a\":1");
+  {
+    const Expected<OpenedJournal> opened = open_journal(path, demo_header(), true);
+    ASSERT_TRUE(opened.is_ok()) << opened.status().message();
+    ASSERT_TRUE(opened.value().loaded.has_value());
+    EXPECT_EQ(opened.value().loaded->records.size(), demo_records().size());
+    EXPECT_NE(opened.value().note.find("torn-tail"), std::string::npos);
+  }
+  EXPECT_EQ(read_file(path), full);  // the torn tail was truncated away
+
+  const Expected<OpenedJournal> foreign = open_journal(path, {43, 5, "unit-test|tag"}, true);
+  ASSERT_FALSE(foreign.is_ok());
+  EXPECT_NE(foreign.status().message().find("different campaign"), std::string::npos);
+
+  std::string flipped = full;
+  flipped[full.find('\n') + 5] ^= 0x01;
+  write_file(path, flipped);
+  const Expected<OpenedJournal> corrupt = open_journal(path, demo_header(), true);
+  ASSERT_FALSE(corrupt.is_ok());
+  EXPECT_NE(corrupt.status().message().find("cannot resume"), std::string::npos);
+  EXPECT_NE(corrupt.status().message().find("line 2"), std::string::npos);
+
+  {
+    const Expected<OpenedJournal> opened = open_journal(path, demo_header(), false);
+    ASSERT_TRUE(opened.is_ok()) << opened.status().message();
+    EXPECT_FALSE(opened.value().loaded.has_value());
+    EXPECT_TRUE(opened.value().note.empty());
+  }
+  const Expected<LoadedJournal> replaced = load_journal(path);
+  ASSERT_TRUE(replaced.is_ok()) << replaced.status().message();
+  EXPECT_EQ(replaced.value().records.size(), 0u);
   std::remove(path.c_str());
 }
 

@@ -1,6 +1,8 @@
-// Tests for the fault-tolerant campaign supervisor: retry/quarantine policy,
+// Tests for the campaign engine (campaign/{pool,supervisor}.hpp): the
+// per-item RNG stream derivation, the thread pool, retry/quarantine policy,
 // soft-deadline kills, stop drains, journal-backed resume, and the
-// determinism contract (any jobs count, resumed or not -> same payloads).
+// determinism contract (any jobs count, resumed or not -> same payloads,
+// gathered in input order).
 #include "campaign/supervisor.hpp"
 
 #include <gtest/gtest.h>
@@ -16,8 +18,10 @@
 #include <vector>
 
 #include "campaign/journal.hpp"
-#include "campaign/runner.hpp"
+#include "campaign/pool.hpp"
+#include "core/analysis.hpp"
 #include "gen/rng.hpp"
+#include "gen/taskgen.hpp"
 
 namespace rbs::campaign {
 namespace {
@@ -42,6 +46,44 @@ std::vector<std::string> payloads(const CampaignReport& report) {
   return out;
 }
 
+TEST(ItemSeedTest, DeterministicAndPerItem) {
+  EXPECT_EQ(item_seed(1, 0), item_seed(1, 0));
+  EXPECT_NE(item_seed(1, 0), item_seed(1, 1));
+  EXPECT_NE(item_seed(1, 0), item_seed(2, 0));
+  // Neighbouring items and seeds must not collide over a modest range.
+  for (std::uint64_t i = 0; i < 64; ++i)
+    for (std::uint64_t j = i + 1; j < 64; ++j) EXPECT_NE(item_seed(7, i), item_seed(7, j));
+}
+
+TEST(ThreadPoolTest, RunsEverySubmittedTask) {
+  ThreadPool pool(4);
+  EXPECT_EQ(pool.size(), 4u);
+  std::atomic<int> counter{0};
+  for (int i = 0; i < 100; ++i)
+    pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
+  pool.wait_idle();
+  EXPECT_EQ(counter.load(), 100);
+}
+
+TEST(ThreadPoolTest, WaitIdleIsReusable) {
+  ThreadPool pool(2);
+  std::atomic<int> counter{0};
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 10; ++i)
+      pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
+    pool.wait_idle();
+    EXPECT_EQ(counter.load(), 10 * (round + 1));
+  }
+}
+
+TEST(SupervisorTest, JobsOneResolvesToOneWorker) {
+  EXPECT_EQ(Supervisor(base_options(1)).jobs(), 1u);
+}
+
+TEST(SupervisorTest, JobsZeroResolvesToHardware) {
+  EXPECT_GE(Supervisor(base_options(0)).jobs(), 1u);
+}
+
 TEST(SupervisorTest, CompletesAllItemsAndMatchesAcrossJobCounts) {
   constexpr std::size_t kCount = 24;
   const SupervisedFn fn = [](std::size_t index, Rng& rng, const CancelToken&) {
@@ -59,6 +101,53 @@ TEST(SupervisorTest, CompletesAllItemsAndMatchesAcrossJobCounts) {
     EXPECT_EQ(serial.items[i].state, ItemOutcome::State::kOk);
     EXPECT_EQ(serial.items[i].attempts, 1u);
   }
+}
+
+TEST(SupervisorTest, GathersInInputOrder) {
+  constexpr std::size_t kCount = 257;
+  const CampaignReport report = Supervisor(base_options(8)).run(
+      kCount, [](std::size_t index, Rng&, const CancelToken&) { return std::to_string(index); });
+  ASSERT_EQ(report.items.size(), kCount);
+  EXPECT_TRUE(report.all_completed());
+  for (std::size_t i = 0; i < kCount; ++i) {
+    EXPECT_EQ(report.items[i].state, ItemOutcome::State::kOk);
+    EXPECT_EQ(report.items[i].payload, std::to_string(i));
+  }
+}
+
+/// The bench_perf campaign workload in miniature: generate a random set from
+/// the item's private stream, run one fused facade sweep, format a row. Any
+/// schedule-dependence (shared RNG state, gather races) shows up as a
+/// byte-level diff between worker counts.
+std::string campaign_row(std::size_t index, const Analyzer& analyzer, Rng& rng) {
+  GenParams params;
+  params.u_bound = 0.5 + 0.1 * static_cast<double>(index % 4);
+  const auto skeleton = generate_task_set(params, rng);
+  if (!skeleton) return std::to_string(index) + ",skipped";
+  const AnalysisReport r =
+      analyzer
+          .analyze(skeleton->materialize(0.5, 2.0), 2.0,
+                   {.speedup = true, .reset = true, .lo = false})
+          .value();
+  char buffer[128];
+  std::snprintf(buffer, sizeof buffer, "%zu,%.17g,%.17g,%zu", index, r.s_min, r.delta_r,
+                r.fused_breakpoints);
+  return buffer;
+}
+
+TEST(SupervisorTest, FiveHundredSetCampaignIsWorkerCountInvariant) {
+  constexpr std::size_t kSets = 500;
+  constexpr std::uint64_t kSeed = 42;
+  const Analyzer analyzer;
+  const SupervisedFn fn = [&analyzer](std::size_t index, Rng& rng, const CancelToken&) {
+    return campaign_row(index, analyzer, rng);
+  };
+  const CampaignReport serial = Supervisor(base_options(1, kSeed)).run(kSets, fn);
+  const CampaignReport wide = Supervisor(base_options(8, kSeed)).run(kSets, fn);
+  ASSERT_TRUE(serial.all_completed());
+  ASSERT_TRUE(wide.all_completed());
+  for (std::size_t i = 0; i < kSets; ++i)
+    EXPECT_EQ(serial.items[i].payload, wide.items[i].payload) << "item " << i;
 }
 
 TEST(SupervisorTest, RetriesTransientFailureWithTheSameSeedStream) {

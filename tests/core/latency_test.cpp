@@ -9,7 +9,7 @@
 #include "core/reset.hpp"
 #include "core/speedup.hpp"
 #include "gen/paper_examples.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 #include "support/tolerance.hpp"
 
 namespace rbs {
@@ -111,7 +111,7 @@ TEST(LatencySimTest, BoostDelayedByLatency) {
   cfg.speed_change_latency = 1.0;
   cfg.demand.overrun_probability = 1.0;
   cfg.record_trace = true;
-  const sim::SimResult r = sim::simulate(set, cfg);
+  const sim::SimMetrics r = sim::Simulator().run(set, cfg).value().metrics;
   // Switch at 3; nominal speed on [3, 4] (1 work), boosted from 4:
   // remaining 1 work at speed 2 -> completion at 4.5 (vs 4 with no latency).
   ASSERT_EQ(r.jobs_completed, 1u);
@@ -135,7 +135,7 @@ TEST(LatencySimTest, BoundsHoldInSimulationWithLatency) {
   cfg.speed_change_latency = static_cast<double>(latency);
   cfg.demand.overrun_probability = 0.7;
   cfg.release_jitter = 0.2;
-  const sim::SimResult r = sim::simulate(set, cfg);
+  const sim::SimMetrics r = sim::Simulator().run(set, cfg).value().metrics;
   EXPECT_FALSE(r.deadline_missed());
   EXPECT_GT(r.mode_switches, 0u);
   for (double dwell : r.hi_dwell_times) EXPECT_LE(dwell, dr + 1e-6);

@@ -17,7 +17,7 @@
 #include "gen/paper_examples.hpp"
 #include "gen/rng.hpp"
 #include "gen/taskgen.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 
 namespace rbs {
 namespace {
@@ -73,7 +73,7 @@ TEST_P(AnalysisSimTest, BoundsHoldOnExecutedSchedules) {
   cfg.release_jitter = sc.jitter;
   cfg.initial_offset_spread = sc.jitter > 0 ? 1.0 : 0.0;
   cfg.seed = sc.seed * 7919 + 13;
-  const sim::SimResult r = sim::simulate(set, cfg);
+  const sim::SimMetrics r = sim::Simulator().run(set, cfg).value().metrics;
 
   EXPECT_FALSE(r.deadline_missed())
       << "s_min=" << s_min << " misses=" << r.misses.size() << " first task "
@@ -122,7 +122,7 @@ TEST_P(TerminationSimTest, BoundsHoldWithLoTaskTermination) {
   cfg.demand.overrun_probability = sc.overrun_probability;
   cfg.release_jitter = sc.jitter;
   cfg.seed = sc.seed * 31 + 7;
-  const sim::SimResult r = sim::simulate(set, cfg);
+  const sim::SimMetrics r = sim::Simulator().run(set, cfg).value().metrics;
 
   EXPECT_FALSE(r.deadline_missed());
   for (double dwell : r.hi_dwell_times) EXPECT_LE(dwell, delta_r + 1e-6);
@@ -143,7 +143,7 @@ TEST(Table1SimTest, MinimumSpeedupIsTightInSimulation) {
   cfg.horizon = 50000.0;
   cfg.hi_speed = 4.0 / 3.0;
   cfg.demand.overrun_probability = 1.0;
-  const sim::SimResult ok = sim::simulate(table1_base(), cfg);
+  const sim::SimMetrics ok = sim::Simulator().run(table1_base(), cfg).value().metrics;
   EXPECT_FALSE(ok.deadline_missed());
 
   // ...and clearly below it a miss occurs (deterministically, already with
@@ -154,7 +154,7 @@ TEST(Table1SimTest, MinimumSpeedupIsTightInSimulation) {
   // do not produce.
   sim::SimConfig bad = cfg;
   bad.hi_speed = 0.85;
-  EXPECT_TRUE(sim::simulate(table1_base(), bad).deadline_missed());
+  EXPECT_TRUE(sim::Simulator().run(table1_base(), bad).value().metrics.deadline_missed());
 }
 
 TEST(Table1SimTest, DegradedVariantRunsAtReducedSpeed) {
@@ -163,7 +163,7 @@ TEST(Table1SimTest, DegradedVariantRunsAtReducedSpeed) {
   cfg.horizon = 50000.0;
   cfg.hi_speed = 12.0 / 13.0 + 1e-9;
   cfg.demand.overrun_probability = 1.0;
-  const sim::SimResult r = sim::simulate(table1_degraded(), cfg);
+  const sim::SimMetrics r = sim::Simulator().run(table1_degraded(), cfg).value().metrics;
   EXPECT_FALSE(r.deadline_missed());
   EXPECT_GT(r.mode_switches, 0u);
 }
@@ -186,7 +186,7 @@ TEST(FmsSimTest, EndToEndRecoveryWithinPaperEnvelope) {
   cfg.hi_speed = 2.0;
   cfg.demand.overrun_probability = 0.2;
   cfg.release_jitter = 0.1;
-  const sim::SimResult r = sim::simulate(set, cfg);
+  const sim::SimMetrics r = sim::Simulator().run(set, cfg).value().metrics;
   EXPECT_FALSE(r.deadline_missed());
   EXPECT_GT(r.mode_switches, 0u);
   for (double dwell : r.hi_dwell_times) EXPECT_LE(dwell, delta_r + 1e-6);

@@ -13,7 +13,7 @@
 #include "core/tuning.hpp"
 #include "gen/rng.hpp"
 #include "gen/taskgen.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 
 namespace rbs {
 namespace {
@@ -52,7 +52,7 @@ TEST_P(PartitionSimTest, EveryCoreExecutesCleanly) {
     cfg.demand.overrun_probability = 0.5;
     cfg.release_jitter = 0.2;
     cfg.seed = static_cast<std::uint64_t>(GetParam()) * 101 + c;
-    const sim::SimResult r = sim::simulate(core, cfg);
+    const sim::SimMetrics r = sim::Simulator().run(core, cfg).value().metrics;
     EXPECT_FALSE(r.deadline_missed()) << "core " << c;
     if (std::isfinite(delta_r))
       for (double dwell : r.hi_dwell_times) EXPECT_LE(dwell, delta_r + 1e-6) << "core " << c;

@@ -19,7 +19,7 @@
 
 #include <gtest/gtest.h>
 
-#include "campaign/runner.hpp"
+#include "campaign/supervisor.hpp"
 #include "rbs_lint/lint.hpp"
 
 namespace rbs::lint {
@@ -283,10 +283,10 @@ TEST(DetDisciplineTest, UnorderedNamesArePooledAcrossFiles) {
 
 // ---------------------------------------------------------------------------
 // Dual-gate mutant test over the real campaign gather path
-// (src/campaign/runner.cpp). Static half: the pristine file lints clean under
-// the det rules, and the same file with an unordered_map iteration injected
-// into analyze_all is caught. Runtime half below proves the byte-compare gate
-// catches what such a mutant produces at run time.
+// (src/campaign/supervisor.cpp). Static half: the pristine file lints clean
+// under the det rules, and the same file with an unordered_map iteration
+// injected into Supervisor::run is caught. Runtime half below proves the
+// byte-compare gate catches what such a mutant produces at run time.
 // ---------------------------------------------------------------------------
 
 std::string read_file(const std::string& path) {
@@ -298,19 +298,19 @@ std::string read_file(const std::string& path) {
 }
 
 TEST(DetDisciplineGateTest, PristineGatherPathIsClean) {
-  const std::string path = kSourceDir + "/src/campaign/runner.cpp";
+  const std::string path = kSourceDir + "/src/campaign/supervisor.cpp";
   const std::string text = read_file(path);
   ASSERT_NE(text.find("RBS_DET_PATH"), std::string::npos)
-      << "runner.cpp lost its det-path annotation";
+      << "supervisor.cpp lost its det-path annotation";
   EXPECT_TRUE(lint_source(path, text, det_only()).empty());
 }
 
 TEST(DetDisciplineGateTest, InjectedUnorderedGatherIsCaught) {
-  const std::string path = kSourceDir + "/src/campaign/runner.cpp";
+  const std::string path = kSourceDir + "/src/campaign/supervisor.cpp";
   std::string text = read_file(path);
-  const std::string marker = "const Analyzer analyzer;";
+  const std::string marker = "report.items.resize(count);";
   const std::size_t at = text.find(marker);
-  ASSERT_NE(at, std::string::npos) << "analyze_all gather marker disappeared";
+  ASSERT_NE(at, std::string::npos) << "Supervisor::run gather marker disappeared";
   text.insert(at + marker.size(),
               "\n  std::unordered_map<std::size_t, double> scratch;\n"
               "  for (const auto& kv : scratch) (void)kv;\n");
@@ -338,40 +338,44 @@ double item_value(std::size_t i, rbs::Rng& rng) {
   return rng.uniform(0.0, 1.0) * std::pow(10.0, static_cast<double>(i % 16));
 }
 
+campaign::CampaignReport run_items(unsigned jobs, std::size_t count,
+                                   const campaign::SupervisedFn& fn) {
+  campaign::SupervisorOptions options;
+  options.campaign.seed = 42;
+  options.campaign.jobs = jobs;
+  return campaign::Supervisor(options).run(count, fn);
+}
+
 std::string slot_gather(unsigned jobs, std::size_t count) {
-  campaign::CampaignOptions options;
-  options.seed = 42;
-  options.jobs = jobs;
-  const campaign::CampaignRunner runner(options);
-  std::vector<double> slots(count, 0.0);
-  runner.for_each(count, [&slots](std::size_t i, rbs::Rng& rng) {
-    slots[i] = item_value(i, rng);
-  });
+  const campaign::CampaignReport report =
+      run_items(jobs, count, [](std::size_t i, rbs::Rng& rng, const campaign::CancelToken&) {
+        return fmt17(item_value(i, rng));
+      });
   std::string out;
-  for (const double v : slots) {
+  for (const campaign::ItemOutcome& item : report.items) {
     if (!out.empty()) out += ',';
-    out += fmt17(v);
+    out += item.payload;
   }
   return out;
 }
 
 std::string completion_order_gather(unsigned jobs, std::size_t count) {
-  campaign::CampaignOptions options;
-  options.seed = 42;
-  options.jobs = jobs;
-  const campaign::CampaignRunner runner(options);
   std::mutex mutex;
   std::vector<double> arrived;
   arrived.reserve(count);
-  runner.for_each(count, [&mutex, &arrived](std::size_t i, rbs::Rng& rng) {
-    const double v = item_value(i, rng);
-    // Stall the first item so its arrival is forced out of input order under
-    // any concurrent schedule -- a single-core box otherwise drains cheap
-    // items in submission order often enough to make divergence flaky.
-    if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    const std::lock_guard<std::mutex> lock(mutex);
-    arrived.push_back(v);
-  });
+  (void)run_items(jobs, count,
+                  [&mutex, &arrived](std::size_t i, rbs::Rng& rng,
+                                     const campaign::CancelToken&) {
+                    const double v = item_value(i, rng);
+                    // Stall the first item so its arrival is forced out of
+                    // input order under any concurrent schedule -- a
+                    // single-core box otherwise drains cheap items in
+                    // submission order often enough to make divergence flaky.
+                    if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                    const std::lock_guard<std::mutex> lock(mutex);
+                    arrived.push_back(v);
+                    return std::string();
+                  });
   std::string out;
   for (const double v : arrived) {
     if (!out.empty()) out += ',';

@@ -11,7 +11,7 @@
 #include "core/reset.hpp"
 #include "core/speedup.hpp"
 #include "gen/paper_examples.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 
 namespace rbs {
 namespace {
@@ -138,7 +138,7 @@ TEST(MlcSimTest, EveryProjectionExecutesCleanly) {
     cfg.demand.overrun_probability = 0.6;
     cfg.release_jitter = 0.2;
     cfg.seed = static_cast<std::uint64_t>(k);
-    const sim::SimResult r = sim::simulate(proj, cfg);
+    const sim::SimMetrics r = sim::Simulator().run(proj, cfg).value().metrics;
     EXPECT_FALSE(r.deadline_missed()) << "transition " << k;
     if (std::isfinite(dr))
       for (double dwell : r.hi_dwell_times) EXPECT_LE(dwell, dr + 1e-6) << "transition " << k;

@@ -5,7 +5,7 @@
 
 #include "core/budget.hpp"
 #include "core/speedup.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 
 namespace rbs::sim {
 namespace {
@@ -27,14 +27,14 @@ SimConfig overrunning(double horizon) {
 }
 
 TEST(BudgetFallbackTest, DisabledByDefault) {
-  const SimResult r = simulate(long_episode_set(), overrunning(200.0));
+  const SimMetrics r = Simulator().run(long_episode_set(), overrunning(200.0)).value().metrics;
   EXPECT_EQ(r.budget_fallbacks, 0u);
 }
 
 TEST(BudgetFallbackTest, TriggersAfterBudget) {
   SimConfig cfg = overrunning(200.0);
   cfg.max_boost_duration = 2.0;
-  const SimResult r = simulate(long_episode_set(), cfg);
+  const SimMetrics r = Simulator().run(long_episode_set(), cfg).value().metrics;
   EXPECT_GT(r.budget_fallbacks, 0u);
   // Fallback events sit exactly budget-after their switch events.
   double switch_time = -1.0;
@@ -50,7 +50,7 @@ TEST(BudgetFallbackTest, TriggersAfterBudget) {
 TEST(BudgetFallbackTest, SpeedReturnsToNominalDuringFallback) {
   SimConfig cfg = overrunning(60.0);
   cfg.max_boost_duration = 2.0;
-  const SimResult r = simulate(long_episode_set(), cfg);
+  const SimMetrics r = Simulator().run(long_episode_set(), cfg).value().metrics;
   double fallback_at = -1.0, reset_at = -1.0;
   for (const TraceEvent& e : r.trace.events) {
     if (e.kind == TraceEvent::Kind::kBudgetFallback && fallback_at < 0) fallback_at = e.time;
@@ -67,7 +67,7 @@ TEST(BudgetFallbackTest, SpeedReturnsToNominalDuringFallback) {
 TEST(BudgetFallbackTest, LoJobsAbandonedAndReleasesSuppressed) {
   SimConfig cfg = overrunning(200.0);
   cfg.max_boost_duration = 1.0;
-  const SimResult r = simulate(long_episode_set(), cfg);
+  const SimMetrics r = Simulator().run(long_episode_set(), cfg).value().metrics;
   EXPECT_GT(r.jobs_abandoned, 0u);
   // No LO release between a fallback and the following reset.
   double fallback_since = -1.0;
@@ -92,7 +92,7 @@ TEST(BudgetFallbackTest, HiDeadlinesSafeWhenFallbackIsAdmissible) {
 
   SimConfig cfg = overrunning(5000.0);
   cfg.max_boost_duration = 2.0;
-  const SimResult r = simulate(set, cfg);
+  const SimMetrics r = Simulator().run(set, cfg).value().metrics;
   EXPECT_GT(r.budget_fallbacks, 0u);
   EXPECT_FALSE(r.deadline_missed());
 }
@@ -100,7 +100,7 @@ TEST(BudgetFallbackTest, HiDeadlinesSafeWhenFallbackIsAdmissible) {
 TEST(BudgetFallbackTest, ResetClearsFallbackAndServiceResumes) {
   SimConfig cfg = overrunning(400.0);
   cfg.max_boost_duration = 1.0;
-  const SimResult r = simulate(long_episode_set(), cfg);
+  const SimMetrics r = Simulator().run(long_episode_set(), cfg).value().metrics;
   // After each reset the LO task must release again in LO mode.
   bool saw_lo_release_after_reset = false;
   double last_reset = -1.0;
@@ -116,7 +116,7 @@ TEST(BudgetFallbackTest, ResetClearsFallbackAndServiceResumes) {
 TEST(BudgetFallbackTest, GenerousBudgetNeverTriggers) {
   SimConfig cfg = overrunning(200.0);
   cfg.max_boost_duration = 1000.0;
-  const SimResult r = simulate(long_episode_set(), cfg);
+  const SimMetrics r = Simulator().run(long_episode_set(), cfg).value().metrics;
   EXPECT_EQ(r.budget_fallbacks, 0u);
   EXPECT_GT(r.mode_switches, 0u);
 }

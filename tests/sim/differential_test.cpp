@@ -1,5 +1,6 @@
 // Differential suite: the event-driven kernel (sim/simulate.hpp) against the
-// retired stepping engine (sim/reference_kernel.hpp, the oracle).
+// retired stepping engine (reference_kernel.hpp in this directory, the
+// oracle; it is compiled into the test binary only).
 //
 // The rewrite's contract is not "statistically similar" but *bit-identical*:
 // both kernels must visit the same instants, consume the RNG streams in the
@@ -19,11 +20,11 @@
 #include <string>
 #include <vector>
 
-#include "campaign/runner.hpp"
+#include "campaign/supervisor.hpp"
 #include "core/tuning.hpp"
 #include "sim/reference_kernel.hpp"
-#include "sim/simulate.hpp"
 #include "sim/sim_corpus.hpp"
+#include "sim/simulate.hpp"
 
 namespace rbs::sim {
 namespace {
@@ -202,11 +203,12 @@ TEST(DifferentialTest, CampaignInvariantAcrossWorkerCounts) {
   // determinism contract, now running over the event-driven facade).
   const TaskSet set = make_set(17, 0.6);
   const auto run_rows = [&set](unsigned jobs) {
-    campaign::CampaignOptions options;
-    options.jobs = jobs;
-    options.seed = 5;
-    const campaign::CampaignRunner runner(options);
-    return runner.map<std::string>(24, [&set](std::size_t index, Rng& rng) {
+    campaign::SupervisorOptions options;
+    options.campaign.jobs = jobs;
+    options.campaign.seed = 5;
+    const campaign::Supervisor supervisor(options);
+    return supervisor.run(24, [&set](std::size_t index, Rng& rng,
+                                     const campaign::CancelToken&) {
       thread_local Simulator simulator;  // reused per worker, exercising warm runs
       SimConfig cfg;
       cfg.horizon = 5000.0;
@@ -225,11 +227,12 @@ TEST(DifferentialTest, CampaignInvariantAcrossWorkerCounts) {
       return std::string(buffer);
     });
   };
-  const std::vector<std::string> serial = run_rows(1);
-  const std::vector<std::string> parallel = run_rows(8);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    EXPECT_EQ(serial[i], parallel[i]) << "item " << i;
+  const campaign::CampaignReport serial = run_rows(1);
+  const campaign::CampaignReport parallel = run_rows(8);
+  ASSERT_TRUE(serial.all_completed());
+  ASSERT_TRUE(parallel.all_completed());
+  for (std::size_t i = 0; i < serial.items.size(); ++i)
+    EXPECT_EQ(serial.items[i].payload, parallel.items[i].payload) << "item " << i;
 }
 
 }  // namespace

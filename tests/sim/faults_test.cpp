@@ -8,7 +8,7 @@
 #include <limits>
 
 #include "gen/paper_examples.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 #include "support/tolerance.hpp"
 
 namespace rbs::sim {
@@ -120,7 +120,7 @@ TEST(FaultInjectionTest, DeniedBoostNeverReachesHiSpeed) {
   cfg.faults.episodes.back().deny_boost = true;
   cfg.faults.recycle = true;
 
-  const SimResult r = simulate(table1_base(), cfg);
+  const SimMetrics r = Simulator().run(table1_base(), cfg).value().metrics;
   ASSERT_GT(r.mode_switches, 0u);
   EXPECT_EQ(r.faults_injected, r.mode_switches);
   for (const TraceSegment& s : r.trace.segments) EXPECT_DOUBLE_EQ(s.speed, cfg.lo_speed);
@@ -136,7 +136,7 @@ TEST(FaultInjectionTest, PartialBoostRunsAtAchievedSpeed) {
   cfg.faults.episodes.back().achieved_speed = 1.5;
   cfg.faults.recycle = true;
 
-  const SimResult r = simulate(table1_base(), cfg);
+  const SimMetrics r = Simulator().run(table1_base(), cfg).value().metrics;
   ASSERT_GT(r.mode_switches, 0u);
   bool at_partial = false;
   for (const TraceSegment& s : r.trace.segments) {
@@ -152,7 +152,7 @@ TEST(FaultInjectionTest, LateBoostKeepsLoSpeedDuringExtraLatency) {
   cfg.faults.episodes.back().extra_latency = 1.0;
   cfg.faults.recycle = true;
 
-  const SimResult r = simulate(table1_base(), cfg);
+  const SimMetrics r = Simulator().run(table1_base(), cfg).value().metrics;
   ASSERT_GT(r.mode_switches, 0u);
   bool hi_mode_at_lo_speed = false, boosted = false;
   for (const TraceSegment& s : r.trace.segments) {
@@ -171,7 +171,7 @@ TEST(FaultInjectionTest, ThrottleDownCollapsesSpeedMidEpisode) {
   cfg.faults.episodes.back().throttle_speed = 1.25;
   cfg.faults.recycle = true;
 
-  const SimResult r = simulate(table1_base(), cfg);
+  const SimMetrics r = Simulator().run(table1_base(), cfg).value().metrics;
   ASSERT_GT(r.mode_switches, 0u);
   EXPECT_GT(r.throttle_downs, 0u);
   bool throttled = false, throttle_event = false;
@@ -187,7 +187,7 @@ TEST(FaultInjectionTest, DelayedDetectionSwitchesOnPollGrid) {
   SimConfig cfg = overrun_config(600.0);
   cfg.faults.detection_period = 2.0;
 
-  const SimResult r = simulate(table1_base(), cfg);
+  const SimMetrics r = Simulator().run(table1_base(), cfg).value().metrics;
   ASSERT_GT(r.mode_switches, 0u);
   for (const TraceEvent& e : r.trace.events) {
     if (e.kind != TraceEvent::Kind::kModeSwitchHi) continue;
@@ -203,7 +203,7 @@ TEST(FaultInjectionTest, DelayedDetectionCanMissShortOverruns) {
   SimConfig cfg = overrun_config(600.0);
   cfg.faults.detection_period = 1000.0;
 
-  const SimResult r = simulate(table1_base(), cfg);
+  const SimMetrics r = Simulator().run(table1_base(), cfg).value().metrics;
   EXPECT_EQ(r.mode_switches, 0u);
   EXPECT_GT(r.undetected_overruns, 0u);
   bool undetected_event = false;
@@ -214,9 +214,9 @@ TEST(FaultInjectionTest, DelayedDetectionCanMissShortOverruns) {
 
 TEST(FaultInjectionTest, FaultFreePlanMatchesBaseline) {
   SimConfig cfg = overrun_config(1000.0);
-  const SimResult base = simulate(table1_base(), cfg);
+  const SimMetrics base = Simulator().run(table1_base(), cfg).value().metrics;
   cfg.faults.episodes.resize(3);  // scripted but empty: no faults
-  const SimResult scripted = simulate(table1_base(), cfg);
+  const SimMetrics scripted = Simulator().run(table1_base(), cfg).value().metrics;
   EXPECT_EQ(base.mode_switches, scripted.mode_switches);
   EXPECT_EQ(base.misses.size(), scripted.misses.size());
   EXPECT_EQ(scripted.faults_injected, 0u);
@@ -230,32 +230,32 @@ TEST(SimConfigValidationTest, RejectsDegenerateConfigs) {
   {
     SimConfig cfg;
     cfg.horizon = -1.0;
-    EXPECT_FALSE(try_simulate(set, cfg));
+    EXPECT_FALSE(Simulator().run(set, cfg));
   }
   {
     SimConfig cfg;
     cfg.hi_speed = kNaN;
-    EXPECT_FALSE(try_simulate(set, cfg));
+    EXPECT_FALSE(Simulator().run(set, cfg));
   }
   {
     SimConfig cfg;
     cfg.lo_speed = 0.0;
-    EXPECT_FALSE(try_simulate(set, cfg));
+    EXPECT_FALSE(Simulator().run(set, cfg));
   }
   {
     SimConfig cfg;
     cfg.demand.overrun_probability = 1.5;
-    EXPECT_FALSE(try_simulate(set, cfg));
+    EXPECT_FALSE(Simulator().run(set, cfg));
   }
   {
     SimConfig cfg;
     cfg.speed_change_latency = -2.0;
-    EXPECT_FALSE(try_simulate(set, cfg));
+    EXPECT_FALSE(Simulator().run(set, cfg));
   }
   {
     SimConfig cfg;
     cfg.faults.detection_period = kNaN;
-    EXPECT_FALSE(try_simulate(set, cfg));
+    EXPECT_FALSE(Simulator().run(set, cfg));
   }
 }
 
@@ -264,30 +264,31 @@ TEST(SimConfigValidationTest, RejectsMalformedScripts) {
   {
     SimConfig cfg;
     cfg.scripted_arrivals.resize(1);  // set has 2 tasks
-    EXPECT_FALSE(try_simulate(set, cfg));
+    EXPECT_FALSE(Simulator().run(set, cfg));
   }
   {
     SimConfig cfg;
     cfg.scripted_arrivals.resize(2);
     cfg.scripted_arrivals[0] = {{5.0, 3.0}, {1.0, 3.0}};  // releases descend
-    EXPECT_FALSE(try_simulate(set, cfg));
+    EXPECT_FALSE(Simulator().run(set, cfg));
   }
   {
     SimConfig cfg;
     cfg.scripted_arrivals.resize(2);
     cfg.scripted_arrivals[0] = {{0.0, -3.0}};  // negative demand
-    EXPECT_FALSE(try_simulate(set, cfg));
+    EXPECT_FALSE(Simulator().run(set, cfg));
   }
 }
 
+// The name predates the removal of the throwing simulate() wrapper; what is
+// left to check is that Simulator::run rejects the config with a message.
 TEST(SimConfigValidationTest, ThrowingWrapperAndErrorMessage) {
   const TaskSet set = table1_base();
   SimConfig cfg;
   cfg.horizon = kNaN;
-  const Expected<SimResult> result = try_simulate(set, cfg);
+  const Expected<SimReport> result = Simulator().run(set, cfg);
   ASSERT_FALSE(result);
   EXPECT_FALSE(result.error_message().empty());
-  EXPECT_THROW(simulate(set, cfg), std::invalid_argument);
 }
 
 TEST(SimConfigValidationTest, SlowdownHiSpeedIsAccepted) {
@@ -297,7 +298,7 @@ TEST(SimConfigValidationTest, SlowdownHiSpeedIsAccepted) {
   cfg.horizon = 100.0;
   cfg.hi_speed = 0.95;
   cfg.demand.overrun_probability = 1.0;
-  EXPECT_TRUE(try_simulate(table1_degraded(), cfg).is_ok());
+  EXPECT_TRUE(Simulator().run(table1_degraded(), cfg).is_ok());
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "gen/paper_examples.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 
 namespace rbs::sim {
 namespace {
@@ -18,8 +18,8 @@ TEST(LoSpeedTest, NominalSpeedScalesLoMode) {
   SimConfig fast = slow;
   fast.lo_speed = 2.0;
   fast.hi_speed = 2.0;
-  const SimResult a = simulate(set, slow);
-  const SimResult b = simulate(set, fast);
+  const SimMetrics a = Simulator().run(set, slow).value().metrics;
+  const SimMetrics b = Simulator().run(set, fast).value().metrics;
   EXPECT_NEAR(a.task_stats[0].max_response, 6.0, 1e-6);
   EXPECT_NEAR(b.task_stats[0].max_response, 3.0, 1e-6);
 }
@@ -31,7 +31,7 @@ TEST(LoSpeedTest, UnderclockedLoModeCanMiss) {
   cfg.horizon = 100.0;
   cfg.lo_speed = 0.5;
   cfg.hi_speed = 0.5;
-  const SimResult r = simulate(set, cfg);
+  const SimMetrics r = Simulator().run(set, cfg).value().metrics;
   EXPECT_TRUE(r.deadline_missed());
 }
 
@@ -39,7 +39,7 @@ TEST(IdleTest, NoResetEventsInPureLoMode) {
   SimConfig cfg;
   cfg.horizon = 1000.0;
   cfg.record_trace = true;
-  const SimResult r = simulate(table1_base(), cfg);  // no overruns
+  const SimMetrics r = Simulator().run(table1_base(), cfg).value().metrics;  // no overruns
   for (const TraceEvent& e : r.trace.events) {
     EXPECT_NE(e.kind, TraceEvent::Kind::kReset);
     EXPECT_NE(e.kind, TraceEvent::Kind::kModeSwitchHi);
@@ -52,7 +52,7 @@ TEST(IdleTest, IdleSegmentsRecordedWithoutTask) {
   SimConfig cfg;
   cfg.horizon = 20.0;
   cfg.record_trace = true;
-  const SimResult r = simulate(set, cfg);
+  const SimMetrics r = Simulator().run(set, cfg).value().metrics;
   bool saw_idle = false;
   for (const TraceSegment& s : r.trace.segments) saw_idle |= s.task_index < 0;
   EXPECT_TRUE(saw_idle);
@@ -64,7 +64,7 @@ TEST(AccountingTest, EveryEpisodeHasOneDwell) {
   cfg.hi_speed = 2.0;
   cfg.demand.overrun_probability = 0.5;
   cfg.seed = 17;
-  const SimResult r = simulate(table1_base(), cfg);
+  const SimMetrics r = Simulator().run(table1_base(), cfg).value().metrics;
   EXPECT_EQ(r.hi_dwell_times.size() + (r.ended_in_hi_mode ? 1 : 0), r.mode_switches);
 }
 
@@ -73,7 +73,7 @@ TEST(AccountingTest, BusyTimeNeverExceedsHorizon) {
   cfg.horizon = 5000.0;
   cfg.hi_speed = 2.0;
   cfg.demand.overrun_probability = 1.0;
-  const SimResult r = simulate(table1_base(), cfg);
+  const SimMetrics r = Simulator().run(table1_base(), cfg).value().metrics;
   EXPECT_LE(r.busy_time, cfg.horizon + 1e-6);
   EXPECT_GT(r.busy_time, 0.0);
 }
@@ -84,7 +84,7 @@ TEST(AccountingTest, CompletedPlusPendingEqualsReleased) {
   cfg.hi_speed = 2.0;
   cfg.demand.overrun_probability = 0.4;
   cfg.seed = 23;
-  const SimResult r = simulate(table1_base(), cfg);
+  const SimMetrics r = Simulator().run(table1_base(), cfg).value().metrics;
   // No abandonment configured: completions can lag releases only by the jobs
   // still in flight at the horizon (at most one per task here).
   EXPECT_LE(r.jobs_released - r.jobs_completed, 2u);
@@ -99,7 +99,7 @@ TEST(AccountingTest, WorkConservationAgainstTrace) {
   cfg.hi_speed = 2.0;
   cfg.demand.overrun_probability = 1.0;
   cfg.record_trace = true;
-  const SimResult r = simulate(table1_base(), cfg);
+  const SimMetrics r = Simulator().run(table1_base(), cfg).value().metrics;
   double executed = 0.0;
   for (const TraceSegment& s : r.trace.segments)
     if (s.task_index >= 0) executed += (s.end - s.start) * s.speed;
@@ -115,7 +115,7 @@ TEST(AccountingTest, ResponseNeverBelowDemandOverSpeed) {
   cfg.horizon = 5000.0;
   cfg.hi_speed = 2.0;
   cfg.demand.overrun_probability = 1.0;
-  const SimResult r = simulate(table1_base(), cfg);
+  const SimMetrics r = Simulator().run(table1_base(), cfg).value().metrics;
   // tau1 always demands 5; even at full boost it needs >= 5/2 time units.
   EXPECT_GE(r.task_stats[0].max_response, 5.0 / 2.0 - 1e-6);
 }

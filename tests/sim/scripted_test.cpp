@@ -7,7 +7,7 @@
 #include "gen/paper_examples.hpp"
 #include "gen/rng.hpp"
 #include "gen/taskgen.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 
 namespace rbs::sim {
 namespace {
@@ -21,7 +21,7 @@ TEST(ScriptedTest, ExactReleasesAndDemands) {
       {{0.0, 3.0}, {60.0, 2.0}},
       {{10.0, 4.0}},
   };
-  const SimResult r = simulate(set, cfg);
+  const SimMetrics r = Simulator().run(set, cfg).value().metrics;
   EXPECT_EQ(r.jobs_released, 3u);
   EXPECT_EQ(r.jobs_completed, 3u);
   EXPECT_NEAR(r.busy_time, 3.0 + 2.0 + 4.0, 1e-6);
@@ -36,7 +36,7 @@ TEST(ScriptedTest, EmptyListReleasesNothing) {
   SimConfig cfg;
   cfg.horizon = 100.0;
   cfg.scripted_arrivals = {{{0.0, 5.0}}, {}};
-  const SimResult r = simulate(set, cfg);
+  const SimMetrics r = Simulator().run(set, cfg).value().metrics;
   EXPECT_EQ(r.jobs_released, 1u);
   EXPECT_EQ(r.task_stats[1].released, 0u);
 }
@@ -49,7 +49,7 @@ TEST(ScriptedTest, DemandAboveBudgetTriggersSwitch) {
   cfg.record_trace = true;
   // tau1 overruns (demand 5 > C(LO)=3); tau2 normal.
   cfg.scripted_arrivals = {{{0.0, 5.0}}, {{0.0, 2.0}}};
-  const SimResult r = simulate(set, cfg);
+  const SimMetrics r = Simulator().run(set, cfg).value().metrics;
   EXPECT_EQ(r.mode_switches, 1u);
   EXPECT_FALSE(r.deadline_missed());
   double switch_time = -1;
@@ -68,7 +68,7 @@ TEST(ScriptedTest, DroppedTaskReleaseDeferredPastEpisode) {
   cfg.hi_speed = 2.0;
   cfg.record_trace = true;
   cfg.scripted_arrivals = {{{0.0, 8.0}}, {{3.0, 1.0}}};
-  const SimResult r = simulate(set, cfg);
+  const SimMetrics r = Simulator().run(set, cfg).value().metrics;
   double lo_release = -1.0, reset_time = -1.0;
   for (const TraceEvent& e : r.trace.events) {
     if (e.kind == TraceEvent::Kind::kRelease && e.task_index == 1) lo_release = e.time;
@@ -87,7 +87,7 @@ TEST(ScriptedTest, DeterministicRegressionScenario) {
   cfg.hi_speed = 2.0;
   cfg.record_trace = true;
   cfg.scripted_arrivals = {{{0.0, 5.0}}, {{0.0, 2.0}}};
-  const SimResult r = simulate(set, cfg);
+  const SimMetrics r = Simulator().run(set, cfg).value().metrics;
   ASSERT_EQ(r.hi_dwell_times.size(), 1u);
   EXPECT_NEAR(r.hi_dwell_times[0], 2.0, 1e-6);  // switch at 3, reset at 5
   EXPECT_NEAR(r.task_stats[0].max_response, 5.0, 1e-6);

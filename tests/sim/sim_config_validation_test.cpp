@@ -1,14 +1,13 @@
 // One unit test per typed rejection of the simulation facade's input
 // validation (validate_config / validate_limits): every malformed field --
 // NaN, infinity, wrong sign, out-of-range probability, ill-formed script,
-// zero budget -- must come back as a Status error through sim::simulate(),
+// zero budget -- must come back as a Status error through Simulator::run(),
 // never as an exception or an entered event loop.
 #include <gtest/gtest.h>
 
 #include <limits>
 
 #include "sim/simulate.hpp"
-#include "sim/simulator.hpp"
 
 namespace rbs::sim {
 namespace {
@@ -189,19 +188,6 @@ TEST(SimLimitsValidationTest, RejectsZeroJobBudget) {
   const Expected<SimReport> report = simulator.run(two_tasks(), cfg, limits);
   ASSERT_FALSE(report.is_ok());
   EXPECT_NE(report.error_message().find("max_jobs"), std::string::npos);
-}
-
-TEST(SimLegacyWrapperTest, TrySimulateReturnsStatusNotThrow) {
-  SimConfig cfg;
-  cfg.horizon = kNaN;
-  const Expected<SimMetrics> result = try_simulate(two_tasks(), cfg);
-  EXPECT_FALSE(result.is_ok());
-}
-
-TEST(SimLegacyWrapperTest, SimulateThrowsTypedMessageOnInvalidConfig) {
-  SimConfig cfg;
-  cfg.horizon = -1.0;
-  EXPECT_THROW((void)simulate(two_tasks(), cfg), std::invalid_argument);
 }
 
 }  // namespace

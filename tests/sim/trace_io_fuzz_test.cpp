@@ -9,12 +9,12 @@
 
 #include "gen/paper_examples.hpp"
 #include "gen/rng.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 
 namespace rbs::sim {
 namespace {
 
-SimResult faulted_run() {
+SimMetrics faulted_run() {
   SimConfig cfg;
   cfg.horizon = 500.0;
   cfg.hi_speed = 2.0;
@@ -25,12 +25,12 @@ SimResult faulted_run() {
   cfg.faults.episodes[1].deny_boost = true;
   cfg.faults.recycle = true;
   cfg.faults.detection_period = 1.0;
-  return simulate(table1_base(), cfg);
+  return Simulator().run(table1_base(), cfg).value().metrics;
 }
 
 TEST(TraceRoundTripTest, SerializeParseIsLossless) {
   const TaskSet set = table1_base();
-  const SimResult result = faulted_run();
+  const SimMetrics result = faulted_run();
   ASSERT_FALSE(result.trace.events.empty());
   ASSERT_FALSE(result.trace.jobs.empty());
 
@@ -86,7 +86,7 @@ TEST(TraceRoundTripTest, EscapedTaskNamesSurvive) {
   cfg.horizon = 30.0;
   cfg.record_trace = true;
   const Expected<TraceDocument> parsed =
-      parse_trace_json(trace_to_json(odd, simulate(odd, cfg)));
+      parse_trace_json(trace_to_json(odd, Simulator().run(odd, cfg).value().metrics));
   ASSERT_TRUE(parsed.is_ok()) << parsed.error_message();
   EXPECT_EQ(parsed.value().tasks[0], "we\"ird\\na\nme");
 }

@@ -4,18 +4,18 @@
 #include <gtest/gtest.h>
 
 #include "gen/paper_examples.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 
 namespace rbs::sim {
 namespace {
 
-SimResult run_table1(bool trace) {
+SimMetrics run_table1(bool trace) {
   SimConfig cfg;
   cfg.horizon = 40.0;
   cfg.hi_speed = 2.0;
   cfg.demand.overrun_probability = 1.0;
   cfg.record_trace = trace;
-  return simulate(table1_base(), cfg);
+  return Simulator().run(table1_base(), cfg).value().metrics;
 }
 
 TEST(TraceJsonTest, ContainsAllSections) {
@@ -46,7 +46,7 @@ TEST(TraceJsonTest, EscapesSpecialCharactersInNames) {
   SimConfig cfg;
   cfg.horizon = 5.0;
   cfg.record_trace = true;
-  const std::string json = trace_to_json(odd, simulate(odd, cfg));
+  const std::string json = trace_to_json(odd, Simulator().run(odd, cfg).value().metrics);
   EXPECT_NE(json.find("we\\\"ird\\\\name"), std::string::npos);
 }
 
@@ -56,7 +56,7 @@ TEST(TraceJsonTest, EmptyTraceStillValid) {
 }
 
 TEST(TaskStatsTest, CountsPerTask) {
-  const SimResult r = run_table1(false);
+  const SimMetrics r = run_table1(false);
   ASSERT_EQ(r.task_stats.size(), 2u);
   // tau1: T=7 over horizon 40 -> releases at 0,7,...,35 (6); tau2: T=15 -> 3.
   EXPECT_EQ(r.task_stats[0].released, 6u);
@@ -66,7 +66,7 @@ TEST(TaskStatsTest, CountsPerTask) {
 }
 
 TEST(TaskStatsTest, ResponseTimesWithinDeadlines) {
-  const SimResult r = run_table1(false);
+  const SimMetrics r = run_table1(false);
   // No misses (s=2 >= s_min): responses bounded by the HI-mode deadlines.
   ASSERT_FALSE(r.deadline_missed());
   EXPECT_GT(r.task_stats[0].max_response, 0.0);
@@ -82,7 +82,7 @@ TEST(BurstSeparationTest, SwitchesAreSeparated) {
   cfg.demand.overrun_probability = 1.0;
   cfg.min_overrun_separation = 50.0;
   cfg.record_trace = true;
-  const SimResult r = simulate(table1_base(), cfg);
+  const SimMetrics r = Simulator().run(table1_base(), cfg).value().metrics;
   EXPECT_GT(r.mode_switches, 1u);
   double last_switch = -1e18;
   for (const TraceEvent& e : r.trace.events) {
@@ -97,9 +97,9 @@ TEST(BurstSeparationTest, ZeroSeparationAllowsClustering) {
   cfg.horizon = 5000.0;
   cfg.hi_speed = 2.0;
   cfg.demand.overrun_probability = 1.0;
-  const SimResult clustered = simulate(table1_base(), cfg);
+  const SimMetrics clustered = Simulator().run(table1_base(), cfg).value().metrics;
   cfg.min_overrun_separation = 100.0;
-  const SimResult separated = simulate(table1_base(), cfg);
+  const SimMetrics separated = Simulator().run(table1_base(), cfg).value().metrics;
   EXPECT_GT(clustered.mode_switches, separated.mode_switches);
 }
 
@@ -109,7 +109,7 @@ TEST(BurstSeparationTest, DutyCycleRespectsAnalyticBound) {
   cfg.hi_speed = 2.0;
   cfg.demand.overrun_probability = 1.0;
   cfg.min_overrun_separation = 60.0;
-  const SimResult r = simulate(table1_base(), cfg);
+  const SimMetrics r = Simulator().run(table1_base(), cfg).value().metrics;
   double boosted = 0.0;
   for (double d : r.hi_dwell_times) boosted += d;
   // Delta_R(2) = 6, T_O = 60: duty cycle <= 10% (+ one-burst edge effect).

@@ -9,7 +9,7 @@
 #include "core/reset.hpp"
 #include "core/speedup.hpp"
 #include "gen/paper_examples.hpp"
-#include "sim/simulator.hpp"
+#include "sim/simulate.hpp"
 
 namespace rbs::sim {
 namespace {
@@ -33,7 +33,7 @@ TEST(WatchdogCleanRunTest, NoFaultAtExactSMinHasZeroViolations) {
   cfg.demand.overrun_probability = 1.0;
   cfg.record_trace = true;
 
-  const SimResult result = simulate(set, cfg);
+  const SimMetrics result = Simulator().run(set, cfg).value().metrics;
   ASSERT_GT(result.mode_switches, 0u);
   ASSERT_TRUE(result.misses.empty());
 
@@ -57,7 +57,7 @@ TEST(WatchdogCleanRunTest, CleanRunWithJitterAndOffsets) {
   cfg.record_trace = true;
   cfg.seed = 11;
 
-  const SimResult result = simulate(set, cfg);
+  const SimMetrics result = Simulator().run(set, cfg).value().metrics;
   WatchdogOptions opts;
   opts.delta_r_bound = resetting_time_value(set, 2.0);  // Delta_R(2) = 6
   EXPECT_TRUE(check_trace(set, cfg, result, opts).ok());
@@ -77,7 +77,7 @@ TEST(WatchdogLicenseTest, BoostDeniedMissesAreLicensed) {
   cfg.faults.episodes.back().deny_boost = true;
   cfg.faults.recycle = true;
 
-  const SimResult result = simulate(set, cfg);
+  const SimMetrics result = Simulator().run(set, cfg).value().metrics;
   ASSERT_GT(result.faults_injected, 0u);
   ASSERT_FALSE(result.misses.empty());
 
@@ -110,7 +110,7 @@ TEST(WatchdogLicenseTest, PerTaskLicenseCoversOnlyThatTask) {
   cfg.faults.episodes.back().deny_boost = true;
   cfg.faults.recycle = true;
 
-  const SimResult result = simulate(set, cfg);
+  const SimMetrics result = Simulator().run(set, cfg).value().metrics;
   ASSERT_FALSE(result.misses.empty());
   bool task0_missed = false, task1_missed = false;
   for (const DeadlineMiss& m : result.misses) {
@@ -136,7 +136,7 @@ SimConfig traced_config() {
 
 TEST(WatchdogScriptedTest, ResetWhileJobsPendingIsFlagged) {
   const TaskSet set = table1_base();
-  SimResult result;
+  SimMetrics result;
   result.trace.events = {
       {0.0, TraceEvent::Kind::kRelease, 0, 1},
       {1.0, TraceEvent::Kind::kModeSwitchHi, -1, 0},
@@ -151,7 +151,7 @@ TEST(WatchdogScriptedTest, ResetWhileJobsPendingIsFlagged) {
 
 TEST(WatchdogScriptedTest, DwellBeyondDeltaRIsFlagged) {
   const TaskSet set = table1_base();
-  SimResult result;
+  SimMetrics result;
   result.trace.events = {
       {1.0, TraceEvent::Kind::kModeSwitchHi, -1, 0},
       {10.0, TraceEvent::Kind::kReset, -1, 0},  // dwell 9 > bound 5
@@ -166,7 +166,7 @@ TEST(WatchdogScriptedTest, DwellBeyondDeltaRIsFlagged) {
 
 TEST(WatchdogScriptedTest, OffProtocolSpeedIsFlagged) {
   const TaskSet set = table1_base();
-  SimResult result;
+  SimMetrics result;
   result.trace.segments = {{0.0, 1.0, 0, 1, /*speed=*/3.7, Mode::LO}};
   const WatchdogReport report = check_trace(set, traced_config(), result, {});
   ASSERT_EQ(report.violations.size(), 1u);
@@ -176,7 +176,7 @@ TEST(WatchdogScriptedTest, OffProtocolSpeedIsFlagged) {
 TEST(WatchdogScriptedTest, StructurallyBrokenTracesAreFlagged) {
   const TaskSet set = table1_base();
 
-  SimResult unordered;
+  SimMetrics unordered;
   unordered.trace.events = {
       {5.0, TraceEvent::Kind::kRelease, 0, 1},
       {1.0, TraceEvent::Kind::kCompletion, 0, 1},  // time runs backwards
@@ -185,13 +185,13 @@ TEST(WatchdogScriptedTest, StructurallyBrokenTracesAreFlagged) {
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.violations[0].kind, Violation::Kind::kMalformedTrace);
 
-  SimResult orphan;
+  SimMetrics orphan;
   orphan.trace.events = {{1.0, TraceEvent::Kind::kCompletion, 0, 1}};
   report = check_trace(set, traced_config(), orphan, {});
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.violations[0].kind, Violation::Kind::kMalformedTrace);
 
-  SimResult double_switch;
+  SimMetrics double_switch;
   double_switch.trace.events = {
       {1.0, TraceEvent::Kind::kModeSwitchHi, -1, 0},
       {2.0, TraceEvent::Kind::kModeSwitchHi, -1, 0},
@@ -201,7 +201,7 @@ TEST(WatchdogScriptedTest, StructurallyBrokenTracesAreFlagged) {
   EXPECT_EQ(report.violations[0].kind, Violation::Kind::kMalformedTrace);
 
   // Summary/trace miss-count disagreement.
-  SimResult mismatch;
+  SimMetrics mismatch;
   mismatch.misses.push_back({0, 1, 4.0, Mode::LO});
   report = check_trace(set, traced_config(), mismatch, {});
   ASSERT_FALSE(report.ok());
@@ -211,7 +211,7 @@ TEST(WatchdogScriptedTest, StructurallyBrokenTracesAreFlagged) {
 TEST(WatchdogScriptedTest, MissingTraceIsReportedNotAsserted) {
   const TaskSet set = table1_base();
   SimConfig cfg;  // record_trace = false
-  const WatchdogReport report = check_trace(set, cfg, SimResult{}, {});
+  const WatchdogReport report = check_trace(set, cfg, SimMetrics{}, {});
   ASSERT_EQ(report.violations.size(), 1u);
   EXPECT_EQ(report.violations[0].kind, Violation::Kind::kMalformedTrace);
 }
@@ -227,7 +227,7 @@ TEST(WatchdogScriptedTest, InjectedEpisodeSpeedsAreAllowed) {
   cfg.faults.episodes.back().achieved_speed = 1.5;
   cfg.faults.recycle = true;
 
-  const SimResult result = simulate(set, cfg);
+  const SimMetrics result = Simulator().run(set, cfg).value().metrics;
   ASSERT_GT(result.faults_injected, 0u);
   WatchdogOptions opts;
   opts.license.hi_mode_misses = !hi_mode_schedulable(set, 1.5);

@@ -8,6 +8,7 @@
 #include "core/edf.hpp"
 #include "core/speedup.hpp"
 #include "gen/paper_examples.hpp"
+#include "sim/simulate.hpp"
 
 namespace rbs {
 namespace {
@@ -35,7 +36,7 @@ TEST(ExhaustiveTest, FindsMissBelowTrueNeed) {
   cfg.horizon = options.horizon;
   cfg.hi_speed = 0.9;
   cfg.scripted_arrivals = r.witness;
-  EXPECT_TRUE(sim::simulate(table1_base(), cfg).deadline_missed());
+  EXPECT_TRUE(sim::Simulator().run(table1_base(), cfg).value().metrics.deadline_missed());
 }
 
 TEST(ExhaustiveTest, LowerBoundBracketsSmin) {

@@ -31,12 +31,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <iostream>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -108,50 +106,18 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(std::max<std::int64_t>(1, args.get_int("retries", 3)));
   options.stop = campaign::install_stop_handlers();
 
-  const campaign::JournalHeader header{options.campaign.seed, n_sets, "campaign_demo"};
-  std::optional<campaign::LoadedJournal> loaded;
-  std::optional<campaign::JournalWriter> journal;
+  std::optional<campaign::OpenedJournal> journal;
   if (!checkpoint.empty()) {
-    const std::string journal_path = checkpoint + ".demo.journal";
-    bool fresh = !resume;
-    std::error_code ec;
-    if (resume && !std::filesystem::exists(journal_path, ec)) {
-      std::cerr << "note: no journal at '" << journal_path << "'; starting fresh\n";
-      fresh = true;
-    } else if (resume) {
-      auto loaded_or = campaign::load_journal(journal_path);
-      if (!loaded_or) {
-        std::cerr << "error: cannot resume from '" << journal_path
-                  << "': " << loaded_or.status().message() << "\n";
-        return 1;
-      }
-      if (loaded_or.value().header.seed != header.seed ||
-          loaded_or.value().header.items != header.items ||
-          loaded_or.value().header.tag != header.tag) {
-        std::cerr << "error: journal '" << journal_path
-                  << "' belongs to a different campaign; rerun without --resume\n";
-        return 1;
-      }
-      loaded = std::move(loaded_or).value();
-      if (loaded->dropped_tail_bytes != 0)
-        std::cerr << "note: dropped " << loaded->dropped_tail_bytes
-                  << " torn-tail byte(s) from '" << journal_path << "'\n";
-      auto writer = campaign::JournalWriter::resume(journal_path, *loaded);
-      if (!writer) {
-        std::cerr << "error: " << writer.status().message() << "\n";
-        return 1;
-      }
-      journal = std::move(writer).value();
+    auto opened =
+        campaign::open_journal(checkpoint + ".demo.journal",
+                               {options.campaign.seed, n_sets, "campaign_demo"}, resume);
+    if (!opened) {
+      std::cerr << "error: " << opened.status().message() << "\n";
+      return 1;
     }
-    if (fresh) {
-      auto writer = campaign::JournalWriter::create(journal_path, header);
-      if (!writer) {
-        std::cerr << "error: " << writer.status().message() << "\n";
-        return 1;
-      }
-      journal = std::move(writer).value();
-    }
-    options.journal = &*journal;
+    journal = std::move(opened).value();
+    if (!journal->note.empty()) std::cerr << "note: " << journal->note << "\n";
+    options.journal = &journal->writer;
   }
 
   // The hang trips once per process: the first execution of the poisoned
@@ -171,7 +137,7 @@ int main(int argc, char** argv) {
           hang_until_cancelled(token);
         return demo_row(index, analyzer, rng);
       },
-      loaded ? &*loaded : nullptr);
+      journal && journal->loaded ? &*journal->loaded : nullptr);
 
   if (!report.journal_error.empty()) {
     std::cerr << "error: journal append failed: " << report.journal_error << "\n";

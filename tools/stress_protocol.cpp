@@ -31,12 +31,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "campaign/journal.hpp"
@@ -59,8 +57,8 @@ namespace {
 using rbs::Expected;
 using rbs::TaskSet;
 using rbs::sim::SimConfig;
+using rbs::sim::SimMetrics;
 using rbs::sim::SimReport;
-using rbs::sim::SimResult;
 using rbs::sim::WatchdogOptions;
 using rbs::sim::WatchdogReport;
 
@@ -133,7 +131,7 @@ rbs::sim::FaultSpec draw_fault(rbs::Rng& rng, int cls, double lo, double hi) {
 }
 
 std::vector<std::vector<SimConfig::ScriptedJob>> script_from_trace(const TaskSet& set,
-                                                                  const SimResult& result) {
+                                                                  const SimMetrics& result) {
   std::vector<std::vector<SimConfig::ScriptedJob>> script(set.size());
   for (const rbs::sim::JobRecord& j : result.trace.jobs)
     script[static_cast<std::size_t>(j.task_index)].push_back({j.release, j.demand});
@@ -310,48 +308,15 @@ int main(int argc, char** argv) {
                 static_cast<long long>(n_plans.value()), horizon.value(), u_bound.value());
   const campaign::JournalHeader header{static_cast<std::uint64_t>(seed.value()),
                                        static_cast<std::uint64_t>(n_sets.value()), tag_buffer};
-  std::optional<campaign::LoadedJournal> loaded;
-  std::optional<campaign::JournalWriter> journal;
+  std::optional<campaign::OpenedJournal> journal;
   if (!checkpoint.empty()) {
-    const std::string journal_path = checkpoint + ".stress.journal";
-    bool fresh = !resume;
-    std::error_code ec;
-    if (resume && !std::filesystem::exists(journal_path, ec)) {
-      std::cerr << "note: no journal at '" << journal_path << "'; starting fresh\n";
-      fresh = true;
-    } else if (resume) {
-      auto loaded_or = campaign::load_journal(journal_path);
-      if (!loaded_or) {
-        std::cerr << "error: cannot resume from '" << journal_path
-                  << "': " << loaded_or.status().message() << "\n";
-        return 1;
-      }
-      if (loaded_or.value().header.seed != header.seed ||
-          loaded_or.value().header.items != header.items ||
-          loaded_or.value().header.tag != header.tag) {
-        std::cerr << "error: journal '" << journal_path
-                  << "' belongs to a different sweep (seed/sets/parameter mismatch); "
-                     "rerun without --resume to replace it\n";
-        return 1;
-      }
-      loaded = std::move(loaded_or).value();
-      auto writer = campaign::JournalWriter::resume(journal_path, *loaded);
-      if (!writer) {
-        std::cerr << "error: cannot reopen journal '" << journal_path
-                  << "': " << writer.status().message() << "\n";
-        return 1;
-      }
-      journal = std::move(writer).value();
+    auto opened = campaign::open_journal(checkpoint + ".stress.journal", header, resume);
+    if (!opened) {
+      std::cerr << "error: " << opened.status().message() << "\n";
+      return 1;
     }
-    if (fresh) {
-      auto writer = campaign::JournalWriter::create(journal_path, header);
-      if (!writer) {
-        std::cerr << "error: cannot create journal '" << journal_path
-                  << "': " << writer.status().message() << "\n";
-        return 1;
-      }
-      journal = std::move(writer).value();
-    }
+    journal = std::move(opened).value();
+    if (!journal->note.empty()) std::cerr << "note: " << journal->note << "\n";
   }
 
   const std::atomic<bool>* stop = campaign::install_stop_handlers();
@@ -372,9 +337,9 @@ int main(int argc, char** argv) {
     // The fork is drawn unconditionally so journaled-complete sets keep the
     // RNG sequence aligned for the sets that still need to run.
     const std::uint64_t set_seed = master.fork_seed();
-    if (loaded) {
+    if (journal && journal->loaded) {
       if (const campaign::JournalRecord* done =
-              loaded->final_record(static_cast<std::uint64_t>(si))) {
+              journal->loaded->final_record(static_cast<std::uint64_t>(si))) {
         const auto counters = decode_counters(done->payload);
         if (!counters) {
           std::cerr << "error: journaled record for set " << si << " has an unreadable "
@@ -403,8 +368,8 @@ int main(int argc, char** argv) {
       fallback_runs += c.fallback;
       if (journal) {
         const rbs::Status appended =
-            journal->append({static_cast<std::uint64_t>(si), 1,
-                             campaign::JournalRecord::Kind::kOk, encode_counters(c)});
+            journal->writer.append({static_cast<std::uint64_t>(si), 1,
+                                    campaign::JournalRecord::Kind::kOk, encode_counters(c)});
         if (!appended)
           std::cerr << "warning: journal append failed: " << appended.message() << "\n";
       }
@@ -496,7 +461,7 @@ int main(int argc, char** argv) {
         std::cerr << "config rejected [" << sc.name << "]: " << sim_report.error_message() << "\n";
         return 2;
       }
-      const SimResult& result = sim_report.value().metrics;
+      const SimMetrics& result = sim_report.value().metrics;
       ++set_counters.runs;
       if (result.faults_injected > 0) ++set_counters.faulted;
       if (sc.opts.license.hi_mode_misses || sc.opts.license.lo_mode_misses)
