@@ -264,8 +264,7 @@ RBS_DET_PATH Expected<AnalysisReport> analyze_impl(const TaskSet& set, double sp
     report.s_min_error_bound = speedup.error_bound;
     report.s_min_argmax = speedup.argmax;
     report.speedup_breakpoints = speedup.visited;
-    report.hi_schedulable =
-        speedup.exact ? report.s_min <= speed : report.s_min + speedup.error_bound <= speed;
+    report.hi_schedulable = report.hi_schedulable_at(speed);
   }
   if (parts.reset) {
     report.delta_r = reset.delta_r;

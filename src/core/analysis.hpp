@@ -114,7 +114,7 @@ struct AnalysisReport {
 
   // --- verdicts ------------------------------------------------------------
   bool lo_schedulable = false;      ///< LO mode at lo_speed (parts.lo)
-  bool hi_schedulable = false;      ///< HI mode at `speed`  (parts.speedup)
+  bool hi_schedulable = false;      ///< hi_schedulable_at(speed) (parts.speedup)
   bool system_schedulable = false;  ///< both of the above
 
   // --- context + work counters ---------------------------------------------
@@ -131,7 +131,21 @@ struct AnalysisReport {
   std::size_t fused_breakpoints = 0;
   /// Breakpoints visited by the LO-mode demand test.
   std::size_t lo_breakpoints = 0;
+
+  /// The one HI-mode verdict (Theorem 2): speed `s` suffices iff the proven
+  /// upper bound on s_min (plus the error bound when inexact) is at most `s`
+  /// within kSpeedTol. An s_min of +inf fails every finite speed.
+  [[nodiscard]] bool hi_schedulable_at(double s) const {
+    return approx_le(s_min_exact ? s_min : s_min + s_min_error_bound, s, kSpeedTol);
+  }
 };
+
+/// The one resetting-time verdict (Corollary 5): `delta_r` fits a budget of
+/// `max_reset` ticks within kTimeTol. A +inf Delta_R never fits a finite
+/// budget; an infinite budget admits anything.
+[[nodiscard]] constexpr bool within_reset_budget(double delta_r, double max_reset) {
+  return approx_le(delta_r, max_reset, kTimeTol);
+}
 
 /// The facade. Stateless apart from default limits, hence freely shareable:
 /// `analyze()` is a pure function of its arguments and may be called from any

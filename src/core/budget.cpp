@@ -4,7 +4,7 @@
 #include <limits>
 #include <vector>
 
-#include "core/reset.hpp"
+#include "core/analysis.hpp"
 #include "core/speedup.hpp"
 
 namespace rbs {
@@ -25,15 +25,18 @@ TaskSet terminate_lo_tasks(const TaskSet& set) {
 
 TurboReport check_turbo_envelope(const TaskSet& set, const TurboEnvelope& envelope) {
   TurboReport report;
-  report.s_min = min_speedup_value(set);
-  report.speed_ok = report.s_min <= envelope.max_speedup;
-  report.delta_r = resetting_time_value(set, envelope.max_speedup);
-  report.duration_ok =
-      std::isfinite(report.delta_r) && report.delta_r <= envelope.max_boost_ticks;
+  const AnalysisReport boost =
+      Analyzer()
+          .analyze(set, envelope.max_speedup, {.speedup = true, .reset = true, .lo = false})
+          .value();
+  report.s_min = boost.s_min;
+  report.speed_ok = boost.hi_schedulable;
+  report.delta_r = boost.delta_r;
+  report.duration_ok = within_reset_budget(report.delta_r, envelope.max_boost_ticks);
 
   // Fallback: drop LO tasks and return to nominal speed. Safe when the
   // terminating variant needs no speedup at all.
-  report.fallback_safe = min_speedup_value(terminate_lo_tasks(set)) <= 1.0;
+  report.fallback_safe = hi_mode_schedulable(terminate_lo_tasks(set), 1.0);
 
   report.admissible = report.speed_ok && (report.duration_ok || report.fallback_safe);
 

@@ -14,8 +14,9 @@
 //     processor back to nominal speed -- safe whenever the terminating
 //     variant of the set is schedulable at speed 1.
 //
-// check_turbo_envelope performs the whole offline argument; the simulator's
-// SimConfig::max_boost_duration implements the runtime fallback.
+// check_turbo_envelope performs the whole offline argument with the facade's
+// verdicts; the simulator's SimConfig::max_boost_duration implements the
+// runtime fallback.
 #pragma once
 
 #include "core/task.hpp"
@@ -31,9 +32,9 @@ struct TurboEnvelope {
 };
 
 struct TurboReport {
-  bool speed_ok = false;     ///< s_min <= envelope.max_speedup
-  bool duration_ok = false;  ///< Delta_R(max_speedup) <= max_boost_ticks
-  bool fallback_safe = false;  ///< terminating variant schedulable at speed 1
+  bool speed_ok = false;     ///< HI mode schedulable at envelope.max_speedup
+  bool duration_ok = false;  ///< Delta_R(max_speedup) within max_boost_ticks
+  bool fallback_safe = false;  ///< terminating variant HI-schedulable at speed 1
   /// Envelope admissible: speed and duration fit, or the duration excess is
   /// covered by a safe termination fallback.
   bool admissible = false;

@@ -26,9 +26,10 @@ FrequencyMenu::FrequencyMenu(std::vector<FrequencyLevel> levels) : levels_(std::
 
 namespace {
 
-LevelChoice evaluate_level(const TaskSet& set, double s_min, const FrequencyLevel& level) {
+LevelChoice evaluate_level(const TaskSet& set, const AnalysisReport& nominal,
+                           const FrequencyLevel& level) {
   LevelChoice choice;
-  if (level.speed < s_min) return choice;
+  if (!nominal.hi_schedulable_at(level.speed)) return choice;
   const double delta_r = resetting_time_value(set, level.speed);
   if (!std::isfinite(delta_r)) return choice;
   choice.feasible = true;
@@ -41,19 +42,19 @@ LevelChoice evaluate_level(const TaskSet& set, double s_min, const FrequencyLeve
 }  // namespace
 
 LevelChoice min_feasible_level(const TaskSet& set, const FrequencyMenu& menu) {
-  const double s_min = min_speedup_value(set);
+  const AnalysisReport nominal = speedup_report(set);
   for (const FrequencyLevel& level : menu.levels()) {
-    const LevelChoice choice = evaluate_level(set, s_min, level);
+    const LevelChoice choice = evaluate_level(set, nominal, level);
     if (choice.feasible) return choice;
   }
   return {};
 }
 
 LevelChoice energy_optimal_level(const TaskSet& set, const FrequencyMenu& menu) {
-  const double s_min = min_speedup_value(set);
+  const AnalysisReport nominal = speedup_report(set);
   LevelChoice best;
   for (const FrequencyLevel& level : menu.levels()) {
-    const LevelChoice choice = evaluate_level(set, s_min, level);
+    const LevelChoice choice = evaluate_level(set, nominal, level);
     if (!choice.feasible) continue;
     if (!best.feasible || choice.boost_energy < best.boost_energy) best = choice;
   }

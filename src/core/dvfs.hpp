@@ -4,8 +4,9 @@
 // a continuous speedup knob. Given a menu, this module picks the level to
 // use in HI mode:
 //
-//   * min_feasible_level  -- the slowest level s with s >= s_min (Theorem 2):
-//     least thermal stress per unit time;
+//   * min_feasible_level  -- the slowest level s with s >= s_min (Theorem 2,
+//     judged by the facade's AnalysisReport::hi_schedulable_at): least
+//     thermal stress per unit time;
 //   * energy_optimal_level -- the level minimising the *energy of one boost
 //     episode*, power(s) * Delta_R(s). Faster levels burn more power but
 //     finish the backlog sooner (Corollary 5), so the optimum can be an

@@ -5,7 +5,7 @@
 #include <numeric>
 
 #include "core/analysis.hpp"
-#include "support/tolerance.hpp"
+#include "support/det_annotations.hpp"
 
 namespace rbs {
 
@@ -22,10 +22,9 @@ namespace {
 // LO-mode test runs first and alone: it rejects most failing probes, and a
 // rejected probe then never pays for the HI-mode sweep. Only a LO-feasible
 // set gets the fused sweep, which answers HI mode and resetting time
-// together. Acceptance is tolerance-routed: the facade's own hi_schedulable
-// flag uses an exact s_min <= speed comparison, so a set sitting exactly on
-// the budget must be re-judged here with approx_le or rounding noise would
-// flip it.
+// together; acceptance reads the facade's verdicts (hi_schedulable and
+// within_reset_budget). An infinite reset budget admits any Delta_R, so the
+// sweep skips that search.
 bool core_feasible(const std::vector<McTask>& tasks, const CoreBudget& budget) {
   AnalysisRequest request;
   request.set = TaskSet(tasks);
@@ -35,12 +34,8 @@ bool core_feasible(const std::vector<McTask>& tasks, const CoreBudget& budget) {
   if (!lo || !lo->lo_schedulable) return false;
   request.parts = {.speedup = true, .reset = std::isfinite(budget.max_reset), .lo = false};
   const Expected<AnalysisReport> report = analyze(request);
-  if (!report) return false;
-  if (!approx_le(report->s_min, budget.hi_speedup, kSpeedTol)) return false;
-  if (std::isfinite(budget.max_reset) &&
-      definitely_gt(report->delta_r, budget.max_reset, kTimeTol))
-    return false;
-  return true;
+  return report && report->hi_schedulable &&
+         within_reset_budget(report->delta_r, budget.max_reset);
 }
 
 }  // namespace
@@ -50,8 +45,10 @@ CoreBudget core_budget(const PartitionOptions& options, std::size_t c) {
   return CoreBudget{options.hi_speedup, options.max_reset};
 }
 
-PartitionResult partition_first_fit(const TaskSet& set, std::size_t cores,
-                                    const PartitionOptions& options) {
+// RBS_DET_PATH: the multicore_k1 digest and MulticoreSim's plan replay both
+// take this assignment as given, so it must be a pure function of the input.
+RBS_DET_PATH PartitionResult partition_first_fit(const TaskSet& set, std::size_t cores,
+                                                 const PartitionOptions& options) {
   PartitionResult result;
   if (cores == 0) return result;
   // A heterogeneous budget vector that does not match the core count is a

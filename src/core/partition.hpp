@@ -6,11 +6,11 @@
 // speeding up on its own overruns. A core accepts a task iff the core's set
 // remains (a) LO-mode schedulable at nominal speed, (b) HI-mode schedulable
 // within the per-core speedup budget s (Theorem 2), and (c) back to nominal
-// within the reset budget (Corollary 5). All three verdicts come from one
-// fused Analyzer call per placement probe, with the budget comparisons
-// routed through the project tolerance policy (support/tolerance.hpp) so a
-// set whose s_min sits exactly on the DVFS ceiling is accepted instead of
-// flipping with rounding noise.
+// within the reset budget (Corollary 5). All three verdicts are the
+// Analyzer facade's own (`hi_schedulable`, `within_reset_budget`), read from
+// a LO-mode probe and one fused sweep per placement: a set whose s_min sits
+// on the DVFS ceiling up to rounding noise is accepted, and one whose s_min
+// or Delta_R is +inf never is.
 //
 // First-fit decreasing (by LO+HI utilization) is the standard bin-packing
 // heuristic for this feasibility predicate. The decreasing order is fully

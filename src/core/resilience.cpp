@@ -26,15 +26,20 @@ std::vector<std::size_t> sacrifice_order(const TaskSet& set) {
   return order;
 }
 
-/// Delta_R of `set` at `speed` under the options' carry-over model. Callers
-/// pass a finite, positive speed; should the facade still reject the request,
-/// +inf is the conservative answer.
-double reset_time(const TaskSet& set, double speed, const ResilienceOptions& options) {
-  AnalysisLimits limits;
-  limits.discard_dropped_carryover = options.discard_dropped_carryover;
+/// Delta_R of `set` at `speed` under `limits`. Should the facade reject the
+/// request, +inf is the conservative answer.
+double reset_time(const TaskSet& set, double speed, const AnalysisLimits& limits) {
   const Expected<AnalysisReport> report =
       Analyzer(limits).analyze(set, speed, {.speedup = false, .reset = true, .lo = false});
   return report ? report->delta_r : kInf;
+}
+
+/// Theorem 2 alone: s_min and the facade's verdict at `speed` from one sweep.
+/// A rejected request reads as s_min = +inf, which no speed satisfies.
+AnalysisReport speedup_at(const TaskSet& set, double speed, const AnalysisLimits& limits) {
+  return Analyzer(limits)
+      .analyze(set, speed, {.speedup = true, .reset = false, .lo = false})
+      .value_or(AnalysisReport{.s_min = kInf});
 }
 
 McTask rebuild(const McTask& t) {
@@ -73,17 +78,18 @@ Expected<TaskSet> apply_termination(const TaskSet& set,
 }
 
 DegradedGuarantee analyze_degraded(const TaskSet& set, double achieved_speed,
-                                   const ResilienceOptions& options) {
+                                   const AnalysisLimits& limits) {
   DegradedGuarantee g;
   g.achieved_speed = achieved_speed;
-  g.nominal_s_min = min_speedup_value(set);
-  g.s_min_with_fallback = g.nominal_s_min;
+  const AnalysisReport nominal = speedup_at(set, achieved_speed, limits);
+  g.nominal_s_min = nominal.s_min;
+  g.s_min_with_fallback = nominal.s_min;
   g.delta_r = kInf;
 
-  if (hi_mode_schedulable(set, achieved_speed)) {
+  if (nominal.hi_schedulable) {
     g.schedulable_unmodified = true;
     g.feasible = true;
-    g.delta_r = reset_time(set, achieved_speed, options);
+    g.delta_r = reset_time(set, achieved_speed, limits);
     return g;
   }
 
@@ -95,11 +101,12 @@ DegradedGuarantee analyze_degraded(const TaskSet& set, double achieved_speed,
     terminated.push_back(candidate);
     const Expected<TaskSet> reduced = apply_termination(set, terminated);
     if (!reduced) break;  // cannot happen: candidates are live LO tasks
-    if (hi_mode_schedulable(reduced.value(), achieved_speed)) {
+    const AnalysisReport tier = speedup_at(reduced.value(), achieved_speed, limits);
+    if (tier.hi_schedulable) {
       g.feasible = true;
       g.fallback.terminated = terminated;
-      g.s_min_with_fallback = min_speedup_value(reduced.value());
-      g.delta_r = reset_time(reduced.value(), achieved_speed, options);
+      g.s_min_with_fallback = tier.s_min;
+      g.delta_r = reset_time(reduced.value(), achieved_speed, limits);
       return g;
     }
   }
@@ -136,10 +143,10 @@ Expected<TaskSet> inflate_detection_delay(const TaskSet& set, Ticks delta) {
 }
 
 double degraded_resetting_time(const TaskSet& set, double achieved_speed,
-                               const FallbackPlan& fallback, const ResilienceOptions& options) {
+                               const FallbackPlan& fallback, const AnalysisLimits& limits) {
   const Expected<TaskSet> reduced = apply_termination(set, fallback.terminated);
   if (!reduced) return kInf;
-  return reset_time(reduced.value(), achieved_speed, options);
+  return reset_time(reduced.value(), achieved_speed, limits);
 }
 
 }  // namespace rbs

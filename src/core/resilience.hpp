@@ -1,6 +1,7 @@
 // Degraded-guarantee analysis: what survives when the boost fails.
 //
-// Theorem 2 guarantees HI-mode schedulability only at speeds s >= s_min, and
+// Theorem 2 guarantees HI-mode schedulability only at speeds s >= s_min
+// (judged by the facade's one verdict, AnalysisReport::hi_schedulable_at), and
 // Corollary 5's resetting time Delta_R(s) diverges as s drops towards the
 // HI-mode utilization. When the hardware denies, delays or throttles the
 // boost (sim/faults.hpp), the achieved speed s' can fall below s_min; this
@@ -25,16 +26,11 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/analysis.hpp"
 #include "core/task.hpp"
 #include "support/status.hpp"
 
 namespace rbs {
-
-struct ResilienceOptions {
-  /// Matches AnalysisLimits/SimConfig: abort the carry-over job of a
-  /// terminated LO task at the mode switch instead of letting it finish.
-  bool discard_dropped_carryover = false;
-};
 
 /// One fallback: the LO tasks terminated in HI mode, in sacrifice order.
 struct FallbackPlan {
@@ -47,7 +43,7 @@ struct DegradedGuarantee {
   double achieved_speed = 0.0;
   /// s_min of the set as given (Theorem 2); the no-fault requirement.
   double nominal_s_min = 0.0;
-  /// s' >= nominal s_min: the fault is harmless, no fallback needed.
+  /// HI mode schedulable at s' as given: the fault is harmless, no fallback.
   bool schedulable_unmodified = false;
   /// Some termination tier restores HI-mode schedulability at s'.
   bool feasible = false;
@@ -59,18 +55,20 @@ struct DegradedGuarantee {
   /// +inf when infeasible or s' is at/below the HI-mode utilization.
   double delta_r = 0.0;
   /// License for the watchdog when the system runs the *unmodified* set at
-  /// s': true iff s' < nominal_s_min, i.e. every HI-mode miss is within the
-  /// voided guarantee. (Running the fallback set instead re-establishes the
-  /// full guarantee; LO-mode misses are never licensed by a boost fault.)
+  /// s': true iff !schedulable_unmodified, i.e. every HI-mode miss is within
+  /// the voided guarantee. (Running the fallback set instead re-establishes
+  /// the full guarantee; LO-mode misses are never licensed by a boost fault.)
   bool hi_mode_misses_licensed = false;
 };
 
 /// Degraded guarantee for an achieved HI-mode speed s' (> 0), typically
-/// below s_min. Exact: every tier is checked with Theorem 2 on the reduced
-/// set. Tiers terminate LO tasks in order of decreasing HI-mode utilization
-/// (ties by index), skipping tasks already terminated in the input.
+/// below s_min: one Theorem 2 sweep under `limits` per candidate set (its
+/// s_min and the facade's verdict at s'), one Delta_R call on the accepted
+/// set. A facade error yields infeasible, delta_r = +inf; nothing throws.
+/// Tiers terminate LO tasks in order of decreasing HI-mode utilization (ties
+/// by index), skipping tasks already terminated in the input.
 [[nodiscard]] DegradedGuarantee analyze_degraded(const TaskSet& set, double achieved_speed,
-                                   const ResilienceOptions& options = {});
+                                                 const AnalysisLimits& limits = {});
 
 struct BoostFaultMargin {
   /// Theorem 2 requirement of the unmodified set.
@@ -97,10 +95,10 @@ struct BoostFaultMargin {
 /// in which case no guarantee survives the detection latency.
 [[nodiscard]] Expected<TaskSet> inflate_detection_delay(const TaskSet& set, Ticks delta);
 
-/// Delta_R at `achieved_speed` under `fallback` (ticks); +inf when the
-/// supply never catches the arrived demand.
+/// Delta_R at `achieved_speed` under `fallback` (ticks), under `limits`'
+/// carry-over model; +inf when the supply never catches the arrived demand.
 [[nodiscard]] double degraded_resetting_time(const TaskSet& set, double achieved_speed,
-                               const FallbackPlan& fallback,
-                               const ResilienceOptions& options = {});
+                                             const FallbackPlan& fallback,
+                                             const AnalysisLimits& limits = {});
 
 }  // namespace rbs

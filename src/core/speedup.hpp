@@ -29,20 +29,19 @@
 
 namespace rbs {
 
-/// Convenience wrapper returning only the factor.
-[[nodiscard]] inline double min_speedup_value(const TaskSet& set) {
-  return Analyzer()
-      .analyze(set, 1.0, {.speedup = true, .reset = false, .lo = false})
-      .value()
-      .s_min;
+/// The Theorem 2 part of the facade alone: s_min and the verdict at `s`.
+[[nodiscard]] inline AnalysisReport speedup_report(const TaskSet& set, double s = 1.0) {
+  return Analyzer().analyze(set, s, {.speedup = true, .reset = false, .lo = false}).value();
 }
 
-/// True iff HI mode is schedulable at speedup factor `s` (i.e. s >= s_min).
+/// Convenience wrapper returning only the factor.
+[[nodiscard]] inline double min_speedup_value(const TaskSet& set) {
+  return speedup_report(set).s_min;
+}
+
+/// The facade's verdict: s >= s_min within kSpeedTol (hi_schedulable_at).
 [[nodiscard]] inline bool hi_mode_schedulable(const TaskSet& set, double s) {
-  return Analyzer()
-      .analyze(set, s, {.speedup = true, .reset = false, .lo = false})
-      .value()
-      .hi_schedulable;
+  return speedup_report(set, s).hi_schedulable;
 }
 
 /// Full mixed-criticality schedulability: LO mode schedulable at unit speed

@@ -61,10 +61,10 @@ Objective evaluate(const TaskSet& set) {
 
 std::optional<double> min_y_for_speedup(const ImplicitSet& set, double x, double s_max,
                                         double tolerance, double y_max) {
-  auto ok = [&](double y) { return min_speedup_value(set.materialize(x, y)) <= s_max; };
+  auto ok = [&](double y) { return hi_mode_schedulable(set.materialize(x, y), s_max); };
   // Even unbounded degradation cannot beat termination; use it as the
   // feasibility oracle (dropped LO tasks contribute no HI-mode demand).
-  if (min_speedup_value(set.materialize_terminating(x)) > s_max) return std::nullopt;
+  if (!hi_mode_schedulable(set.materialize_terminating(x), s_max)) return std::nullopt;
   if (ok(1.0)) return 1.0;
   if (!ok(y_max)) return std::nullopt;  // saturation needs more than y_max
   double lo = 1.0, hi = y_max;          // !ok(lo), ok(hi)
@@ -77,18 +77,14 @@ std::optional<double> min_y_for_speedup(const ImplicitSet& set, double x, double
 
 DegradeResult degrade_lo_services(TaskSet set, double s_max, double y_cap, int max_iters) {
   DegradeResult result{std::move(set), false, 0.0, 0.0};
-  result.s_min = min_speedup_value(result.set);
+  AnalysisReport current = speedup_report(result.set, s_max);
 
-  for (int iter = 0; iter < max_iters; ++iter) {
-    if (result.s_min <= s_max) {
-      result.feasible = true;
-      break;
-    }
+  for (int iter = 0; iter < max_iters && !current.hi_schedulable; ++iter) {
     // Candidate step per LO task: stretch T(HI) and D(HI) by ~12.5% of T(LO)
     // (at least one tick), capped at y_cap * T(LO).
     std::optional<std::size_t> best_task;
     Ticks best_period = 0, best_deadline = 0;
-    double best_s = result.s_min;
+    AnalysisReport best = current;
 
     for (std::size_t i = 0; i < result.set.size(); ++i) {
       const McTask& t = result.set[i];
@@ -102,10 +98,9 @@ DegradeResult degrade_lo_services(TaskSet set, double s_max, double y_cap, int m
 
       std::vector<McTask> tasks = result.set.tasks();
       tasks[i].set_hi_service(new_deadline, new_period);
-      TaskSet candidate(std::move(tasks));
-      const double s = min_speedup_value(candidate);
-      if (definitely_lt(s, best_s, kStrictTol)) {
-        best_s = s;
+      const AnalysisReport report = speedup_report(TaskSet(std::move(tasks)), s_max);
+      if (definitely_lt(report.s_min, best.s_min, kStrictTol)) {
+        best = report;
         best_task = i;
         best_period = new_period;
         best_deadline = new_deadline;
@@ -116,10 +111,11 @@ DegradeResult degrade_lo_services(TaskSet set, double s_max, double y_cap, int m
     std::vector<McTask> tasks = result.set.tasks();
     tasks[*best_task].set_hi_service(best_deadline, best_period);
     result.set = TaskSet(std::move(tasks));
-    result.s_min = best_s;
+    current = best;
   }
 
-  result.feasible = result.s_min <= s_max;
+  result.s_min = current.s_min;
+  result.feasible = current.hi_schedulable;
   for (const McTask& t : result.set)
     if (!t.is_hi() && !t.dropped_in_hi())
       result.total_stretch += static_cast<double>(t.period(Mode::HI)) /

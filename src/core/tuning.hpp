@@ -40,10 +40,10 @@ MinXResult min_x_for_lo(const ImplicitSet& set, double tolerance = 1e-4);
 MinXResult utilization_min_x(const ImplicitSet& set);
 
 /// Minimum common service-degradation factor y >= 1 such that the set
-/// materialised at (x, y) needs at most `s_max` HI-mode speedup -- "how much
-/// service must the LO tasks give up for this hardware?". nullopt when even
-/// terminating the LO tasks (y -> inf) is not enough. Monotone in y, so
-/// exact bisection applies.
+/// materialised at (x, y) is HI-schedulable at `s_max` (the facade's
+/// verdict) -- "how much service must the LO tasks give up for this
+/// hardware?". nullopt when even terminating the LO tasks (y -> inf) is not
+/// enough. Monotone in y, so exact bisection applies.
 std::optional<double> min_y_for_speedup(const ImplicitSet& set, double x, double s_max,
                                         double tolerance = 1e-3, double y_max = 64.0);
 
@@ -60,7 +60,7 @@ TightenResult tighten_lo_deadlines(TaskSet set, int max_iters = 64);
 
 struct DegradeResult {
   TaskSet set;               ///< input set with stretched LO-task HI services
-  bool feasible = false;     ///< s_min <= s_max was reached
+  bool feasible = false;     ///< HI mode schedulable at s_max was reached
   double s_min = 0.0;        ///< achieved required speedup
   double total_stretch = 0;  ///< sum over LO tasks of (T(HI)/T(LO) - 1)
 };
@@ -68,9 +68,10 @@ struct DegradeResult {
 /// Greedy per-task service degradation (the y-side dual of
 /// tighten_lo_deadlines): repeatedly stretch the HI-mode period+deadline of
 /// whichever LO task buys the largest drop in s_min per unit of stretch,
-/// until s_min <= s_max or every task is degraded to `y_cap` (then
-/// infeasible -- consider termination). Stretching only touches HI-mode
-/// parameters, so LO-mode schedulability is unaffected.
+/// until the set is HI-schedulable at s_max (the facade's verdict) or every
+/// task is degraded to `y_cap` (then infeasible -- consider termination).
+/// Stretching only touches HI-mode parameters, so LO-mode schedulability is
+/// unaffected.
 DegradeResult degrade_lo_services(TaskSet set, double s_max, double y_cap = 16.0,
                                   int max_iters = 256);
 

@@ -2,8 +2,8 @@
 
 #include <stdexcept>
 
+#include "core/analysis.hpp"
 #include "core/edf.hpp"
-#include "core/reset.hpp"
 #include "core/speedup.hpp"
 
 namespace rbs {
@@ -84,12 +84,14 @@ MlcAnalysis analyze_mlc(const MlcSystem& system, const std::vector<double>& spee
   result.mode0_schedulable = lo_mode_schedulable(system.projection(1));
   result.schedulable = result.mode0_schedulable;
   for (int k = 1; k < system.num_levels(); ++k) {
-    const TaskSet proj = system.projection(k);
-    const double s_min = min_speedup_value(proj);
-    const double s = speeds[static_cast<std::size_t>(k) - 1];
-    result.level_speedups.push_back(s_min);
-    result.reset_times.push_back(resetting_time_value(proj, s));
-    result.schedulable = result.schedulable && s_min <= s;
+    const AnalysisReport level =
+        Analyzer()
+            .analyze(system.projection(k), speeds[static_cast<std::size_t>(k) - 1],
+                     {.speedup = true, .reset = true, .lo = false})
+            .value();
+    result.level_speedups.push_back(level.s_min);
+    result.reset_times.push_back(level.delta_r);
+    result.schedulable = result.schedulable && level.hi_schedulable;
   }
   return result;
 }

@@ -65,8 +65,8 @@ struct MlcAnalysis {
   std::vector<double> level_speedups;
   /// Delta_R of each transition at the corresponding `speeds` entry.
   std::vector<double> reset_times;
-  /// Overall verdict: mode 0 feasible and every transition's s_min is at
-  /// most the speed budgeted for its level.
+  /// Overall verdict: mode 0 feasible and every transition's projection is
+  /// HI-schedulable (the facade's verdict) at the speed budgeted for it.
   bool schedulable = false;
 };
 

@@ -6,7 +6,7 @@
 #include <numeric>
 #include <utility>
 
-#include "support/tolerance.hpp"
+#include "support/det_annotations.hpp"
 
 namespace rbs::multi {
 
@@ -34,39 +34,28 @@ TaskSet local_set(const TaskSet& set, const std::vector<std::size_t>& indices) {
   return TaskSet(std::move(tasks));
 }
 
-bool reset_ok(double delta_r, double max_reset) {
-  return !std::isfinite(max_reset) || !definitely_gt(delta_r, max_reset, kTimeTol);
-}
-
-// Tolerance-routed acceptance of `local` on a core with `budget`: first the
-// plain verdict, then the fallback tiers (LO termination) when the plain
-// verdict fails. `shed` receives LOCAL indices of terminated LO tasks.
-// LO-mode schedulability gates both paths -- analyze_degraded only certifies
-// HI mode, and termination never lowers LO-mode demand -- so it runs first
-// and alone, and a LO-infeasible receiver never pays for the HI-mode sweep.
-// The LO test and the sweep count as one analyzer call.
+// Acceptance of `local` on a core with `budget`: the set as given (tier 0 of
+// analyze_degraded) or its first fallback tier that fits. `shed` receives
+// LOCAL indices of terminated LO tasks. LO-mode schedulability gates every
+// tier (termination never lowers LO-mode demand), so it runs first and alone.
+// The LO test and tier 0 count as one analyzer call, the further tiers one.
 bool accept_on_core(const Ctx& ctx, const TaskSet& local, const CoreBudget& budget,
                     std::vector<std::size_t>& shed) {
   shed.clear();
   AnalysisRequest areq;
   areq.set = local;
-  areq.speed = budget.hi_speedup;
   areq.lo_speed = ctx.req->lo_speed;
   areq.limits = ctx.req->limits;
   areq.parts = {.speedup = false, .reset = false, .lo = true};
   ++*ctx.analyzer_calls;
   const Expected<AnalysisReport> lo = analyze(areq);
   if (!lo || !lo->lo_schedulable) return false;
-  areq.parts = {.speedup = true, .reset = true, .lo = false};
-  const Expected<AnalysisReport> report = analyze(areq);
-  if (!report) return false;
-  if (approx_le(report->s_min, budget.hi_speedup, kSpeedTol) &&
-      reset_ok(report->delta_r, budget.max_reset))
-    return true;
-  ++*ctx.analyzer_calls;
   const DegradedGuarantee degraded =
-      analyze_degraded(local, budget.hi_speedup, ctx.req->resilience);
-  if (!degraded.feasible || !reset_ok(degraded.delta_r, budget.max_reset)) return false;
+      analyze_degraded(local, budget.hi_speedup, ctx.req->limits);
+  const bool fits =
+      degraded.feasible && within_reset_budget(degraded.delta_r, budget.max_reset);
+  if (!degraded.schedulable_unmodified || !fits) ++*ctx.analyzer_calls;
+  if (!fits) return false;
   shed = degraded.fallback.terminated;
   return true;
 }
@@ -101,9 +90,8 @@ CoreReport nominal_report(const Ctx& ctx, const std::vector<std::size_t>& tasks,
                        : std::numeric_limits<double>::infinity();
   r.u_lo = report->u_lo;
   r.u_hi = report->u_hi;
-  r.feasible = report->lo_schedulable &&
-               approx_le(report->s_min, budget.hi_speedup, kSpeedTol) &&
-               reset_ok(report->delta_r, budget.max_reset);
+  r.feasible =
+      report->system_schedulable && within_reset_budget(report->delta_r, budget.max_reset);
   return r;
 }
 
@@ -153,8 +141,9 @@ FailureScenario evaluate_scenario(const Ctx& ctx, const MultiReport& nominal,
     if (!has_hi) continue;
     ++*ctx.analyzer_calls;
     const DegradedGuarantee degraded =
-        analyze_degraded(local_set(req.set, cs.tasks), req.lo_speed, req.resilience);
-    if (degraded.feasible && reset_ok(degraded.delta_r, req.budgets[core].max_reset)) {
+        analyze_degraded(local_set(req.set, cs.tasks), req.lo_speed, req.limits);
+    if (degraded.feasible &&
+        within_reset_budget(degraded.delta_r, req.budgets[core].max_reset)) {
       for (std::size_t local : degraded.fallback.terminated)
         cs.shed.push_back(cs.tasks[local]);
       continue;
@@ -259,7 +248,10 @@ std::string to_string(CoreFaultClass fault_class) {
   return "?";
 }
 
-Expected<MultiReport> analyze_resilience(const MultiRequest& request) {
+// RBS_DET_PATH: MulticoreSim replays the spare assignments this returns and
+// the multicore_k1 digest hashes them, so every plan must be a pure function
+// of the request.
+RBS_DET_PATH Expected<MultiReport> analyze_resilience(const MultiRequest& request) {
   const std::size_t cores = request.assignment.size();
   if (cores == 0) return Status::error("multi: assignment must name at least one core");
   if (request.budgets.size() != cores)

@@ -18,13 +18,13 @@
 // enabled fault classes and precomputes, offline, a *spare assignment* for
 // each scenario: HI tasks of faulted cores migrate -- largest HI-mode
 // utilization first -- onto surviving, non-denied cores, each receiver
-// re-certified against its OWN budget by the Analyzer facade (LO-mode at
-// lo_speed, Theorem 2's s_min within hi_speedup, Corollary 5's Delta_R
-// within max_reset; all tolerance-routed). A receiver that cannot take a
-// task outright may shed its own LO service instead: the fallback tiers of
-// analyze_degraded() are tried, and the terminated LO tasks are reported as
-// ShedSteps. The system is k-tolerant iff the nominal partition is feasible
-// and every scenario admits a feasible spare assignment.
+// re-certified against its OWN budget by the Analyzer facade's verdicts
+// (LO-mode at lo_speed, `hi_schedulable` at hi_speedup, `within_reset_budget`
+// against max_reset). A receiver that cannot take a task outright may shed
+// its own LO service instead: the fallback tiers of analyze_degraded() are
+// tried, and the terminated LO tasks are reported as ShedSteps. The system
+// is k-tolerant iff the nominal partition is feasible and every scenario
+// admits a feasible spare assignment.
 //
 // Everything is deterministic: scenario order (subset-lexicographic, then
 // class digits), migration-pool order (decreasing U(HI), parameter-tuple
@@ -93,7 +93,7 @@ struct CoreReport {
   double delta_r = 0.0;       ///< Corollary 5 at the core's budget speed
   double speed_margin = 0.0;  ///< hi_speedup - s_min (negative = infeasible)
   double reset_margin = 0.0;  ///< max_reset - delta_r (+inf for no budget)
-  bool feasible = false;      ///< tolerance-routed verdict under the budget
+  bool feasible = false;      ///< the facade's verdicts under the budget
   double u_lo = 0.0;          ///< total LO-mode utilization of the core
   double u_hi = 0.0;          ///< total HI-mode utilization of the core
 };
@@ -113,7 +113,8 @@ struct MultiReport {
   std::size_t scenarios_checked = 0;
   std::size_t scenarios_infeasible = 0;
   /// Work counter: feasibility checks run through the facade. A receiver's
-  /// LO-mode probe and the HI-mode sweep it admits count as one check.
+  /// LO-mode probe and the verdict on its unmodified set count as one check;
+  /// consulting the fallback tiers when that set does not fit, one more.
   std::size_t analyzer_calls = 0;
 };
 
@@ -131,8 +132,8 @@ struct MultiRequest {
   bool consider_fail_stop = true;
   bool consider_boost_denial = true;
   double lo_speed = 1.0;  ///< LO-mode speed (and a denied core's ceiling)
+  /// Limits of every facade call, the fallback tiers' Delta_R included.
   AnalysisLimits limits;
-  ResilienceOptions resilience;
   /// Upper bound on enumerated scenarios; exceeding it is an error rather
   /// than a silently truncated verdict.
   std::size_t max_scenarios = 4096;

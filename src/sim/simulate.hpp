@@ -1,10 +1,10 @@
 // Facade of the simulation subsystem, mirroring core/analysis.hpp's
 // request/report surface.
 //
-//   SimRequest request;
-//   request.set = make_task_set(...);
-//   request.config.horizon = 1e6;
-//   auto report = simulate(request);
+//   Simulator simulator;
+//   SimConfig config;
+//   config.horizon = 1e6;
+//   auto report = simulator.run(make_task_set(...), config);
 //   if (!report) { /* typed Status, no exceptions */ }
 //   else use(report.value().metrics);
 //
@@ -23,37 +23,20 @@
 
 namespace rbs::sim {
 
-/// One self-contained simulation request (owns its inputs), in the spirit of
-/// core/analysis's AnalysisRequest. Borrowing overloads of Simulator::run
-/// exist for callers that already hold a TaskSet.
-struct SimRequest {
-  TaskSet set;
-  SimConfig config;
-  SimLimits limits;
-};
-
-/// Reusable simulation engine. Each instance owns one EventKernel (calendar,
-/// job pool, scratch buffers); running many requests through the same
-/// instance performs no steady-state allocation. Not thread-safe -- give
-/// each worker thread its own Simulator.
+/// Reusable simulation engine and the simulator's only entry point. Each
+/// instance owns one EventKernel (calendar, job pool, reusable buffers);
+/// running many sets through the same instance performs no steady-state
+/// allocation. Not thread-safe -- give each worker thread its own Simulator.
 class Simulator {
  public:
-  /// Validates and runs `request`. Returns a typed error (never throws, never
-  /// enters the event loop) on an invalid configuration or limits.
-  [[nodiscard]] Expected<SimReport> run(const SimRequest& request) {
-    return run(request.set, request.config, request.limits);
-  }
-
-  /// Borrowing overload: simulate `set` under `config` within `limits`.
+  /// Validates and simulates `set` under `config` within `limits`. Returns a
+  /// typed error (never throws, never enters the event loop) on an invalid
+  /// configuration or limits.
   [[nodiscard]] Expected<SimReport> run(const TaskSet& set, const SimConfig& config,
                                         const SimLimits& limits = {});
 
  private:
   EventKernel kernel_;
 };
-
-/// One-shot convenience: construct a kernel, run, discard it. Campaigns
-/// should prefer a long-lived Simulator.
-[[nodiscard]] Expected<SimReport> simulate(const SimRequest& request);
 
 }  // namespace rbs::sim

@@ -19,7 +19,13 @@
 // near zero, the relative term keeps the test meaningful for large tick
 // magnitudes (horizons run to 1e6+ ticks). NaN compares unequal to
 // everything, so `definitely_lt(NaN, x)` and `approx_eq(NaN, x)` are false.
+// Infinities compare exactly: +inf is approximately equal only to +inf, never
+// to a finite value (the relative term alone would say inf - x <= rel * inf),
+// so an s_min or Delta_R of +inf never passes `approx_le(inf, budget)`, while
+// `approx_le(x, +inf)` holds for every non-NaN x.
 #pragma once
+
+#include <limits>
 
 namespace rbs {
 
@@ -30,6 +36,7 @@ struct Tolerance {
 
   constexpr bool eq(double a, double b) const {
     const double diff = a > b ? a - b : b - a;
+    if (!(diff <= std::numeric_limits<double>::max())) return a == b;  // an infinity
     const double mag_a = a < 0.0 ? -a : a;
     const double mag_b = b < 0.0 ? -b : b;
     const double mag = mag_a > mag_b ? mag_a : mag_b;

@@ -112,9 +112,9 @@ TEST(PartitionTest, DecreasingNeverNeedsMoreCoresOnTheseSets) {
 
 TEST(PartitionTest, SpeedupBudgetBoundaryIsToleranceRouted) {
   // A budget sitting exactly on the pair's s_min (or within kSpeedTol of it)
-  // must be accepted -- the acceptance routes through approx_le, not the
-  // facade's exact hi_schedulable compare -- while a clearly smaller budget
-  // is rejected.
+  // must be accepted -- the acceptance reads the facade's hi_schedulable,
+  // which judges approx_le(s_min, speed, kSpeedTol) -- while a clearly
+  // smaller budget is rejected.
   const TaskSet set = two_heavy_tasks();
   const double s_min = min_speedup_value(set);
   ASSERT_GT(s_min, 1.0);
@@ -148,6 +148,30 @@ TEST(PartitionTest, ResetBudgetBoundaryIsToleranceRouted) {
 
   options.max_reset = delta_r * 0.5;  // decisively below: rejected
   EXPECT_FALSE(partition_first_fit(set, 1, options).feasible);
+}
+
+TEST(PartitionTest, InfiniteSMinOrResetTimeNeverFitsAFiniteBudget) {
+  // D(LO) = D(HI) with C(HI) > C(LO): no speed absorbs the overrun, s_min is
+  // +inf, and no finite speedup budget may accept the task.
+  const TaskSet unprepared({McTask::hi("a", 2, 3, 5, 5, 10)});
+  ASSERT_TRUE(std::isinf(min_speedup_value(unprepared)));
+  PartitionOptions options;
+  options.hi_speedup = 2.0;
+  PartitionResult r = partition_first_fit(unprepared, 1, options);
+  EXPECT_FALSE(r.feasible);
+  EXPECT_EQ(r.rejected_task, std::optional<std::size_t>(0));
+
+  // U_HI = s_min = 1: at speed 1 HI mode is schedulable but the supply never
+  // catches up, so Delta_R is +inf and busts any finite reset budget.
+  const TaskSet saturated({McTask::hi("h", 1, 10, 1, 10, 10)});
+  ASSERT_TRUE(std::isinf(resetting_time_value(saturated, 1.0)));
+  options.hi_speedup = 1.0;
+  options.max_reset = 100.0;
+  EXPECT_FALSE(partition_first_fit(saturated, 1, options).feasible);
+  options.max_reset = std::numeric_limits<double>::infinity();  // admits anything
+  r = partition_first_fit(saturated, 1, options);
+  EXPECT_TRUE(r.feasible);
+  EXPECT_TRUE(std::isinf(r.core_delta_r[0]));
 }
 
 TEST(PartitionTest, ReportsPerCoreResetTimes) {

@@ -132,6 +132,14 @@ TEST(DegradedResettingTimeTest, MatchesResetAnalysisOnReducedSet) {
   fallback.terminated = {1};
   EXPECT_NEAR(degraded_resetting_time(set, 2.0, fallback),
               resetting_time_value(reduced.value(), 2.0), 1e-9);
+
+  // The caller's carry-over model reaches the fallback Delta_R: aborting the
+  // terminated task's carry-over job shortens the dwell.
+  AnalysisLimits discard;
+  discard.discard_dropped_carryover = true;
+  const double discarded = Analyzer(discard).analyze(reduced.value(), 2.0).value().delta_r;
+  EXPECT_NEAR(degraded_resetting_time(set, 2.0, fallback, discard), discarded, 1e-9);
+  EXPECT_LT(discarded, resetting_time_value(reduced.value(), 2.0));
 }
 
 TEST(DegradedResettingTimeTest, SlowerSpeedInflatesDwell) {

@@ -14,13 +14,6 @@
 namespace rbs {
 namespace {
 
-constexpr AnalysisParts kSpeedupOnly{.speedup = true, .reset = false, .lo = false};
-
-/// The Theorem 2 part of the facade alone.
-AnalysisReport speedup_report(const TaskSet& set) {
-  return Analyzer().analyze(set, 1.0, kSpeedupOnly).value();
-}
-
 TEST(SpeedupTest, Table1BaseIsFourThirds) {
   const AnalysisReport r = speedup_report(table1_base());
   EXPECT_TRUE(r.s_min_exact);

@@ -145,6 +145,21 @@ TEST(SemanticIndexTest, LeadingAnnotationDoesNotShadowFunctionName) {
   EXPECT_TRUE(leaf->rt_safe);
 }
 
+TEST(SemanticIndexTest, GnuAttributeDoesNotHideDefinition) {
+  // Regression: `__attribute__((flatten))` before an out-of-line definition
+  // was taken as the `ident (` candidate, so the definition was never
+  // indexed and no rt/det walk reached its body (src/sim/event_kernel.cpp).
+  const FileIndex index = index_of(
+      "#if defined(__GNUC__)\n"
+      "__attribute__((flatten))\n"
+      "#endif\n"
+      "Report Kernel::run(const Set& set) { return step(set); }\n");
+  const FunctionInfo* run = find_fn(index, "run");
+  ASSERT_NE(run, nullptr);
+  EXPECT_EQ(run->class_name, "Kernel");
+  EXPECT_EQ(find_fn(index, "__attribute__"), nullptr);
+}
+
 TEST(SemanticIndexTest, TrailingAnnotationOnDefinitionIsRead) {
   const FileIndex index = index_of(
       "struct Sim {\n"

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "gen/paper_examples.hpp"
 #include "multi/resilience.hpp"
 
 namespace rbs::multi {
@@ -24,6 +26,17 @@ MultiRequest two_light_cores() {
                          McTask::lo("l1", 2, 30, 30)});
   request.assignment = {{0, 2}, {1, 3}};
   request.budgets.assign(2, CoreBudget{});
+  return request;
+}
+
+/// A fault-free (k = 0) request placing all of `set` on one core.
+MultiRequest one_core(const TaskSet& set, const CoreBudget& budget) {
+  MultiRequest request;
+  request.set = set;
+  request.assignment.emplace_back();
+  for (std::size_t i = 0; i < set.size(); ++i) request.assignment[0].push_back(i);
+  request.budgets = {budget};
+  request.tolerance = 0;
   return request;
 }
 
@@ -168,6 +181,47 @@ TEST(ResilienceTest, DeterministicAcrossRepeatedRuns) {
       EXPECT_EQ(sa.migrations[m].to_core, sb.migrations[m].to_core);
     }
   }
+}
+
+TEST(ResilienceTest, InfiniteSMinOrResetTimeIsNeverNominallyFeasible) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // D(LO) = D(HI) with C(HI) > C(LO): s_min = +inf, beyond any budget.
+  auto report =
+      analyze_resilience(one_core(TaskSet({McTask::hi("a", 2, 3, 5, 5, 10)}), {2.0, kInf}));
+  ASSERT_TRUE(report.is_ok());
+  EXPECT_TRUE(std::isinf(report->core_reports[0].s_min));
+  EXPECT_FALSE(report->core_reports[0].feasible);
+  EXPECT_FALSE(report->nominal_feasible);
+  EXPECT_FALSE(report->tolerant);
+
+  // U_HI = s_min = 1: at speed 1 Delta_R = +inf busts a 100-tick budget.
+  report =
+      analyze_resilience(one_core(TaskSet({McTask::hi("h", 1, 10, 1, 10, 10)}), {1.0, 100.0}));
+  ASSERT_TRUE(report.is_ok());
+  EXPECT_TRUE(std::isinf(report->core_reports[0].delta_r));
+  EXPECT_FALSE(report->nominal_feasible);
+  EXPECT_FALSE(report->tolerant);
+}
+
+TEST(ResilienceTest, InexactSMinIsJudgedWithItsErrorBound) {
+  // Two breakpoints stop the speedup search early: the facade reports a
+  // lower end s_min below 0.878 with an error bound above the true 12/13,
+  // so its verdict at 0.878 must be false -- and the core's with it.
+  const double speed = 0.878;
+  MultiRequest request =
+      one_core(table1_degraded(), {speed, std::numeric_limits<double>::infinity()});
+  request.limits.max_breakpoints = 2;
+  const AnalysisReport facade =
+      analyze({table1_degraded(), speed, 1.0, {}, request.limits}).value();
+  ASSERT_FALSE(facade.s_min_exact);
+  ASSERT_LT(facade.s_min, speed);
+  ASSERT_LT(speed, 12.0 / 13.0);
+  EXPECT_FALSE(facade.hi_schedulable);
+
+  const auto report = analyze_resilience(request);
+  ASSERT_TRUE(report.is_ok());
+  EXPECT_FALSE(report->core_reports[0].feasible);
+  EXPECT_FALSE(report->nominal_feasible);
 }
 
 TEST(ResilienceTest, FaultClassNamesAreStable) {

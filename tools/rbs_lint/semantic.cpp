@@ -65,7 +65,12 @@ bool is_class_keyword(const std::string& s) {
   return s == "class" || s == "struct" || s == "union" || s == "enum";
 }
 
-bool is_annotation_ident(const std::string& s) { return s.rfind("RBS_", 0) == 0; }
+/// Annotation macros (RBS_*) and GNU attributes (`__attribute__((flatten))`)
+/// decorate a head without naming it; both are stepped over together with
+/// their argument groups, so the function or class they precede is indexed.
+bool is_annotation_ident(const std::string& s) {
+  return s.rfind("RBS_", 0) == 0 || s == "__attribute__";
+}
 
 struct Scope {
   enum class Kind { kNamespace, kClass, kFunction, kBlock };
