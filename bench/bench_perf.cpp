@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the analysis and simulation
 // kernels -- demand-bound evaluation, the fused sweep's speedup search
 // (Theorem 2) and resetting-time solver (Corollary 5), the full analysis over
-// task count n (BM_FusedAnalyzeN), task generation and simulator throughput
+// task count n (BM_FusedAnalyzeN), the multicore decision probe
+// (BM_FitsProbe), task generation and simulator throughput
 // -- plus a campaign-throughput benchmark of the parallel engine
 // (BM_CampaignAnalyze, one arg per worker count).
 //
@@ -34,6 +35,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -61,16 +63,16 @@ TaskSet make_set(std::uint64_t seed, double u_bound, double x, double y) {
   throw std::runtime_error("could not generate benchmark set");
 }
 
-// UUniFast set of n tasks at U_LO = 0.6 whose periods are re-drawn from a
+// UUniFast set of n tasks at U_LO = u_lo whose periods are re-drawn from a
 // harmonic grid (hyperperiod 10^4 ticks), keeping each task's utilization and
 // C(HI)/C(LO) up to rounding, prepared at the exact minimum x and y = 2. The
 // grid bounds the breakpoint count, so the cost of an analysis follows n.
-TaskSet make_harmonic_set(int n, std::uint64_t seed) {
+TaskSet make_harmonic_set(int n, std::uint64_t seed, double u_lo = 0.6) {
   static constexpr std::array<Ticks, 8> kGrid = {200, 250, 500, 1000, 2000, 2500, 5000, 10000};
   Rng rng(seed);
   UUniFastParams params;
   params.n_tasks = n;
-  params.u_total_lo = 0.6;
+  params.u_total_lo = u_lo;
   for (int attempt = 0; attempt < 100; ++attempt) {
     std::vector<ImplicitTask> tasks = generate_uunifast_set(params, rng).tasks();
     for (ImplicitTask& t : tasks) {
@@ -300,17 +302,91 @@ void BM_FusedAnalyzeN(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedAnalyzeN)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
+// The LO-mode test on constrained deadlines, both implementations on the same
+// set. `breakpoints` is the step points (forward) or backward iterations
+// (QPA) one call visits inside the window min(L_a, H).
 void BM_LoModeForwardSweep(benchmark::State& state) {
   const TaskSet set = make_set(21, 0.9, 0.4, 2.0);  // constrained deadlines
-  for (auto _ : state) benchmark::DoNotOptimize(lo_mode_test(set).schedulable);
+  std::size_t breakpoints = 0;
+  for (auto _ : state) {
+    const EdfTestResult r = lo_mode_test(set);
+    breakpoints = r.breakpoints_visited;
+    benchmark::DoNotOptimize(r.schedulable);
+  }
+  state.counters["breakpoints"] = static_cast<double>(breakpoints);
 }
 BENCHMARK(BM_LoModeForwardSweep);
 
 void BM_LoModeQpa(benchmark::State& state) {
   const TaskSet set = make_set(21, 0.9, 0.4, 2.0);  // same set as forward sweep
-  for (auto _ : state) benchmark::DoNotOptimize(qpa_lo_test(set).schedulable);
+  std::size_t breakpoints = 0;
+  for (auto _ : state) {
+    const EdfTestResult r = qpa_lo_test(set);
+    breakpoints = r.breakpoints_visited;
+    benchmark::DoNotOptimize(r.schedulable);
+  }
+  state.counters["breakpoints"] = static_cast<double>(breakpoints);
 }
 BENCHMARK(BM_LoModeQpa);
+
+/// One partition probe: a candidate core set and its dwell budget.
+struct Probe {
+  AnalysisRequest request;
+  double max_reset;
+};
+
+// The partition probes of a fixed 4-core system: eight 4-task harmonic-grid
+// sets at U_LO = 0.35 (the BM_FusedAnalyzeN family, sized like rbs_bench's
+// multicore_k1 sets) packed first-fit decreasing at s = 0.7, once without a
+// dwell budget and once under 1,000 ticks, in the order partition_first_fit
+// tries them. At this speed the HI-mode verdict binds too, so the list
+// reaches every stopping rule: the LO-mode window min(L_a, H), both decision
+// exits of the Theorem 2 search, and the budget exit of the Corollary 5
+// search.
+std::vector<Probe> first_fit_probes() {
+  std::vector<McTask> tasks;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed)
+    for (const McTask& t : make_harmonic_set(4, seed, 0.35)) tasks.push_back(t);
+  std::stable_sort(tasks.begin(), tasks.end(), [](const McTask& a, const McTask& b) {
+    return a.utilization(Mode::LO) + a.utilization(Mode::HI) >
+           b.utilization(Mode::LO) + b.utilization(Mode::HI);
+  });
+  std::vector<Probe> probes;
+  for (const double max_reset : {std::numeric_limits<double>::infinity(), 1000.0}) {
+    std::vector<std::vector<McTask>> bins(4);
+    for (const McTask& task : tasks) {
+      for (std::vector<McTask>& bin : bins) {
+        bin.push_back(task);
+        Probe probe{{TaskSet(bin), 0.7, 1.0, {}, {}}, max_reset};
+        const AnalysisReport r = Analyzer().fits(probe.request, max_reset).value();
+        probes.push_back(std::move(probe));
+        if (r.system_schedulable && within_reset_budget(r.delta_r, max_reset)) break;
+        bin.pop_back();
+      }
+    }
+  }
+  return probes;
+}
+
+// Analyzer::fits over the probe list, as partition_first_fit asks it.
+// `breakpoints` sums the decision reports' fused and LO ticks over the list,
+// so the exact gate covers the decision exits and the LO-mode window.
+void BM_FitsProbe(benchmark::State& state) {
+  const std::vector<Probe> probes = first_fit_probes();
+  const Analyzer analyzer;
+  std::size_t breakpoints = 0;
+  for (auto _ : state) {
+    breakpoints = 0;
+    for (const Probe& probe : probes) {
+      const AnalysisReport r = analyzer.fits(probe.request, probe.max_reset).value();
+      breakpoints += r.fused_breakpoints + r.lo_breakpoints;
+      benchmark::DoNotOptimize(r.system_schedulable);
+    }
+  }
+  state.counters["breakpoints"] = static_cast<double>(breakpoints);
+  state.SetLabel(std::to_string(probes.size()) + " probes");
+}
+BENCHMARK(BM_FitsProbe);
 
 void BM_MinXSearch(benchmark::State& state) {
   Rng rng(11);

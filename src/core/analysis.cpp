@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -38,6 +39,10 @@ struct SpeedupSearch {
   double error_bound = 0.0;
   std::size_t visited = 0;
   RunningDemand demand;  ///< total DBF_HI; its slope at 0 is set with the sequences
+  /// Decision mode (Analyzer::fits): stop once the bracket decides whether
+  /// `target` suffices.
+  bool deciding = false;
+  double target = 0.0;
 
   void init(const TaskSet& set, double total_u_hi) {
     if (set.empty()) return;  // s_min = 0, settled
@@ -73,8 +78,11 @@ struct SpeedupSearch {
     }
     *worked = true;
     if (++visited > limits.max_breakpoints) {
-      exact = false;
-      error_bound = (u_hi + k / static_cast<double>(d)) - best;
+      // From d on the ratio stays under the envelope U + K/d, and below d
+      // under best. A non-positive residual therefore settles the supremum
+      // exactly; a positive one is the honest error bound.
+      const double residual = (u_hi + k / static_cast<double>(d)) - best;
+      if (residual > 0) stop_inexact(residual);
       active = false;
       return;
     }
@@ -86,16 +94,24 @@ struct SpeedupSearch {
     }
     // Beyond Delta, demand/Delta <= U + K/Delta; once that envelope drops to
     // the best ratio seen, the supremum is settled.
-    const double slack = (u_hi + k / static_cast<double>(d)) - best;
+    const double envelope = u_hi + k / static_cast<double>(d);
+    const double slack = envelope - best;
     if (slack <= 0) {
       active = false;
       return;
     }
-    if (slack <= limits.rel_tol * best) {
-      exact = false;
-      error_bound = slack;
-      active = false;
-    }
+    // The supremum lies in [best, envelope]. A decision is known once both
+    // ends give the same verdict: best definitely above the target rejects,
+    // an envelope at most the target (within kSpeedTol) accepts.
+    const bool decided = deciding && approx_le(best, target, kSpeedTol) ==
+                                         approx_le(envelope, target, kSpeedTol);
+    if (decided || slack <= limits.rel_tol * best) stop_inexact(slack);
+  }
+
+  void stop_inexact(double residual) {
+    exact = false;
+    error_bound = residual;
+    active = false;
   }
 };
 
@@ -110,6 +126,8 @@ struct ResetSearch {
   std::size_t visited = 0;
   long double speed = 1.0L;
   RunningDemand demand;  ///< total ADB_HI; its slope at 0 is set with the sequences
+  /// Decision mode (Analyzer::fits): the dwell budget; +inf never stops.
+  double budget = std::numeric_limits<double>::infinity();
 
   void init(const TaskSet& set, double s, double u_hi, const AnalysisLimits& limits) {
     speed = s;
@@ -145,6 +163,14 @@ struct ResetSearch {
     // Condition already met at the segment start?
     if (value_at_prev <= speed * prev) {
       delta_r = static_cast<double>(prev);
+      active = false;
+      return;
+    }
+    // Not met at the segment start, so Delta_R > prev: a start definitely
+    // past the budget decides the verdict, with prev as the lower bound.
+    if (definitely_gt(static_cast<double>(prev), budget, kTimeTol)) {
+      delta_r = static_cast<double>(prev);
+      exact = false;
       active = false;
       return;
     }
@@ -210,9 +236,15 @@ RBS_HOT_PATH std::size_t run_fused_sweep(TaggedBreakpointMerger& merger, Speedup
 // RBS_DET_PATH: every byte of the report is content-keyed (service cache) and
 // journaled (campaign resume), so the whole reachable tree must be
 // reproducible across runs, machines and --jobs counts.
+//
+// `max_reset` set makes it the decision question of Analyzer::fits: the LO
+// test answers alone when it fails, each search stops once its verdict is
+// known, and an infinite budget skips the Delta_R search.
 RBS_DET_PATH Expected<AnalysisReport> analyze_impl(const TaskSet& set, double speed,
-                                                   double lo_speed, const AnalysisParts& parts,
-                                                   const AnalysisLimits& limits) {
+                                                   double lo_speed, AnalysisParts parts,
+                                                   const AnalysisLimits& limits,
+                                                   std::optional<double> max_reset) {
+  if (max_reset && !std::isfinite(*max_reset)) parts.reset = false;
   if (parts.reset && (!std::isfinite(speed) || speed <= 0.0))
     return Status::error("analyze: Delta_R needs a positive, finite speed, got " +
                          std::to_string(speed));
@@ -236,10 +268,16 @@ RBS_DET_PATH Expected<AnalysisReport> analyze_impl(const TaskSet& set, double sp
     const EdfTestResult lo = lo_mode_test(set, options);
     report.lo_schedulable = lo.schedulable;
     report.lo_breakpoints = lo.breakpoints_visited;
+    if (max_reset && !lo.schedulable) return report;
   }
 
   SpeedupSearch speedup;
   ResetSearch reset;
+  if (max_reset) {
+    speedup.deciding = true;
+    speedup.target = speed;
+    reset.budget = *max_reset;
+  }
   if (parts.speedup) speedup.init(set, report.u_hi);
   if (parts.reset) reset.init(set, speed, report.u_hi, limits);
 
@@ -279,12 +317,17 @@ RBS_DET_PATH Expected<AnalysisReport> analyze_impl(const TaskSet& set, double sp
 
 Expected<AnalysisReport> Analyzer::analyze(const AnalysisRequest& request) const {
   return analyze_impl(request.set, request.speed, request.lo_speed, request.parts,
-                      request.limits);
+                      request.limits, std::nullopt);
 }
 
 Expected<AnalysisReport> Analyzer::analyze(const TaskSet& set, double speed,
                                            const AnalysisParts& parts) const {
-  return analyze_impl(set, speed, 1.0, parts, limits_);
+  return analyze_impl(set, speed, 1.0, parts, limits_, std::nullopt);
+}
+
+Expected<AnalysisReport> Analyzer::fits(const AnalysisRequest& request, double max_reset) const {
+  return analyze_impl(request.set, request.speed, request.lo_speed, request.parts,
+                      request.limits, max_reset);
 }
 
 Expected<AnalysisReport> analyze(const AnalysisRequest& request) {

@@ -17,6 +17,11 @@
 // every result against a brute-force exact oracle that shares none of this
 // code.
 //
+// `Analyzer::fits` asks the decision question the multicore probes need --
+// does the request fit its speeds and a dwell budget? -- from the same sweep:
+// each search stops as soon as its verdict is known (docs/ANALYSIS.md §3),
+// and a set that fails LO mode never reaches the sweep.
+//
 // The one-shot helpers (`min_speedup_value`, `hi_mode_schedulable`,
 // `system_schedulable`, `resetting_time_value`) are thin inline wrappers over
 // this facade; batched/parallel evaluation over many task sets goes through
@@ -101,6 +106,8 @@ struct AnalysisReport {
   /// True when the stopping rule proved s_min optimal.
   bool s_min_exact = true;
   /// When !s_min_exact: the true s_min lies in [s_min, s_min + error bound].
+  /// A decision report (Analyzer::fits) reports the bracket that decided
+  /// the verdict this way.
   double s_min_error_bound = 0.0;
   /// Interval length attaining the supremum (0 when the Delta->inf limit,
   /// i.e. the HI-mode utilization, dominates).
@@ -108,8 +115,12 @@ struct AnalysisReport {
 
   // --- Corollary 5 at `speed` (parts.reset) --------------------------------
   /// Delta_R in ticks; +inf when speed <= U_HI or the budget was exhausted.
+  /// A decision report (Analyzer::fits) leaves it 0 for an infinite dwell
+  /// budget, which every Delta_R fits, and reports a lower bound definitely
+  /// past a finite budget once the search proves that.
   double delta_r = 0.0;
-  /// False only when max_breakpoints was exhausted (delta_r then +inf).
+  /// False when max_breakpoints was exhausted (delta_r then +inf) or when
+  /// delta_r is a decision report's lower bound.
   bool delta_r_exact = true;
 
   // --- verdicts ------------------------------------------------------------
@@ -164,6 +175,19 @@ class Analyzer {
   /// default limits.
   [[nodiscard]] Expected<AnalysisReport> analyze(const TaskSet& set, double speed = 1.0,
                                                  const AnalysisParts& parts = {}) const;
+
+  /// The decision question: does `request` fit its speeds and a dwell budget
+  /// of `max_reset` ticks, under `request.limits`? Answers with the same
+  /// lo_schedulable, hi_schedulable and within_reset_budget(delta_r,
+  /// max_reset) verdicts as analyze(request), from one fused sweep that stops
+  /// as soon as they are known. The LO-mode test runs first and alone; a set
+  /// it rejects is answered by it (hi_schedulable keeps its default, false).
+  /// The Theorem 2 search stops once its bracket [best ratio, U_HI + K/Delta]
+  /// decides hi_schedulable_at(speed), and reports that bracket as an inexact
+  /// s_min. The Corollary 5 search runs only for a finite budget, and stops
+  /// once a segment starts definitely past it. Errors as analyze() does.
+  [[nodiscard]] Expected<AnalysisReport> fits(const AnalysisRequest& request,
+                                              double max_reset) const;
 
   const AnalysisLimits& limits() const { return limits_; }
 

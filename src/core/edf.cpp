@@ -1,5 +1,7 @@
 #include "core/edf.hpp"
 
+#include <cmath>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -9,46 +11,105 @@
 
 namespace rbs {
 
-EdfTestResult lo_mode_test(const TaskSet& set, const EdfTestOptions& options) {
-  EdfTestResult result;
-  if (set.empty()) {
-    result.schedulable = true;
-    return result;
-  }
+namespace {
 
+__extension__ typedef __int128 Wide;  // exact products of a mantissa and a tick count
+
+/// lcm of the LO-mode periods, or nullopt as soon as it passes `cap`.
+std::optional<Ticks> lo_hyperperiod(const TaskSet& set, Ticks cap) {
+  Ticks h = 1;
+  for (const McTask& t : set) {
+    const Ticks period = t.period(Mode::LO);
+    const Ticks step = h / std::gcd(h, period);
+    if (step > cap / period) return std::nullopt;  // step * period > cap
+    h = step * period;
+  }
+  return h;
+}
+
+/// sum C * h / T over the set, the LO-mode demand of one hyperperiod h, or
+/// nullopt on overflow. Each term is at most h, as C <= T.
+std::optional<Ticks> hyperperiod_demand(const TaskSet& set, Ticks h) {
+  Ticks work = 0;
+  for (const McTask& t : set) {
+    const Ticks term = t.wcet(Mode::LO) * (h / t.period(Mode::LO));
+    if (work > kInfTicks - term) return std::nullopt;
+    work += term;
+  }
+  return work;
+}
+
+/// Whether work <= speed * h holds exactly, for work >= 0 and h >= 1.
+/// speed = mantissa * 2^shift with a 53-bit mantissa, so the product needs
+/// at most 116 bits.
+bool work_fits(Ticks work, Ticks h, double speed) {
+  if (!(speed > 0.0)) return work == 0;
+  int exponent = 0;
+  const double fraction = std::frexp(speed, &exponent);  // speed = fraction * 2^exponent
+  const auto mantissa = static_cast<Wide>(std::ldexp(fraction, 53));
+  const int shift = exponent - 53;
+  const Wide supply = mantissa * h;
+  // mantissa >= 2^52 and h >= 1, so a shift of 11 puts the supply past any
+  // Ticks value.
+  if (shift >= 11) return true;
+  if (shift >= 0) return work <= (supply << shift);
+  // For an integer work, work <= supply / 2^k iff work <= floor(supply / 2^k).
+  return work <= (-shift >= 120 ? Wide{0} : supply >> -shift);
+}
+
+}  // namespace
+
+LoWindow lo_test_window(const TaskSet& set, double speed) {
   const double u = set.total_utilization(Mode::LO);
   // DBF_LO(tau_i, D) <= U_i * D + U_i * (T_i - D_i), so demand can exceed
   // speed * D only below bound_slack / (speed - U).
   double bound_slack = 0.0;
-  for (const McTask& t : set)
+  bool implicit = true;
+  for (const McTask& t : set) {
     bound_slack += t.utilization(Mode::LO) *
                    static_cast<double>(t.period(Mode::LO) - t.deadline(Mode::LO));
+    implicit = implicit && t.deadline(Mode::LO) == t.period(Mode::LO);
+  }
 
   // The utilization-vs-speed trichotomy is a *breakpoint* of the analysis:
   // U is a sum of C/T ratios whose mathematical value can equal the speed
   // exactly while the computed double lands an ulp off either side (e.g.
-  // three tasks with C/T = 1/3). Route the comparison through the speed
-  // tolerance so the degenerate U = speed branch is taken whenever the two
-  // are indistinguishable, instead of walking an absurd breakpoint window.
-  if (definitely_gt(u, options.speed, kSpeedTol)) {
-    result.schedulable = false;
-    result.violation_delta = 0;  // asymptotic overload; no single witness point
-    return result;
+  // three tasks with C/T = 1/3). The speed tolerance routes every such case
+  // to the exact comparison below instead of an absurd L_a.
+  if (definitely_gt(u, speed, kSpeedTol)) return {false, 0};
+
+  // With U <= speed the synchronous busy period ends by the hyperperiod H:
+  // the work released in [0, H) is U * H <= speed * H. Every first
+  // violation lies inside that busy period, so H bounds the window too.
+  if (definitely_lt(u, speed, kSpeedTol)) {
+    const double quotient = bound_slack / (speed - u);
+    const Ticks l_a = quotient < static_cast<double>(kInfTicks - 2)
+                          ? static_cast<Ticks>(quotient) + 1
+                          : kInfTicks - 1;
+    return {std::nullopt, lo_hyperperiod(set, l_a).value_or(l_a)};
   }
 
-  Ticks delta_max;
-  if (definitely_lt(u, options.speed, kSpeedTol)) {
-    delta_max = static_cast<Ticks>(bound_slack / (options.speed - u)) + 1;
-  } else {
-    // U == speed (to tolerance): the bound degenerates. With implicit
-    // deadlines (slack exactly 0) demand never exceeds supply; otherwise
-    // fall back to the breakpoint budget and report inconclusive if it is
-    // exhausted.
-    if (approx_zero(bound_slack, kTimeTol)) {
-      result.schedulable = true;
-      return result;
-    }
-    delta_max = kInfTicks - 1;
+  // U == speed to tolerance: L_a degenerates, so compare the demand of one
+  // hyperperiod with the supply speed * H exactly.
+  const std::optional<Ticks> h = lo_hyperperiod(set, kInfTicks);
+  const std::optional<Ticks> work = h ? hyperperiod_demand(set, *h) : std::nullopt;
+  if (!work) {
+    // Overflow: only the breakpoint budget bounds the walk, and running out
+    // of it leaves the test inconclusive. Implicit deadlines still decide.
+    if (implicit) return {true, 0};
+    return {std::nullopt, kInfTicks - 1};
+  }
+  if (!work_fits(*work, *h, speed)) return {false, 0};
+  if (implicit) return {true, 0};
+  return {std::nullopt, *h};
+}
+
+EdfTestResult lo_mode_test(const TaskSet& set, const EdfTestOptions& options) {
+  EdfTestResult result;
+  const LoWindow window = lo_test_window(set, options.speed);
+  if (window.verdict) {
+    result.schedulable = *window.verdict;
+    return result;  // an overload has no single witness point (violation 0)
   }
 
   std::vector<TaggedSeq> seqs;
@@ -61,7 +122,7 @@ EdfTestResult lo_mode_test(const TaskSet& set, const EdfTestOptions& options) {
   Ticks demand = 0;
   while (const auto point = merger.next()) {
     const Ticks d = point->tick;
-    if (d > delta_max) break;
+    if (d > window.last) break;
     if (++result.breakpoints_visited > options.max_breakpoints) {
       result.schedulable = false;
       result.conclusive = false;

@@ -1,7 +1,6 @@
 #include "core/partition.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "core/analysis.hpp"
@@ -15,30 +14,6 @@ TieKey tie_key(const McTask& task) {
           task.deadline(Mode::LO), task.deadline(Mode::HI),
           task.period(Mode::LO),  task.period(Mode::HI)};
 }
-
-namespace {
-
-// Feasibility of one core's task collection under the core's budgets. The
-// LO-mode test runs first and alone: it rejects most failing probes, and a
-// rejected probe then never pays for the HI-mode sweep. Only a LO-feasible
-// set gets the fused sweep, which answers HI mode and resetting time
-// together; acceptance reads the facade's verdicts (hi_schedulable and
-// within_reset_budget). An infinite reset budget admits any Delta_R, so the
-// sweep skips that search.
-bool core_feasible(const std::vector<McTask>& tasks, const CoreBudget& budget) {
-  AnalysisRequest request;
-  request.set = TaskSet(tasks);
-  request.speed = budget.hi_speedup;
-  request.parts = {.speedup = false, .reset = false, .lo = true};
-  const Expected<AnalysisReport> lo = analyze(request);
-  if (!lo || !lo->lo_schedulable) return false;
-  request.parts = {.speedup = true, .reset = std::isfinite(budget.max_reset), .lo = false};
-  const Expected<AnalysisReport> report = analyze(request);
-  return report && report->hi_schedulable &&
-         within_reset_budget(report->delta_r, budget.max_reset);
-}
-
-}  // namespace
 
 CoreBudget core_budget(const PartitionOptions& options, std::size_t c) {
   if (!options.core_budgets.empty()) return options.core_budgets[c];
@@ -73,11 +48,21 @@ RBS_DET_PATH PartitionResult partition_first_fit(const TaskSet& set, std::size_t
     });
   }
 
+  // Each probe is one decision question (Analyzer::fits): the LO-mode test
+  // alone rejects most failing probes, and the sweep of a LO-feasible one
+  // stops as soon as the HI-mode and resetting-time verdicts are known.
+  const Analyzer analyzer;
+  AnalysisRequest probe;
   for (std::size_t index : order) {
     bool placed = false;
     for (std::size_t c = 0; c < cores && !placed; ++c) {
       bins[c].push_back(set[index]);
-      if (core_feasible(bins[c], core_budget(options, c))) {
+      const CoreBudget budget = core_budget(options, c);
+      probe.set = TaskSet(bins[c]);
+      probe.speed = budget.hi_speedup;
+      const Expected<AnalysisReport> report = analyzer.fits(probe, budget.max_reset);
+      if (report && report->system_schedulable &&
+          within_reset_budget(report->delta_r, budget.max_reset)) {
         result.assignment[c].push_back(index);
         placed = true;
       } else {

@@ -6,11 +6,15 @@
 // speeding up on its own overruns. A core accepts a task iff the core's set
 // remains (a) LO-mode schedulable at nominal speed, (b) HI-mode schedulable
 // within the per-core speedup budget s (Theorem 2), and (c) back to nominal
-// within the reset budget (Corollary 5). All three verdicts are the
-// Analyzer facade's own (`hi_schedulable`, `within_reset_budget`), read from
-// a LO-mode probe and one fused sweep per placement: a set whose s_min sits
+// within the reset budget (Corollary 5). Each placement probe is one
+// decision question to the Analyzer facade (Analyzer::fits), which gives
+// the same verdicts as its full analysis (`lo_schedulable`,
+// `hi_schedulable`, `within_reset_budget`): the LO-mode test alone rejects
+// most failing probes, and the fused sweep of the others stops as soon as
+// the HI-mode and resetting-time verdicts are known. A set whose s_min sits
 // on the DVFS ceiling up to rounding noise is accepted, and one whose s_min
-// or Delta_R is +inf never is.
+// or Delta_R is +inf never is. The reported per-core s_min and Delta_R come
+// from one full analysis of each final core set.
 //
 // First-fit decreasing (by LO+HI utilization) is the standard bin-packing
 // heuristic for this feasibility predicate. The decreasing order is fully

@@ -37,40 +37,20 @@ long double demand(const TaskSet& set, long double t) {
 // arithmetic -- rbs_lint's rt pass holds it (and the dbf totals) to that.
 RBS_HOT_PATH EdfTestResult qpa_lo_test(const TaskSet& set, const EdfTestOptions& options) {
   EdfTestResult result;
-  if (set.empty()) {
-    result.schedulable = true;
+  // The same window as lo_mode_test (core/edf.cpp).
+  const LoWindow window = lo_test_window(set, options.speed);
+  if (window.verdict) {
+    result.schedulable = *window.verdict;
     return result;
   }
-
-  const double u = set.total_utilization(Mode::LO);
-  double bound_slack = 0.0;
   Ticks d_min_ticks = kInfTicks;
-  for (const McTask& t : set) {
-    bound_slack += t.utilization(Mode::LO) *
-                   static_cast<double>(t.period(Mode::LO) - t.deadline(Mode::LO));
-    d_min_ticks = std::min(d_min_ticks, t.deadline(Mode::LO));
-  }
-  // Same boundary policy as lo_mode_test (core/edf.cpp): the trichotomy
-  // against the speed and the exact-zero slack test both sit on analysis
-  // breakpoints, so they go through the named tolerances.
-  if (definitely_gt(u, options.speed, kSpeedTol)) {
-    result.schedulable = false;
-    return result;
-  }
-  long double limit;
-  if (definitely_lt(u, options.speed, kSpeedTol)) {
-    limit = static_cast<long double>(bound_slack / (options.speed - u)) + 1.0L;
-  } else if (approx_zero(bound_slack, kTimeTol)) {
-    result.schedulable = true;
-    return result;
-  } else {
-    limit = static_cast<long double>(kInfTicks - 1);
-  }
+  for (const McTask& t : set) d_min_ticks = std::min(d_min_ticks, t.deadline(Mode::LO));
 
   const auto speed = static_cast<long double>(options.speed);
   const auto d_min = static_cast<long double>(d_min_ticks);
 
-  long double t = max_step_below(set, limit);
+  // The largest step point in the window, Delta <= last.
+  long double t = max_step_below(set, static_cast<long double>(window.last) + 1.0L);
   if (t < 0.0L) {
     result.schedulable = true;  // no step point inside the test window
     return result;

@@ -2,8 +2,9 @@
 //
 // Zhang & Burns, "Schedulability Analysis for Real-Time Systems with EDF
 // Scheduling" (IEEE TC 2009): instead of checking the demand inequality
-// sum DBF_LO(Delta) <= speed * Delta at every step point up to the bound L,
-// QPA iterates backwards from L --
+// sum DBF_LO(Delta) <= speed * Delta at every step point up to the bound L
+// (the window min(L_a, H) of lo_test_window, core/edf.hpp, shared with the
+// forward sweep), QPA iterates backwards from L --
 //
 //     t <- max{ d : d < L }                (d ranges over absolute step points)
 //     while  h(t) <= t  and  h(t) > d_min:

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "core/analysis.hpp"
 #include "core/speedup.hpp"
@@ -34,12 +35,11 @@ double reset_time(const TaskSet& set, double speed, const AnalysisLimits& limits
   return report ? report->delta_r : kInf;
 }
 
-/// Theorem 2 alone: s_min and the facade's verdict at `speed` from one sweep.
-/// A rejected request reads as s_min = +inf, which no speed satisfies.
-AnalysisReport speedup_at(const TaskSet& set, double speed, const AnalysisLimits& limits) {
-  return Analyzer(limits)
-      .analyze(set, speed, {.speedup = true, .reset = false, .lo = false})
-      .value_or(AnalysisReport{.s_min = kInf});
+/// Theorem 2's s_min under `limits`; +inf should the facade reject the request.
+double s_min_of(const TaskSet& set, const AnalysisLimits& limits) {
+  const Expected<AnalysisReport> report =
+      Analyzer(limits).analyze(set, 1.0, {.speedup = true, .reset = false, .lo = false});
+  return report ? report->s_min : kInf;
 }
 
 McTask rebuild(const McTask& t) {
@@ -77,40 +77,60 @@ Expected<TaskSet> apply_termination(const TaskSet& set,
   return TaskSet::create(std::move(tasks));
 }
 
+FallbackFit find_fallback(const TaskSet& set, double speed, double max_reset,
+                          const AnalysisLimits& limits) {
+  FallbackFit fit;
+  AnalysisRequest request;
+  request.set = set;
+  request.speed = speed;
+  request.parts = {.speedup = true, .reset = true, .lo = false};
+  request.limits = limits;
+  const Analyzer analyzer;
+  const std::vector<std::size_t> order = sacrifice_order(set);
+  std::vector<std::size_t> terminated;
+  for (std::size_t tier = 0; tier <= order.size(); ++tier) {
+    if (tier > 0) {
+      terminated.push_back(order[tier - 1]);
+      Expected<TaskSet> reduced = apply_termination(set, terminated);
+      if (!reduced) break;  // cannot happen: candidates are live LO tasks
+      request.set = std::move(reduced).value();
+    }
+    const Expected<AnalysisReport> report = analyzer.fits(request, max_reset);
+    if (report && report->hi_schedulable) {
+      fit.feasible = true;
+      fit.fallback.terminated = terminated;
+      fit.within_budget = within_reset_budget(report->delta_r, max_reset);
+      break;
+    }
+  }
+  return fit;
+}
+
 DegradedGuarantee analyze_degraded(const TaskSet& set, double achieved_speed,
                                    const AnalysisLimits& limits) {
   DegradedGuarantee g;
   g.achieved_speed = achieved_speed;
-  const AnalysisReport nominal = speedup_at(set, achieved_speed, limits);
-  g.nominal_s_min = nominal.s_min;
-  g.s_min_with_fallback = nominal.s_min;
+  g.nominal_s_min = s_min_of(set, limits);
+  g.s_min_with_fallback = g.nominal_s_min;
   g.delta_r = kInf;
 
-  if (nominal.hi_schedulable) {
-    g.schedulable_unmodified = true;
-    g.feasible = true;
+  const FallbackFit fit = find_fallback(set, achieved_speed, kInf, limits);
+  g.schedulable_unmodified = fit.feasible && fit.fallback.tier() == 0;
+  // Running the unmodified set at s' < s_min voids Theorem 2 in HI mode.
+  g.hi_mode_misses_licensed = !g.schedulable_unmodified;
+  if (!fit.feasible) return g;  // even full termination cannot absorb s'
+
+  g.feasible = true;
+  g.fallback = fit.fallback;
+  if (g.schedulable_unmodified) {
     g.delta_r = reset_time(set, achieved_speed, limits);
     return g;
   }
-
-  // Running the unmodified set at s' < s_min voids Theorem 2 in HI mode.
-  g.hi_mode_misses_licensed = true;
-
-  std::vector<std::size_t> terminated;
-  for (std::size_t candidate : sacrifice_order(set)) {
-    terminated.push_back(candidate);
-    const Expected<TaskSet> reduced = apply_termination(set, terminated);
-    if (!reduced) break;  // cannot happen: candidates are live LO tasks
-    const AnalysisReport tier = speedup_at(reduced.value(), achieved_speed, limits);
-    if (tier.hi_schedulable) {
-      g.feasible = true;
-      g.fallback.terminated = terminated;
-      g.s_min_with_fallback = tier.s_min;
-      g.delta_r = reset_time(reduced.value(), achieved_speed, limits);
-      return g;
-    }
-  }
-  return g;  // infeasible: even full termination cannot absorb s'
+  const Expected<TaskSet> reduced = apply_termination(set, fit.fallback.terminated);
+  if (!reduced) return g;  // cannot happen: the search built this tier
+  g.s_min_with_fallback = s_min_of(reduced.value(), limits);
+  g.delta_r = reset_time(reduced.value(), achieved_speed, limits);
+  return g;
 }
 
 BoostFaultMargin boost_fault_margin(const TaskSet& set) {

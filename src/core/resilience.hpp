@@ -9,7 +9,10 @@
 //
 //   * which *fallback* restores schedulability at s' -- LO tasks are
 //     terminated (Eq. 3) in tiers, largest HI-mode demand first, until
-//     s_min of the reduced set drops to s';
+//     the reduced set passes Theorem 2 at s'. find_fallback is the one
+//     search over the tiers, one Analyzer::fits decision per tier; the
+//     multicore receivers and boost-denied cores (multi/resilience.hpp)
+//     call it directly, and analyze_degraded adds the exact numbers;
 //   * the per-taskset *boost-fault margin*: the smallest s' that the
 //     maximal admissible fallback (every LO task terminated) tolerates --
 //     below it not even sacrificing all LO service saves the HI tasks;
@@ -61,12 +64,32 @@ struct DegradedGuarantee {
   bool hi_mode_misses_licensed = false;
 };
 
+/// Where the first termination tier that saves a set's HI mode lies.
+struct FallbackFit {
+  /// Some tier passes Theorem 2 at the speed.
+  bool feasible = false;
+  /// The first such tier (empty when the set as given passes).
+  FallbackPlan fallback;
+  /// That tier's Delta_R at the speed fits the dwell budget.
+  bool within_budget = false;
+};
+
+/// The one search over the termination tiers: the set as given (tier 0),
+/// then LO tasks terminated one by one in sacrifice order -- decreasing
+/// HI-mode utilization, ties by index, tasks already terminated in the input
+/// skipped. Finds the first tier whose HI mode is schedulable at `speed` and
+/// checks its Delta_R at `speed` against `max_reset`, with one
+/// Analyzer::fits decision per tier under `limits`. A facade error reads as
+/// a tier that does not pass.
+[[nodiscard]] FallbackFit find_fallback(const TaskSet& set, double speed, double max_reset,
+                                        const AnalysisLimits& limits = {});
+
 /// Degraded guarantee for an achieved HI-mode speed s' (> 0), typically
-/// below s_min: one Theorem 2 sweep under `limits` per candidate set (its
-/// s_min and the facade's verdict at s'), one Delta_R call on the accepted
-/// set. A facade error yields infeasible, delta_r = +inf; nothing throws.
-/// Tiers terminate LO tasks in order of decreasing HI-mode utilization (ties
-/// by index), skipping tasks already terminated in the input.
+/// below s_min: find_fallback at s' without a dwell budget, plus the exact
+/// numbers of the outcome -- one Theorem 2 sweep under `limits` for s_min of
+/// the set as given and one for the fallback set, and one Delta_R call on
+/// the accepted set. A facade error yields infeasible, delta_r = +inf;
+/// nothing throws.
 [[nodiscard]] DegradedGuarantee analyze_degraded(const TaskSet& set, double achieved_speed,
                                                  const AnalysisLimits& limits = {});
 

@@ -35,10 +35,11 @@ TaskSet local_set(const TaskSet& set, const std::vector<std::size_t>& indices) {
 }
 
 // Acceptance of `local` on a core with `budget`: the set as given (tier 0 of
-// analyze_degraded) or its first fallback tier that fits. `shed` receives
-// LOCAL indices of terminated LO tasks. LO-mode schedulability gates every
-// tier (termination never lowers LO-mode demand), so it runs first and alone.
-// The LO test and tier 0 count as one analyzer call, the further tiers one.
+// find_fallback) or its first fallback tier that passes HI mode, provided
+// that tier's dwell fits the reset budget. `shed` receives LOCAL indices of
+// terminated LO tasks. LO-mode schedulability gates every tier (termination
+// never lowers LO-mode demand), so it runs first and alone. The LO test and
+// tier 0 count as one analyzer call, the further tiers one.
 bool accept_on_core(const Ctx& ctx, const TaskSet& local, const CoreBudget& budget,
                     std::vector<std::size_t>& shed) {
   shed.clear();
@@ -50,13 +51,12 @@ bool accept_on_core(const Ctx& ctx, const TaskSet& local, const CoreBudget& budg
   ++*ctx.analyzer_calls;
   const Expected<AnalysisReport> lo = analyze(areq);
   if (!lo || !lo->lo_schedulable) return false;
-  const DegradedGuarantee degraded =
-      analyze_degraded(local, budget.hi_speedup, ctx.req->limits);
-  const bool fits =
-      degraded.feasible && within_reset_budget(degraded.delta_r, budget.max_reset);
-  if (!degraded.schedulable_unmodified || !fits) ++*ctx.analyzer_calls;
+  const FallbackFit fit =
+      find_fallback(local, budget.hi_speedup, budget.max_reset, ctx.req->limits);
+  const bool fits = fit.feasible && fit.within_budget;
+  if (!fits || fit.fallback.tier() > 0) ++*ctx.analyzer_calls;
   if (!fits) return false;
-  shed = degraded.fallback.terminated;
+  shed = fit.fallback.terminated;
   return true;
 }
 
@@ -140,12 +140,10 @@ FailureScenario evaluate_scenario(const Ctx& ctx, const MultiReport& nominal,
     for (std::size_t g : cs.tasks) has_hi = has_hi || req.set[g].is_hi();
     if (!has_hi) continue;
     ++*ctx.analyzer_calls;
-    const DegradedGuarantee degraded =
-        analyze_degraded(local_set(req.set, cs.tasks), req.lo_speed, req.limits);
-    if (degraded.feasible &&
-        within_reset_budget(degraded.delta_r, req.budgets[core].max_reset)) {
-      for (std::size_t local : degraded.fallback.terminated)
-        cs.shed.push_back(cs.tasks[local]);
+    const FallbackFit fit = find_fallback(local_set(req.set, cs.tasks), req.lo_speed,
+                                          req.budgets[core].max_reset, req.limits);
+    if (fit.feasible && fit.within_budget) {
+      for (std::size_t local : fit.fallback.terminated) cs.shed.push_back(cs.tasks[local]);
       continue;
     }
     // Strip the HI tasks; the LO remainder is a subset of a LO-schedulable

@@ -11,8 +11,8 @@
 //                      for every episode (FaultPlan::boost_denied_on_core):
 //                      the core first tries to save its HI tasks locally by
 //                      terminating LO tasks in tiers (core/resilience.hpp's
-//                      degraded guarantee at s' = lo_speed); only when no
-//                      tier suffices do its HI tasks migrate off.
+//                      find_fallback at s' = lo_speed); only when no tier
+//                      suffices do its HI tasks migrate off.
 //
 // The analysis enumerates every set of <= k faulted cores crossed with the
 // enabled fault classes and precomputes, offline, a *spare assignment* for
@@ -20,11 +20,13 @@
 // utilization first -- onto surviving, non-denied cores, each receiver
 // re-certified against its OWN budget by the Analyzer facade's verdicts
 // (LO-mode at lo_speed, `hi_schedulable` at hi_speedup, `within_reset_budget`
-// against max_reset). A receiver that cannot take a task outright may shed
-// its own LO service instead: the fallback tiers of analyze_degraded() are
-// tried, and the terminated LO tasks are reported as ShedSteps. The system
-// is k-tolerant iff the nominal partition is feasible and every scenario
-// admits a feasible spare assignment.
+// against max_reset), asked as decision questions (Analyzer::fits) that stop
+// as soon as the verdict is known. A receiver that cannot take a task
+// outright may shed its own LO service instead: the same find_fallback tiers
+// are tried, and the terminated LO tasks are reported as ShedSteps. The
+// system is k-tolerant iff the nominal partition is feasible and every
+// scenario admits a feasible spare assignment. The reported margins
+// (CoreReport, post-migration s_min and Delta_R) come from full analyses.
 //
 // Everything is deterministic: scenario order (subset-lexicographic, then
 // class digits), migration-pool order (decreasing U(HI), parameter-tuple

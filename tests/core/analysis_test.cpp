@@ -16,6 +16,7 @@
 
 #include "core/edf.hpp"
 #include "core/exact_oracle.hpp"
+#include "core/grid_sets.hpp"
 #include "core/reset.hpp"
 #include "core/speedup.hpp"
 #include "core/tuning.hpp"
@@ -84,30 +85,6 @@ void expect_matches_oracle(const TaskSet& set, double speed, const AnalysisLimit
 
   // Shared ticks count once in the fused walk.
   EXPECT_LE(r.fused_breakpoints, r.speedup_breakpoints + r.reset_breakpoints);
-}
-
-/// Periods with lcm 1000 ticks. With LO service degraded to y = 2 the HI-mode
-/// hyperperiod stays <= 2000, so the oracle scans every interval length.
-constexpr std::array<Ticks, 8> kGrid = {20, 25, 40, 50, 100, 125, 250, 500};
-
-/// `drawn` with every period re-drawn from kGrid, keeping each task's
-/// utilization and C(HI)/C(LO) ratio up to rounding to whole ticks.
-ImplicitSet snap_to_grid(const ImplicitSet& drawn, Rng& rng) {
-  std::vector<ImplicitTask> tasks;
-  for (const ImplicitTask& t : drawn.tasks()) {
-    ImplicitTask snapped = t;
-    snapped.period = kGrid[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(kGrid.size()) - 1))];
-    snapped.c_lo = std::clamp<Ticks>(
-        std::llround(t.u_lo() * static_cast<double>(snapped.period)), 1, snapped.period);
-    const double gamma = static_cast<double>(t.c_hi) / static_cast<double>(t.c_lo);
-    snapped.c_hi = t.criticality == Criticality::HI
-                       ? std::clamp<Ticks>(std::llround(gamma * static_cast<double>(snapped.c_lo)),
-                                           snapped.c_lo, snapped.period)
-                       : snapped.c_lo;
-    tasks.push_back(std::move(snapped));
-  }
-  return ImplicitSet(std::move(tasks));
 }
 
 TEST(AnalysisFacadeTest, OracleReproducesPaperNumbers) {

@@ -140,6 +140,46 @@ TEST(EdfBoundaryTest, DefinitelyOverloadedStillRejected) {
   EXPECT_TRUE(r.conclusive);
 }
 
+/// U = 1/3 + 1/3 + 1/3 equals the speed and one deadline is constrained:
+/// L_a degenerates. The synchronous busy period ends at 180 ticks, and the
+/// set is schedulable.
+TaskSet full_utilization_constrained() {
+  return TaskSet({McTask::lo("a", 10, 25, 30), McTask::lo("b", 20, 60, 60),
+                  McTask::lo("c", 30, 90, 90)});
+}
+
+/// U = 2/3 + 0.333333334 exceeds 1 by 6.7e-10, inside kSpeedTol; every
+/// deadline is implicit. With one tick less, U falls short of 1 instead.
+TaskSet full_utilization_plus(Ticks extra) {
+  return TaskSet({McTask::lo("a", 1, 3, 3), McTask::lo("b", 1, 3, 3),
+                  McTask::lo("c", 333'333'333 + extra, 1'000'000'000, 1'000'000'000)});
+}
+
+TEST(EdfBoundaryTest, FullUtilizationWithConstrainedDeadlineIsDecided) {
+  // The window is the hyperperiod H = 180, which bounds the busy period:
+  // ten step points, not the whole breakpoint budget.
+  const EdfTestResult r = lo_mode_test(full_utilization_constrained());
+  EXPECT_TRUE(r.schedulable);
+  EXPECT_TRUE(r.conclusive);
+  EXPECT_EQ(r.breakpoints_visited, 10u);
+  const AnalysisReport report =
+      analyze({full_utilization_constrained(), 1.0, 1.0,
+               {.speedup = false, .reset = false, .lo = true}, {}})
+          .value();
+  EXPECT_TRUE(report.lo_schedulable);
+  EXPECT_EQ(report.lo_breakpoints, 10u);
+}
+
+TEST(EdfBoundaryTest, UtilizationWithinToleranceIsComparedExactly) {
+  // sum C * H / T against speed * H at H = 3 * 10^9, in integers.
+  const EdfTestResult above = lo_mode_test(full_utilization_plus(1));
+  EXPECT_FALSE(above.schedulable);
+  EXPECT_TRUE(above.conclusive);
+  const EdfTestResult below = lo_mode_test(full_utilization_plus(0));
+  EXPECT_TRUE(below.schedulable);
+  EXPECT_TRUE(below.conclusive);
+}
+
 TEST(EdfBoundaryTest, FullUtilizationAtNonUnitSpeed) {
   // Same boundary at speed 2: U == speed exactly with implicit deadlines.
   const TaskSet set({McTask::lo("a", 2, 2, 2), McTask::lo("b", 2, 2, 2)});

@@ -127,6 +127,25 @@ TEST(QpaBoundaryTest, ZeroSlackWitnessAgreesWithForwardSweep) {
   EXPECT_EQ(qpa_lo_schedulable(set), lo_mode_schedulable(set));
 }
 
+TEST(QpaBoundaryTest, FullUtilizationWithConstrainedDeadlineIsDecided) {
+  // U = 1 with D < T for one task: the same hyperperiod window (H = 180) as
+  // EdfBoundaryTest, a handful of backward steps.
+  const TaskSet set({McTask::lo("a", 10, 25, 30), McTask::lo("b", 20, 60, 60),
+                     McTask::lo("c", 30, 90, 90)});
+  const EdfTestResult r = qpa_lo_test(set);
+  EXPECT_TRUE(r.schedulable);
+  EXPECT_TRUE(r.conclusive);
+  EXPECT_LE(r.breakpoints_visited, 10u);
+}
+
+TEST(QpaBoundaryTest, UtilizationWithinToleranceIsComparedExactly) {
+  // U exceeds 1 by 6.7e-10 (inside kSpeedTol) with implicit deadlines.
+  const TaskSet above({McTask::lo("a", 1, 3, 3), McTask::lo("b", 1, 3, 3),
+                       McTask::lo("c", 333'333'334, 1'000'000'000, 1'000'000'000)});
+  EXPECT_FALSE(qpa_lo_schedulable(above));
+  EXPECT_EQ(qpa_lo_schedulable(above), lo_mode_schedulable(above));
+}
+
 TEST(QpaBoundaryTest, DefinitelyOverloadedStillRejected) {
   const TaskSet set({McTask::lo("a", 6, 10, 10), McTask::lo("b", 6, 10, 10)});
   EXPECT_FALSE(qpa_lo_schedulable(set));

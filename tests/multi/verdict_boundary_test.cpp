@@ -1,7 +1,8 @@
 // One HI-mode verdict: every consumer that asks "is speed s enough for this
 // set?" reads the Analyzer facade's answer (AnalysisReport::hi_schedulable_at)
-// rather than comparing s_min itself, so all of them accept a speed on s_min
-// up to rounding noise and all of them reject a speed clearly below it.
+// rather than comparing s_min itself -- the full analysis and the decision
+// question Analyzer::fits alike -- so all of them accept a speed on s_min up
+// to rounding noise and all of them reject a speed clearly below it.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -27,6 +28,11 @@ std::vector<std::pair<std::string, bool>> verdicts(const TaskSet& set, double s)
   std::vector<std::pair<std::string, bool>> out;
   out.emplace_back("facade", Analyzer().analyze(set, s).value().hi_schedulable);
   out.emplace_back("hi_mode_schedulable", hi_mode_schedulable(set, s));
+  constexpr double kNoBudget = std::numeric_limits<double>::infinity();
+  out.emplace_back("fits",
+                   Analyzer().fits({set, s, 1.0, {}, {}}, kNoBudget).value().hi_schedulable);
+  const FallbackFit fallback = find_fallback(set, s, kNoBudget);
+  out.emplace_back("find_fallback", fallback.feasible && fallback.fallback.tier() == 0);
 
   PartitionOptions options;
   options.hi_speedup = s;
