@@ -24,8 +24,10 @@
 //
 // `--json PATH` emits a machine-readable baseline: in benchmark mode it is
 // shorthand for google-benchmark's `--benchmark_out=PATH` with JSON format
-// (the results/BENCH_perf.json artifact); in campaign mode it writes a
-// small throughput summary.
+// (the results/BENCH_perf.json artifact, refreshed from a Release build with
+// `bench_perf --json results/BENCH_perf.json`); in campaign mode it writes a
+// small throughput summary. Every benchmark-mode report carries our build
+// context (rbs_build_type, rbs_cxx_flags, rbs_compiler, rbs_git).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -44,6 +46,20 @@
 #include "gen/taskgen.hpp"
 #include "rbs.hpp"
 #include "sim/simulate.hpp"
+
+// Build context, set by bench/CMakeLists.txt.
+#ifndef RBS_PERF_BUILD_TYPE
+#define RBS_PERF_BUILD_TYPE "unknown"
+#endif
+#ifndef RBS_PERF_CXX_FLAGS
+#define RBS_PERF_CXX_FLAGS ""
+#endif
+#ifndef RBS_PERF_COMPILER
+#define RBS_PERF_COMPILER "unknown"
+#endif
+#ifndef RBS_PERF_GIT
+#define RBS_PERF_GIT "unknown"
+#endif
 
 namespace {
 
@@ -526,6 +542,10 @@ int main(int argc, char** argv) {
   int filtered_argc = static_cast<int>(filtered.size());
   benchmark::Initialize(&filtered_argc, filtered.data());
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, filtered.data())) return 1;
+  benchmark::AddCustomContext("rbs_build_type", RBS_PERF_BUILD_TYPE);
+  benchmark::AddCustomContext("rbs_cxx_flags", RBS_PERF_CXX_FLAGS);
+  benchmark::AddCustomContext("rbs_compiler", RBS_PERF_COMPILER);
+  benchmark::AddCustomContext("rbs_git", RBS_PERF_GIT);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -29,32 +29,9 @@ Ticks adb_hi(const McTask& task, Ticks delta, bool discard_dropped_carryover) {
   return residual_demand(task, rho - gap) + (q + 1) * task.wcet(Mode::HI);
 }
 
-Ticks adb_hi_left(const McTask& task, Ticks delta, bool discard_dropped_carryover) {
-  assert(delta >= 1 && delta < kInfTicks);
-  if (task.dropped_in_hi())
-    return discard_dropped_carryover ? 0 : task.wcet(Mode::LO);
-  const Ticks t = task.period(Mode::HI);
-  const Ticks gap = t - task.deadline(Mode::LO);
-  Ticks q = delta / t;
-  Ticks rho = delta % t;
-  if (rho == 0) {
-    --q;
-    rho = t;
-  }
-  const Ticks w = rho - gap;
-  const Ticks r = (w <= 0) ? 0 : residual_demand(task, w);
-  return r + (q + 1) * task.wcet(Mode::HI);
-}
-
 RBS_HOT_PATH Ticks adb_hi_total(const TaskSet& set, Ticks delta, bool discard_dropped_carryover) {
   Ticks sum = 0;
   for (const McTask& t : set) sum += adb_hi(t, delta, discard_dropped_carryover);
-  return sum;
-}
-
-RBS_HOT_PATH Ticks adb_hi_total_left(const TaskSet& set, Ticks delta, bool discard_dropped_carryover) {
-  Ticks sum = 0;
-  for (const McTask& t : set) sum += adb_hi_left(t, delta, discard_dropped_carryover);
   return sum;
 }
 

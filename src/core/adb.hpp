@@ -25,12 +25,8 @@ namespace rbs {
 /// Eq. (10) at integer Delta.
 [[nodiscard]] Ticks adb_hi(const McTask& task, Ticks delta, bool discard_dropped_carryover = false);
 
-/// lim_{eps->0+} adb_hi(task, delta - eps), for delta >= 1.
-[[nodiscard]] Ticks adb_hi_left(const McTask& task, Ticks delta, bool discard_dropped_carryover = false);
-
 /// Sum over the whole set.
 [[nodiscard]] Ticks adb_hi_total(const TaskSet& set, Ticks delta, bool discard_dropped_carryover = false);
-[[nodiscard]] Ticks adb_hi_total_left(const TaskSet& set, Ticks delta, bool discard_dropped_carryover = false);
 
 /// Appends the breakpoint sequences of adb_hi for one task to `out`, tagged
 /// `mask`, with their deltas (append_ramp_family): window starts k*T(HI),

@@ -10,15 +10,28 @@
 //
 // Every sequence also carries what each of its ticks adds to the total
 // demand's value (jump) and slope. A walk therefore keeps the total demand as
-// running state (RunningDemand) and pays O(1) per popped sequence, instead of
-// re-summing all n tasks at every breakpoint. The running totals are the same
-// integers the per-task sums produce.
+// running state (RunningDemand) instead of re-summing all n tasks at every
+// breakpoint. The running totals are the same integers the per-task sums
+// produce.
+//
+// The merger streams the union of the sequences through rings: the sequences
+// that share a period and a consumer mask advance in lockstep, so they share
+// one heap entry, and equal starts are summed once, when the ring is built.
+// A tick costs O(log R) heap work per ring that hits it, with R the number of
+// rings: for the builders' families, one per distinct period and consumer,
+// however many tasks share a period. The stream is exactly the
+// per-sequence merge's (tests/core/reference_merger.hpp): strictly
+// increasing ticks below kInfTicks, each carrying the OR of the masks that
+// hit it and, per consumer, the summed jumps and slopes.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstdint>
+#include <limits>
 #include <optional>
-#include <queue>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -80,7 +93,22 @@ inline Ticks append_ramp_family(Ticks period, Ticks offset, Ticks c_lo, Ticks c_
 
 /// Merges tagged sequences into one strictly increasing stream; each tick is
 /// emitted once, carrying the union of the masks of every sequence hitting it
-/// and, per consumer, the summed deltas of the sequences tagged for it.
+/// and, per consumer, the summed deltas of the sequences tagged for it. Ticks
+/// at or past kInfTicks are never emitted; starts are non-negative.
+///
+/// The sequences that share a period T and a mask advance in lockstep: with
+/// their starts sorted, s_0 < s_1 < ... < s_k, they hit s_0, ..., s_k, then
+/// s_0 + T, ..., s_k + T, and so on. Such a group is one ring, and a ring is
+/// one heap entry: its next tick and the position of the start that hits it.
+/// Sequences with equal starts are summed into one stop when the ring is
+/// built, so a pop emits one stop and re-arms the ring at the gap to its next
+/// start, or, past s_k, at s_0 one period later. That walk increases strictly
+/// while a ring spans less than a period (s_k - s_0 < T), so a group that
+/// spans more (a start at or above T) is split into several rings. A ring of
+/// singletons (period 0) never wraps: it is walked once and dropped. The mask
+/// is part of the ring key, so each consumer's sequences sit in rings of
+/// their own. tests/core/reference_merger.hpp keeps the per-sequence merger
+/// this one must agree with, point for point.
 class TaggedBreakpointMerger {
  public:
   /// Summed jump and slope change of one consumer at one tick.
@@ -95,52 +123,154 @@ class TaggedBreakpointMerger {
   };
 
   /// Takes the sequences by value: callers that are done with their vector
-  /// move it in, and the merger keeps it as the table its heap entries index.
-  explicit TaggedBreakpointMerger(std::vector<TaggedSeq> seqs) : seqs_(std::move(seqs)) {
-    std::vector<Entry> entries;
-    entries.reserve(seqs_.size());
-    for (std::size_t i = 0; i < seqs_.size(); ++i)
-      if (seqs_[i].seq.start < kInfTicks)  // sequences of dropped tasks
-        entries.push_back({seqs_[i].seq.start, i});
-    heap_ = Heap(Later{}, std::move(entries));
+  /// move it in, and the merger keeps it, in place, as the stop table its
+  /// rings index. Cold: the ring heap is the one allocation. The builders
+  /// emit each family as a run of rising starts on one period; while no two
+  /// such runs share a ring key, the runs are the rings and no stop moves.
+  /// Otherwise the stops are sorted into ring order and equal ones summed.
+  explicit TaggedBreakpointMerger(std::vector<TaggedSeq> seqs) : stops_(std::move(seqs)) {
+    assert(stops_.size() < std::numeric_limits<std::uint32_t>::max());
+    rings_.reserve(stops_.size());
+    collect_rings();
+    if (shares_a_key()) {
+      const auto key = [](const TaggedSeq& s) {
+        return std::tie(s.mask, s.seq.period, s.seq.start);
+      };
+      std::sort(stops_.begin(), stops_.end(),
+                [&](const TaggedSeq& a, const TaggedSeq& b) { return key(a) < key(b); });
+      std::size_t kept = 0;  // sum the deltas of equal stops into the first
+      for (const TaggedSeq& s : stops_) {
+        if (kept > 0 && key(stops_[kept - 1]) == key(s)) {
+          stops_[kept - 1].jump += s.jump;
+          stops_[kept - 1].slope += s.slope;
+        } else {
+          stops_[kept++] = s;
+        }
+      }
+      stops_.resize(kept);
+      collect_rings();
+    }
+    for (std::size_t i = rings_.size() / 2; i-- > 0;) sift_down(i);
   }
 
-  /// Next merged breakpoint, or nullopt when every sequence is exhausted
-  /// (only possible with singletons). Hot: one call per merged tick of every
-  /// pseudo-polynomial walk. The heap was sized at construction; pop-then-push
-  /// never reallocates.
+  /// Next merged breakpoint, or nullopt when every ring is exhausted (only
+  /// possible with singletons). Hot: one call per merged tick of every
+  /// pseudo-polynomial walk. Each ring hits a tick at most once; a ring is
+  /// re-armed in place and sifted down, and the heap only shrinks.
   std::optional<Point> next() RBS_HOT_PATH {
-    if (heap_.empty()) return std::nullopt;
+    if (rings_.empty()) return std::nullopt;
     Point p;
-    p.tick = heap_.top().at;
-    while (!heap_.empty() && heap_.top().at == p.tick) {
-      const Entry e = heap_.top();
-      heap_.pop();
-      const TaggedSeq& s = seqs_[e.seq];
-      p.mask |= s.mask;
+    p.tick = rings_.front().at;
+    do {
+      Ring& ring = rings_.front();
+      const TaggedSeq& stop = stops_[ring.pos];
+      p.mask |= ring.mask;
       for (unsigned c = 0; c < kMergerConsumers; ++c) {
-        if ((s.mask & (1u << c)) == 0) continue;
-        p.delta[c].jump += s.jump;
-        p.delta[c].slope += s.slope;
+        if ((ring.mask & (1u << c)) == 0) continue;
+        p.delta[c].jump += stop.jump;
+        p.delta[c].slope += stop.slope;
       }
-      if (s.seq.period > 0 && e.at < kInfTicks - s.seq.period)
-        heap_.push({e.at + s.seq.period, e.seq});
-    }
+      if (!advance(ring)) {
+        ring = rings_.back();
+        rings_.pop_back();
+        if (rings_.empty()) break;
+      }
+      sift_down(0);
+    } while (rings_.front().at == p.tick);
     return p;
   }
 
  private:
-  /// The next tick of sequence seqs_[seq]; the heap orders by tick alone.
-  struct Entry {
+  /// A ring's key (period, mask), its next tick, and the stop stops_[pos]
+  /// that hits it; the ring's stops are stops_[first..last], by rising start.
+  /// The heap orders by tick alone.
+  struct Ring {
     Ticks at = 0;
-    std::size_t seq = 0;
+    Ticks period = 0;
+    std::uint32_t pos = 0;
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+    unsigned mask = 0;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const { return a.at > b.at; }
-  };
-  using Heap = std::priority_queue<Entry, std::vector<Entry>, Later>;
-  std::vector<TaggedSeq> seqs_;
-  Heap heap_;
+
+  /// Replaces rings_ by the maximal runs of stops_ that share a key and rise
+  /// by less than one period from their first start. A run whose first start
+  /// is at or past kInfTicks (a dropped task) is no ring; a later stop at or
+  /// past it only ends its ring, as every tick after it in the walk is
+  /// later still.
+  void collect_rings() {
+    rings_.clear();
+    const auto size = static_cast<std::uint32_t>(stops_.size());
+    for (std::uint32_t first = 0; first < size;) {
+      const TaggedSeq& head = stops_[first];
+      std::uint32_t last = first;
+      while (last + 1 < size) {
+        const TaggedSeq& s = stops_[last + 1];
+        if (s.mask != head.mask || s.seq.period != head.seq.period ||
+            s.seq.start <= stops_[last].seq.start ||
+            (s.seq.period > 0 && s.seq.start - head.seq.start >= s.seq.period))
+          break;
+        ++last;
+      }
+      if (head.seq.start < kInfTicks)
+        rings_.push_back({head.seq.start, head.seq.period, first, first, last, head.mask});
+      first = last + 1;
+    }
+  }
+
+  /// Whether two rings share a key, so that sorting the stops merges rings:
+  /// an insertion sort of rings_ by key that stops at the first equal pair.
+  /// Builders' runs on distinct periods are few, so the sort stays short;
+  /// shared periods end it early.
+  bool shares_a_key() {
+    const auto key_less = [](const Ring& a, const Ring& b) {
+      return a.mask != b.mask ? a.mask < b.mask : a.period < b.period;
+    };
+    for (std::size_t i = 1; i < rings_.size(); ++i) {
+      const Ring ring = rings_[i];
+      std::size_t j = i;
+      for (; j > 0 && !key_less(rings_[j - 1], ring); --j) {
+        if (!key_less(ring, rings_[j - 1])) return true;
+        rings_[j] = rings_[j - 1];
+      }
+      rings_[j] = ring;
+    }
+    return false;
+  }
+
+  /// Moves `ring` to its next stop; false once the ring is exhausted (a
+  /// singleton ring past its last stop, or a next tick at kInfTicks or past).
+  bool advance(Ring& ring) const {
+    const Ticks start = stops_[ring.pos].seq.start;
+    Ticks gap = 0;
+    if (ring.pos < ring.last) {
+      ++ring.pos;
+      gap = stops_[ring.pos].seq.start - start;
+    } else {
+      if (ring.period <= 0) return false;
+      gap = ring.period - (start - stops_[ring.first].seq.start);
+      ring.pos = ring.first;
+    }
+    if (ring.at >= kInfTicks - gap) return false;
+    ring.at += gap;
+    return true;
+  }
+
+  /// Restores the min-heap order below rings_[i].
+  void sift_down(std::size_t i) {
+    const Ring ring = rings_[i];
+    const std::size_t size = rings_.size();
+    for (std::size_t child = 2 * i + 1; child < size; child = 2 * i + 1) {
+      if (child + 1 < size && rings_[child + 1].at < rings_[child].at) ++child;
+      if (rings_[child].at >= ring.at) break;
+      rings_[i] = rings_[child];
+      i = child;
+    }
+    rings_[i] = ring;
+  }
+
+  std::vector<TaggedSeq> stops_;
+  std::vector<Ring> rings_;
 };
 
 /// A total demand walked tick by tick: its value at the last tick reached and

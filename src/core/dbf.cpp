@@ -38,24 +38,6 @@ Ticks dbf_hi(const McTask& task, Ticks delta) {
   return residual_demand(task, rho - g) + q * task.wcet(Mode::HI);
 }
 
-Ticks dbf_hi_left(const McTask& task, Ticks delta) {
-  assert(delta >= 1 && delta < kInfTicks);
-  if (task.dropped_in_hi()) return 0;
-  const Ticks t = task.period(Mode::HI);
-  const Ticks g = task.deadline_extension();
-  Ticks q = delta / t;
-  Ticks rho = delta % t;
-  if (rho == 0) {  // approach delta from inside the previous window
-    --q;
-    rho = t;
-  }
-  const Ticks w = rho - g;
-  // At w == 0 the function jumps by C(HI)-C(LO); the left limit comes from
-  // the w < 0 side where r == 0.
-  const Ticks r = (w <= 0) ? 0 : residual_demand(task, w);
-  return r + q * task.wcet(Mode::HI);
-}
-
 RBS_HOT_PATH Ticks dbf_lo_total(const TaskSet& set, Ticks delta) {
   Ticks sum = 0;
   for (const McTask& t : set) sum += dbf_lo(t, delta);

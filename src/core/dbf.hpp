@@ -12,8 +12,7 @@
 // upward, so the ratio maximisation of Theorem 2 needs only its values at the
 // breakpoints. The walks never call these per tick: the breakpoint sequences
 // below carry each tick's jump and slope change, and the walks keep the total
-// demand as running state (core/breakpoints.hpp). dbf_hi_left is the
-// reference the tests check those running left limits against.
+// demand as running state (core/breakpoints.hpp).
 #pragma once
 
 #include <vector>
@@ -30,9 +29,6 @@ namespace rbs {
 /// A task dropped in HI mode (Eq. 3) has zero HI-mode demand: its carry-over
 /// job keeps running but no longer carries a deadline.
 [[nodiscard]] Ticks dbf_hi(const McTask& task, Ticks delta);
-
-/// lim_{eps->0+} dbf_hi(task, delta - eps), for delta >= 1.
-[[nodiscard]] Ticks dbf_hi_left(const McTask& task, Ticks delta);
 
 /// Sum of dbf_lo over the whole set.
 [[nodiscard]] Ticks dbf_lo_total(const TaskSet& set, Ticks delta);

@@ -13,6 +13,7 @@
 
 #include "core/dbf.hpp"
 #include "core/demand_walk.hpp"
+#include "core/left_limits.hpp"
 
 namespace rbs {
 namespace {

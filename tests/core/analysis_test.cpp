@@ -20,6 +20,7 @@
 #include "core/reset.hpp"
 #include "core/speedup.hpp"
 #include "core/tuning.hpp"
+#include "gen/fms.hpp"
 #include "gen/paper_examples.hpp"
 #include "gen/rng.hpp"
 #include "gen/taskgen.hpp"
@@ -115,9 +116,23 @@ TEST(AnalysisFacadeTest, PaperNumbersComeOutOfOneCall) {
   EXPECT_TRUE(r.system_schedulable);
 }
 
+/// `skeleton` prepared at its exact minimum x with LO service degraded to y = 2.
+TaskSet at_min_x(const ImplicitSet& skeleton) {
+  const MinXResult mx = min_x_for_lo(skeleton);
+  EXPECT_TRUE(mx.feasible);
+  return skeleton.materialize(mx.x, 2.0);
+}
+
 TEST(AnalysisFacadeTest, WorkCountersArePinned) {
   // Machine-independent regression signal: the breakpoints each consumer is
-  // charged on the paper examples.
+  // charged on the paper examples, on a 32-task UUniFast set snapped to the
+  // harmonic grid (8 periods, so many sequences share each one) and on the
+  // FMS set.
+  Rng rng(32);
+  UUniFastParams params;
+  params.n_tasks = 32;
+  const TaskSet grid = at_min_x(snap_to_grid(generate_uunifast_set(params, rng), rng));
+  const TaskSet fms = at_min_x(fms_task_set(2.0));
   struct Row {
     TaskSet set;
     double speed;
@@ -126,9 +141,13 @@ TEST(AnalysisFacadeTest, WorkCountersArePinned) {
   const Row rows[] = {{table1_base(), 4.0 / 3.0, 8, 4, 8, 2},
                       {table1_base(), 2.0, 8, 3, 8, 2},
                       {table1_degraded(), 4.0 / 3.0, 34, 4, 34, 2},
-                      {table1_degraded(), 2.0, 34, 3, 34, 2}};
+                      {table1_degraded(), 2.0, 34, 3, 34, 2},
+                      {grid, 4.0 / 3.0, 964, 44, 964, 22},
+                      {grid, 2.0, 964, 23, 964, 22},
+                      {fms, 4.0 / 3.0, 639, 99, 639, 33},
+                      {fms, 2.0, 639, 48, 639, 33}};
   for (const Row& row : rows) {
-    SCOPED_TRACE("speed = " + std::to_string(row.speed));
+    SCOPED_TRACE(std::to_string(row.set.size()) + " tasks, speed " + std::to_string(row.speed));
     const AnalysisReport r = Analyzer().analyze(row.set, row.speed).value();
     EXPECT_EQ(r.speedup_breakpoints, row.speedup);
     EXPECT_EQ(r.reset_breakpoints, row.reset);

@@ -12,6 +12,7 @@
 
 #include "core/breakpoints.hpp"
 #include "core/demand_walk.hpp"
+#include "core/left_limits.hpp"
 
 namespace rbs {
 namespace {

@@ -8,6 +8,7 @@
 #include "core/adb.hpp"
 #include "core/dbf.hpp"
 #include "core/exact_oracle.hpp"
+#include "core/left_limits.hpp"
 #include "core/reset.hpp"
 #include "core/speedup.hpp"
 #include "gen/rng.hpp"

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "core/adb.hpp"
+#include "core/left_limits.hpp"
 #include "gen/paper_examples.hpp"
 #include "gen/rng.hpp"
 #include "gen/taskgen.hpp"
