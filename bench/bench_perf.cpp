@@ -318,9 +318,8 @@ void BM_FusedAnalyzeN(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedAnalyzeN)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
-// The LO-mode test on constrained deadlines, both implementations on the same
-// set. `breakpoints` is the step points (forward) or backward iterations
-// (QPA) one call visits inside the window min(L_a, H).
+// The LO-mode test on constrained deadlines. `breakpoints` is the step points
+// one call visits inside the window min(L_a, H).
 void BM_LoModeForwardSweep(benchmark::State& state) {
   const TaskSet set = make_set(21, 0.9, 0.4, 2.0);  // constrained deadlines
   std::size_t breakpoints = 0;
@@ -332,18 +331,6 @@ void BM_LoModeForwardSweep(benchmark::State& state) {
   state.counters["breakpoints"] = static_cast<double>(breakpoints);
 }
 BENCHMARK(BM_LoModeForwardSweep);
-
-void BM_LoModeQpa(benchmark::State& state) {
-  const TaskSet set = make_set(21, 0.9, 0.4, 2.0);  // same set as forward sweep
-  std::size_t breakpoints = 0;
-  for (auto _ : state) {
-    const EdfTestResult r = qpa_lo_test(set);
-    breakpoints = r.breakpoints_visited;
-    benchmark::DoNotOptimize(r.schedulable);
-  }
-  state.counters["breakpoints"] = static_cast<double>(breakpoints);
-}
-BENCHMARK(BM_LoModeQpa);
 
 /// One partition probe: a candidate core set and its dwell budget.
 struct Probe {

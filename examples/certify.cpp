@@ -3,7 +3,7 @@
 // Reads a task set from a file (see src/support/taskset_io.hpp for the
 // format; defaults to the built-in Table I example) and produces the full
 // offline argument for deploying it under temporary processor speedup:
-// LO-mode test (forward + QPA cross-check), minimum speedup, resetting-time
+// LO-mode processor-demand test, minimum speedup, resetting-time
 // curve, DVFS level choice, turbo-envelope admissibility incl. the
 // termination fallback, sensitivity headroom and overhead tolerance --
 // finishing with a simulation smoke run at the chosen operating point.
@@ -46,16 +46,10 @@ int main(int argc, char** argv) {
   std::cout << "envelope: speedup <= " << max_speed << ", boost <= "
             << max_boost / ticks_per_ms << " ms\n\n";
 
-  // 1. LO mode, two independent algorithms.
-  const bool lo_fwd = lo_mode_schedulable(set);
-  const bool lo_qpa = qpa_lo_schedulable(set);
-  std::cout << "[1] LO-mode EDF: forward sweep " << (lo_fwd ? "PASS" : "FAIL") << ", QPA "
-            << (lo_qpa ? "PASS" : "FAIL") << "\n";
-  if (lo_fwd != lo_qpa) {
-    std::cout << "    INTERNAL DISAGREEMENT -- report a bug\n";
-    return 3;
-  }
-  if (!lo_fwd) {
+  // 1. LO mode: the processor-demand test.
+  const bool lo = lo_mode_schedulable(set);
+  std::cout << "[1] LO-mode EDF: " << (lo ? "PASS" : "FAIL") << "\n";
+  if (!lo) {
     std::cout << "    normal operation infeasible; nothing to certify\n";
     return 1;
   }

@@ -63,7 +63,7 @@ struct SpeedupSearch {
     // The demand repeats, shifted by U*H, every hyperperiod H; the mediant
     // inequality then confines the supremum to (0, H]. On overflow H is
     // kInfTicks and the envelope rules alone stop the search.
-    hyperperiod = hi_hyperperiod(set);
+    hyperperiod = rbs::hyperperiod(set, Mode::HI).value_or(kInfTicks);
     active = true;
   }
 

@@ -56,16 +56,16 @@ Ticks dbf_hi_breakpoints(const McTask& task, unsigned mask, std::vector<TaggedSe
                             task.wcet(Mode::LO), task.wcet(Mode::HI), mask, out);
 }
 
-Ticks hi_hyperperiod(const TaskSet& set) {
-  Ticks hyperperiod = 1;
+std::optional<Ticks> hyperperiod(const TaskSet& set, Mode mode, Ticks cap) {
+  Ticks h = 1;
   for (const McTask& t : set) {
-    if (t.dropped_in_hi()) continue;
-    const Ticks period = t.period(Mode::HI);
-    const Ticks gcd = std::gcd(hyperperiod, period);
-    if (hyperperiod / gcd > kInfTicks / period) return kInfTicks;
-    hyperperiod = hyperperiod / gcd * period;
+    const Ticks period = t.period(mode);
+    if (is_inf(period)) continue;
+    const Ticks step = h / std::gcd(h, period);
+    if (step > cap / period) return std::nullopt;  // step * period > cap
+    h = step * period;
   }
-  return hyperperiod;
+  return h;
 }
 
 TaggedSeq dbf_lo_breakpoints(const McTask& task, unsigned mask) {

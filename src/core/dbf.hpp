@@ -15,6 +15,7 @@
 // demand as running state (core/breakpoints.hpp).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "core/breakpoints.hpp"
@@ -43,11 +44,14 @@ namespace rbs {
 /// Appends nothing (and returns 0) for dropped tasks.
 Ticks dbf_hi_breakpoints(const McTask& task, unsigned mask, std::vector<TaggedSeq>& out);
 
-/// H = lcm T_i(HI) over the tasks not dropped in HI mode (1 when there are
-/// none), or kInfTicks when it overflows. DBF_HI(delta + T(HI)) = DBF_HI(delta)
-/// + C(HI) per task, so the total HI-mode demand repeats, shifted by U_HI*H,
-/// every H ticks: the walks of Theorem 2 and its latency variant stop there.
-[[nodiscard]] Ticks hi_hyperperiod(const TaskSet& set);
+/// H = lcm of the finite periods T_i(mode) (1 when there are none; a task
+/// dropped in HI mode has T(HI) = kInfTicks and is skipped), or nullopt as
+/// soon as it passes `cap`. A task's demand in either mode grows by C every T
+/// ticks, so the total demand repeats, shifted by U*H, every H ticks: the
+/// walks of Theorem 2 and its latency variant stop at the HI-mode H, and the
+/// LO-mode test's window ends at the LO-mode H (core/edf.hpp).
+[[nodiscard]] std::optional<Ticks> hyperperiod(const TaskSet& set, Mode mode,
+                                               Ticks cap = kInfTicks);
 
 /// Breakpoint (jump) sequence of dbf_lo for one task, tagged `mask`:
 /// k*T(LO) + D(LO), each tick adding C(LO).

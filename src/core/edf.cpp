@@ -1,7 +1,6 @@
 #include "core/edf.hpp"
 
 #include <cmath>
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -15,18 +14,6 @@ namespace {
 
 __extension__ typedef __int128 Wide;  // exact products of a mantissa and a tick count
 
-/// lcm of the LO-mode periods, or nullopt as soon as it passes `cap`.
-std::optional<Ticks> lo_hyperperiod(const TaskSet& set, Ticks cap) {
-  Ticks h = 1;
-  for (const McTask& t : set) {
-    const Ticks period = t.period(Mode::LO);
-    const Ticks step = h / std::gcd(h, period);
-    if (step > cap / period) return std::nullopt;  // step * period > cap
-    h = step * period;
-  }
-  return h;
-}
-
 /// sum C * h / T over the set, the LO-mode demand of one hyperperiod h, or
 /// nullopt on overflow. Each term is at most h, as C <= T.
 std::optional<Ticks> hyperperiod_demand(const TaskSet& set, Ticks h) {
@@ -39,23 +26,40 @@ std::optional<Ticks> hyperperiod_demand(const TaskSet& set, Ticks h) {
   return work;
 }
 
-/// Whether work <= speed * h holds exactly, for work >= 0 and h >= 1.
-/// speed = mantissa * 2^shift with a 53-bit mantissa, so the product needs
-/// at most 116 bits.
-bool work_fits(Ticks work, Ticks h, double speed) {
-  if (!(speed > 0.0)) return work == 0;
-  int exponent = 0;
-  const double fraction = std::frexp(speed, &exponent);  // speed = fraction * 2^exponent
-  const auto mantissa = static_cast<Wide>(std::ldexp(fraction, 53));
-  const int shift = exponent - 53;
-  const Wide supply = mantissa * h;
-  // mantissa >= 2^52 and h >= 1, so a shift of 11 puts the supply past any
-  // Ticks value.
-  if (shift >= 11) return true;
-  if (shift >= 0) return work <= (supply << shift);
-  // For an integer work, work <= supply / 2^k iff work <= floor(supply / 2^k).
-  return work <= (-shift >= 120 ? Wide{0} : supply >> -shift);
-}
+/// The supply speed * d of a processor at `speed`, compared exactly with an
+/// integer work. The speed is split once into mantissa * 2^shift with a
+/// 53-bit mantissa, so each product with a tick count needs at most 116 bits,
+/// and at most 126 once shifted left.
+class Supply {
+ public:
+  explicit Supply(double speed) {
+    if (!(speed > 0.0)) return;  // mantissa 0: only zero work fits
+    if (std::isinf(speed)) {
+      shift_ = kPastTicks;
+      return;
+    }
+    int exponent = 0;
+    const double fraction = std::frexp(speed, &exponent);  // speed = fraction * 2^exponent
+    mantissa_ = static_cast<Wide>(std::ldexp(fraction, 53));
+    shift_ = exponent - 53;
+  }
+
+  /// Whether work <= speed * d holds exactly, for work >= 0 and d >= 1.
+  [[nodiscard]] bool covers(Wide work, Ticks d) const {
+    if (shift_ >= kPastTicks) return true;
+    const Wide supply = mantissa_ * d;
+    if (shift_ >= 0) return work <= (supply << shift_);
+    // For an integer work, work <= supply / 2^k iff work <= floor(supply / 2^k).
+    return work <= (-shift_ >= 120 ? Wide{0} : supply >> -shift_);
+  }
+
+ private:
+  /// mantissa >= 2^52 and d >= 1, so a shift of 11 puts the supply past any
+  /// Ticks value.
+  static constexpr int kPastTicks = 11;
+  Wide mantissa_ = 0;
+  int shift_ = 0;
+};
 
 }  // namespace
 
@@ -86,12 +90,12 @@ LoWindow lo_test_window(const TaskSet& set, double speed) {
     const Ticks l_a = quotient < static_cast<double>(kInfTicks - 2)
                           ? static_cast<Ticks>(quotient) + 1
                           : kInfTicks - 1;
-    return {std::nullopt, lo_hyperperiod(set, l_a).value_or(l_a)};
+    return {std::nullopt, hyperperiod(set, Mode::LO, l_a).value_or(l_a)};
   }
 
   // U == speed to tolerance: L_a degenerates, so compare the demand of one
   // hyperperiod with the supply speed * H exactly.
-  const std::optional<Ticks> h = lo_hyperperiod(set, kInfTicks);
+  const std::optional<Ticks> h = hyperperiod(set, Mode::LO);
   const std::optional<Ticks> work = h ? hyperperiod_demand(set, *h) : std::nullopt;
   if (!work) {
     // Overflow: only the breakpoint budget bounds the walk, and running out
@@ -99,7 +103,7 @@ LoWindow lo_test_window(const TaskSet& set, double speed) {
     if (implicit) return {true, 0};
     return {std::nullopt, kInfTicks - 1};
   }
-  if (!work_fits(*work, *h, speed)) return {false, 0};
+  if (!Supply(speed).covers(*work, *h)) return {false, 0};
   if (implicit) return {true, 0};
   return {std::nullopt, *h};
 }
@@ -118,8 +122,11 @@ EdfTestResult lo_mode_test(const TaskSet& set, const EdfTestOptions& options) {
   TaggedBreakpointMerger merger(std::move(seqs));
 
   // DBF_LO is a step function that is 0 before the first deadline (D >= 1):
-  // the running total only adds each tick's jumps.
-  Ticks demand = 0;
+  // the running total only adds each tick's jumps. It is kept in 128 bits: at
+  // a speed of 8 or more, demand within the supply can pass int64 near the
+  // top of the window.
+  const Supply supply(options.speed);
+  Wide demand = 0;
   while (const auto point = merger.next()) {
     const Ticks d = point->tick;
     if (d > window.last) break;
@@ -129,9 +136,7 @@ EdfTestResult lo_mode_test(const TaskSet& set, const EdfTestOptions& options) {
       return result;
     }
     demand += point->delta[0].jump;
-    const long double supply =
-        static_cast<long double>(options.speed) * static_cast<long double>(d);
-    if (static_cast<long double>(demand) > supply) {
+    if (!supply.covers(demand, d)) {
       result.schedulable = false;
       result.violation_delta = d;
       return result;

@@ -7,8 +7,10 @@
 // The test is pseudo-polynomial: demand is checked only at the step points
 // of the total demand function inside a finite window, the smaller of the
 // utilization-based bound L_a and the LO-mode hyperperiod H (which bounds
-// the synchronous busy period whenever U <= speed). lo_test_window computes
-// it for both implementations, this forward sweep and QPA (core/qpa.hpp).
+// the synchronous busy period whenever U <= speed). lo_mode_test walks those
+// step points forward and compares demand with supply exactly; it is the
+// library's only LO-mode test. tests/core/reference_qpa.hpp keeps QPA, the
+// backward iteration of Zhang & Burns, as the oracle it is checked against.
 #pragma once
 
 #include <cstddef>

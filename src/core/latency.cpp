@@ -39,7 +39,7 @@ LatencySpeedupReport min_speedup_with_latency(const TaskSet& set, Ticks latency)
   const auto lat = static_cast<double>(latency);
 
   // Hyperperiod stop (the mediant argument of Theorem 2 carries over).
-  const Ticks hyperperiod = hi_hyperperiod(set);
+  const Ticks hyperperiod = rbs::hyperperiod(set, Mode::HI).value_or(kInfTicks);
 
   double best = std::max(1.0, u_hi);
   Ticks argmax = 0;

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "core/edf.hpp"
 #include "core/speedup.hpp"
 
 namespace rbs {

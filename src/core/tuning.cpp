@@ -7,11 +7,14 @@
 #include "core/dbf.hpp"
 #include "core/edf.hpp"
 #include "core/speedup.hpp"
+#include "support/det_annotations.hpp"
 #include "support/tolerance.hpp"
 
 namespace rbs {
 
-MinXResult min_x_for_lo(const ImplicitSet& set, double tolerance) {
+// RBS_DET_PATH: the campaign items materialise their sets at this x, so the
+// bisection must replay bit for bit.
+RBS_DET_PATH MinXResult min_x_for_lo(const ImplicitSet& set, double tolerance) {
   MinXResult result;
   // The LO-mode test ignores HI-mode parameters, so materialise with y = 1.
   auto schedulable_at = [&](double x) {

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "support/det_annotations.hpp"
+
 namespace rbs {
 
 namespace {
@@ -39,7 +41,10 @@ double system_utilization(const ImplicitSet& set) {
   return std::max(set.u_total_lo(), set.u_hi_hi());
 }
 
-std::optional<ImplicitSet> generate_task_set(const GenParams& params, Rng& rng) {
+// RBS_DET_PATH (here and on generate_uunifast_set): every campaign and
+// benchmark digest starts from the sets the generators draw, so a set must be
+// a pure function of the parameters and the seeded Rng's state.
+RBS_DET_PATH std::optional<ImplicitSet> generate_task_set(const GenParams& params, Rng& rng) {
   std::vector<ImplicitTask> tasks;
   double u_total_lo = 0.0;
   double u_hi_hi = 0.0;
@@ -82,7 +87,7 @@ std::vector<double> uunifast(int n, double u_total, Rng& rng) {
   return utilizations;
 }
 
-ImplicitSet generate_uunifast_set(const UUniFastParams& params, Rng& rng) {
+RBS_DET_PATH ImplicitSet generate_uunifast_set(const UUniFastParams& params, Rng& rng) {
   const std::vector<double> utils = uunifast(params.n_tasks, params.u_total_lo, rng);
   std::vector<ImplicitTask> tasks;
   tasks.reserve(utils.size());

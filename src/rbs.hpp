@@ -31,7 +31,6 @@
 #include "core/latency.hpp"
 #include "core/overhead.hpp"
 #include "core/partition.hpp"
-#include "core/qpa.hpp"
 #include "core/reset.hpp"
 #include "core/sensitivity.hpp"
 #include "core/speedup.hpp"

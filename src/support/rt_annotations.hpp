@@ -2,8 +2,9 @@
 // (tools/rbs_lint, rules rt-alloc / rt-block / rt-unbounded).
 //
 // The analysis verdicts hinge on tight inner loops -- the fused breakpoint
-// sweep (core/analysis), the QPA backward iteration (core/qpa), the simulator
-// step loop (sim/simulator) and the campaign per-item drain. Those paths must
+// sweep (core/analysis) and the breakpoint merger it drives, the demand
+// totals (core/dbf, core/adb), the simulator step loop (sim/simulator) and
+// the campaign per-item drain. Those paths must
 // stay free of hidden heap allocation, locking, blocking I/O, exceptions and
 // unbounded recursion, or throughput collapses under the production workloads
 // the ROADMAP targets (billions of simulated jobs per host).

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/dbf.hpp"
 #include "gen/paper_examples.hpp"
 
@@ -178,6 +180,37 @@ TEST(EdfBoundaryTest, UtilizationWithinToleranceIsComparedExactly) {
   const EdfTestResult below = lo_mode_test(full_utilization_plus(0));
   EXPECT_TRUE(below.schedulable);
   EXPECT_TRUE(below.conclusive);
+}
+
+TEST(EdfBoundaryTest, FullUtilizationWithOverflowingHyperperiodIsInconclusive) {
+  // U = 1/2 + 1/2 equals the speed and one deadline is constrained, but
+  // H = 2pq with primes p, q near 10^9 passes kInfTicks: only the breakpoint
+  // budget bounds the walk, and running out of it decides nothing.
+  constexpr Ticks p = 999'999'937;
+  constexpr Ticks q = 999'999'929;
+  const TaskSet set({McTask::lo("a", p, 2 * p - 1, 2 * p), McTask::lo("b", q, 2 * q, 2 * q)});
+  EXPECT_EQ(lo_test_window(set, 1.0).last, kInfTicks - 1);
+  EdfTestOptions options;
+  options.max_breakpoints = 1'000;
+  const EdfTestResult r = lo_mode_test(set, options);
+  EXPECT_FALSE(r.schedulable);
+  EXPECT_FALSE(r.conclusive);
+  EXPECT_EQ(r.breakpoints_visited, 1'001u);
+}
+
+TEST(EdfBoundaryTest, SupplyIsComparedExactly) {
+  // At speed 1 - 2^-53 the supply at D = 2^58 + 1 is C - 2^-53, which a
+  // long double rounds up to C; the demand C exceeds it.
+  const Ticks c = (Ticks{1} << 58) - 31;
+  const Ticks d = (Ticks{1} << 58) + 1;
+  const TaskSet set({McTask::lo("a", c, d, (Ticks{1} << 59) + 2)});
+  EdfTestOptions options;
+  options.speed = std::nextafter(1.0, 0.0);
+  ASSERT_GE(lo_test_window(set, options.speed).last, d);
+  const EdfTestResult r = lo_mode_test(set, options);
+  EXPECT_FALSE(r.schedulable);
+  EXPECT_TRUE(r.conclusive);
+  EXPECT_EQ(r.violation_delta, d);
 }
 
 TEST(EdfBoundaryTest, FullUtilizationAtNonUnitSpeed) {

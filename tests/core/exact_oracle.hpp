@@ -139,7 +139,7 @@ template <class TwiceDemand>
 
 /// Exact total utilization of `mode`, over the denominator `hyperperiod`.
 [[nodiscard]] inline Ratio utilization(const TaskSet& set, Mode mode) {
-  const Ticks h = hyperperiod(set, mode);
+  const Ticks h = oracle::hyperperiod(set, mode);
   Ratio u{0, h};
   for (const McTask& t : set)
     if (mode == Mode::LO || !t.dropped_in_hi())
@@ -187,7 +187,7 @@ struct Speedup {
     r.infinite = true;
     return r;
   }
-  const Ratio scanned = max_ratio(set, hyperperiod(set, Mode::HI));
+  const Ratio scanned = max_ratio(set, oracle::hyperperiod(set, Mode::HI));
   r.finite_argmax = r.u_hi < scanned;
   r.s_min = r.finite_argmax ? scanned : r.u_hi;
   return r;
@@ -233,7 +233,7 @@ struct Speedup {
 [[nodiscard]] inline bool lo_schedulable(const TaskSet& set) {
   const Ratio u = utilization(set, Mode::LO);
   if (u.num > u.den) return false;
-  Ticks horizon = hyperperiod(set, Mode::LO);
+  Ticks horizon = oracle::hyperperiod(set, Mode::LO);
   Ticks max_deadline = 0;
   for (const McTask& t : set) max_deadline = std::max(max_deadline, t.deadline(Mode::LO));
   horizon += max_deadline;

@@ -24,7 +24,7 @@
 #include "core/edf.hpp"
 #include "core/exact_oracle.hpp"
 #include "core/grid_sets.hpp"
-#include "core/qpa.hpp"
+#include "core/reference_qpa.hpp"
 #include "core/tuning.hpp"
 #include "gen/paper_examples.hpp"
 #include "gen/rng.hpp"
@@ -348,17 +348,17 @@ void expect_window_matches(const std::array<Ticks, N>& periods, std::uint64_t se
       SCOPED_TRACE("set " + std::to_string(i) + " speed " + std::to_string(speed));
       EdfTestOptions options;
       options.speed = speed;
-      const EdfTestResult reference = utilization_window_walk(set, speed);
+      const EdfTestResult expected = utilization_window_walk(set, speed);
       const EdfTestResult walked = lo_mode_test(set, options);
       EXPECT_TRUE(walked.conclusive);
-      EXPECT_EQ(walked.schedulable, reference.schedulable);
-      EXPECT_EQ(walked.violation_delta, reference.violation_delta);
-      EXPECT_LE(walked.breakpoints_visited, reference.breakpoints_visited);
-      const EdfTestResult qpa = qpa_lo_test(set, options);
+      EXPECT_EQ(walked.schedulable, expected.schedulable);
+      EXPECT_EQ(walked.violation_delta, expected.violation_delta);
+      EXPECT_LE(walked.breakpoints_visited, expected.breakpoints_visited);
+      const EdfTestResult qpa = reference::qpa_lo_test(set, options);
       EXPECT_TRUE(qpa.conclusive);
-      EXPECT_EQ(qpa.schedulable, reference.schedulable);
-      *shortened += walked.breakpoints_visited < reference.breakpoints_visited ? 1 : 0;
-      *violated += reference.schedulable ? 0 : 1;
+      EXPECT_EQ(qpa.schedulable, expected.schedulable);
+      *shortened += walked.breakpoints_visited < expected.breakpoints_visited ? 1 : 0;
+      *violated += expected.schedulable ? 0 : 1;
     }
   }
 }

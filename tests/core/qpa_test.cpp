@@ -1,50 +1,19 @@
-// Tests for the QPA LO-mode test: identical verdicts to the forward
-// processor-demand sweep, across hand-built and randomized workloads.
-#include "core/qpa.hpp"
-
+// Differential tests of the LO-mode test: the forward walk lo_mode_test
+// (core/edf.hpp) against QPA, the backward iteration kept as a test oracle in
+// reference_qpa.hpp, across hand-built and randomized workloads.
 #include <gtest/gtest.h>
 
-#include "core/dbf.hpp"
+#include <string>
+#include <vector>
+
+#include "core/analysis.hpp"
 #include "core/edf.hpp"
-#include "gen/paper_examples.hpp"
+#include "core/reference_qpa.hpp"
 #include "gen/rng.hpp"
 #include "gen/taskgen.hpp"
 
 namespace rbs {
 namespace {
-
-TEST(QpaTest, EmptySetSchedulable) { EXPECT_TRUE(qpa_lo_schedulable(TaskSet{})); }
-
-TEST(QpaTest, SimpleSchedulableAndNot) {
-  EXPECT_TRUE(qpa_lo_schedulable(TaskSet({McTask::lo("l", 10, 10, 10)})));
-  const TaskSet over({McTask::lo("a", 6, 10, 10), McTask::lo("b", 6, 10, 10)});
-  EXPECT_FALSE(qpa_lo_schedulable(over));
-}
-
-TEST(QpaTest, ConstrainedDeadlineViolation) {
-  const TaskSet set({McTask::lo("a", 2, 2, 100), McTask::lo("b", 2, 2, 100)});
-  const EdfTestResult r = qpa_lo_test(set);
-  EXPECT_FALSE(r.schedulable);
-  // QPA's witness is *a* violating interval; demand must exceed it there.
-  EXPECT_GT(dbf_lo_total(set, r.violation_delta),
-            static_cast<Ticks>(r.violation_delta));
-}
-
-TEST(QpaTest, SpeedParameterScalesSupply) {
-  const TaskSet set({McTask::lo("a", 2, 2, 100), McTask::lo("b", 2, 2, 100)});
-  EXPECT_FALSE(qpa_lo_schedulable(set, 1.0));
-  EXPECT_TRUE(qpa_lo_schedulable(set, 2.0));
-}
-
-TEST(QpaTest, FullUtilizationImplicit) {
-  const TaskSet set({McTask::lo("a", 5, 10, 10), McTask::lo("b", 10, 20, 20)});
-  EXPECT_TRUE(qpa_lo_schedulable(set));
-}
-
-TEST(QpaTest, Table1Sets) {
-  EXPECT_TRUE(qpa_lo_schedulable(table1_base()));
-  EXPECT_TRUE(qpa_lo_schedulable(table1_degraded()));
-}
 
 TEST(QpaTest, AgreesWithForwardSweepExhaustively) {
   // Small-parameter family: both algorithms must give identical verdicts.
@@ -53,7 +22,7 @@ TEST(QpaTest, AgreesWithForwardSweepExhaustively) {
       for (Ticks c2 = 1; c2 <= 4; ++c2)
         for (Ticks d2 = c2; d2 <= 9; d2 += 2) {
           const TaskSet set({McTask::lo("a", c1, d1, 7), McTask::lo("b", c2, d2, 9)});
-          EXPECT_EQ(qpa_lo_schedulable(set), lo_mode_schedulable(set))
+          EXPECT_EQ(reference::qpa_lo_schedulable(set), lo_mode_schedulable(set))
               << describe(set[0]) << " | " << describe(set[1]);
         }
 }
@@ -74,7 +43,7 @@ TEST_P(QpaRandomTest, AgreesWithForwardSweepOnRandomSets) {
       const double x = rng.uniform(0.05, 1.0);
       const TaskSet set = skeleton->materialize(x, 2.0);
       for (double speed : {0.8, 1.0, 1.3}) {
-        EXPECT_EQ(qpa_lo_schedulable(set, speed), lo_mode_schedulable(set, speed))
+        EXPECT_EQ(reference::qpa_lo_schedulable(set, speed), lo_mode_schedulable(set, speed))
             << "u=" << u << " x=" << x << " speed=" << speed << " trial=" << i;
       }
     }
@@ -91,64 +60,71 @@ TEST(QpaTest, ConvergesInFewIterations) {
   ASSERT_TRUE(skeleton.has_value());
   const TaskSet set = skeleton->materialize(0.5, 2.0);
   const EdfTestResult fwd = lo_mode_test(set);
-  const EdfTestResult qpa = qpa_lo_test(set);
+  const EdfTestResult qpa = reference::qpa_lo_test(set);
   EXPECT_EQ(fwd.schedulable, qpa.schedulable);
-  // The whole point of QPA: far fewer evaluation points.
+  // QPA's point on such a set: far fewer evaluation points.
   EXPECT_LT(qpa.breakpoints_visited, 200u);
 }
 
-// --- boundary-schedulability regressions (tolerance policy, PR 2) ---------
-// Mirrors EdfBoundaryTest: QPA must agree with the forward sweep on the
-// exact U = speed / zero-slack breakpoints routed through the tolerance
-// policy, not just in the interior.
-
-TEST(QpaBoundaryTest, ExactFullUtilizationStaysSchedulable) {
-  const TaskSet set({McTask::lo("a", 1, 2, 2), McTask::lo("b", 1, 2, 2)});
-  const EdfTestResult r = qpa_lo_test(set);
-  EXPECT_TRUE(r.schedulable);
-  EXPECT_TRUE(r.conclusive);
-}
-
-TEST(QpaBoundaryTest, InexactFullUtilizationStaysSchedulable) {
-  // Ten adds of 0.1 leave U an ulp short of 1; see EdfBoundaryTest.
+TEST(QpaTest, NearCriticalWideWindowIsDecidedByTheForwardWalk) {
+  // Twenty tasks with C = D = T/2 and distinct periods near 10^10 at speed
+  // 10 * (1 + 2e-9): U = 10 is definitely below the speed, H overflows, and
+  // L_a is capped at kInfTicks - 1. The demand first exceeds the supply at
+  // the eleventh deadline, 11 * 5e9 + 121 > speed * 5,000,000,021.
   std::vector<McTask> tasks;
-  for (int i = 0; i < 10; ++i)
-    tasks.push_back(McTask::lo("t" + std::to_string(i), 1, 10, 10));
+  for (Ticks i = 0; i < 20; ++i) {
+    const Ticks period = 2 * (5'000'000'000 + 2 * i + 1);
+    tasks.push_back(McTask::lo("t" + std::to_string(i), period / 2, period / 2, period));
+  }
   const TaskSet set(tasks);
-  const EdfTestResult r = qpa_lo_test(set);
-  EXPECT_TRUE(r.schedulable);
-  EXPECT_TRUE(r.conclusive);
+  EdfTestOptions options;
+  options.speed = 10.0 * (1.0 + 2e-9);
+  ASSERT_EQ(lo_test_window(set, options.speed).last, kInfTicks - 1);
+
+  const EdfTestResult walked = lo_mode_test(set, options);
+  EXPECT_FALSE(walked.schedulable);
+  EXPECT_TRUE(walked.conclusive);
+  EXPECT_EQ(walked.violation_delta, 5'000'000'021);
+  EXPECT_EQ(walked.breakpoints_visited, 11u);
+  const AnalysisReport report =
+      analyze({set, 1.0, options.speed, {.speedup = false, .reset = false, .lo = true}, {}})
+          .value();
+  EXPECT_FALSE(report.lo_schedulable);
+  EXPECT_EQ(report.lo_breakpoints, 11u);
+
+  // QPA starts at the top of the window, where the demand is ~1.15e19 and
+  // only the 128-bit sum keeps it exact. Each backward step then shrinks t
+  // by about 2e-9 of itself, so QPA runs out of any budget without a
+  // verdict: it agrees that the set is not schedulable, inconclusively.
+  options.max_breakpoints = 1'000;
+  const EdfTestResult qpa = reference::qpa_lo_test(set, options);
+  EXPECT_EQ(qpa.schedulable, walked.schedulable);
+  EXPECT_FALSE(qpa.conclusive);
 }
 
-TEST(QpaBoundaryTest, ZeroSlackWitnessAgreesWithForwardSweep) {
-  // Demand touches supply exactly at delta = 2 (slack 0 at a breakpoint).
-  const TaskSet set({McTask::lo("a", 2, 2, 4), McTask::lo("b", 1, 4, 4)});
-  EXPECT_TRUE(qpa_lo_schedulable(set));
-  EXPECT_EQ(qpa_lo_schedulable(set), lo_mode_schedulable(set));
-}
+TEST(QpaTest, AgreesWhereDemandPassesInt64) {
+  // Twenty tasks with U = 9.99 at speed 10 and one constrained deadline:
+  // the window is kInfTicks - 1, and near its top the demand, still within
+  // the supply, passes INT64_MAX. Both tests sum it in 128 bits.
+  std::vector<McTask> tasks;
+  for (Ticks i = 0; i < 20; ++i) {
+    const Ticks period = 100'000'000'000'000'000 + 2 * i + 1;
+    const Ticks deadline = i == 0 ? period - 30'000'000'000'000'000 : period;
+    tasks.push_back(
+        McTask::lo("t" + std::to_string(i), period / 2 - period / 2000, deadline, period));
+  }
+  const TaskSet set(tasks);
+  EdfTestOptions options;
+  options.speed = 10.0;
+  ASSERT_EQ(lo_test_window(set, options.speed).last, kInfTicks - 1);
 
-TEST(QpaBoundaryTest, FullUtilizationWithConstrainedDeadlineIsDecided) {
-  // U = 1 with D < T for one task: the same hyperperiod window (H = 180) as
-  // EdfBoundaryTest, a handful of backward steps.
-  const TaskSet set({McTask::lo("a", 10, 25, 30), McTask::lo("b", 20, 60, 60),
-                     McTask::lo("c", 30, 90, 90)});
-  const EdfTestResult r = qpa_lo_test(set);
-  EXPECT_TRUE(r.schedulable);
-  EXPECT_TRUE(r.conclusive);
-  EXPECT_LE(r.breakpoints_visited, 10u);
-}
-
-TEST(QpaBoundaryTest, UtilizationWithinToleranceIsComparedExactly) {
-  // U exceeds 1 by 6.7e-10 (inside kSpeedTol) with implicit deadlines.
-  const TaskSet above({McTask::lo("a", 1, 3, 3), McTask::lo("b", 1, 3, 3),
-                       McTask::lo("c", 333'333'334, 1'000'000'000, 1'000'000'000)});
-  EXPECT_FALSE(qpa_lo_schedulable(above));
-  EXPECT_EQ(qpa_lo_schedulable(above), lo_mode_schedulable(above));
-}
-
-TEST(QpaBoundaryTest, DefinitelyOverloadedStillRejected) {
-  const TaskSet set({McTask::lo("a", 6, 10, 10), McTask::lo("b", 6, 10, 10)});
-  EXPECT_FALSE(qpa_lo_schedulable(set));
+  const EdfTestResult walked = lo_mode_test(set, options);
+  EXPECT_TRUE(walked.schedulable);
+  EXPECT_TRUE(walked.conclusive);
+  EXPECT_EQ(walked.breakpoints_visited, 220u);
+  const EdfTestResult qpa = reference::qpa_lo_test(set, options);
+  EXPECT_TRUE(qpa.schedulable);
+  EXPECT_TRUE(qpa.conclusive);
 }
 
 }  // namespace

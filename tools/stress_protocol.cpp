@@ -40,7 +40,6 @@
 #include "campaign/journal.hpp"
 #include "campaign/supervisor.hpp"
 #include "core/analysis.hpp"
-#include "core/edf.hpp"
 #include "core/resilience.hpp"
 #include "core/tuning.hpp"
 #include "gen/rng.hpp"
