@@ -2,7 +2,9 @@
 // kernels -- demand-bound evaluation, the fused sweep's speedup search
 // (Theorem 2) and resetting-time solver (Corollary 5), the full analysis over
 // task count n (BM_FusedAnalyzeN), the multicore decision probe
-// (BM_FitsProbe), task generation and simulator throughput
+// (BM_FitsProbe), the min-x search on a paper and on a harmonic-grid
+// skeleton (BM_MinXSearch, BM_MinXSearchHarmonic), task generation and
+// simulator throughput
 // -- plus a campaign-throughput benchmark of the parallel engine
 // (BM_CampaignAnalyze, one arg per worker count).
 //
@@ -79,11 +81,11 @@ TaskSet make_set(std::uint64_t seed, double u_bound, double x, double y) {
   throw std::runtime_error("could not generate benchmark set");
 }
 
-// UUniFast set of n tasks at U_LO = u_lo whose periods are re-drawn from a
-// harmonic grid (hyperperiod 10^4 ticks), keeping each task's utilization and
-// C(HI)/C(LO) up to rounding, prepared at the exact minimum x and y = 2. The
-// grid bounds the breakpoint count, so the cost of an analysis follows n.
-TaskSet make_harmonic_set(int n, std::uint64_t seed, double u_lo = 0.6) {
+// UUniFast skeleton of n tasks at U_LO = u_lo whose periods are re-drawn
+// from a harmonic grid (hyperperiod 10^4 ticks), keeping each task's
+// utilization and C(HI)/C(LO) up to rounding, and LO-mode feasible at x = 1.
+// The grid bounds the breakpoint count, so the cost of an analysis follows n.
+ImplicitSet make_harmonic_skeleton(int n, std::uint64_t seed, double u_lo = 0.6) {
   static constexpr std::array<Ticks, 8> kGrid = {200, 250, 500, 1000, 2000, 2500, 5000, 10000};
   Rng rng(seed);
   UUniFastParams params;
@@ -102,11 +104,16 @@ TaskSet make_harmonic_set(int n, std::uint64_t seed, double u_lo = 0.6) {
                                        t.c_lo, t.period)
                    : t.c_lo;
     }
-    const ImplicitSet skeleton(std::move(tasks));
-    const MinXResult mx = min_x_for_lo(skeleton);
-    if (mx.feasible) return skeleton.materialize(mx.x, 2.0);
+    ImplicitSet skeleton(std::move(tasks));
+    if (min_x_for_lo(skeleton).feasible) return skeleton;
   }
   throw std::runtime_error("could not generate harmonic benchmark set");
+}
+
+// make_harmonic_skeleton prepared at the exact minimum x and y = 2.
+TaskSet make_harmonic_set(int n, std::uint64_t seed, double u_lo = 0.6) {
+  const ImplicitSet skeleton = make_harmonic_skeleton(n, seed, u_lo);
+  return skeleton.materialize(min_x_for_lo(skeleton).x, 2.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -399,6 +406,15 @@ void BM_MinXSearch(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(min_x_for_lo(*skeleton).x);
 }
 BENCHMARK(BM_MinXSearch);
+
+// The same search on a 32-task harmonic-grid UUniFast skeleton, shaped like
+// rbs_bench's analyze_wide items: several tasks share each period's ring.
+void BM_MinXSearchHarmonic(benchmark::State& state) {
+  const ImplicitSet skeleton = make_harmonic_skeleton(static_cast<int>(state.range(0)), 41);
+  for (auto _ : state) benchmark::DoNotOptimize(min_x_for_lo(skeleton).x);
+  state.SetLabel(std::to_string(skeleton.size()) + " tasks");
+}
+BENCHMARK(BM_MinXSearchHarmonic)->Arg(32);
 
 void BM_TaskGeneration(benchmark::State& state) {
   Rng rng(13);

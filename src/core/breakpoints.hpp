@@ -133,24 +133,33 @@ class TaggedBreakpointMerger {
     rings_.reserve(stops_.size());
     collect_rings();
     if (shares_a_key()) {
-      const auto key = [](const TaggedSeq& s) {
-        return std::tie(s.mask, s.seq.period, s.seq.start);
-      };
-      std::sort(stops_.begin(), stops_.end(),
-                [&](const TaggedSeq& a, const TaggedSeq& b) { return key(a) < key(b); });
-      std::size_t kept = 0;  // sum the deltas of equal stops into the first
-      for (const TaggedSeq& s : stops_) {
-        if (kept > 0 && key(stops_[kept - 1]) == key(s)) {
-          stops_[kept - 1].jump += s.jump;
-          stops_[kept - 1].slope += s.slope;
-        } else {
-          stops_[kept++] = s;
-        }
-      }
-      stops_.resize(kept);
+      // shares_a_key() stopped mid-sort and left rings_ torn, so the rings
+      // are collected afresh from the sorted stops.
+      std::sort(stops_.begin(), stops_.end(), [](const TaggedSeq& a, const TaggedSeq& b) {
+        return std::tie(a.mask, a.seq.period, a.seq.start) <
+               std::tie(b.mask, b.seq.period, b.seq.start);
+      });
+      sum_equal_stops();
       collect_rings();
     }
-    for (std::size_t i = rings_.size() / 2; i-- > 0;) sift_down(i);
+    heapify();
+  }
+
+  /// Re-arms the merger over `stops`, a rewritten stop table in ring order:
+  /// the stops of one key (period, mask) contiguous and by non-decreasing
+  /// start. A rewrite can make starts equal or part them, so equal ones are
+  /// summed here, and the rings are collected afresh, never taken from a
+  /// previous walk. Out-of-order stops stay exact but split their ring.
+  /// Hot: a search that moves starts within their rings re-arms once per
+  /// probe (LoDemandTable, core/edf.hpp), and no call allocates once the
+  /// merger has held a table as large.
+  void rearm(const std::vector<TaggedSeq>& stops) RBS_HOT_PATH {
+    assert(stops.size() < std::numeric_limits<std::uint32_t>::max());
+    stops_.assign(stops.begin(), stops.end());
+    rings_.reserve(stops_.size());
+    sum_equal_stops();
+    collect_rings();
+    heapify();
   }
 
   /// Next merged breakpoint, or nullopt when every ring is exhausted (only
@@ -192,6 +201,24 @@ class TaggedBreakpointMerger {
     std::uint32_t last = 0;
     unsigned mask = 0;
   };
+
+  /// Sums each run of equal stops (same mask, period and start) into its
+  /// first one and closes the gaps.
+  void sum_equal_stops() {
+    const auto same = [](const TaggedSeq& a, const TaggedSeq& b) {
+      return a.mask == b.mask && a.seq.period == b.seq.period && a.seq.start == b.seq.start;
+    };
+    std::size_t kept = 0;
+    for (const TaggedSeq& s : stops_) {
+      if (kept > 0 && same(stops_[kept - 1], s)) {
+        stops_[kept - 1].jump += s.jump;
+        stops_[kept - 1].slope += s.slope;
+      } else {
+        stops_[kept++] = s;
+      }
+    }
+    stops_.resize(kept);
+  }
 
   /// Replaces rings_ by the maximal runs of stops_ that share a key and rise
   /// by less than one period from their first start. A run whose first start
@@ -254,6 +281,11 @@ class TaggedBreakpointMerger {
     if (ring.at >= kInfTicks - gap) return false;
     ring.at += gap;
     return true;
+  }
+
+  /// Orders rings_ into a min-heap by tick.
+  void heapify() {
+    for (std::size_t i = rings_.size() / 2; i-- > 0;) sift_down(i);
   }
 
   /// Restores the min-heap order below rings_[i].

@@ -51,9 +51,8 @@ TaskSet materialize_impl(const std::vector<ImplicitTask>& tasks, double x, doubl
   out.reserve(tasks.size());
   for (const ImplicitTask& t : tasks) {
     if (t.criticality == Criticality::HI) {
-      const Ticks d_lo = std::clamp(static_cast<Ticks>(std::floor(x * static_cast<double>(t.period))),
-                                    t.c_lo, t.period);
-      out.push_back(McTask::hi(t.name, t.c_lo, t.c_hi, d_lo, t.period, t.period));
+      out.push_back(McTask::hi(t.name, t.c_lo, t.c_hi, prepared_lo_deadline(x, t.period, t.c_lo),
+                               t.period, t.period));
     } else if (terminate_lo) {
       out.push_back(McTask::lo_terminated(t.name, t.c_lo, t.period, t.period));
     } else {

@@ -32,6 +32,8 @@
 // rounding) and for scalar (x, y) as plotted in Fig. 4.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -51,6 +53,13 @@ struct ImplicitTask {
   double u_hi() const { return static_cast<double>(c_hi) / static_cast<double>(period); }
 };
 
+/// D(LO) of a HI task of period T prepared with factor x (Eq. 13), rounded
+/// to ticks: clamp(floor(x*T), C(LO), T).
+inline Ticks prepared_lo_deadline(double x, Ticks period, Ticks c_lo) {
+  return std::clamp(static_cast<Ticks>(std::floor(x * static_cast<double>(period))), c_lo,
+                    period);
+}
+
 /// A set of implicit-deadline skeleton tasks plus the (x, y) materialisers.
 class ImplicitSet {
  public:
@@ -68,8 +77,8 @@ class ImplicitSet {
   double u_lo_lo() const;
 
   /// Builds the full task set for factors (x, y) per Eqs. (13)-(14).
-  /// Deadlines are rounded to ticks: D(LO) = clamp(floor(x*T), C(LO), T) for
-  /// HI tasks; T(HI) = D(HI) = max(ceil(y*T), T) for LO tasks.
+  /// Deadlines are rounded to ticks: D(LO) = prepared_lo_deadline(x, T, C(LO))
+  /// for HI tasks; T(HI) = D(HI) = max(ceil(y*T), T) for LO tasks.
   TaskSet materialize(double x, double y) const;
 
   /// Same, but LO tasks are terminated in HI mode (y = inf, Eq. 3).

@@ -56,14 +56,18 @@ Ticks dbf_hi_breakpoints(const McTask& task, unsigned mask, std::vector<TaggedSe
                             task.wcet(Mode::LO), task.wcet(Mode::HI), mask, out);
 }
 
-std::optional<Ticks> hyperperiod(const TaskSet& set, Mode mode, Ticks cap) {
-  Ticks h = 1;
+std::optional<Ticks> lcm_within(Ticks h, Ticks period, Ticks cap) {
+  const Ticks step = h / std::gcd(h, period);
+  if (step > cap / period) return std::nullopt;  // step * period > cap
+  return step * period;
+}
+
+std::optional<Ticks> hyperperiod(const TaskSet& set, Mode mode) {
+  std::optional<Ticks> h = 1;
   for (const McTask& t : set) {
-    const Ticks period = t.period(mode);
-    if (is_inf(period)) continue;
-    const Ticks step = h / std::gcd(h, period);
-    if (step > cap / period) return std::nullopt;  // step * period > cap
-    h = step * period;
+    if (is_inf(t.period(mode))) continue;
+    h = lcm_within(*h, t.period(mode), kInfTicks);
+    if (!h) break;
   }
   return h;
 }

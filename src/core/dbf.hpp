@@ -46,12 +46,16 @@ Ticks dbf_hi_breakpoints(const McTask& task, unsigned mask, std::vector<TaggedSe
 
 /// H = lcm of the finite periods T_i(mode) (1 when there are none; a task
 /// dropped in HI mode has T(HI) = kInfTicks and is skipped), or nullopt as
-/// soon as it passes `cap`. A task's demand in either mode grows by C every T
-/// ticks, so the total demand repeats, shifted by U*H, every H ticks: the
-/// walks of Theorem 2 and its latency variant stop at the HI-mode H, and the
-/// LO-mode test's window ends at the LO-mode H (core/edf.hpp).
-[[nodiscard]] std::optional<Ticks> hyperperiod(const TaskSet& set, Mode mode,
-                                               Ticks cap = kInfTicks);
+/// soon as it passes kInfTicks. A task's demand in either mode grows by C
+/// every T ticks, so the total demand repeats, shifted by U*H, every H ticks:
+/// the walks of Theorem 2 and its latency variant stop at the HI-mode H, and
+/// the LO-mode test's window ends at the LO-mode H (core/edf.hpp, which folds
+/// it with lcm_within under its own cap).
+[[nodiscard]] std::optional<Ticks> hyperperiod(const TaskSet& set, Mode mode);
+
+/// lcm(h, period) for h, period >= 1, or nullopt when it passes `cap`: one
+/// step of the hyperperiod fold.
+[[nodiscard]] std::optional<Ticks> lcm_within(Ticks h, Ticks period, Ticks cap);
 
 /// Breakpoint (jump) sequence of dbf_lo for one task, tagged `mask`:
 /// k*T(LO) + D(LO), each tick adding C(LO).

@@ -7,16 +7,21 @@
 // The test is pseudo-polynomial: demand is checked only at the step points
 // of the total demand function inside a finite window, the smaller of the
 // utilization-based bound L_a and the LO-mode hyperperiod H (which bounds
-// the synchronous busy period whenever U <= speed). lo_mode_test walks those
-// step points forward and compares demand with supply exactly; it is the
-// library's only LO-mode test. tests/core/reference_qpa.hpp keeps QPA, the
-// backward iteration of Zhang & Burns, as the oracle it is checked against.
+// the synchronous busy period whenever U <= speed). LoDemandTable walks
+// those step points forward and compares demand with supply exactly; it is
+// the library's only LO-mode test, and lo_mode_test runs it once.
+// tests/core/reference_qpa.hpp keeps QPA, the backward iteration of Zhang &
+// Burns, as the oracle it is checked against.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "core/analysis.hpp"
+#include "core/breakpoints.hpp"
+#include "core/closed_form.hpp"
 #include "core/task.hpp"
 
 namespace rbs {
@@ -45,14 +50,79 @@ struct LoWindow {
   /// witness interval), true for implicit deadlines with U <= speed.
   std::optional<bool> verdict;
   /// Otherwise every step point Delta <= last: min(L_a, H) when U is
-  /// definitely below the speed; H when U equals it (compared exactly at the
-  /// hyperperiod); and kInfTicks - 1, bounded only by the breakpoint budget,
-  /// when U equals it but H or the demand over H overflows.
+  /// definitely below the speed, with L_a rounded up past the exact bound;
+  /// H when U equals it (compared exactly at the hyperperiod); and
+  /// kInfTicks - 1, bounded only by the breakpoint budget, when U equals it
+  /// but H or the demand over H overflows.
   Ticks last = 0;
 };
 
-/// The window of `set`'s LO-mode test at `speed`. H is folded task by task
-/// and the fold stops as soon as it passes L_a.
+/// The LO-mode demand of one task set, laid out to be tested more than once:
+/// each task's window terms in set order, U and the LO-mode hyperperiod H,
+/// and the DBF_LO stops in ring order (grouped by period, rising deadlines
+/// within a period), which re-arm one breakpoint merger at every test.
+/// lo_mode_test builds one and tests it once. min_x_for_lo builds one per
+/// skeleton and, at each bisection probe, only moves the HI tasks' deadlines,
+/// so a probe builds no task set, merger or vector (docs/ANALYSIS.md §1).
+class LoDemandTable {
+ public:
+  explicit LoDemandTable(const TaskSet& set);
+
+  /// The table of `set.materialize(1, y)` for any y (HI-mode parameters do
+  /// not enter LO mode), built from the skeleton without the task set.
+  explicit LoDemandTable(const ImplicitSet& set);
+
+  /// Moves every HI task's D(LO) to prepared_lo_deadline(x, T, C(LO))
+  /// (core/closed_form.hpp), where ImplicitSet::materialize(x, y) puts it.
+  /// For a set in that normal form the table then stands for
+  /// materialize(x, y) in LO mode, and its stops stay in ring order; out of
+  /// that form a period's stops may fall out of order, which splits their
+  /// ring in the merger but leaves every result exact.
+  void prepare_hi_deadlines(double x) RBS_HOT_PATH;
+
+  /// The window of the test at `speed`, from U and the deadline slack summed
+  /// as a task set sums them, so it ends where lo_test_window's ends.
+  [[nodiscard]] LoWindow window(double speed) const RBS_HOT_PATH;
+
+  /// The processor-demand test at the current deadlines.
+  [[nodiscard]] EdfTestResult test(const EdfTestOptions& options = {}) RBS_HOT_PATH;
+
+ private:
+  struct Task {
+    TaggedSeq stop;  ///< DBF_LO's stop: D(LO) + k*T(LO), each adding C(LO)
+    double utilization = 0.0;  ///< C/T, rounded as McTask::utilization rounds it
+    bool hi = false;
+  };
+
+  /// Puts the stops in ring order and sums U; the constructors' last
+  /// step. Ties within a period go HI task first, then by C(LO), so for a set
+  /// in the normal form every prepared deadline keeps that order.
+  void arm();
+
+  /// Sums the slack U_i * (T_i - D_i) in set order, and notes whether every
+  /// deadline is implicit.
+  void sum_slack();
+
+  /// H when it is at most `cap`, else nullopt. The fold stops once it
+  /// passes the cap, and its result is kept: a later call folds again only
+  /// for a larger cap than a failed fold had.
+  [[nodiscard]] std::optional<Ticks> hyperperiod(Ticks cap) const;
+
+  /// The LO-mode demand of one hyperperiod H, or nullopt on overflow.
+  [[nodiscard]] std::optional<Ticks> hyperperiod_demand(Ticks h) const;
+
+  std::vector<Task> tasks_;                ///< in set order
+  std::vector<std::uint32_t> ring_order_;  ///< tasks_ indices by period, then start
+  std::vector<TaggedSeq> stops_;           ///< DBF_LO stops in ring order
+  double utilization_ = 0.0;  ///< U, summed as TaskSet::total_utilization sums it
+  double slack_ = 0.0;
+  bool implicit_ = true;
+  mutable std::optional<Ticks> hyperperiod_;
+  mutable Ticks hyperperiod_cap_ = 0;  ///< the cap of the last fold, 0 before one
+  TaggedBreakpointMerger merger_{{}};
+};
+
+/// The window of `set`'s LO-mode test at `speed` (LoDemandTable::window).
 [[nodiscard]] LoWindow lo_test_window(const TaskSet& set, double speed);
 
 /// Full processor-demand test of the LO-mode parameters.

@@ -16,11 +16,15 @@ namespace rbs {
 // bisection must replay bit for bit.
 RBS_DET_PATH MinXResult min_x_for_lo(const ImplicitSet& set, double tolerance) {
   MinXResult result;
-  // The LO-mode test ignores HI-mode parameters, so materialise with y = 1.
+  // The LO-mode test ignores HI-mode parameters. The demand table is built
+  // once, at full deadlines; each probe only moves the HI tasks' deadlines
+  // and tests it again (docs/ANALYSIS.md §1).
+  LoDemandTable table(set);
   auto schedulable_at = [&](double x) {
-    return lo_mode_schedulable(set.materialize(x, 1.0));
+    table.prepare_hi_deadlines(x);
+    return table.test().schedulable;
   };
-  if (!schedulable_at(1.0)) return result;  // infeasible even with full deadlines
+  if (!table.test().schedulable) return result;  // infeasible even with full deadlines
 
   result.feasible = true;
   double lo = 0.0;  // known-infeasible (deadlines collapse onto C(LO))

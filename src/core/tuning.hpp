@@ -30,7 +30,10 @@ struct MinXResult {
 /// Minimum common deadline-shortening factor keeping LO mode schedulable,
 /// found by bisection over the exact processor-demand test. Note this can be
 /// very small (deadlines collapse towards the WCETs) because the exact test
-/// is far less pessimistic than utilization bounds.
+/// is far less pessimistic than utilization bounds. One LoDemandTable
+/// (core/edf.hpp) serves all probes, about 15 at the default tolerance: a
+/// probe moves the HI tasks' deadlines and walks the table again, and
+/// allocates nothing.
 MinXResult min_x_for_lo(const ImplicitSet& set, double tolerance = 1e-4);
 
 /// The classic utilization-based rule of EDF-VD [4] (also the baseline the

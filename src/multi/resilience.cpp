@@ -18,7 +18,6 @@ struct CoreState {
   std::vector<std::size_t> shed;   ///< LO tasks terminated (global indices)
   bool dead = false;
   bool denied = false;
-  bool changed = false;  ///< task list differs from the nominal assignment
   double u_hi = 0.0;     ///< running HI-mode utilization (receiver ordering)
 };
 
@@ -95,8 +94,7 @@ CoreReport nominal_report(const Ctx& ctx, const std::vector<std::size_t>& tasks,
   return r;
 }
 
-FailureScenario evaluate_scenario(const Ctx& ctx, const MultiReport& nominal,
-                                  std::vector<std::size_t> faulted,
+FailureScenario evaluate_scenario(const Ctx& ctx, std::vector<std::size_t> faulted,
                                   std::vector<CoreFaultClass> classes) {
   const MultiRequest& req = *ctx.req;
   const std::size_t cores = req.assignment.size();
@@ -119,7 +117,6 @@ FailureScenario evaluate_scenario(const Ctx& ctx, const MultiReport& nominal,
     CoreState& cs = state[core];
     if (sc.classes[f] == CoreFaultClass::kFailStop) {
       cs.dead = true;
-      cs.changed = true;
       for (std::size_t g : cs.tasks) {
         if (req.set[g].is_hi())
           pool.emplace_back(g, core);
@@ -158,7 +155,6 @@ FailureScenario evaluate_scenario(const Ctx& ctx, const MultiReport& nominal,
     }
     cs.tasks = std::move(keep);
     cs.u_hi = 0.0;
-    cs.changed = true;
   }
 
   // Deterministic pool order: decreasing U(HI), parameter-tuple ties, then
@@ -194,7 +190,6 @@ FailureScenario evaluate_scenario(const Ctx& ctx, const MultiReport& nominal,
       if (!accept_on_core(ctx, local_set(req.set, tentative), req.budgets[c], shed)) continue;
       state[c].tasks = tentative;
       state[c].u_hi += req.set[task].utilization(Mode::HI);
-      state[c].changed = true;
       // The fallback tiers are prefixes of one sacrifice order, so the
       // latest acceptance's list supersedes earlier ones wholesale.
       state[c].shed.clear();
@@ -210,27 +205,6 @@ FailureScenario evaluate_scenario(const Ctx& ctx, const MultiReport& nominal,
 
   for (std::size_t c = 0; c < cores; ++c)
     for (std::size_t g : state[c].shed) sc.degraded_lo.push_back({g, c});
-
-  sc.post_s_min.assign(cores, 0.0);
-  sc.post_delta_r.assign(cores, 0.0);
-  for (std::size_t c = 0; c < cores; ++c) {
-    if (state[c].dead || state[c].tasks.empty()) continue;
-    if (!state[c].changed) {
-      // Untouched core: its nominal numbers still hold.
-      sc.post_s_min[c] = nominal.core_reports[c].s_min;
-      sc.post_delta_r[c] = nominal.core_reports[c].delta_r;
-      continue;
-    }
-    AnalysisRequest areq;
-    areq.set = local_set(req.set, state[c].tasks);
-    areq.speed = req.budgets[c].hi_speedup;
-    areq.lo_speed = req.lo_speed;
-    areq.limits = req.limits;
-    ++*ctx.analyzer_calls;
-    const Expected<AnalysisReport> report = analyze(areq);
-    sc.post_s_min[c] = report ? report->s_min : std::numeric_limits<double>::infinity();
-    sc.post_delta_r[c] = report ? report->delta_r : std::numeric_limits<double>::infinity();
-  }
 
   sc.feasible = feasible;
   return sc;
@@ -324,7 +298,7 @@ RBS_DET_PATH Expected<MultiReport> analyze_resilience(const MultiRequest& reques
           classes[d] = enabled[v % enabled.size()];
           v /= enabled.size();
         }
-        FailureScenario sc = evaluate_scenario(ctx, report, combo, classes);
+        FailureScenario sc = evaluate_scenario(ctx, combo, classes);
         ++report.scenarios_checked;
         if (!sc.feasible) {
           ++report.scenarios_infeasible;

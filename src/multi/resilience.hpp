@@ -25,8 +25,8 @@
 // outright may shed its own LO service instead: the same find_fallback tiers
 // are tried, and the terminated LO tasks are reported as ShedSteps. The
 // system is k-tolerant iff the nominal partition is feasible and every
-// scenario admits a feasible spare assignment. The reported margins
-// (CoreReport, post-migration s_min and Delta_R) come from full analyses.
+// scenario admits a feasible spare assignment. The nominal margins
+// (CoreReport) come from full analyses.
 //
 // Everything is deterministic: scenario order (subset-lexicographic, then
 // class digits), migration-pool order (decreasing U(HI), parameter-tuple
@@ -84,9 +84,6 @@ struct FailureScenario {
   std::vector<ShedStep> degraded_lo;
   /// LO tasks lost outright with a fail-stopped core (global indices).
   std::vector<std::size_t> lost_lo;
-  /// Post-migration s_min / Delta_R per core (0 for empty or dead cores).
-  std::vector<double> post_s_min;
-  std::vector<double> post_delta_r;
 };
 
 /// Nominal margins of one core, mirroring AnalysisReport for the partition.

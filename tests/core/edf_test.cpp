@@ -213,6 +213,26 @@ TEST(EdfBoundaryTest, SupplyIsComparedExactly) {
   EXPECT_EQ(r.violation_delta, d);
 }
 
+TEST(EdfBoundaryTest, UtilizationWindowEndIsRoundedUp) {
+  // One task with C > speed * D at speed 1 - 2^-53. The exact bound
+  // slack / (speed - U) lies just above D, but in double it rounds to 2^53,
+  // so a window ending at its floor plus one would stop short of D.
+  const Ticks p53 = Ticks{1} << 53;
+  const TaskSet set({McTask::lo("a", p53 + 1, p53 + 2, 2 * p53 + 4)});
+  EdfTestOptions options;
+  options.speed = std::nextafter(1.0, 0.0);
+  EXPECT_GE(lo_test_window(set, options.speed).last, p53 + 2);
+  const EdfTestResult r = lo_mode_test(set, options);
+  EXPECT_FALSE(r.schedulable);
+  EXPECT_TRUE(r.conclusive);
+  EXPECT_EQ(r.violation_delta, p53 + 2);
+  const AnalysisReport report =
+      analyze({set, 1.0, options.speed, {.speedup = false, .reset = false, .lo = true}, {}})
+          .value();
+  EXPECT_FALSE(report.lo_schedulable);
+  EXPECT_EQ(report.lo_breakpoints, 1u);
+}
+
 TEST(EdfBoundaryTest, FullUtilizationAtNonUnitSpeed) {
   // Same boundary at speed 2: U == speed exactly with implicit deadlines.
   const TaskSet set({McTask::lo("a", 2, 2, 2), McTask::lo("b", 2, 2, 2)});

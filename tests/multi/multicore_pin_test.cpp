@@ -109,7 +109,7 @@ TEST(MulticorePinTest, ResilienceWithoutResetBudgetIsPinned) {
   EXPECT_TRUE(report.nominal_feasible);
   EXPECT_FALSE(report.tolerant);
   EXPECT_EQ(report.scenarios_checked, 8u);
-  EXPECT_EQ(report.analyzer_calls, 38u);
+  EXPECT_EQ(report.analyzer_calls, 34u);
   expect_scenarios(report, {
                                {0, kFailStop, false, {{19, 0, 2}, {11, 0, 3}}, {}},
                                {0, kBoostDenied, true, {}, {{8, 0}, {22, 0}, {0, 0}}},
@@ -127,7 +127,7 @@ TEST(MulticorePinTest, ResilienceWithResetBudgetIsPinned) {
   const multi::MultiReport report = resilience(pinned_system(), 800.0);
   EXPECT_FALSE(report.tolerant);
   EXPECT_EQ(report.scenarios_checked, 8u);
-  EXPECT_EQ(report.analyzer_calls, 65u);
+  EXPECT_EQ(report.analyzer_calls, 57u);
   expect_scenarios(report, {
                                {0, kFailStop, false, {{19, 0, 2}, {11, 0, 3}}, {}},
                                {0, kBoostDenied, false, {{19, 0, 2}, {11, 0, 3}}, {}},

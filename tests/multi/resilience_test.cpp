@@ -114,16 +114,46 @@ TEST(ResilienceTest, LightPartitionToleratesAnySingleCoreFault) {
   EXPECT_EQ(sc->migrations[0].to_core, 1u);
   ASSERT_EQ(sc->lost_lo.size(), 1u);
   EXPECT_EQ(sc->lost_lo[0], 2u);
-  // The receiving core's post-migration requirement is real and within
-  // budget.
-  ASSERT_EQ(sc->post_s_min.size(), 2u);
-  EXPECT_GT(sc->post_s_min[1], 0.0);
-  EXPECT_LE(sc->post_s_min[1], request.budgets[1].hi_speedup);
 
   // An unenumerated signature is not found.
   EXPECT_EQ(find_scenario(*report, {0, 1},
                           {CoreFaultClass::kFailStop, CoreFaultClass::kFailStop}),
             nullptr);
+}
+
+TEST(ResilienceTest, ShedPlanFitsTheReceiversBudget) {
+  // Core 0's fail-stop sends h0 to core 1, which takes it only by shedding
+  // l1. The set the plan runs there, {h1, l1 terminated, h0}, needs
+  // s_min = 11/7 and fits the budget of 2; with l1 still live it would need
+  // 13/6.
+  const McTask h0 = McTask::hi("h0", 1, 6, 4, 10, 10);
+  const McTask h1 = McTask::hi("h1", 2, 5, 5, 10, 10);
+  MultiRequest request;
+  request.set = TaskSet({h0, h1, McTask::lo("l1", 4, 10, 10)});
+  request.assignment = {{0}, {1, 2}};
+  request.budgets.assign(2, CoreBudget{2.0, std::numeric_limits<double>::infinity()});
+  request.consider_boost_denial = false;
+  const auto report = analyze_resilience(request);
+  ASSERT_TRUE(report.is_ok());
+  const FailureScenario* sc = find_scenario(*report, {0}, {CoreFaultClass::kFailStop});
+  ASSERT_NE(sc, nullptr);
+  EXPECT_TRUE(sc->feasible);
+  ASSERT_EQ(sc->migrations.size(), 1u);
+  EXPECT_EQ(sc->migrations[0].task, 0u);
+  EXPECT_EQ(sc->migrations[0].to_core, 1u);
+  ASSERT_EQ(sc->degraded_lo.size(), 1u);
+  EXPECT_EQ(sc->degraded_lo[0].task, 2u);
+  EXPECT_EQ(sc->degraded_lo[0].core, 1u);
+
+  AnalysisRequest planned;
+  planned.set = TaskSet({h1, McTask::lo_terminated("l1", 4, 10, 10), h0});
+  planned.speed = 2.0;
+  const auto fit = Analyzer().fits(planned, std::numeric_limits<double>::infinity());
+  ASSERT_TRUE(fit.is_ok());
+  EXPECT_TRUE(fit->system_schedulable);
+  EXPECT_NEAR(analyze(planned)->s_min, 11.0 / 7.0, 1e-12);
+  planned.set = TaskSet({h1, McTask::lo("l1", 4, 10, 10), h0});
+  EXPECT_NEAR(analyze(planned)->s_min, 13.0 / 6.0, 1e-12);
 }
 
 TEST(ResilienceTest, OverloadedMergeIsReportedNotTolerant) {
