@@ -389,13 +389,16 @@ int main(int argc, char** argv) {
                   bench::materialize_min_x(*skeleton, 2.0, bench::XPolicy::kUtilization);
               if (!set) return encode_latency(item);
               item.has_set = true;
+              AnalysisRequest request{
+                  *set, 2.0, 1.0, {.speedup = true, .reset = true, .lo = false}, {}};
               for (std::size_t li = 0; li < kLatenciesMs.size(); ++li) {
                 token.throw_if_cancelled();
-                const auto latency = static_cast<Ticks>(kLatenciesMs[li] * 10.0);
-                const LatencySpeedupReport r = min_speedup_with_latency(*set, latency);
-                item.s_min[li] = r.s_min;
+                request.latency = static_cast<Ticks>(kLatenciesMs[li] * 10.0);
+                const AnalysisReport r = analyze(request).value();
+                // The certificate is a boost: floored at nominal speed.
+                item.s_min[li] = std::max(1.0, r.s_min);
                 item.delta_r[li] = std::isfinite(r.s_min)
-                                       ? resetting_time_with_latency(*set, 2.0, latency)
+                                       ? r.delta_r
                                        : std::numeric_limits<double>::infinity();
               }
               return encode_latency(item);

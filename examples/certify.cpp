@@ -7,9 +7,12 @@
 // curve, DVFS level choice, turbo-envelope admissibility incl. the
 // termination fallback, sensitivity headroom and overhead tolerance --
 // finishing with a simulation smoke run at the chosen operating point.
+// A DVFS transition latency (--latency, in ticks) applies to the speedup
+// certificate [2], the resetting times [3] and the simulation [7].
 //
 // Usage: certify [--file tasks.txt] [--max-speed 2.0] [--max-boost 10000]
 //                [--ticks-per-ms 10] [--latency 0]
+#include <algorithm>
 #include <cmath>
 #include <iostream>
 #include <variant>
@@ -55,26 +58,37 @@ int main(int argc, char** argv) {
   }
 
   // 2. Minimum speedup, with and without the DVFS transition latency.
+  AnalysisRequest request{set, 1.0, 1.0, {.speedup = true, .reset = false, .lo = false}, {}};
+  request.latency = static_cast<Ticks>(args.get_int("latency", 0));
   const double s_min = min_speedup_value(set);
   std::cout << "[2] minimum HI-mode speedup s_min = " << TextTable::num(s_min, 4)
             << (s_min <= max_speed ? "  (within envelope)" : "  EXCEEDS ENVELOPE") << "\n";
-  const auto latency = static_cast<Ticks>(args.get_int("latency", 0));
-  if (latency > 0) {
-    const LatencySpeedupReport with_latency = min_speedup_with_latency(set, latency);
-    std::cout << "    with " << latency << "-tick DVFS transition latency: s_min = "
-              << TextTable::num(with_latency.s_min, 4)
-              << (with_latency.s_min <= max_speed ? "" : "  EXCEEDS ENVELOPE") << "\n";
-    if (with_latency.s_min > max_speed) {
+  // The certified speed the resetting times start from: a boost under a
+  // latency, so floored at nominal speed.
+  double s_cert = s_min;
+  if (request.latency != 0) {
+    const Expected<AnalysisReport> certificate = analyze(request);
+    if (!certificate.is_ok()) {
+      std::cerr << certificate.status().message() << "\n";
+      return 2;
+    }
+    s_cert = std::max(1.0, certificate.value().s_min);
+    std::cout << "    with " << request.latency
+              << "-tick DVFS transition latency: s_min = " << TextTable::num(s_cert, 4)
+              << (s_cert <= max_speed ? "" : "  EXCEEDS ENVELOPE") << "\n";
+    if (s_cert > max_speed) {
       std::cout << "\nverdict: NOT CERTIFIABLE (transition latency)\n";
       return 1;
     }
   }
 
-  // 3. Resetting-time curve.
+  // 3. Resetting-time curve, under the same latency.
   std::cout << "[3] resetting time:";
+  request.parts = {.speedup = false, .reset = true, .lo = false};
   for (double f : {1.0, 0.75, 0.5}) {
-    const double s = max_speed * f + s_min * (1.0 - f);
-    const double dr = resetting_time_value(set, s);
+    const double s = max_speed * f + s_cert * (1.0 - f);
+    request.speed = s;
+    const double dr = analyze(request).value().delta_r;
     std::cout << "  dR(" << TextTable::num(s, 2) << "x) = "
               << TextTable::num(dr / ticks_per_ms, 1) << " ms";
   }
@@ -123,6 +137,7 @@ int main(int argc, char** argv) {
   cfg.hi_speed = max_speed;
   cfg.demand.overrun_probability = 0.3;
   cfg.release_jitter = 0.1;
+  cfg.speed_change_latency = static_cast<double>(request.latency);
   cfg.max_boost_duration = turbo.duration_ok ? 0.0 : max_boost;
   const sim::SimMetrics r = sim::Simulator().run(set, cfg).value().metrics;
   std::cout << "[7] simulation: " << r.jobs_released << " jobs, " << r.mode_switches

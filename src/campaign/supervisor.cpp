@@ -45,8 +45,6 @@ const std::atomic<bool>* install_stop_handlers() {
 
 bool stop_requested() { return g_stop.load(std::memory_order_relaxed); }
 
-void request_stop() { g_stop.store(true, std::memory_order_relaxed); }
-
 std::uint64_t item_seed(std::uint64_t campaign_seed, std::uint64_t index) {
   // SplitMix64 (Steele, Lea & Flood) over the campaign seed offset by the
   // item index; the golden-ratio stride keeps neighbouring items' inputs far

@@ -241,11 +241,7 @@ class Supervisor {
 /// stop flag; returns the flag for SupervisorOptions::stop. Idempotent.
 const std::atomic<bool>* install_stop_handlers();
 
-/// True once a stop signal arrived (or request_stop() was called).
+/// True once a stop signal arrived.
 [[nodiscard]] bool stop_requested();
-
-/// Sets the process-wide stop flag programmatically (tests; --max-seconds
-/// style wall-clock caps).
-void request_stop();
 
 }  // namespace rbs::campaign

@@ -24,17 +24,23 @@ constexpr unsigned kResetMask = 1u << kResetConsumer;
 static_assert(kResetConsumer < kMergerConsumers);
 
 /// State of the Theorem 2 ratio maximisation, advanced one DBF_HI breakpoint
-/// at a time. On each linear piece of the total demand the ratio demand/Delta
-/// is monotone, so the supremum is attained at a breakpoint: its value or its
-/// left limit. DBF_HI jumps only upward, so the left limit never beats the
-/// value and only the value is compared.
+/// at a time. Under a transition latency L the supply past L is
+/// L + s*(Delta - L), so the search maximises (demand - L)/(Delta - L) over
+/// Delta > L (demand/Delta at L = 0), and inside the window (0, L] the demand
+/// must fit the nominal supply Delta outright. On each linear piece of the
+/// total demand both the ratio and demand - Delta are monotone, so breakpoints
+/// decide them: the value or the left limit. DBF_HI jumps only upward, so the
+/// left limit never beats the value and only the value is compared. L is a
+/// breakpoint of the walk too (analyze_impl pushes it), so no piece straddles
+/// the window's end.
 struct SpeedupSearch {
   bool active = false;
   double best = 0.0;
   Ticks argmax = 0;
   double u_hi = 0.0;
-  double k = 0.0;
-  Ticks hyperperiod = 1;
+  double k = 0.0;  ///< K_L: (demand - L)/(Delta - L) <= U_HI + K_L/(Delta - L)
+  Ticks latency = 0;
+  Ticks stop_at = 1;  ///< H + L: the supremum lies in (L, H + L] or is U_HI
   bool exact = true;
   double error_bound = 0.0;
   std::size_t visited = 0;
@@ -44,7 +50,7 @@ struct SpeedupSearch {
   bool deciding = false;
   double target = 0.0;
 
-  void init(const TaskSet& set, double total_u_hi) {
+  void init(const TaskSet& set, double total_u_hi, Ticks lat) {
     if (set.empty()) return;  // s_min = 0, settled
 
     // Eq. (8) allows Delta = 0: positive demand in a zero-length interval
@@ -55,15 +61,19 @@ struct SpeedupSearch {
       return;
     }
 
-    // The Delta -> inf limit of demand/Delta is the HI-mode utilization.
+    // The Delta -> inf limit of the ratio is the HI-mode utilization.
     u_hi = total_u_hi;
-    k = static_cast<double>(set.total_hi_wcet());  // DBF_HI <= U*Delta + K
+    latency = lat;
+    // DBF_HI <= U*Delta + K with K = sum C(HI), hence demand - L <=
+    // U*(Delta - L) + K_L with K_L = K + (U - 1)*L, which is K at L = 0.
+    k = static_cast<double>(set.total_hi_wcet()) + (u_hi - 1.0) * static_cast<double>(lat);
     best = u_hi;
 
     // The demand repeats, shifted by U*H, every hyperperiod H; the mediant
-    // inequality then confines the supremum to (0, H]. On overflow H is
-    // kInfTicks and the envelope rules alone stop the search.
-    hyperperiod = rbs::hyperperiod(set, Mode::HI).value_or(kInfTicks);
+    // inequality then confines the supremum to (L, H + L]. On overflow H is
+    // kInfTicks and the envelope rules alone stop the search; with
+    // L < kInfTicks the sum cannot overflow.
+    stop_at = rbs::hyperperiod(set, Mode::HI).value_or(kInfTicks) + lat;
     active = true;
   }
 
@@ -72,29 +82,42 @@ struct SpeedupSearch {
   void step(Ticks d, const TaggedBreakpointMerger::Delta& delta, const AnalysisLimits& limits,
             bool* worked) {
     if (d == 0) return;  // handled in init()
-    if (d > hyperperiod) {  // supremum settled exactly (see init)
+    if (d > stop_at) {  // supremum settled exactly (see init)
       active = false;
       return;
     }
     *worked = true;
+    // From d on the ratio stays under the envelope U + K_L/(d - L), decreasing
+    // in d while K_L >= 0 (a negative K_L keeps it below U <= best). Inside
+    // the window nothing bounds what is still to come.
+    const double envelope = d > latency ? u_hi + k / static_cast<double>(d - latency)
+                                        : std::numeric_limits<double>::infinity();
     if (++visited > limits.max_breakpoints) {
-      // From d on the ratio stays under the envelope U + K/d, and below d
-      // under best. A non-positive residual therefore settles the supremum
-      // exactly; a positive one is the honest error bound.
-      const double residual = (u_hi + k / static_cast<double>(d)) - best;
+      // Below d the ratio stays under best. A non-positive residual therefore
+      // settles the supremum exactly; a positive one is the honest error
+      // bound.
+      const double residual = envelope - best;
       if (residual > 0) stop_inexact(residual);
       active = false;
       return;
     }
     demand.advance(d, delta);
-    const double ratio = static_cast<double>(demand.value) / static_cast<double>(d);
+    if (d <= latency) {
+      // Only nominal speed serves the window: no boost covers demand past d.
+      if (demand.value > d) {
+        best = std::numeric_limits<double>::infinity();
+        argmax = d;
+        active = false;
+      }
+      return;
+    }
+    const double ratio =
+        static_cast<double>(demand.value - latency) / static_cast<double>(d - latency);
     if (ratio > best) {
       best = ratio;
       argmax = d;
     }
-    // Beyond Delta, demand/Delta <= U + K/Delta; once that envelope drops to
-    // the best ratio seen, the supremum is settled.
-    const double envelope = u_hi + k / static_cast<double>(d);
+    // Once the envelope drops to the best ratio seen, the supremum is settled.
     const double slack = envelope - best;
     if (slack <= 0) {
       active = false;
@@ -116,25 +139,32 @@ struct SpeedupSearch {
 };
 
 /// State of the Corollary 5 crossing search, advanced one ADB_HI breakpoint
-/// at a time. The total arrived demand is linear between breakpoints, so the
-/// crossing with the supply line s*Delta is solved exactly (in long double)
-/// on each segment.
+/// at a time. The total arrived demand is linear between breakpoints, and so
+/// is the supply on each side of the latency kink L: Delta up to L, then
+/// s*Delta - (s - 1)*L (s*Delta throughout at L = 0). L is a breakpoint of the
+/// walk (analyze_impl pushes it), so each segment lies on one side of it and
+/// its crossing is solved exactly (in long double).
 struct ResetSearch {
   bool active = false;
   double delta_r = 0.0;
   bool exact = true;
   std::size_t visited = 0;
   long double speed = 1.0L;
+  Ticks latency = 0;
+  long double kink_offset = 0.0L;  ///< (s - 1)*L
   RunningDemand demand;  ///< total ADB_HI; its slope at 0 is set with the sequences
   /// Decision mode (Analyzer::fits): the dwell budget; +inf never stops.
   double budget = std::numeric_limits<double>::infinity();
 
-  void init(const TaskSet& set, double s, double u_hi, const AnalysisLimits& limits) {
+  void init(const TaskSet& set, double s, double u_hi, Ticks lat,
+            const AnalysisLimits& limits) {
     speed = s;
+    latency = lat;
+    kink_offset = (speed - 1.0L) * static_cast<long double>(lat);
     if (set.empty()) return;  // Delta_R = 0: nothing ever arrives
 
-    // ADB_HI grows asymptotically at rate U_HI; the supply s*Delta can only
-    // catch up when s > U_HI.
+    // ADB_HI stays above U_HI*Delta; the supply, at most s*Delta (s >= 1
+    // under a latency), can only catch up when s > U_HI.
     if (s <= u_hi) {
       delta_r = std::numeric_limits<double>::infinity();
       return;
@@ -160,8 +190,12 @@ struct ResetSearch {
 
     const auto value_at_prev = static_cast<long double>(demand.value);
     const auto prev = static_cast<long double>(demand.at);
+    // The supply on this segment: supply_slope*Delta - offset.
+    const bool boosted = demand.at >= latency;
+    const long double supply_slope = boosted ? speed : 1.0L;
+    const long double offset = boosted ? kink_offset : 0.0L;
     // Condition already met at the segment start?
-    if (value_at_prev <= speed * prev) {
+    if (value_at_prev <= supply_slope * prev - offset) {
       delta_r = static_cast<double>(prev);
       active = false;
       return;
@@ -177,16 +211,19 @@ struct ResetSearch {
 
     if (!b) {
       // No further breakpoints: demand is constant beyond `prev` (possible
-      // when every task is dropped). The supply line crosses at value / s.
-      delta_r = static_cast<double>(value_at_prev / speed);
+      // when every task is dropped), and `prev` is past the kink, itself a
+      // breakpoint. The supply crosses at (value + (s - 1)*L) / s.
+      delta_r = static_cast<double>((value_at_prev + offset) / supply_slope);
       active = false;
       return;
     }
 
-    // Crossing inside (prev, b): value_at_prev + slope*(Delta - prev) = s*Delta.
+    // Crossing inside (prev, b):
+    // value_at_prev + slope*(Delta - prev) = supply_slope*Delta - offset.
     const auto slope = static_cast<long double>(demand.slope);
-    if (speed > slope) {
-      const long double crossing = (value_at_prev - slope * prev) / (speed - slope);
+    if (supply_slope > slope) {
+      const long double crossing =
+          (value_at_prev - slope * prev + offset) / (supply_slope - slope);
       if (crossing >= prev && crossing < static_cast<long double>(*b)) {
         delta_r = static_cast<double>(crossing);
         active = false;
@@ -241,12 +278,20 @@ RBS_HOT_PATH std::size_t run_fused_sweep(TaggedBreakpointMerger& merger, Speedup
 // test answers alone when it fails, each search stops once its verdict is
 // known, and an infinite budget skips the Delta_R search.
 RBS_DET_PATH Expected<AnalysisReport> analyze_impl(const TaskSet& set, double speed,
-                                                   double lo_speed, AnalysisParts parts,
+                                                   double lo_speed, Ticks latency,
+                                                   AnalysisParts parts,
                                                    const AnalysisLimits& limits,
                                                    std::optional<double> max_reset) {
   if (max_reset && !std::isfinite(*max_reset)) parts.reset = false;
   if (parts.reset && (!std::isfinite(speed) || speed <= 0.0))
     return Status::error("analyze: Delta_R needs a positive, finite speed, got " +
+                         std::to_string(speed));
+  if (latency < 0 || latency >= kInfTicks)
+    return Status::error("analyze: latency must be in [0, kInfTicks) ticks, got " +
+                         std::to_string(latency));
+  // The latency models a boost ramp: nominal speed until L, s from there on.
+  if (parts.reset && latency > 0 && speed < 1.0)
+    return Status::error("analyze: Delta_R under a transition latency needs speed >= 1, got " +
                          std::to_string(speed));
   if (parts.lo && (!std::isfinite(lo_speed) || lo_speed <= 0.0))
     return Status::error("analyze: lo_speed must be positive and finite, got " +
@@ -278,8 +323,8 @@ RBS_DET_PATH Expected<AnalysisReport> analyze_impl(const TaskSet& set, double sp
     speedup.target = speed;
     reset.budget = *max_reset;
   }
-  if (parts.speedup) speedup.init(set, report.u_hi);
-  if (parts.reset) reset.init(set, speed, report.u_hi, limits);
+  if (parts.speedup) speedup.init(set, report.u_hi, latency);
+  if (parts.reset) reset.init(set, speed, report.u_hi, latency, limits);
 
   // --- the fused sweep -----------------------------------------------------
   // Cold setup (the tagged-sequence vector, each search's slope at 0 and the
@@ -292,6 +337,14 @@ RBS_DET_PATH Expected<AnalysisReport> analyze_impl(const TaskSet& set, double sp
     if (reset.active)
       for (const McTask& t : set)
         reset.demand.slope += adb_hi_breakpoints(t, kResetMask, seqs);
+    // The supply's kink is a breakpoint of both searches: a DBF_HI piece with
+    // slope > 1 can cross Delta inside the window between two of its own
+    // breakpoints, and no Delta_R segment may straddle the kink.
+    if (latency > 0)
+      seqs.push_back({{latency, 0},
+                      (speedup.active ? kSpeedupMask : 0u) | (reset.active ? kResetMask : 0u),
+                      0,
+                      0});
     TaggedBreakpointMerger merger(std::move(seqs));
     report.fused_breakpoints += run_fused_sweep(merger, speedup, reset, limits);
   }
@@ -316,18 +369,18 @@ RBS_DET_PATH Expected<AnalysisReport> analyze_impl(const TaskSet& set, double sp
 }  // namespace
 
 Expected<AnalysisReport> Analyzer::analyze(const AnalysisRequest& request) const {
-  return analyze_impl(request.set, request.speed, request.lo_speed, request.parts,
-                      request.limits, std::nullopt);
+  return analyze_impl(request.set, request.speed, request.lo_speed, request.latency,
+                      request.parts, request.limits, std::nullopt);
 }
 
 Expected<AnalysisReport> Analyzer::analyze(const TaskSet& set, double speed,
                                            const AnalysisParts& parts) const {
-  return analyze_impl(set, speed, 1.0, parts, limits_, std::nullopt);
+  return analyze_impl(set, speed, 1.0, 0, parts, limits_, std::nullopt);
 }
 
 Expected<AnalysisReport> Analyzer::fits(const AnalysisRequest& request, double max_reset) const {
-  return analyze_impl(request.set, request.speed, request.lo_speed, request.parts,
-                      request.limits, max_reset);
+  return analyze_impl(request.set, request.speed, request.lo_speed, request.latency,
+                      request.parts, request.limits, max_reset);
 }
 
 Expected<AnalysisReport> analyze(const AnalysisRequest& request) {

@@ -8,14 +8,15 @@
 // of Theorem 2 and Corollary 5. DBF_HI and ADB_HI share their arithmetic
 // breakpoint families (window starts, ramp starts, ramp saturations), so one
 // TaggedBreakpointMerger walk serves both the Theorem 2 ratio maximisation
-// and the Corollary 5 crossing search; ticks shared by both families are
-// fetched from the heap once instead of twice, and a settled sub-analysis
-// skips foreign ticks for free. Each search keeps its total demand as
-// running state, updated from the jump and slope deltas the popped sequences
-// carry (core/breakpoints.hpp), so a tick costs O(log n) heap work per popped
-// sequence rather than an O(n) re-sum. tests/core/analysis_test.cpp checks
-// every result against a brute-force exact oracle that shares none of this
-// code.
+// and the Corollary 5 crossing search, under the paper's instantaneous boost
+// or a DVFS transition latency (`AnalysisRequest::latency`); ticks shared by
+// both families are fetched from the heap once instead of twice, and a
+// settled sub-analysis skips foreign ticks for free. Each search keeps its
+// total demand as running state, updated from the jump and slope deltas the
+// popped sequences carry (core/breakpoints.hpp), so a tick costs O(log n) heap
+// work per popped sequence rather than an O(n) re-sum.
+// tests/core/analysis_test.cpp checks every result against a brute-force
+// exact oracle that shares none of this code.
 //
 // `Analyzer::fits` asks the decision question the multicore probes need --
 // does the request fit its speeds and a dwell budget? -- from the same sweep:
@@ -38,8 +39,8 @@
 namespace rbs {
 
 /// Default cap on the breakpoints one pseudo-polynomial walk may examine
-/// (every sub-analysis here, the LO-mode test, the latency-aware walks);
-/// exceeded only by adversarial inputs.
+/// (each sub-analysis here, the LO-mode test included); exceeded only by
+/// adversarial inputs.
 inline constexpr std::size_t kBreakpointBudget = 20'000'000;
 
 /// The resource/precision knobs shared by every sub-analysis.
@@ -96,12 +97,23 @@ struct AnalysisRequest {
   /// EDF-VD degradation philosophy applied to the service layer. Ignored by
   /// analyze() itself -- a priority never changes a report's numbers.
   Criticality priority = Criticality::LO;
+  /// DVFS transition latency L in ticks, in [0, kInfTicks): the boost takes
+  /// effect L ticks after the mode switch, so the HI-mode supply in an
+  /// interval of length Delta is Delta + (Delta - L)^+ * (s - 1) instead of
+  /// s * Delta (docs/ANALYSIS.md §6). Read by the Theorem 2 and Corollary 5
+  /// searches; 0 is the paper's instantaneous boost. s_min may come out
+  /// below 1 (nominal speed then suffices), and Delta_R under L > 0 needs a
+  /// speed of at least 1. The simulator's counterpart is
+  /// sim::SimConfig::speed_change_latency.
+  Ticks latency = 0;
 };
 
 /// Everything the fused sweep learns about one task set.
 struct AnalysisReport {
   // --- Theorem 2 (parts.speedup) -------------------------------------------
-  /// Minimum HI-mode speedup (Eq. 8); +inf when Delta=0 demand is positive.
+  /// Minimum HI-mode speedup (Eq. 8); +inf when Delta=0 demand is positive,
+  /// or when the demand inside the latency window [0, L] exceeds nominal
+  /// supply.
   double s_min = 0.0;
   /// True when the stopping rule proved s_min optimal.
   bool s_min_exact = true;
@@ -110,7 +122,8 @@ struct AnalysisReport {
   /// the verdict this way.
   double s_min_error_bound = 0.0;
   /// Interval length attaining the supremum (0 when the Delta->inf limit,
-  /// i.e. the HI-mode utilization, dominates).
+  /// i.e. the HI-mode utilization, dominates); for an s_min of +inf, the
+  /// interval whose demand no speed can serve (0 or a tick in [1, L]).
   Ticks s_min_argmax = 0;
 
   // --- Corollary 5 at `speed` (parts.reset) --------------------------------
@@ -168,7 +181,7 @@ class Analyzer {
 
   /// Runs the requested sub-analyses under `request.limits`. Errors (rather
   /// than asserting or silently coercing) on a non-positive or non-finite
-  /// speed and on degenerate limits.
+  /// speed, a latency outside [0, kInfTicks) and on degenerate limits.
   [[nodiscard]] Expected<AnalysisReport> analyze(const AnalysisRequest& request) const;
 
   /// Convenience overload borrowing `set` (no copy) and using the analyzer's
@@ -188,8 +201,6 @@ class Analyzer {
   /// once a segment starts definitely past it. Errors as analyze() does.
   [[nodiscard]] Expected<AnalysisReport> fits(const AnalysisRequest& request,
                                               double max_reset) const;
-
-  const AnalysisLimits& limits() const { return limits_; }
 
  private:
   AnalysisLimits limits_;

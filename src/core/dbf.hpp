@@ -48,9 +48,9 @@ Ticks dbf_hi_breakpoints(const McTask& task, unsigned mask, std::vector<TaggedSe
 /// dropped in HI mode has T(HI) = kInfTicks and is skipped), or nullopt as
 /// soon as it passes kInfTicks. A task's demand in either mode grows by C
 /// every T ticks, so the total demand repeats, shifted by U*H, every H ticks:
-/// the walks of Theorem 2 and its latency variant stop at the HI-mode H, and
-/// the LO-mode test's window ends at the LO-mode H (core/edf.hpp, which folds
-/// it with lcm_within under its own cap).
+/// the Theorem 2 search stops at the HI-mode H past the transition latency
+/// (core/analysis.cpp), and the LO-mode test's window ends at the LO-mode H
+/// (core/edf.hpp, which folds it with lcm_within under its own cap).
 [[nodiscard]] std::optional<Ticks> hyperperiod(const TaskSet& set, Mode mode);
 
 /// lcm(h, period) for h, period >= 1, or nullopt when it passes `cap`: one

@@ -28,7 +28,6 @@
 #include "core/dbf.hpp"
 #include "core/dvfs.hpp"
 #include "core/edf.hpp"
-#include "core/latency.hpp"
 #include "core/overhead.hpp"
 #include "core/partition.hpp"
 #include "core/reset.hpp"

@@ -135,6 +135,12 @@ RBS_DET_PATH std::string cache_key(const AnalysisRequest& request) {
   key += canonical_double(request.limits.rel_tol);
   key += ';';
   key += request.limits.discard_dropped_carryover ? '1' : '0';
+  // Appended only when set, so every zero-latency key (and every WAL written
+  // before the field existed) keeps its bytes.
+  if (request.latency != 0) {
+    key += ';';
+    key += std::to_string(request.latency);
+  }
   return key;
 }
 

@@ -41,7 +41,8 @@ namespace rbs::service {
 [[nodiscard]] Expected<AnalysisReport> parse_report(const std::string& line);
 
 /// The content key a request caches under: canonical task set + canonical
-/// speeds + parts + limits. Requests with equal keys have equal reports.
+/// speeds + parts + limits, then the transition latency when it is non-zero.
+/// Requests with equal keys have equal reports.
 [[nodiscard]] std::string cache_key(const AnalysisRequest& request);
 
 class ResultCache {

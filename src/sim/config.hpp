@@ -54,7 +54,8 @@ struct SimConfig {
 
   /// DVFS transition latency: after the mode switch the processor keeps
   /// running at lo_speed for this long before hi_speed takes effect
-  /// (matching core/latency.hpp's analysis). 0 = instantaneous boost.
+  /// (matching AnalysisRequest::latency in the analysis). 0 = instantaneous
+  /// boost.
   double speed_change_latency = 0.0;
 
   /// Turbo-budget fallback (Section IV remark): if a HI-mode episode lasts

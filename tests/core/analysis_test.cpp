@@ -2,7 +2,8 @@
 // implementation of Theorem 2 and Corollary 5: every report is checked
 // against the brute-force exact oracle of exact_oracle.hpp, which shares no
 // code with the fused sweep, across the paper examples, dropped-task sets,
-// generator sets on a harmonic period grid, and the degenerate corners.
+// generator sets on a harmonic period grid, and the degenerate corners, with
+// and without a DVFS transition latency.
 #include "core/analysis.hpp"
 
 #include <gtest/gtest.h>
@@ -30,20 +31,32 @@ namespace {
 
 constexpr AnalysisParts kFused{.speedup = true, .reset = true, .lo = false};
 
-/// Asserts the full report of `set` at `speed` (all parts, LO mode at unit
-/// speed) matches the exact oracle: s_min bit for bit when it is attained at a
-/// finite interval, the witness interval, Delta_R to 1e-9 relative, and all
-/// three verdicts.
-void expect_matches_oracle(const TaskSet& set, double speed, const AnalysisLimits& limits = {}) {
-  SCOPED_TRACE("speed = " + std::to_string(speed));
-  const AnalysisReport r = analyze({set, speed, 1.0, {}, limits}).value();
+/// Asserts the full report of `set` at `speed` under transition latency
+/// `latency` (all parts, LO mode at unit speed) matches the exact oracle:
+/// s_min bit for bit when it is attained at a finite interval, the witness
+/// interval, Delta_R to 1e-9 relative, and all three verdicts.
+void expect_matches_oracle(const TaskSet& set, double speed, const AnalysisLimits& limits = {},
+                           Ticks latency = 0) {
+  SCOPED_TRACE("speed = " + std::to_string(speed) + ", latency = " + std::to_string(latency));
+  AnalysisRequest request{set, speed, 1.0, {}, limits};
+  request.latency = latency;
+  const AnalysisReport r = analyze(request).value();
 
   // Theorem 2.
-  const oracle::Speedup exact = oracle::exact_s_min(set);
+  const oracle::Speedup exact = oracle::exact_s_min(set, latency);
   bool hi = false;
   if (exact.infinite) {
     EXPECT_TRUE(std::isinf(r.s_min));
-    EXPECT_EQ(r.s_min_argmax, 0);
+    if (exact.infinite_at == 0) {
+      EXPECT_EQ(r.s_min_argmax, 0);
+    } else {
+      // The witness is an interval inside the window whose demand exceeds
+      // the nominal supply; the oracle's first one may lie between two
+      // breakpoints, before it.
+      EXPECT_GE(r.s_min_argmax, exact.infinite_at);
+      EXPECT_LE(r.s_min_argmax, latency);
+      EXPECT_GT(oracle::hi_demand(set, r.s_min_argmax).value, r.s_min_argmax);
+    }
   } else {
     const double rounded = exact.s_min.rounded();
     hi = approx_le(rounded, speed, kSpeedTol);
@@ -62,13 +75,16 @@ void expect_matches_oracle(const TaskSet& set, double speed, const AnalysisLimit
       EXPECT_GT(r.s_min_argmax, 0);
     }
     if (r.s_min_argmax > 0) {
-      EXPECT_TRUE(oracle::same_value(oracle::ratio_at(set, r.s_min_argmax), exact.s_min))
+      ASSERT_GT(r.s_min_argmax, latency);
+      EXPECT_TRUE(
+          oracle::same_value(oracle::ratio_at(set, r.s_min_argmax, latency), exact.s_min))
           << "argmax " << r.s_min_argmax;
     }
   }
 
   // Corollary 5.
-  const double delta_r = oracle::exact_delta_r(set, speed, limits.discard_dropped_carryover);
+  const double delta_r =
+      oracle::exact_delta_r(set, speed, limits.discard_dropped_carryover, latency);
   ASSERT_FALSE(std::isnan(delta_r)) << "oracle scan did not reach the crossing";
   if (std::isinf(delta_r)) {
     EXPECT_TRUE(std::isinf(r.delta_r));
@@ -127,7 +143,10 @@ TEST(AnalysisFacadeTest, WorkCountersArePinned) {
   // Machine-independent regression signal: the breakpoints each consumer is
   // charged on the paper examples, on a 32-task UUniFast set snapped to the
   // harmonic grid (8 periods, so many sequences share each one) and on the
-  // FMS set.
+  // FMS set. Under a transition latency the kink is one more tick of both
+  // walks; on Table I (U_HI < 1) the envelope U + K_L/(Delta - L) settles
+  // Theorem 2 sooner than at L = 0, and the grid set, whose search its
+  // hyperperiod H stops, walks on to H + L.
   Rng rng(32);
   UUniFastParams params;
   params.n_tasks = 32;
@@ -137,6 +156,7 @@ TEST(AnalysisFacadeTest, WorkCountersArePinned) {
     TaskSet set;
     double speed;
     std::size_t speedup, reset, fused, lo;
+    Ticks latency = 0;
   };
   const Row rows[] = {{table1_base(), 4.0 / 3.0, 8, 4, 8, 2},
                       {table1_base(), 2.0, 8, 3, 8, 2},
@@ -145,10 +165,18 @@ TEST(AnalysisFacadeTest, WorkCountersArePinned) {
                       {grid, 4.0 / 3.0, 964, 44, 964, 22},
                       {grid, 2.0, 964, 23, 964, 22},
                       {fms, 4.0 / 3.0, 639, 99, 639, 33},
-                      {fms, 2.0, 639, 48, 639, 33}};
+                      {fms, 2.0, 639, 48, 639, 33},
+                      {table1_base(), 2.0, 7, 4, 7, 2, 1},
+                      {table1_base(), 2.0, 5, 5, 5, 2, 2},
+                      {table1_degraded(), 2.0, 55, 5, 55, 2, 5},
+                      {grid, 2.0, 965, 24, 965, 22, 1},
+                      {grid, 2.0, 967, 27, 967, 22, 20}};
   for (const Row& row : rows) {
-    SCOPED_TRACE(std::to_string(row.set.size()) + " tasks, speed " + std::to_string(row.speed));
-    const AnalysisReport r = Analyzer().analyze(row.set, row.speed).value();
+    SCOPED_TRACE(std::to_string(row.set.size()) + " tasks, speed " + std::to_string(row.speed) +
+                 ", latency " + std::to_string(row.latency));
+    AnalysisRequest request{row.set, row.speed, 1.0, {}, {}};
+    request.latency = row.latency;
+    const AnalysisReport r = analyze(request).value();
     EXPECT_EQ(r.speedup_breakpoints, row.speedup);
     EXPECT_EQ(r.reset_breakpoints, row.reset);
     EXPECT_EQ(r.fused_breakpoints, row.fused);
@@ -304,6 +332,138 @@ TEST(AnalysisFacadeTest, RejectsDegenerateRequests) {
   request.lo_speed = 0.0;
   request.parts = {.speedup = false, .reset = false, .lo = true};
   EXPECT_FALSE(analyze(request).is_ok());  // LO test at speed 0
+
+  request = {table1_base(), 2.0, 1.0, kFused, {}};
+  for (Ticks latency : {Ticks{-1}, kInfTicks}) {
+    request.latency = latency;
+    EXPECT_FALSE(analyze(request).is_ok()) << "latency " << latency;
+  }
+  request.latency = kInfTicks - 1;
+  EXPECT_TRUE(analyze(request).is_ok());
+
+  // The latency models a boost ramp: Delta_R under it needs s >= 1, while
+  // s_min alone is still answered.
+  request = {table1_base(), 0.5, 1.0, kFused, {}};
+  request.latency = 1;
+  EXPECT_FALSE(analyze(request).is_ok());
+  request.parts.reset = false;
+  EXPECT_TRUE(analyze(request).is_ok());
+}
+
+TEST(AnalysisFacadeTest, AgreesUnderTransitionLatency) {
+  // The harmonic-grid family of AgreesOnRandomizedSets under latencies from
+  // a few ticks to past the shortest prepared deadline, where no speed
+  // suffices: the window check, the kink and the K_L envelope.
+  Rng rng(2027);
+  int analyzed = 0;
+  for (int i = 0; i < 400 && analyzed < 24; ++i) {
+    GenParams params;
+    params.u_bound = 0.3 + 0.1 * static_cast<double>(i % 5);
+    const auto drawn = generate_task_set(params, rng);
+    if (!drawn) continue;
+    const ImplicitSet skeleton = snap_to_grid(*drawn, rng);
+    const MinXResult mx = min_x_for_lo(skeleton);
+    if (!mx.feasible) continue;
+    const TaskSet set = i % 2 == 0 ? skeleton.materialize_terminating(mx.x)
+                                   : skeleton.materialize(mx.x, 2.0);
+    SCOPED_TRACE("set " + std::to_string(i));
+    for (const Ticks latency : {rng.uniform_int(1, 20), rng.uniform_int(21, 400)}) {
+      const oracle::Speedup exact = oracle::exact_s_min(set, latency);
+      std::vector<double> speeds = {1.5};
+      if (!exact.infinite && exact.s_min.rounded() > 1.0)
+        speeds.push_back(exact.s_min.rounded());
+      for (double s : speeds) expect_matches_oracle(set, s, {}, latency);
+    }
+    ++analyzed;
+  }
+  EXPECT_GE(analyzed, 20);
+}
+
+/// Two to four tasks with periods up to 20 ticks: HI tasks (prepared or
+/// not), and LO tasks terminated or served with a relaxed deadline in HI
+/// mode. Short periods put demand pieces of slope > 1 across small latencies.
+TaskSet small_random_set(Rng& rng) {
+  std::vector<McTask> tasks;
+  const auto n = rng.uniform_int(2, 4);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::string name = "t" + std::to_string(i);
+    const Ticks period = rng.uniform_int(3, 20);
+    const Ticks deadline = rng.uniform_int(2, period);
+    const Ticks lo_deadline = rng.uniform_int(1, deadline);
+    const Ticks c = rng.uniform_int(1, lo_deadline);
+    switch (rng.uniform_int(0, 2)) {
+      case 0:
+        tasks.push_back(
+            McTask::hi(name, c, rng.uniform_int(c, deadline), lo_deadline, deadline, period));
+        break;
+      case 1:
+        tasks.push_back(McTask::lo_terminated(name, c, lo_deadline, period));
+        break;
+      default:
+        tasks.push_back(McTask::lo(name, c, lo_deadline, period, deadline, period));
+    }
+  }
+  return TaskSet(std::move(tasks));
+}
+
+TEST(AnalysisFacadeTest, AgreesUnderTransitionLatencyOnSmallSets) {
+  Rng rng(23);
+  for (int i = 0; i < 150; ++i) {
+    const TaskSet set = small_random_set(rng);
+    SCOPED_TRACE("set " + std::to_string(i));
+    const double u_hi = set.total_utilization(Mode::HI);
+    for (const Ticks latency : {Ticks{0}, rng.uniform_int(1, 29)})
+      for (double s : {std::max(1.0, u_hi) + 0.25, 2.0})
+        expect_matches_oracle(set, s, {}, latency);
+  }
+}
+
+TEST(AnalysisFacadeTest, WindowDemandBetweenBreakpointsNeedsInfiniteSpeed) {
+  // DBF_HI has breakpoints 2 and 4 here and rises with slope 2 between them:
+  // f(2) = 2 fits the nominal supply, f(4) lies past the window, but
+  // f(3) = 4 > 3 ticks of nominal supply at L = 3. Only the kink as a
+  // breakpoint of its own catches it.
+  const TaskSet set({McTask::lo_terminated("a", 8, 8, 21), McTask::hi("b", 2, 2, 2, 4, 5),
+                     McTask::hi("c", 2, 4, 3, 5, 13)});
+  AnalysisRequest request{set, 2.0, 1.0, kFused, {}};
+  request.latency = 3;
+  const AnalysisReport r = analyze(request).value();
+  EXPECT_TRUE(std::isinf(r.s_min));
+  EXPECT_TRUE(r.s_min_exact);
+  EXPECT_EQ(r.s_min_argmax, 3);
+  EXPECT_FALSE(r.hi_schedulable);
+  expect_matches_oracle(set, 2.0, {}, 3);
+  // One tick less and the window fits: 1 + (f(4) - 4)/(4 - 2) = 2.
+  request.latency = 2;
+  EXPECT_DOUBLE_EQ(analyze(request).value().s_min, 2.0);
+  expect_matches_oracle(set, 2.0, {}, 2);
+}
+
+TEST(AnalysisFacadeTest, BreakpointCapUnderLatencyIsInexact) {
+  // Table I at L = 2 and s = 2: Delta_R = 7 takes more than two steps, so a
+  // cap of 2 stops the crossing search first and must say so.
+  AnalysisRequest request{table1_base(), 2.0, 1.0, kFused, {}};
+  request.latency = 2;
+  const AnalysisReport full = analyze(request).value();
+  ASSERT_NEAR(full.delta_r, 7.0, 1e-12);
+  ASSERT_GT(full.reset_breakpoints, 2u);
+  request.limits.max_breakpoints = 2;
+  const AnalysisReport capped = analyze(request).value();
+  EXPECT_FALSE(capped.delta_r_exact);
+  EXPECT_TRUE(std::isinf(capped.delta_r));
+
+  // A Theorem 2 cap inside the window, where nothing bounds what is still to
+  // come: an inexact report whose unbounded error never accepts a speed.
+  // Uncapped, the window [0, 8] fits and s_min is U_HI = 0.2.
+  AnalysisRequest window{TaskSet({McTask::hi("h", 1, 2, 5, 10, 10)}), 2.0, 1.0,
+                         {.speedup = true, .reset = false, .lo = false}, {}};
+  window.latency = 8;
+  ASSERT_TRUE(analyze(window).value().hi_schedulable);
+  window.limits.max_breakpoints = 1;
+  const AnalysisReport capped_hi = analyze(window).value();
+  EXPECT_FALSE(capped_hi.s_min_exact);
+  EXPECT_TRUE(std::isinf(capped_hi.s_min_error_bound));
+  EXPECT_FALSE(capped_hi.hi_schedulable);
 }
 
 TEST(AnalysisFacadeTest, InfiniteSpeedIsFineWithoutReset) {

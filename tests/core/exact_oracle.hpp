@@ -20,6 +20,11 @@
 // fraction and compared by __int128 cross-multiplication. Delta_R is solved
 // on each unit segment in long double. Intended for small sets: the scans
 // run over the hyperperiod, which the callers keep at about 10^4 ticks.
+//
+// Transition latency. Both theorems also take the DVFS supply of
+// docs/ANALYSIS.md §6, Delta + (Delta - L)^+ * (s - 1) for an integer latency
+// L >= 0: nominal speed up to L, speed s after it. Every supply kink is then
+// an integer too, so the unit-segment argument above carries over.
 #pragma once
 
 #include <algorithm>
@@ -32,7 +37,7 @@ namespace rbs::oracle {
 
 __extension__ typedef __int128 Wide;  // products of two Ticks never overflow
 
-/// An exact non-negative fraction num / den (den > 0).
+/// An exact fraction num / den (den > 0).
 struct Ratio {
   Ticks num = 0;
   Ticks den = 1;
@@ -149,23 +154,28 @@ template <class TwiceDemand>
 
 // ---- Theorem 2 ----------------------------------------------------------------
 
-/// max(DBF_HI(Delta) / Delta, DBF_HI(Delta^-) / Delta) at integer Delta >= 1.
-[[nodiscard]] inline Ratio ratio_at(const TaskSet& set, Ticks delta) {
+/// max(f(Delta) - L, f(Delta^-) - L) / (Delta - L) for f = DBF_HI, at integer
+/// Delta > L: the least speed s whose supply L + s * (Delta - L) past the
+/// transition latency L serves that demand (f / Delta at L = 0).
+[[nodiscard]] inline Ratio ratio_at(const TaskSet& set, Ticks delta, Ticks latency = 0) {
   const Sample s = hi_demand(set, delta);
-  return {std::max(s.value, s.left), delta};
+  return {std::max(s.value, s.left) - latency, delta - latency};
 }
 
-/// The largest demand ratio over every integer Delta in [1, up_to], value
-/// and left limit alike.
-[[nodiscard]] inline Ratio max_ratio(const TaskSet& set, Ticks up_to) {
+/// The largest ratio_at over every integer Delta in (L, up_to], value and
+/// left limit alike.
+[[nodiscard]] inline Ratio max_ratio(const TaskSet& set, Ticks up_to, Ticks latency = 0) {
   Ratio best;
-  for (Ticks d = 1; d <= up_to; ++d) best = std::max(best, ratio_at(set, d));
+  for (Ticks d = latency + 1; d <= up_to; ++d) best = std::max(best, ratio_at(set, d, latency));
   return best;
 }
 
 struct Speedup {
-  /// Positive demand at Delta = 0: no finite speed suffices.
+  /// Positive demand at Delta = 0, or demand above the nominal supply Delta
+  /// at some Delta in [1, L]: no finite speed suffices.
   bool infinite = false;
+  /// With `infinite`: the first such Delta (0, or a tick in [1, L]).
+  Ticks infinite_at = 0;
   /// s_min = sup_Delta DBF_HI(Delta) / Delta (Eq. 8), exactly.
   Ratio s_min;
   /// The HI-mode utilization U_HI, the Delta -> inf limit of the ratio.
@@ -174,10 +184,12 @@ struct Speedup {
   bool finite_argmax = false;
 };
 
-/// Theorem 2 by exhaustion. The total demand repeats every hyperperiod H,
-/// shifted by U_HI * H, so a ratio past H is a mediant of one in (0, H] and
-/// U_HI: the supremum is the larger of U_HI and the maximum over (0, H].
-[[nodiscard]] inline Speedup exact_s_min(const TaskSet& set) {
+/// Theorem 2 by exhaustion, under transition latency `latency` (L). Up to L
+/// only the nominal supply Delta serves, whatever the speed. Past L, the total
+/// demand repeats every hyperperiod H, shifted by U_HI * H, so a ratio past
+/// L + H is a mediant of one in (L, L + H] and U_HI: the supremum is the
+/// larger of U_HI and the maximum over (L, L + H].
+[[nodiscard]] inline Speedup exact_s_min(const TaskSet& set, Ticks latency = 0) {
   Speedup r;
   if (set.empty()) return r;
   r.u_hi = utilization(set, Mode::HI);
@@ -187,7 +199,15 @@ struct Speedup {
     r.infinite = true;
     return r;
   }
-  const Ratio scanned = max_ratio(set, oracle::hyperperiod(set, Mode::HI));
+  for (Ticks d = 1; d <= latency; ++d) {
+    const Sample s = hi_demand(set, d);
+    if (std::max(s.value, s.left) > d) {
+      r.infinite = true;
+      r.infinite_at = d;
+      return r;
+    }
+  }
+  const Ratio scanned = max_ratio(set, oracle::hyperperiod(set, Mode::HI) + latency, latency);
   r.finite_argmax = r.u_hi < scanned;
   r.s_min = r.finite_argmax ? scanned : r.u_hi;
   return r;
@@ -195,11 +215,12 @@ struct Speedup {
 
 // ---- Corollary 5 --------------------------------------------------------------
 
-/// Delta_R = min{Delta >= 0 : ADB_HI(Delta) <= s * Delta} (Eq. 12), scanning
-/// unit segments from 0: +inf when s <= U_HI, NaN if `max_ticks` segments
-/// do not reach the crossing.
+/// Delta_R = min{Delta >= 0 : ADB_HI(Delta) <= supply(Delta)} (Eq. 12) for
+/// the supply s * Delta, or Delta + (Delta - L)^+ * (s - 1) under transition
+/// latency L (then s >= 1), scanning unit segments from 0: +inf when
+/// s <= U_HI, NaN if `max_ticks` segments do not reach the crossing.
 [[nodiscard]] inline double exact_delta_r(const TaskSet& set, double s, bool discard = false,
-                                           Ticks max_ticks = 10'000'000) {
+                                           Ticks latency = 0, Ticks max_ticks = 10'000'000) {
   if (set.empty()) return 0.0;
   const Ratio u = utilization(set, Mode::HI);
   const long double speed = s;
@@ -211,13 +232,20 @@ struct Speedup {
   value /= 2;
   for (Ticks k = 0; k < max_ticks; ++k) {
     const auto start = static_cast<long double>(k);
-    if (static_cast<long double>(value) <= speed * start) return static_cast<double>(k);
-    // ADB is linear on (k, k + 1): value + slope * (Delta - k) = s * Delta.
+    // The supply is linear on [k, k + 1] as well: rate * Delta - offset,
+    // with rate 1 and offset 0 before the kink L, and rate s and offset
+    // (s - 1) * L from it on.
+    const bool boosted = k >= latency;
+    const long double rate = boosted ? speed : 1.0L;
+    const long double offset =
+        boosted ? (speed - 1.0L) * static_cast<long double>(latency) : 0.0L;
+    if (static_cast<long double>(value) <= rate * start - offset) return static_cast<double>(k);
+    // ADB is linear on (k, k + 1): value + slope * (Delta - k) = rate * Delta - offset.
     const Sample next = arrived_demand(set, k + 1, discard);
     const auto slope = static_cast<long double>(next.left - value);
-    if (speed > slope) {
+    if (rate > slope) {
       const long double crossing =
-          (static_cast<long double>(value) - slope * start) / (speed - slope);
+          (static_cast<long double>(value) - slope * start + offset) / (rate - slope);
       if (crossing < start + 1.0L) return static_cast<double>(crossing);
     }
     value = next.value;

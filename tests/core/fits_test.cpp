@@ -4,8 +4,9 @@
 // paper-generator, UUniFast, harmonic-grid and exact-oracle sets, at speeds
 // on and around s_min (one ulp, 1e-12 and 1e-6 either side) and at 1 and 2,
 // against dwell budgets on and around Delta_R, under default, degraded,
-// randomly capped and carry-over-discarding limits; and every decision
-// bracket must contain the true s_min. Also here: no breakpoint cap reports a bracket below the true
+// randomly capped and carry-over-discarding limits, with and without a DVFS
+// transition latency; and every decision bracket must contain the true
+// s_min. Also here: no breakpoint cap reports a bracket below the true
 // s_min, and the LO-mode window min(L_a, H) gives the verdicts and first
 // violations of a walk over L_a alone.
 #include "core/analysis.hpp"
@@ -45,8 +46,8 @@ struct Case {
   std::optional<double> truth;
 };
 
-Case oracle_case(const TaskSet& set) {
-  const oracle::Speedup exact = oracle::exact_s_min(set);
+Case oracle_case(const TaskSet& set, Ticks latency = 0) {
+  const oracle::Speedup exact = oracle::exact_s_min(set, latency);
   return {set, exact.infinite ? kInf : exact.s_min.rounded()};
 }
 
@@ -106,22 +107,22 @@ std::vector<double> budgets_around(double delta_r) {
 }
 
 /// Every speed and budget of the grids above, cycling default, degraded,
-/// randomly capped and carry-over-discarding limits. Within 0.1% of U_HI,
-/// where Delta_R runs to millions of ticks, only the budget-free question is
-/// asked.
-void expect_fits_matches_around(const Case& c, Rng& rng) {
-  const AnalysisReport uncapped = Analyzer().analyze(c.set, 2.0).value();
+/// randomly capped and carry-over-discarding limits, under transition latency
+/// `latency`. Within 0.1% of U_HI, where Delta_R runs to millions of ticks,
+/// and below unit speed under a latency, where Delta_R is not defined, only
+/// the budget-free question is asked.
+void expect_fits_matches_around(const Case& c, Rng& rng, Ticks latency = 0) {
+  AnalysisRequest probe{c.set, 2.0, 1.0, {}, {}};
+  probe.latency = latency;
+  const AnalysisReport uncapped = analyze(probe).value();
   const double s_min = c.truth.value_or(uncapped.s_min);
   std::size_t round = 0;
   for (double speed : speeds_around(s_min)) {
     AnalysisParts parts;
-    parts.reset = speed > uncapped.u_hi * (1 + 1e-3);
-    const double delta_r =
-        parts.reset
-            ? Analyzer().analyze(c.set, speed, {.speedup = false, .reset = true, .lo = false})
-                  .value()
-                  .delta_r
-            : kInf;
+    parts.reset = speed > uncapped.u_hi * (1 + 1e-3) && (latency == 0 || speed >= 1.0);
+    probe.speed = speed;
+    probe.parts = {.speedup = false, .reset = true, .lo = false};
+    const double delta_r = parts.reset ? analyze(probe).value().delta_r : kInf;
     for (double budget : parts.reset ? budgets_around(delta_r) : std::vector<double>{kInf}) {
       AnalysisLimits limits;
       if (round % 4 == 1) limits = AnalysisLimits::degraded();
@@ -130,7 +131,9 @@ void expect_fits_matches_around(const Case& c, Rng& rng) {
             1, static_cast<std::int64_t>(uncapped.speedup_breakpoints) + 1));
       if (round % 4 == 3) limits.discard_dropped_carryover = true;
       ++round;
-      expect_fits_matches({c.set, speed, 1.0, parts, limits}, budget, c.truth);
+      AnalysisRequest request{c.set, speed, 1.0, parts, limits};
+      request.latency = latency;
+      expect_fits_matches(request, budget, c.truth);
     }
   }
 }
@@ -207,6 +210,25 @@ TEST(FitsTest, MatchesAnalyzeAndBracketsTheOracleOnOracleSets) {
   const std::vector<Case> cases = oracle_cases(14, 34);
   ASSERT_GE(cases.size(), 10u);
   for (const Case& c : cases) expect_fits_matches_around(c, rng);
+}
+
+TEST(FitsTest, MatchesAnalyzeAndBracketsTheOracleUnderTransitionLatency) {
+  // Table I at L = 1 (s_min = 1.5), 2 and 3 (no speed suffices), the set
+  // whose window demand exceeds the nominal supply between two breakpoints,
+  // and oracle sets under latencies up to past their shortest prepared
+  // deadline.
+  Rng rng(15);
+  for (Ticks latency : {1, 2, 3})
+    expect_fits_matches_around(oracle_case(table1_base(), latency), rng, latency);
+  const TaskSet window({McTask::lo_terminated("a", 8, 8, 21), McTask::hi("b", 2, 2, 2, 4, 5),
+                        McTask::hi("c", 2, 4, 3, 5, 13)});
+  for (Ticks latency : {2, 3})
+    expect_fits_matches_around(oracle_case(window, latency), rng, latency);
+  const std::vector<Case> cases = oracle_cases(8, 35);
+  ASSERT_GE(cases.size(), 8u);
+  for (const Case& c : cases)
+    for (const Ticks latency : {rng.uniform_int(1, 20), rng.uniform_int(21, 400)})
+      expect_fits_matches_around(oracle_case(c.set, latency), rng, latency);
 }
 
 TEST(FitsTest, StopsEarlierThanTheFullSweep) {

@@ -1,6 +1,6 @@
 // Randomized cross-validation between independently implemented analyses:
-// latency module at L = 0 vs the plain theorems, DCPL-materialised sets vs
-// the generic analysis, and the shipped FMS workload file.
+// DCPL-materialised sets vs the generic analysis, and the shipped FMS
+// workload file.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 
 #include "cache/waymodel.hpp"
 #include "core/edf.hpp"
-#include "core/latency.hpp"
 #include "core/reset.hpp"
 #include "core/speedup.hpp"
 #include "gen/rng.hpp"
@@ -17,35 +16,6 @@
 
 namespace rbs {
 namespace {
-
-class LatencyCrossTest : public testing::TestWithParam<int> {};
-
-TEST_P(LatencyCrossTest, ZeroLatencyMatchesPlainAnalyses) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) + 7000);
-  GenParams params;
-  params.u_bound = rng.uniform(0.4, 0.9);
-  params.period_min = 10;
-  params.period_max = 400;
-  const auto skeleton = generate_task_set(params, rng);
-  if (!skeleton) GTEST_SKIP();
-  const TaskSet set = skeleton->materialize(rng.uniform(0.3, 0.8), 2.0);
-
-  const double plain = min_speedup_value(set);
-  const LatencySpeedupReport with_l0 = min_speedup_with_latency(set, 0);
-  if (std::isinf(plain)) {
-    EXPECT_TRUE(std::isinf(with_l0.s_min));
-  } else {
-    // The latency variant floors at 1 (no slow-down semantics).
-    EXPECT_NEAR(with_l0.s_min, std::max(1.0, plain), 1e-9);
-  }
-
-  const double s = std::max({plain + 0.1, set.total_utilization(Mode::HI) + 0.1, 1.0});
-  const double dr_plain = resetting_time_value(set, s);
-  const double dr_l0 = resetting_time_with_latency(set, s, 0);
-  if (std::isfinite(dr_plain)) EXPECT_NEAR(dr_l0, dr_plain, 1e-6);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, LatencyCrossTest, testing::Range(1, 11));
 
 class DcplCrossTest : public testing::TestWithParam<int> {};
 

@@ -116,6 +116,16 @@ TEST(CacheKeyTest, DistinguishesSpeedPartsAndLimits) {
   degraded.limits = AnalysisLimits::degraded();
   EXPECT_NE(cache_key(degraded), key)
       << "degraded results must never be served to full-exactness requests";
+
+  // The transition latency is appended only when set, so zero-latency keys
+  // keep the bytes they had before the field existed.
+  AnalysisRequest latency = base;
+  latency.latency = 3;
+  const std::string latency_key = cache_key(latency);
+  EXPECT_NE(latency_key, key) << "a zero-latency report must never answer a latency request";
+  EXPECT_EQ(latency_key.rfind(key, 0), 0u);
+  latency.latency = 4;
+  EXPECT_NE(cache_key(latency), latency_key);
 }
 
 TEST(ResultCacheTest, LruEvictsLeastRecentlyUsed) {
