@@ -2,7 +2,8 @@
 // kernels -- demand-bound evaluation, the fused sweep's speedup search
 // (Theorem 2) and resetting-time solver (Corollary 5), the full analysis over
 // task count n (BM_FusedAnalyzeN), the multicore decision probe
-// (BM_FitsProbe), the min-x search on a paper and on a harmonic-grid
+// (BM_FitsProbe), partition plus k = 1 resilience on a multicore system
+// (BM_PartitionResilience), the min-x search on a paper and on a harmonic-grid
 // skeleton (BM_MinXSearch, BM_MinXSearchHarmonic), task generation and
 // simulator throughput
 // -- plus a campaign-throughput benchmark of the parallel engine
@@ -46,6 +47,7 @@
 #include "common.hpp"
 #include "gen/rng.hpp"
 #include "gen/taskgen.hpp"
+#include "multi/resilience.hpp"
 #include "rbs.hpp"
 #include "sim/simulate.hpp"
 
@@ -397,6 +399,39 @@ void BM_FitsProbe(benchmark::State& state) {
   state.SetLabel(std::to_string(probes.size()) + " probes");
 }
 BENCHMARK(BM_FitsProbe);
+
+// The multicore pipeline of rbs_bench's multicore_k1 items on a fixed system:
+// one 6-task harmonic-grid set at U_LO = 0.35 per core, packed first-fit
+// decreasing at s = 2, then analyze_resilience over every single-core fault
+// (k = 1). `analyzer_calls` and `scenarios` are exact work counters.
+void BM_PartitionResilience(benchmark::State& state) {
+  const auto cores = static_cast<std::size_t>(state.range(0));
+  std::vector<McTask> tasks;
+  for (std::size_t c = 0; c < cores; ++c)
+    for (const McTask& t : make_harmonic_set(6, 90 + c, 0.35)) tasks.push_back(t);
+  multi::MultiRequest request;
+  request.set = TaskSet(std::move(tasks));
+  request.budgets.assign(cores, CoreBudget{});
+  request.tolerance = 1;
+  std::size_t analyzer_calls = 0;
+  std::size_t scenarios = 0;
+  for (auto _ : state) {
+    const PartitionResult partition = partition_first_fit(request.set, cores);
+    if (!partition.feasible) {
+      state.SkipWithError("the benchmark system does not partition");
+      return;
+    }
+    request.assignment = partition.assignment;
+    const multi::MultiReport report = multi::analyze_resilience(request).value();
+    analyzer_calls = report.analyzer_calls;
+    scenarios = report.scenarios_checked;
+    benchmark::DoNotOptimize(report.tolerant);
+  }
+  state.counters["analyzer_calls"] = static_cast<double>(analyzer_calls);
+  state.counters["scenarios"] = static_cast<double>(scenarios);
+  state.SetLabel(std::to_string(request.set.size()) + " tasks");
+}
+BENCHMARK(BM_PartitionResilience)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_MinXSearch(benchmark::State& state) {
   Rng rng(11);

@@ -81,6 +81,12 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  // No speed serves demand due in a zero-length interval (s_min = +inf), and
+  // the resetting times below need a finite one.
+  if (!std::isfinite(s_cert)) {
+    std::cout << "\nverdict: NOT CERTIFIABLE (no finite speedup)\n";
+    return 1;
+  }
 
   // 3. Resetting-time curve, under the same latency.
   std::cout << "[3] resetting time:";

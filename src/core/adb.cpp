@@ -29,9 +29,10 @@ Ticks adb_hi(const McTask& task, Ticks delta, bool discard_dropped_carryover) {
   return residual_demand(task, rho - gap) + (q + 1) * task.wcet(Mode::HI);
 }
 
-RBS_HOT_PATH Ticks adb_hi_total(const TaskSet& set, Ticks delta, bool discard_dropped_carryover) {
+RBS_HOT_PATH Ticks adb_hi_total(std::span<const McTask> tasks, Ticks delta,
+                                bool discard_dropped_carryover) {
   Ticks sum = 0;
-  for (const McTask& t : set) sum += adb_hi(t, delta, discard_dropped_carryover);
+  for (const McTask& t : tasks) sum += adb_hi(t, delta, discard_dropped_carryover);
   return sum;
 }
 

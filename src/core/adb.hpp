@@ -15,6 +15,7 @@
 // aborts the carry-over job instead (ablation; the simulator supports both).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/breakpoints.hpp"
@@ -25,8 +26,9 @@ namespace rbs {
 /// Eq. (10) at integer Delta.
 [[nodiscard]] Ticks adb_hi(const McTask& task, Ticks delta, bool discard_dropped_carryover = false);
 
-/// Sum over the whole set.
-[[nodiscard]] Ticks adb_hi_total(const TaskSet& set, Ticks delta, bool discard_dropped_carryover = false);
+/// Sum over the tasks (a TaskSet converts).
+[[nodiscard]] Ticks adb_hi_total(std::span<const McTask> tasks, Ticks delta,
+                                 bool discard_dropped_carryover = false);
 
 /// Appends the breakpoint sequences of adb_hi for one task to `out`, tagged
 /// `mask`, with their deltas (append_ramp_family): window starts k*T(HI),

@@ -1,12 +1,18 @@
 #include "core/analysis.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
+#include <numeric>
 #include <optional>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "core/adb.hpp"
+#include "core/analysis_storage.hpp"
 #include "core/breakpoints.hpp"
 #include "core/dbf.hpp"
 #include "core/edf.hpp"
@@ -50,12 +56,12 @@ struct SpeedupSearch {
   bool deciding = false;
   double target = 0.0;
 
-  void init(const TaskSet& set, double total_u_hi, Ticks lat) {
-    if (set.empty()) return;  // s_min = 0, settled
+  void init(std::span<const McTask> tasks, double total_u_hi, Ticks lat) {
+    if (tasks.empty()) return;  // s_min = 0, settled
 
     // Eq. (8) allows Delta = 0: positive demand in a zero-length interval
     // requires infinite speedup.
-    if (dbf_hi_total(set, 0) > 0) {
+    if (dbf_hi_total(tasks, 0) > 0) {
       best = std::numeric_limits<double>::infinity();
       argmax = 0;
       return;
@@ -66,14 +72,14 @@ struct SpeedupSearch {
     latency = lat;
     // DBF_HI <= U*Delta + K with K = sum C(HI), hence demand - L <=
     // U*(Delta - L) + K_L with K_L = K + (U - 1)*L, which is K at L = 0.
-    k = static_cast<double>(set.total_hi_wcet()) + (u_hi - 1.0) * static_cast<double>(lat);
+    k = static_cast<double>(total_hi_wcet(tasks)) + (u_hi - 1.0) * static_cast<double>(lat);
     best = u_hi;
 
     // The demand repeats, shifted by U*H, every hyperperiod H; the mediant
     // inequality then confines the supremum to (L, H + L]. On overflow H is
     // kInfTicks and the envelope rules alone stop the search; with
     // L < kInfTicks the sum cannot overflow.
-    stop_at = rbs::hyperperiod(set, Mode::HI).value_or(kInfTicks) + lat;
+    stop_at = rbs::hyperperiod(tasks, Mode::HI).value_or(kInfTicks) + lat;
     active = true;
   }
 
@@ -156,12 +162,12 @@ struct ResetSearch {
   /// Decision mode (Analyzer::fits): the dwell budget; +inf never stops.
   double budget = std::numeric_limits<double>::infinity();
 
-  void init(const TaskSet& set, double s, double u_hi, Ticks lat,
+  void init(std::span<const McTask> tasks, double s, double u_hi, Ticks lat,
             const AnalysisLimits& limits) {
     speed = s;
     latency = lat;
     kink_offset = (speed - 1.0L) * static_cast<long double>(lat);
-    if (set.empty()) return;  // Delta_R = 0: nothing ever arrives
+    if (tasks.empty()) return;  // Delta_R = 0: nothing ever arrives
 
     // ADB_HI stays above U_HI*Delta; the supply, at most s*Delta (s >= 1
     // under a latency), can only catch up when s > U_HI.
@@ -169,7 +175,7 @@ struct ResetSearch {
       delta_r = std::numeric_limits<double>::infinity();
       return;
     }
-    demand.value = adb_hi_total(set, 0, limits.discard_dropped_carryover);
+    demand.value = adb_hi_total(tasks, 0, limits.discard_dropped_carryover);
     if (demand.value <= 0) return;  // all carry-over discarded, no demand
     active = true;
   }
@@ -245,8 +251,8 @@ struct ResetSearch {
 ///
 /// This loop dominates every analysis call, so it is RBS_HOT_PATH: rbs_lint's
 /// rt pass keeps the whole reachable tree (merger, both searches) free of
-/// allocation, locking, I/O and throw. The merger and tagged-sequence setup
-/// stays with the caller -- building those vectors is the one-time cold part.
+/// allocation, locking, I/O and throw. The stop table and the merger's arming
+/// stay with the caller, in storage it owns.
 RBS_HOT_PATH std::size_t run_fused_sweep(TaggedBreakpointMerger& merger, SpeedupSearch& speedup,
                                          ResetSearch& reset, const AnalysisLimits& limits) {
   std::size_t fused = 0;
@@ -270,6 +276,31 @@ RBS_HOT_PATH std::size_t run_fused_sweep(TaggedBreakpointMerger& merger, Speedup
   return fused;
 }
 
+/// A breakpoint family builder: dbf_hi_breakpoints or adb_hi_breakpoints.
+using FamilyBuilder = Ticks (*)(const McTask&, unsigned, std::vector<TaggedSeq>&);
+
+/// Appends the `family` sequences of `tasks`, tagged `mask`, to `stops` in
+/// ring order: `order` lists the tasks by T(HI), so each period's sequences
+/// form one run, and the few starts of a run are sorted (the merger sums
+/// equal ones). Every start lies in [0, T), so a run is one ring. Returns
+/// the family's summed slope just right of Delta = 0.
+Ticks append_in_ring_order(std::span<const McTask> tasks,
+                           std::span<const std::uint32_t> order, unsigned mask,
+                           FamilyBuilder family, std::vector<TaggedSeq>& stops) {
+  Ticks slope = 0;
+  for (std::size_t k = 0; k < order.size();) {
+    const Ticks period = tasks[order[k]].period(Mode::HI);
+    const auto run = static_cast<std::ptrdiff_t>(stops.size());
+    for (; k < order.size() && tasks[order[k]].period(Mode::HI) == period; ++k)
+      slope += family(tasks[order[k]], mask, stops);
+    std::sort(stops.begin() + run, stops.end(),
+              [](const TaggedSeq& a, const TaggedSeq& b) { return a.seq.start < b.seq.start; });
+  }
+  return slope;
+}
+
+}  // namespace
+
 // RBS_DET_PATH: every byte of the report is content-keyed (service cache) and
 // journaled (campaign resume), so the whole reachable tree must be
 // reproducible across runs, machines and --jobs counts.
@@ -277,11 +308,15 @@ RBS_HOT_PATH std::size_t run_fused_sweep(TaggedBreakpointMerger& merger, Speedup
 // `max_reset` set makes it the decision question of Analyzer::fits: the LO
 // test answers alone when it fails, each search stops once its verdict is
 // known, and an infinite budget skips the Delta_R search.
-RBS_DET_PATH Expected<AnalysisReport> analyze_impl(const TaskSet& set, double speed,
-                                                   double lo_speed, Ticks latency,
-                                                   AnalysisParts parts,
-                                                   const AnalysisLimits& limits,
-                                                   std::optional<double> max_reset) {
+RBS_DET_PATH Expected<AnalysisReport> analyze_tasks(std::span<const McTask> tasks,
+                                                    const AnalysisRequest& request,
+                                                    AnalysisStorage& storage,
+                                                    std::optional<double> max_reset) {
+  const double speed = request.speed;
+  const double lo_speed = request.lo_speed;
+  const Ticks latency = request.latency;
+  const AnalysisLimits& limits = request.limits;
+  AnalysisParts parts = request.parts;
   if (max_reset && !std::isfinite(*max_reset)) parts.reset = false;
   if (parts.reset && (!std::isfinite(speed) || speed <= 0.0))
     return Status::error("analyze: Delta_R needs a positive, finite speed, got " +
@@ -303,14 +338,15 @@ RBS_DET_PATH Expected<AnalysisReport> analyze_impl(const TaskSet& set, double sp
 
   AnalysisReport report;
   report.speed = speed;
-  report.u_lo = set.total_utilization(Mode::LO);
-  report.u_hi = set.total_utilization(Mode::HI);
+  report.u_lo = total_utilization(tasks, Mode::LO);
+  report.u_hi = total_utilization(tasks, Mode::HI);
 
   if (parts.lo) {
     EdfTestOptions options;
     options.speed = lo_speed;
     options.max_breakpoints = limits.max_breakpoints;
-    const EdfTestResult lo = lo_mode_test(set, options);
+    storage.lo.assign(tasks);
+    const EdfTestResult lo = storage.lo.test(options);
     report.lo_schedulable = lo.schedulable;
     report.lo_breakpoints = lo.breakpoints_visited;
     if (max_reset && !lo.schedulable) return report;
@@ -323,30 +359,42 @@ RBS_DET_PATH Expected<AnalysisReport> analyze_impl(const TaskSet& set, double sp
     speedup.target = speed;
     reset.budget = *max_reset;
   }
-  if (parts.speedup) speedup.init(set, report.u_hi, latency);
-  if (parts.reset) reset.init(set, speed, report.u_hi, latency, limits);
+  if (parts.speedup) speedup.init(tasks, report.u_hi, latency);
+  if (parts.reset) reset.init(tasks, speed, report.u_hi, latency, limits);
 
   // --- the fused sweep -----------------------------------------------------
-  // Cold setup (the tagged-sequence vector, each search's slope at 0 and the
-  // merger's heap), then the allocation-free hot loop in run_fused_sweep.
+  // Setup in the caller's storage (the stop table in ring order, each
+  // search's slope at 0, the merger's rings), then the allocation-free hot
+  // loop in run_fused_sweep.
   if (speedup.active || reset.active) {
-    std::vector<TaggedSeq> seqs;
+    assert(tasks.size() < std::numeric_limits<std::uint32_t>::max());
+    std::vector<std::uint32_t>& order = storage.order;
+    order.resize(tasks.size());
+    std::iota(order.begin(), order.end(), std::uint32_t{0});
+    std::sort(order.begin(), order.end(), [&](std::uint32_t i, std::uint32_t j) {
+      const Ticks ti = tasks[i].period(Mode::HI);
+      const Ticks tj = tasks[j].period(Mode::HI);
+      return ti != tj ? ti < tj : i < j;
+    });
+    std::vector<TaggedSeq>& stops = storage.stops;
+    stops.clear();
     if (speedup.active)
-      for (const McTask& t : set)
-        speedup.demand.slope += dbf_hi_breakpoints(t, kSpeedupMask, seqs);
+      speedup.demand.slope +=
+          append_in_ring_order(tasks, order, kSpeedupMask, dbf_hi_breakpoints, stops);
     if (reset.active)
-      for (const McTask& t : set)
-        reset.demand.slope += adb_hi_breakpoints(t, kResetMask, seqs);
+      reset.demand.slope +=
+          append_in_ring_order(tasks, order, kResetMask, adb_hi_breakpoints, stops);
     // The supply's kink is a breakpoint of both searches: a DBF_HI piece with
     // slope > 1 can cross Delta inside the window between two of its own
-    // breakpoints, and no Delta_R segment may straddle the kink.
+    // breakpoints, and no Delta_R segment may straddle the kink. A singleton
+    // is a ring of its own.
     if (latency > 0)
-      seqs.push_back({{latency, 0},
-                      (speedup.active ? kSpeedupMask : 0u) | (reset.active ? kResetMask : 0u),
-                      0,
-                      0});
-    TaggedBreakpointMerger merger(std::move(seqs));
-    report.fused_breakpoints += run_fused_sweep(merger, speedup, reset, limits);
+      stops.push_back({{latency, 0},
+                       (speedup.active ? kSpeedupMask : 0u) | (reset.active ? kResetMask : 0u),
+                       0,
+                       0});
+    storage.merger.rearm(stops);
+    report.fused_breakpoints += run_fused_sweep(storage.merger, speedup, reset, limits);
   }
 
   if (parts.speedup) {
@@ -366,21 +414,24 @@ RBS_DET_PATH Expected<AnalysisReport> analyze_impl(const TaskSet& set, double sp
   return report;
 }
 
-}  // namespace
-
 Expected<AnalysisReport> Analyzer::analyze(const AnalysisRequest& request) const {
-  return analyze_impl(request.set, request.speed, request.lo_speed, request.latency,
-                      request.parts, request.limits, std::nullopt);
+  AnalysisStorage storage;
+  return analyze_tasks(request.set, request, storage);
 }
 
 Expected<AnalysisReport> Analyzer::analyze(const TaskSet& set, double speed,
                                            const AnalysisParts& parts) const {
-  return analyze_impl(set, speed, 1.0, 0, parts, limits_, std::nullopt);
+  AnalysisRequest request;
+  request.speed = speed;
+  request.parts = parts;
+  request.limits = limits_;
+  AnalysisStorage storage;
+  return analyze_tasks(set, request, storage);
 }
 
 Expected<AnalysisReport> Analyzer::fits(const AnalysisRequest& request, double max_reset) const {
-  return analyze_impl(request.set, request.speed, request.lo_speed, request.latency,
-                      request.parts, request.limits, max_reset);
+  AnalysisStorage storage;
+  return analyze_tasks(request.set, request, storage, max_reset);
 }
 
 Expected<AnalysisReport> analyze(const AnalysisRequest& request) {

@@ -23,6 +23,12 @@
 // each search stops as soon as its verdict is known (docs/ANALYSIS.md §3),
 // and a set that fails LO mode never reaches the sweep.
 //
+// Both go through `analyze_tasks`, the one implementation: it reads the
+// tasks as a span and builds its tables in an AnalysisStorage its caller
+// owns (core/analysis_storage.hpp). The facade passes a local storage per
+// call; the multicore probes keep one for a whole partition or resilience
+// call and pass spans of a reused task vector, so a probe builds no TaskSet.
+//
 // The one-shot helpers (`min_speedup_value`, `hi_mode_schedulable`,
 // `system_schedulable`, `resetting_time_value`) are thin inline wrappers over
 // this facade; batched/parallel evaluation over many task sets goes through
@@ -31,6 +37,8 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <span>
 
 #include "core/task.hpp"
 #include "support/status.hpp"
@@ -173,7 +181,8 @@ struct AnalysisReport {
 
 /// The facade. Stateless apart from default limits, hence freely shareable:
 /// `analyze()` is a pure function of its arguments and may be called from any
-/// number of threads concurrently (the campaign engine relies on this).
+/// number of threads concurrently (the campaign engine relies on this). Each
+/// call runs analyze_tasks over request.set with a storage of its own.
 class Analyzer {
  public:
   Analyzer() = default;
@@ -208,5 +217,26 @@ class Analyzer {
 
 /// Free-function form of the facade for one-off calls.
 [[nodiscard]] Expected<AnalysisReport> analyze(const AnalysisRequest& request);
+
+struct AnalysisStorage;  // core/analysis_storage.hpp
+
+/// The span entry point, and the library's one analysis implementation:
+/// runs `request`'s sub-analyses over `tasks` -- every field of the request
+/// but its set, which is not read -- and builds its tables in `storage`.
+/// Without `max_reset` it is Analyzer::analyze(request); with one, it is
+/// Analyzer::fits(request, *max_reset). The report equals theirs for
+/// request.set = tasks, bit for bit and counters included, however the
+/// storage was used before. A call that succeeds allocates nothing once the
+/// storage has held a set as large.
+///
+/// Precondition: `tasks` satisfy the model (McTask::validate is empty for
+/// each): the tasks of a TaskSet, or tasks built by McTask's factories from
+/// valid parameters -- such as a copy of a set's tasks with LO tasks
+/// terminated in place (core/resilience.hpp's find_fallback). Nothing here
+/// checks it. Errors as Analyzer::analyze does.
+[[nodiscard]] Expected<AnalysisReport> analyze_tasks(std::span<const McTask> tasks,
+                                                     const AnalysisRequest& request,
+                                                     AnalysisStorage& storage,
+                                                     std::optional<double> max_reset = std::nullopt);
 
 }  // namespace rbs

@@ -18,21 +18,20 @@
 // that share a period and a consumer mask advance in lockstep, so they share
 // one heap entry, and equal starts are summed once, when the ring is built.
 // A tick costs O(log R) heap work per ring that hits it, with R the number of
-// rings: for the builders' families, one per distinct period and consumer,
-// however many tasks share a period. The stream is exactly the
-// per-sequence merge's (tests/core/reference_merger.hpp): strictly
-// increasing ticks below kInfTicks, each carrying the OR of the masks that
-// hit it and, per consumer, the summed jumps and slopes.
+// rings: for the builders' tables, one per distinct period and consumer,
+// however many tasks share a period. Every builder hands the merger its
+// table in ring order, and the merger sorts nothing. The stream is exactly
+// the per-sequence merge's (tests/core/reference_merger.hpp), whatever the
+// order: strictly increasing ticks below kInfTicks, each carrying the OR of
+// the masks that hit it and, per consumer, the summed jumps and slopes.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <tuple>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "core/types.hpp"
@@ -107,8 +106,11 @@ inline Ticks append_ramp_family(Ticks period, Ticks offset, Ticks c_lo, Ticks c_
 /// spans more (a start at or above T) is split into several rings. A ring of
 /// singletons (period 0) never wraps: it is walked once and dropped. The mask
 /// is part of the ring key, so each consumer's sequences sit in rings of
-/// their own. tests/core/reference_merger.hpp keeps the per-sequence merger
-/// this one must agree with, point for point.
+/// their own. The rings are the maximal runs of the table as given: a table
+/// in ring order (each key's stops contiguous, by rising start) gives one
+/// ring per key, and out-of-order stops stay exact but split their rings.
+/// tests/core/reference_merger.hpp keeps the per-sequence merger this one
+/// must agree with, point for point.
 class TaggedBreakpointMerger {
  public:
   /// Summed jump and slope change of one consumer at one tick.
@@ -122,38 +124,22 @@ class TaggedBreakpointMerger {
     std::array<Delta, kMergerConsumers> delta{};
   };
 
-  /// Takes the sequences by value: callers that are done with their vector
-  /// move it in, and the merger keeps it, in place, as the stop table its
-  /// rings index. Cold: the ring heap is the one allocation. The builders
-  /// emit each family as a run of rising starts on one period; while no two
-  /// such runs share a ring key, the runs are the rings and no stop moves.
-  /// Otherwise the stops are sorted into ring order and equal ones summed.
-  explicit TaggedBreakpointMerger(std::vector<TaggedSeq> seqs) : stops_(std::move(seqs)) {
-    assert(stops_.size() < std::numeric_limits<std::uint32_t>::max());
-    rings_.reserve(stops_.size());
-    collect_rings();
-    if (shares_a_key()) {
-      // shares_a_key() stopped mid-sort and left rings_ torn, so the rings
-      // are collected afresh from the sorted stops.
-      std::sort(stops_.begin(), stops_.end(), [](const TaggedSeq& a, const TaggedSeq& b) {
-        return std::tie(a.mask, a.seq.period, a.seq.start) <
-               std::tie(b.mask, b.seq.period, b.seq.start);
-      });
-      sum_equal_stops();
-      collect_rings();
-    }
-    heapify();
-  }
+  /// An empty merger; rearm() arms it.
+  TaggedBreakpointMerger() = default;
 
-  /// Re-arms the merger over `stops`, a rewritten stop table in ring order:
-  /// the stops of one key (period, mask) contiguous and by non-decreasing
-  /// start. A rewrite can make starts equal or part them, so equal ones are
-  /// summed here, and the rings are collected afresh, never taken from a
-  /// previous walk. Out-of-order stops stay exact but split their ring.
-  /// Hot: a search that moves starts within their rings re-arms once per
-  /// probe (LoDemandTable, core/edf.hpp), and no call allocates once the
-  /// merger has held a table as large.
-  void rearm(const std::vector<TaggedSeq>& stops) RBS_HOT_PATH {
+  /// A merger armed over `stops` (rearm).
+  explicit TaggedBreakpointMerger(const std::vector<TaggedSeq>& stops) { rearm(stops); }
+
+  /// Arms the merger over `stops`, the one way in: a stop table in ring
+  /// order, the stops of one key (period, mask) contiguous and by
+  /// non-decreasing start. Equal starts are summed here, and the rings are
+  /// collected afresh, never taken from a previous walk. Out-of-order stops
+  /// stay exact but split their ring. Hot: the analysis re-arms one merger
+  /// per call (AnalysisStorage, core/analysis_storage.hpp) and a search that
+  /// moves starts within their rings once per probe (LoDemandTable,
+  /// core/edf.hpp); no call allocates once the merger has held a table as
+  /// large.
+  void rearm(std::span<const TaggedSeq> stops) RBS_HOT_PATH {
     assert(stops.size() < std::numeric_limits<std::uint32_t>::max());
     stops_.assign(stops.begin(), stops.end());
     rings_.reserve(stops_.size());
@@ -243,26 +229,6 @@ class TaggedBreakpointMerger {
         rings_.push_back({head.seq.start, head.seq.period, first, first, last, head.mask});
       first = last + 1;
     }
-  }
-
-  /// Whether two rings share a key, so that sorting the stops merges rings:
-  /// an insertion sort of rings_ by key that stops at the first equal pair.
-  /// Builders' runs on distinct periods are few, so the sort stays short;
-  /// shared periods end it early.
-  bool shares_a_key() {
-    const auto key_less = [](const Ring& a, const Ring& b) {
-      return a.mask != b.mask ? a.mask < b.mask : a.period < b.period;
-    };
-    for (std::size_t i = 1; i < rings_.size(); ++i) {
-      const Ring ring = rings_[i];
-      std::size_t j = i;
-      for (; j > 0 && !key_less(rings_[j - 1], ring); --j) {
-        if (!key_less(ring, rings_[j - 1])) return true;
-        rings_[j] = rings_[j - 1];
-      }
-      rings_[j] = ring;
-    }
-    return false;
   }
 
   /// Moves `ring` to its next stop; false once the ring is exhausted (a

@@ -38,15 +38,15 @@ Ticks dbf_hi(const McTask& task, Ticks delta) {
   return residual_demand(task, rho - g) + q * task.wcet(Mode::HI);
 }
 
-RBS_HOT_PATH Ticks dbf_lo_total(const TaskSet& set, Ticks delta) {
+RBS_HOT_PATH Ticks dbf_lo_total(std::span<const McTask> tasks, Ticks delta) {
   Ticks sum = 0;
-  for (const McTask& t : set) sum += dbf_lo(t, delta);
+  for (const McTask& t : tasks) sum += dbf_lo(t, delta);
   return sum;
 }
 
-RBS_HOT_PATH Ticks dbf_hi_total(const TaskSet& set, Ticks delta) {
+RBS_HOT_PATH Ticks dbf_hi_total(std::span<const McTask> tasks, Ticks delta) {
   Ticks sum = 0;
-  for (const McTask& t : set) sum += dbf_hi(t, delta);
+  for (const McTask& t : tasks) sum += dbf_hi(t, delta);
   return sum;
 }
 
@@ -62,9 +62,9 @@ std::optional<Ticks> lcm_within(Ticks h, Ticks period, Ticks cap) {
   return step * period;
 }
 
-std::optional<Ticks> hyperperiod(const TaskSet& set, Mode mode) {
+std::optional<Ticks> hyperperiod(std::span<const McTask> tasks, Mode mode) {
   std::optional<Ticks> h = 1;
-  for (const McTask& t : set) {
+  for (const McTask& t : tasks) {
     if (is_inf(t.period(mode))) continue;
     h = lcm_within(*h, t.period(mode), kInfTicks);
     if (!h) break;

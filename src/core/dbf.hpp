@@ -16,6 +16,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/breakpoints.hpp"
@@ -31,11 +32,11 @@ namespace rbs {
 /// job keeps running but no longer carries a deadline.
 [[nodiscard]] Ticks dbf_hi(const McTask& task, Ticks delta);
 
-/// Sum of dbf_lo over the whole set.
-[[nodiscard]] Ticks dbf_lo_total(const TaskSet& set, Ticks delta);
+/// Sum of dbf_lo over the tasks (a TaskSet converts).
+[[nodiscard]] Ticks dbf_lo_total(std::span<const McTask> tasks, Ticks delta);
 
-/// Sum of dbf_hi over the whole set.
-[[nodiscard]] Ticks dbf_hi_total(const TaskSet& set, Ticks delta);
+/// Sum of dbf_hi over the tasks (a TaskSet converts).
+[[nodiscard]] Ticks dbf_hi_total(std::span<const McTask> tasks, Ticks delta);
 
 /// Appends the breakpoint sequences of dbf_hi for one task to `out`, tagged
 /// `mask`, with their deltas (append_ramp_family): window starts k*T(HI),
@@ -51,7 +52,7 @@ Ticks dbf_hi_breakpoints(const McTask& task, unsigned mask, std::vector<TaggedSe
 /// the Theorem 2 search stops at the HI-mode H past the transition latency
 /// (core/analysis.cpp), and the LO-mode test's window ends at the LO-mode H
 /// (core/edf.hpp, which folds it with lcm_within under its own cap).
-[[nodiscard]] std::optional<Ticks> hyperperiod(const TaskSet& set, Mode mode);
+[[nodiscard]] std::optional<Ticks> hyperperiod(std::span<const McTask> tasks, Mode mode);
 
 /// lcm(h, period) for h, period >= 1, or nullopt when it passes `cap`: one
 /// step of the hyperperiod fold.

@@ -75,18 +75,25 @@ Ticks utilization_window_end(double slack, double u, double speed, std::size_t n
 
 }  // namespace
 
-LoDemandTable::LoDemandTable(const TaskSet& set) {
-  tasks_.reserve(set.size());
-  for (const McTask& t : set)
-    tasks_.push_back({dbf_lo_breakpoints(t, 1u), t.utilization(Mode::LO), t.is_hi()});
-  arm();
-}
+LoDemandTable::LoDemandTable(const TaskSet& set) { assign(set); }
 
 LoDemandTable::LoDemandTable(const ImplicitSet& set) {
   tasks_.reserve(set.size());
   for (const ImplicitTask& t : set.tasks())  // D(LO) = T at x = 1
     tasks_.push_back({{{t.period, t.period}, 1u, t.c_lo, 0}, t.u_lo(),
                       t.criticality == Criticality::HI});
+  arm();
+}
+
+void LoDemandTable::assign(std::span<const McTask> tasks) {
+  tasks_.clear();
+  tasks_.reserve(tasks.size());
+  for (const McTask& t : tasks)
+    tasks_.push_back({dbf_lo_breakpoints(t, 1u), t.utilization(Mode::LO), t.is_hi()});
+  // The fold belongs to the previous tasks: a kept H, or a kept cap that a
+  // failed fold reached, would answer for the new ones.
+  hyperperiod_.reset();
+  hyperperiod_cap_ = 0;
   arm();
 }
 
@@ -102,6 +109,7 @@ void LoDemandTable::arm() {
     if (a.hi != b.hi) return a.hi;
     return a.stop.jump != b.stop.jump ? a.stop.jump < b.stop.jump : i < j;
   });
+  stops_.clear();
   stops_.reserve(tasks_.size());
   for (std::uint32_t i : ring_order_) stops_.push_back(tasks_[i].stop);
 

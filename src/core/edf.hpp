@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/analysis.hpp"
@@ -64,9 +65,20 @@ struct LoWindow {
 /// lo_mode_test builds one and tests it once. min_x_for_lo builds one per
 /// skeleton and, at each bisection probe, only moves the HI tasks' deadlines,
 /// so a probe builds no task set, merger or vector (docs/ANALYSIS.md §1).
+/// The analysis (core/analysis_storage.hpp) keeps one in caller-owned
+/// storage and refills it for each call with assign().
 class LoDemandTable {
  public:
+  /// An empty table; assign() fills it.
+  LoDemandTable() = default;
+
   explicit LoDemandTable(const TaskSet& set);
+
+  /// Makes this the table of `tasks`, in the storage of the table before:
+  /// no allocation once the table has held as many tasks. Everything the
+  /// previous tasks left is dropped, the cached hyperperiod fold and its cap
+  /// included. `tasks` are those of a valid set (TaskSet::create's checks).
+  void assign(std::span<const McTask> tasks);
 
   /// The table of `set.materialize(1, y)` for any y (HI-mode parameters do
   /// not enter LO mode), built from the skeleton without the task set.
@@ -94,9 +106,10 @@ class LoDemandTable {
     bool hi = false;
   };
 
-  /// Puts the stops in ring order and sums U; the constructors' last
-  /// step. Ties within a period go HI task first, then by C(LO), so for a set
-  /// in the normal form every prepared deadline keeps that order.
+  /// Puts the stops in ring order and sums U; the last step of assign()
+  /// and of the skeleton constructor. Ties within a period go HI task
+  /// first, then by C(LO), so for a set in the normal form every prepared
+  /// deadline keeps that order.
   void arm();
 
   /// Sums the slack U_i * (T_i - D_i) in set order, and notes whether every
@@ -119,7 +132,7 @@ class LoDemandTable {
   bool implicit_ = true;
   mutable std::optional<Ticks> hyperperiod_;
   mutable Ticks hyperperiod_cap_ = 0;  ///< the cap of the last fold, 0 before one
-  TaggedBreakpointMerger merger_{{}};
+  TaggedBreakpointMerger merger_;
 };
 
 /// The window of `set`'s LO-mode test at `speed` (LoDemandTable::window).

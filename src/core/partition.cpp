@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "core/analysis.hpp"
+#include "core/analysis_storage.hpp"
 #include "support/det_annotations.hpp"
 
 namespace rbs {
@@ -48,19 +49,21 @@ RBS_DET_PATH PartitionResult partition_first_fit(const TaskSet& set, std::size_t
     });
   }
 
-  // Each probe is one decision question (Analyzer::fits): the LO-mode test
-  // alone rejects most failing probes, and the sweep of a LO-feasible one
-  // stops as soon as the HI-mode and resetting-time verdicts are known.
-  const Analyzer analyzer;
+  // Each probe is one decision question (Analyzer::fits, through its span
+  // entry on the bin itself): the LO-mode test alone rejects most failing
+  // probes, and the sweep of a LO-feasible one stops as soon as the HI-mode
+  // and resetting-time verdicts are known. One storage serves every probe
+  // and final analysis, so no probe builds a TaskSet.
+  AnalysisStorage storage;
   AnalysisRequest probe;
   for (std::size_t index : order) {
     bool placed = false;
     for (std::size_t c = 0; c < cores && !placed; ++c) {
       bins[c].push_back(set[index]);
       const CoreBudget budget = core_budget(options, c);
-      probe.set = TaskSet(bins[c]);
       probe.speed = budget.hi_speedup;
-      const Expected<AnalysisReport> report = analyzer.fits(probe, budget.max_reset);
+      const Expected<AnalysisReport> report =
+          analyze_tasks(bins[c], probe, storage, budget.max_reset);
       if (report && report->system_schedulable &&
           within_reset_budget(report->delta_r, budget.max_reset)) {
         result.assignment[c].push_back(index);
@@ -75,19 +78,22 @@ RBS_DET_PATH PartitionResult partition_first_fit(const TaskSet& set, std::size_t
     }
   }
 
+  // Each final core set is the set its last accepted probe passed, LO mode
+  // included, and the result reports no LO verdict: the final analyses run
+  // Theorem 2 and Corollary 5 alone.
   result.feasible = true;
   result.core_s_min.reserve(cores);
   result.core_delta_r.reserve(cores);
+  AnalysisRequest request;
+  request.parts = {.speedup = true, .reset = true, .lo = false};
   for (std::size_t c = 0; c < cores; ++c) {
     if (bins[c].empty()) {
       result.core_s_min.push_back(0.0);
       result.core_delta_r.push_back(0.0);
       continue;
     }
-    AnalysisRequest request;
-    request.set = TaskSet(bins[c]);
     request.speed = core_budget(options, c).hi_speedup;
-    const Expected<AnalysisReport> report = analyze(request);
+    const Expected<AnalysisReport> report = analyze_tasks(bins[c], request, storage);
     result.core_s_min.push_back(report ? report->s_min
                                        : std::numeric_limits<double>::infinity());
     result.core_delta_r.push_back(report ? report->delta_r

@@ -14,7 +14,10 @@
 // the HI-mode and resetting-time verdicts are known. A set whose s_min sits
 // on the DVFS ceiling up to rounding noise is accepted, and one whose s_min
 // or Delta_R is +inf never is. The reported per-core s_min and Delta_R come
-// from one full analysis of each final core set.
+// from one Theorem 2 + Corollary 5 analysis of each final core set (its LO
+// mode was the last accepted probe's). The probes and final analyses run
+// through analyze_tasks on spans of the bins, over one caller-owned
+// AnalysisStorage (core/analysis_storage.hpp) for the whole call.
 //
 // First-fit decreasing (by LO+HI utilization) is the standard bin-packing
 // heuristic for this feasibility predicate. The decreasing order is fully

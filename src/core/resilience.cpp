@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 
 #include "core/analysis.hpp"
+#include "core/analysis_storage.hpp"
 #include "core/speedup.hpp"
 
 namespace rbs {
@@ -17,12 +19,13 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Non-dropped LO tasks in sacrifice order: decreasing HI-mode utilization
 /// (most demand relief per termination first), ties by index.
-std::vector<std::size_t> sacrifice_order(const TaskSet& set) {
+std::vector<std::size_t> sacrifice_order(std::span<const McTask> tasks) {
   std::vector<std::size_t> order;
-  for (std::size_t i = 0; i < set.size(); ++i)
-    if (!set[i].is_hi() && !set[i].dropped_in_hi()) order.push_back(i);
+  order.reserve(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i)
+    if (!tasks[i].is_hi() && !tasks[i].dropped_in_hi()) order.push_back(i);
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return set[a].utilization(Mode::HI) > set[b].utilization(Mode::HI);
+    return tasks[a].utilization(Mode::HI) > tasks[b].utilization(Mode::HI);
   });
   return order;
 }
@@ -79,26 +82,32 @@ Expected<TaskSet> apply_termination(const TaskSet& set,
 
 FallbackFit find_fallback(const TaskSet& set, double speed, double max_reset,
                           const AnalysisLimits& limits) {
+  std::vector<McTask> tasks = set.tasks();
+  AnalysisStorage storage;
+  return find_fallback(tasks, speed, max_reset, limits, storage);
+}
+
+FallbackFit find_fallback(std::span<McTask> tasks, double speed, double max_reset,
+                          const AnalysisLimits& limits, AnalysisStorage& storage) {
   FallbackFit fit;
   AnalysisRequest request;
-  request.set = set;
   request.speed = speed;
   request.parts = {.speedup = true, .reset = true, .lo = false};
   request.limits = limits;
-  const Analyzer analyzer;
-  const std::vector<std::size_t> order = sacrifice_order(set);
+  const std::vector<std::size_t> order = sacrifice_order(tasks);
   std::vector<std::size_t> terminated;
+  terminated.reserve(order.size());
   for (std::size_t tier = 0; tier <= order.size(); ++tier) {
     if (tier > 0) {
+      // Eq. 3 in place: the live LO task becomes the one
+      // McTask::lo_terminated builds from its LO-mode parameters.
       terminated.push_back(order[tier - 1]);
-      Expected<TaskSet> reduced = apply_termination(set, terminated);
-      if (!reduced) break;  // cannot happen: candidates are live LO tasks
-      request.set = std::move(reduced).value();
+      tasks[terminated.back()].set_hi_service(kInfTicks, kInfTicks);
     }
-    const Expected<AnalysisReport> report = analyzer.fits(request, max_reset);
+    const Expected<AnalysisReport> report = analyze_tasks(tasks, request, storage, max_reset);
     if (report && report->hi_schedulable) {
       fit.feasible = true;
-      fit.fallback.terminated = terminated;
+      fit.fallback.terminated = std::move(terminated);
       fit.within_budget = within_reset_budget(report->delta_r, max_reset);
       break;
     }

@@ -12,7 +12,8 @@
 //     the reduced set passes Theorem 2 at s'. find_fallback is the one
 //     search over the tiers, one Analyzer::fits decision per tier; the
 //     multicore receivers and boost-denied cores (multi/resilience.hpp)
-//     call it directly, and analyze_degraded adds the exact numbers;
+//     call its span form in their own storage, and analyze_degraded adds
+//     the exact numbers;
 //   * the per-taskset *boost-fault margin*: the smallest s' that the
 //     maximal admissible fallback (every LO task terminated) tolerates --
 //     below it not even sacrificing all LO service saves the HI tasks;
@@ -27,6 +28,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/analysis.hpp"
@@ -80,9 +82,20 @@ struct FallbackFit {
 /// skipped. Finds the first tier whose HI mode is schedulable at `speed` and
 /// checks its Delta_R at `speed` against `max_reset`, with one
 /// Analyzer::fits decision per tier under `limits`. A facade error reads as
-/// a tier that does not pass.
+/// a tier that does not pass. Runs the span form below on a copy of the set.
 [[nodiscard]] FallbackFit find_fallback(const TaskSet& set, double speed, double max_reset,
                                         const AnalysisLimits& limits = {});
+
+/// The span form, the one search: the same tiers and result over `tasks`, a
+/// caller's reused vector holding the tasks of a valid set (analyze_tasks'
+/// precondition), with every decision run in the caller's `storage`. A tier
+/// terminates its sacrificed task in place -- set_hi_service(kInfTicks,
+/// kInfTicks), the task McTask::lo_terminated builds -- so no tier builds a
+/// TaskSet. On return `tasks` hold the last tier decided. Allocates the
+/// sacrifice order and the tier list once per call, however many tiers it
+/// visits.
+[[nodiscard]] FallbackFit find_fallback(std::span<McTask> tasks, double speed, double max_reset,
+                                        const AnalysisLimits& limits, AnalysisStorage& storage);
 
 /// Degraded guarantee for an achieved HI-mode speed s' (> 0), typically
 /// below s_min: find_fallback at s' without a dwell budget, plus the exact

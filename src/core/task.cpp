@@ -115,21 +115,28 @@ double TaskSet::utilization(Criticality chi, Mode mode) const {
   return u;
 }
 
-double TaskSet::total_utilization(Mode mode) const {
-  return utilization(Criticality::LO, mode) + utilization(Criticality::HI, mode);
-}
+double TaskSet::total_utilization(Mode mode) const { return rbs::total_utilization(tasks_, mode); }
 
-Ticks TaskSet::total_hi_wcet() const {
-  Ticks sum = 0;
-  for (const McTask& t : tasks_)
-    if (!t.dropped_in_hi()) sum += t.wcet(Mode::HI);
-  return sum;
-}
+Ticks TaskSet::total_hi_wcet() const { return rbs::total_hi_wcet(tasks_); }
 
 std::size_t TaskSet::hi_count() const {
   std::size_t n = 0;
   for (const McTask& t : tasks_) n += t.is_hi() ? 1 : 0;
   return n;
+}
+
+double total_utilization(std::span<const McTask> tasks, Mode mode) {
+  double lo_tasks = 0.0;
+  double hi_tasks = 0.0;
+  for (const McTask& t : tasks) (t.is_hi() ? hi_tasks : lo_tasks) += t.utilization(mode);
+  return lo_tasks + hi_tasks;
+}
+
+Ticks total_hi_wcet(std::span<const McTask> tasks) {
+  Ticks sum = 0;
+  for (const McTask& t : tasks)
+    if (!t.dropped_in_hi()) sum += t.wcet(Mode::HI);
+  return sum;
 }
 
 std::string describe(const McTask& task) {

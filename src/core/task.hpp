@@ -9,6 +9,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -116,6 +117,14 @@ class TaskSet {
  private:
   std::vector<McTask> tasks_;
 };
+
+/// Sum over `tasks` of C(mode)/T(mode), summed as TaskSet::total_utilization
+/// sums it: the LO tasks, then the HI tasks, each in order. Every digest
+/// carries these bits.
+[[nodiscard]] double total_utilization(std::span<const McTask> tasks, Mode mode);
+
+/// Sum of C(HI) over the tasks not dropped in HI mode (TaskSet::total_hi_wcet).
+[[nodiscard]] Ticks total_hi_wcet(std::span<const McTask> tasks);
 
 /// Formats a task as a one-line human-readable string (for traces and docs).
 std::string describe(const McTask& task);

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <utility>
 
+#include "core/analysis_storage.hpp"
 #include "support/det_annotations.hpp"
 
 namespace rbs::multi {
@@ -21,37 +23,43 @@ struct CoreState {
   double u_hi = 0.0;     ///< running HI-mode utilization (receiver ordering)
 };
 
+// One analyze_resilience call's working state: the request, its work
+// counter, and the analysis storage and task vector every core set is
+// analysed in, reused from core to core and scenario to scenario.
 struct Ctx {
   const MultiRequest* req = nullptr;
   std::size_t* analyzer_calls = nullptr;
+  AnalysisStorage storage;
+  std::vector<McTask> tasks;
+
+  /// The tasks of the global `indices`, in order, in the reused vector.
+  std::span<McTask> local_tasks(const std::vector<std::size_t>& indices) {
+    tasks.clear();
+    for (std::size_t g : indices) tasks.push_back(req->set[g]);
+    return tasks;
+  }
 };
 
-TaskSet local_set(const TaskSet& set, const std::vector<std::size_t>& indices) {
-  std::vector<McTask> tasks;
-  tasks.reserve(indices.size());
-  for (std::size_t g : indices) tasks.push_back(set[g]);
-  return TaskSet(std::move(tasks));
-}
-
-// Acceptance of `local` on a core with `budget`: the set as given (tier 0 of
-// find_fallback) or its first fallback tier that passes HI mode, provided
-// that tier's dwell fits the reset budget. `shed` receives LOCAL indices of
-// terminated LO tasks. LO-mode schedulability gates every tier (termination
-// never lowers LO-mode demand), so it runs first and alone. The LO test and
-// tier 0 count as one analyzer call, the further tiers one.
-bool accept_on_core(const Ctx& ctx, const TaskSet& local, const CoreBudget& budget,
+// Acceptance of the core set `indices` on a core with `budget`: the set as
+// given (tier 0 of find_fallback) or its first fallback tier that passes HI
+// mode, provided that tier's dwell fits the reset budget. `shed` receives
+// LOCAL indices of terminated LO tasks. LO-mode schedulability gates every
+// tier (termination never lowers LO-mode demand), so it runs first and
+// alone. The LO test and tier 0 count as one analyzer call, the further
+// tiers one.
+bool accept_on_core(Ctx& ctx, const std::vector<std::size_t>& indices, const CoreBudget& budget,
                     std::vector<std::size_t>& shed) {
   shed.clear();
+  const std::span<McTask> local = ctx.local_tasks(indices);
   AnalysisRequest areq;
-  areq.set = local;
   areq.lo_speed = ctx.req->lo_speed;
   areq.limits = ctx.req->limits;
   areq.parts = {.speedup = false, .reset = false, .lo = true};
   ++*ctx.analyzer_calls;
-  const Expected<AnalysisReport> lo = analyze(areq);
+  const Expected<AnalysisReport> lo = analyze_tasks(local, areq, ctx.storage);
   if (!lo || !lo->lo_schedulable) return false;
-  const FallbackFit fit =
-      find_fallback(local, budget.hi_speedup, budget.max_reset, ctx.req->limits);
+  const FallbackFit fit = find_fallback(local, budget.hi_speedup, budget.max_reset,
+                                        ctx.req->limits, ctx.storage);
   const bool fits = fit.feasible && fit.within_budget;
   if (!fits || fit.fallback.tier() > 0) ++*ctx.analyzer_calls;
   if (!fits) return false;
@@ -59,7 +67,7 @@ bool accept_on_core(const Ctx& ctx, const TaskSet& local, const CoreBudget& budg
   return true;
 }
 
-CoreReport nominal_report(const Ctx& ctx, const std::vector<std::size_t>& tasks,
+CoreReport nominal_report(Ctx& ctx, const std::vector<std::size_t>& tasks,
                           const CoreBudget& budget) {
   CoreReport r;
   r.speed_margin = budget.hi_speedup;
@@ -69,12 +77,12 @@ CoreReport nominal_report(const Ctx& ctx, const std::vector<std::size_t>& tasks,
     return r;
   }
   AnalysisRequest areq;
-  areq.set = local_set(ctx.req->set, tasks);
   areq.speed = budget.hi_speedup;
   areq.lo_speed = ctx.req->lo_speed;
   areq.limits = ctx.req->limits;
   ++*ctx.analyzer_calls;
-  const Expected<AnalysisReport> report = analyze(areq);
+  const Expected<AnalysisReport> report =
+      analyze_tasks(ctx.local_tasks(tasks), areq, ctx.storage);
   if (!report) {
     r.s_min = std::numeric_limits<double>::infinity();
     r.delta_r = std::numeric_limits<double>::infinity();
@@ -94,7 +102,7 @@ CoreReport nominal_report(const Ctx& ctx, const std::vector<std::size_t>& tasks,
   return r;
 }
 
-FailureScenario evaluate_scenario(const Ctx& ctx, std::vector<std::size_t> faulted,
+FailureScenario evaluate_scenario(Ctx& ctx, std::vector<std::size_t> faulted,
                                   std::vector<CoreFaultClass> classes) {
   const MultiRequest& req = *ctx.req;
   const std::size_t cores = req.assignment.size();
@@ -137,8 +145,8 @@ FailureScenario evaluate_scenario(const Ctx& ctx, std::vector<std::size_t> fault
     for (std::size_t g : cs.tasks) has_hi = has_hi || req.set[g].is_hi();
     if (!has_hi) continue;
     ++*ctx.analyzer_calls;
-    const FallbackFit fit = find_fallback(local_set(req.set, cs.tasks), req.lo_speed,
-                                          req.budgets[core].max_reset, req.limits);
+    const FallbackFit fit = find_fallback(ctx.local_tasks(cs.tasks), req.lo_speed,
+                                          req.budgets[core].max_reset, req.limits, ctx.storage);
     if (fit.feasible && fit.within_budget) {
       for (std::size_t local : fit.fallback.terminated) cs.shed.push_back(cs.tasks[local]);
       continue;
@@ -187,7 +195,7 @@ FailureScenario evaluate_scenario(const Ctx& ctx, std::vector<std::size_t> fault
     for (std::size_t c : candidates) {
       tentative = state[c].tasks;
       tentative.push_back(task);
-      if (!accept_on_core(ctx, local_set(req.set, tentative), req.budgets[c], shed)) continue;
+      if (!accept_on_core(ctx, tentative, req.budgets[c], shed)) continue;
       state[c].tasks = tentative;
       state[c].u_hi += req.set[task].utilization(Mode::HI);
       // The fallback tiers are prefixes of one sacrifice order, so the
@@ -270,7 +278,7 @@ RBS_DET_PATH Expected<MultiReport> analyze_resilience(const MultiRequest& reques
   MultiReport report;
   report.cores = cores;
   report.tolerance = request.tolerance;
-  Ctx ctx{&request, &report.analyzer_calls};
+  Ctx ctx{&request, &report.analyzer_calls, {}, {}};
 
   report.core_reports.reserve(cores);
   bool nominal = true;

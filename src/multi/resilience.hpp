@@ -20,8 +20,10 @@
 // utilization first -- onto surviving, non-denied cores, each receiver
 // re-certified against its OWN budget by the Analyzer facade's verdicts
 // (LO-mode at lo_speed, `hi_schedulable` at hi_speedup, `within_reset_budget`
-// against max_reset), asked as decision questions (Analyzer::fits) that stop
-// as soon as the verdict is known. A receiver that cannot take a task
+// against max_reset), asked as decision questions (Analyzer::fits, through
+// its span entry analyze_tasks) that stop as soon as the verdict is known.
+// One AnalysisStorage and one task vector serve every check of a call, so no
+// receiver or fallback tier builds a TaskSet. A receiver that cannot take a task
 // outright may shed its own LO service instead: the same find_fallback tiers
 // are tried, and the terminated LO tasks are reported as ShedSteps. The
 // system is k-tolerant iff the nominal partition is feasible and every

@@ -22,6 +22,7 @@
 
 #include "core/adb.hpp"
 #include "core/analysis.hpp"
+#include "core/analysis_storage.hpp"
 #include "core/amc.hpp"
 #include "core/budget.hpp"
 #include "core/closed_form.hpp"

@@ -13,7 +13,9 @@ for benchmarks registered with UseRealTime() (their names end in
 the one that means anything.
 
 Work counters are screened exactly. Every `breakpoints` counter (the ticks
-one analysis call walks, a pure function of the benchmark's input) must
+one analysis call walks), and every `analyzer_calls` and `scenarios` counter
+(the facade calls and fault scenarios of one multicore partition +
+resilience pass), is a pure function of the benchmark's input and must
 equal the reference's; a mismatch, or a counter the current run no longer
 reports, means the analysis does different work, not that the runner was
 noisy.
@@ -51,7 +53,7 @@ _TO_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 _SIMULATOR_PREFIXES = ("BM_Simulator", "BM_EventKernel")
 
 # Exact work counters: the screen compares these for equality, not timing.
-_WORK_COUNTERS = ("breakpoints",)
+_WORK_COUNTERS = ("breakpoints", "analyzer_calls", "scenarios")
 
 # Exit statuses (see the module docstring).
 _EXIT_TIMING = 1
