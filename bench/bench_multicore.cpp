@@ -16,16 +16,12 @@
 //
 //   bench_multicore [--sets 50] [--u 0.35] [--speedup 2.0] [--tolerance 1]
 //                   [--jobs N] [--seed 1] [--checkpoint path [--resume]]
-//                   [--json FILE]
 //
-// --json writes the flat throughput/summary artifact screened by
-// tools/bench_drift.py (results/BENCH_multicore.json is the committed
-// baseline, the same convention as service_load's BENCH_service.json).
+// Throughput of this path is measured by bench/suite/run.py's multicore_k1
+// workload.
 #include "common.hpp"
 
-#include <chrono>
 #include <cmath>
-#include <cstdio>
 
 #include "core/partition.hpp"
 #include "multi/resilience.hpp"
@@ -96,11 +92,9 @@ int main(int argc, char** argv) {
                     std::to_string(tolerance) +
                     " failure tolerance of random systems\nacross machine sizes.");
 
-  const std::string json_path = args.get_string("json", "");
   const std::vector<std::size_t> sweep = {2, 3, 4, 6, 8};
   const std::size_t count = sweep.size() * n_sets;
 
-  const auto t0 = std::chrono::steady_clock::now();
   const campaign::CampaignReport report = bench::run_checkpointed(
       checkpoint, "multicore", campaign_options, count,
       [&](std::size_t index, Rng& rng, const campaign::CancelToken& token) {
@@ -135,9 +129,6 @@ int main(int argc, char** argv) {
         }
         return bench::encode_fields(encode(item));
       });
-
-  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - t0;
-  const double seconds = elapsed.count();
 
   const std::vector<Item> items = bench::gather_items<Item>(report, decode);
 
@@ -177,42 +168,6 @@ int main(int argc, char** argv) {
                               scenarios > 0 ? migrations / scenarios : 0.0});
   }
   t.print(std::cout);
-
-  if (!json_path.empty()) {
-    // Whole-sweep aggregates: the drift screen compares *_per_sec fields
-    // against the committed baseline, the rest documents the run.
-    std::size_t valid = 0, partitioned = 0, tolerant = 0;
-    for (const Item& item : items) {
-      if (!item.valid) continue;
-      ++valid;
-      if (!item.partitioned) continue;
-      ++partitioned;
-      tolerant += item.tolerant;
-    }
-    std::FILE* json = std::fopen(json_path.c_str(), "w");
-    if (json == nullptr) {
-      std::cerr << "error: cannot write JSON '" << json_path << "'\n";
-      return 1;
-    }
-    std::fprintf(json,
-                 "{\n"
-                 "  \"benchmark\": \"bench_multicore\",\n"
-                 "  \"sets_per_core_count\": %zu,\n"
-                 "  \"core_counts\": %zu,\n"
-                 "  \"items\": %zu,\n"
-                 "  \"tolerance\": %zu,\n"
-                 "  \"u_per_core\": %.6f,\n"
-                 "  \"seconds\": %.6f,\n"
-                 "  \"items_per_sec\": %.2f,\n"
-                 "  \"valid\": %zu,\n"
-                 "  \"partitioned\": %zu,\n"
-                 "  \"tolerant\": %zu\n"
-                 "}\n",
-                 n_sets, sweep.size(), count, tolerance, u, seconds,
-                 seconds > 0.0 ? static_cast<double>(count) / seconds : 0.0, valid,
-                 partitioned, tolerant);
-    std::fclose(json);
-  }
 
   std::cout << "\nBigger machines tolerate a lost core more easily: the displaced HI\n"
                "work spreads over more survivors, but every receiver must still fit\n"

@@ -5,9 +5,8 @@
 // (BM_FitsProbe), partition plus k = 1 resilience on a multicore system
 // (BM_PartitionResilience), the min-x search on a paper and on a harmonic-grid
 // skeleton (BM_MinXSearch, BM_MinXSearchHarmonic), task generation and
-// simulator throughput
-// -- plus a campaign-throughput benchmark of the parallel engine
-// (BM_CampaignAnalyze, one arg per worker count).
+// simulator throughput. Campaign throughput is measured end to end by
+// bench/suite/run.py (the campaign_paper workload).
 //
 // Campaign mode (instead of google-benchmark):
 //
@@ -502,33 +501,6 @@ void BM_EventKernelThroughput(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(jobs), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_EventKernelThroughput);
-
-// End-to-end campaign throughput (generate + prepare + fused analyze per
-// item) at 1/2/4/8 workers. On a single-core host the >1 args merely
-// exercise the campaign workers; the scaling numbers are meaningful on real
-// multi-core runners. The workers do the work while the main thread waits, so the
-// timing and the sets/s rate are wall-clock (UseRealTime): the main thread's
-// CPU time leaves the workers out and would inflate the rate.
-void BM_CampaignAnalyze(benchmark::State& state) {
-  const auto jobs = static_cast<unsigned>(state.range(0));
-  constexpr std::size_t kSets = 32;
-  std::size_t items = 0;
-  for (auto _ : state) {
-    const campaign::CampaignReport report = run_campaign(jobs, 1, kSets, nullptr);
-    if (!report.all_completed()) state.SkipWithError("a campaign item did not complete");
-    benchmark::DoNotOptimize(report.items.data());
-    items += report.items.size();
-  }
-  state.counters["sets/s"] =
-      benchmark::Counter(static_cast<double>(items), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_CampaignAnalyze)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 /// True for argv entries that belong to campaign mode, not google-benchmark.
 bool is_campaign_flag(const char* arg, bool* eats_value) {

@@ -20,6 +20,9 @@ Ticks residual_demand(const McTask& task, Ticks w) {
 
 }  // namespace
 
+// Eq. 4 as the paper writes it: the oracle the LO-mode demand tests check
+// LoDemandTable's walk against.
+// rbs-lint: allow(api-unreached) -- the LO-mode tests' textbook oracle.
 Ticks dbf_lo(const McTask& task, Ticks delta) {
   assert(delta >= 0 && delta < kInfTicks);
   const Ticks d = task.deadline(Mode::LO);
@@ -38,6 +41,7 @@ Ticks dbf_hi(const McTask& task, Ticks delta) {
   return residual_demand(task, rho - g) + q * task.wcet(Mode::HI);
 }
 
+// rbs-lint: allow(api-unreached) -- the total of the Eq. 4 oracle above.
 RBS_HOT_PATH Ticks dbf_lo_total(std::span<const McTask> tasks, Ticks delta) {
   Ticks sum = 0;
   for (const McTask& t : tasks) sum += dbf_lo(t, delta);

@@ -232,10 +232,6 @@ EdfTestResult LoDemandTable::test(const EdfTestOptions& options) {
   return result;
 }
 
-LoWindow lo_test_window(const TaskSet& set, double speed) {
-  return LoDemandTable(set).window(speed);
-}
-
 EdfTestResult lo_mode_test(const TaskSet& set, const EdfTestOptions& options) {
   return LoDemandTable(set).test(options);
 }

@@ -93,7 +93,7 @@ class LoDemandTable {
   void prepare_hi_deadlines(double x) RBS_HOT_PATH;
 
   /// The window of the test at `speed`, from U and the deadline slack summed
-  /// as a task set sums them, so it ends where lo_test_window's ends.
+  /// as a task set sums them.
   [[nodiscard]] LoWindow window(double speed) const RBS_HOT_PATH;
 
   /// The processor-demand test at the current deadlines.
@@ -134,9 +134,6 @@ class LoDemandTable {
   mutable Ticks hyperperiod_cap_ = 0;  ///< the cap of the last fold, 0 before one
   TaggedBreakpointMerger merger_;
 };
-
-/// The window of `set`'s LO-mode test at `speed` (LoDemandTable::window).
-[[nodiscard]] LoWindow lo_test_window(const TaskSet& set, double speed);
 
 /// Full processor-demand test of the LO-mode parameters.
 [[nodiscard]] EdfTestResult lo_mode_test(const TaskSet& set, const EdfTestOptions& options = {});

@@ -10,21 +10,18 @@
 //   * which *fallback* restores schedulability at s' -- LO tasks are
 //     terminated (Eq. 3) in tiers, largest HI-mode demand first, until
 //     the reduced set passes Theorem 2 at s'. find_fallback is the one
-//     search over the tiers, one Analyzer::fits decision per tier; the
-//     multicore receivers and boost-denied cores (multi/resilience.hpp)
-//     call its span form in their own storage, and analyze_degraded adds
-//     the exact numbers;
-//   * the per-taskset *boost-fault margin*: the smallest s' that the
-//     maximal admissible fallback (every LO task terminated) tolerates --
-//     below it not even sacrificing all LO service saves the HI tasks;
+//     search over the tiers, one fits decision per tier in its caller's
+//     storage; the multicore receivers and boost-denied cores
+//     (multi/resilience.hpp) call it on their core sets, and
+//     analyze_degraded adds the exact numbers;
 //   * the inflated resetting time Delta_R(s') of the fallback set, i.e. how
 //     long the degraded episode lasts in the worst case;
 //   * which deadline misses are *licensed* when the fallback is (or is not)
 //     applied -- the contract sim/watchdog.hpp checks every trace against.
 //
-// Delayed overrun detection (the budget monitor polls every delta instead of
-// trapping the C(LO) crossing) is handled by inflating C(LO) of every HI
-// task by delta and re-running the unchanged analyses on the inflated set.
+// Every terminated task here is built one way: a copy of the live LO task
+// with set_hi_service(kInfTicks, kInfTicks), the task McTask::lo_terminated
+// builds from its LO-mode parameters.
 #pragma once
 
 #include <cstddef>
@@ -76,65 +73,34 @@ struct FallbackFit {
   bool within_budget = false;
 };
 
-/// The one search over the termination tiers: the set as given (tier 0),
+/// The one search over the termination tiers: the tasks as given (tier 0),
 /// then LO tasks terminated one by one in sacrifice order -- decreasing
 /// HI-mode utilization, ties by index, tasks already terminated in the input
 /// skipped. Finds the first tier whose HI mode is schedulable at `speed` and
-/// checks its Delta_R at `speed` against `max_reset`, with one
-/// Analyzer::fits decision per tier under `limits`. A facade error reads as
-/// a tier that does not pass. Runs the span form below on a copy of the set.
-[[nodiscard]] FallbackFit find_fallback(const TaskSet& set, double speed, double max_reset,
-                                        const AnalysisLimits& limits = {});
-
-/// The span form, the one search: the same tiers and result over `tasks`, a
-/// caller's reused vector holding the tasks of a valid set (analyze_tasks'
-/// precondition), with every decision run in the caller's `storage`. A tier
-/// terminates its sacrificed task in place -- set_hi_service(kInfTicks,
-/// kInfTicks), the task McTask::lo_terminated builds -- so no tier builds a
-/// TaskSet. On return `tasks` hold the last tier decided. Allocates the
-/// sacrifice order and the tier list once per call, however many tiers it
-/// visits.
+/// checks its Delta_R at `speed` against `max_reset`, with one fits decision
+/// per tier under `limits`, run by analyze_tasks in the caller's `storage`.
+/// A facade error reads as a tier that does not pass. `tasks` are a caller's
+/// reused vector holding the tasks of a valid set (analyze_tasks'
+/// precondition); a tier terminates its sacrificed task in place, so no tier
+/// builds a TaskSet, and on return `tasks` hold the last tier decided.
+/// Allocates the sacrifice order and the tier list once per call, however
+/// many tiers it visits.
 [[nodiscard]] FallbackFit find_fallback(std::span<McTask> tasks, double speed, double max_reset,
                                         const AnalysisLimits& limits, AnalysisStorage& storage);
 
 /// Degraded guarantee for an achieved HI-mode speed s' (> 0), typically
 /// below s_min: find_fallback at s' without a dwell budget, plus the exact
-/// numbers of the outcome -- one Theorem 2 sweep under `limits` for s_min of
-/// the set as given and one for the fallback set, and one Delta_R call on
-/// the accepted set. A facade error yields infeasible, delta_r = +inf;
-/// nothing throws.
+/// numbers of the outcome. One copy of the tasks and one storage serve
+/// every analysis under `limits`: a Theorem 2 sweep at speed 1 for s_min of
+/// the set as given, the search, and on the accepted tier a Theorem 2 sweep
+/// for its s_min (tier > 0) and a Corollary 5 call for its Delta_R at s'. A
+/// facade error yields infeasible, or an s_min or delta_r of +inf; nothing
+/// throws.
 [[nodiscard]] DegradedGuarantee analyze_degraded(const TaskSet& set, double achieved_speed,
                                                  const AnalysisLimits& limits = {});
-
-struct BoostFaultMargin {
-  /// Theorem 2 requirement of the unmodified set.
-  double s_min = 0.0;
-  /// Smallest achieved speed any admissible fallback tolerates: s_min of
-  /// the set with every LO task terminated. s' >= margin  =>  some tier in
-  /// analyze_degraded is feasible; below it HI tasks are beyond saving.
-  double margin = 0.0;
-  /// The maximal fallback realizing the margin.
-  FallbackPlan max_fallback;
-};
-
-/// The per-taskset boost-fault margin (see above).
-[[nodiscard]] BoostFaultMargin boost_fault_margin(const TaskSet& set);
 
 /// Returns `set` with the listed LO tasks terminated in HI mode (Eq. 3).
 /// Errors on out-of-range indices, HI tasks, or duplicates.
 [[nodiscard]] Expected<TaskSet> apply_termination(const TaskSet& set, const std::vector<std::size_t>& lo_indices);
-
-/// Models a budget monitor polling every `delta` ticks: every HI task's
-/// C(LO) grows by delta (capped at C(HI) -- beyond that the overrun
-/// completes undetected and HI mode is never entered for that job). Errors
-/// when the inflated set violates the model constraints (e.g. C(LO) > D(LO)),
-/// in which case no guarantee survives the detection latency.
-[[nodiscard]] Expected<TaskSet> inflate_detection_delay(const TaskSet& set, Ticks delta);
-
-/// Delta_R at `achieved_speed` under `fallback` (ticks), under `limits`'
-/// carry-over model; +inf when the supply never catches the arrived demand.
-[[nodiscard]] double degraded_resetting_time(const TaskSet& set, double achieved_speed,
-                                             const FallbackPlan& fallback,
-                                             const AnalysisLimits& limits = {});
 
 }  // namespace rbs

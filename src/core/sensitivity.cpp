@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -29,65 +28,20 @@ TaskSet scale_hi_wcets(const TaskSet& set, double gamma) {
   return TaskSet(std::move(tasks));
 }
 
-TaskSet inflate_wcets(const TaskSet& set, double alpha) {
-  std::vector<McTask> tasks;
-  tasks.reserve(set.size());
-  auto scaled = [alpha](Ticks c, Ticks cap) {
-    return std::clamp(static_cast<Ticks>(std::llround(alpha * static_cast<double>(c))),
-                      Ticks{1}, cap);
+std::optional<double> max_tolerable_gamma(const TaskSet& set, double s,
+                                          const SensitivityOptions& options) {
+  const auto ok = [&](double gamma) {
+    const TaskSet scaled = scale_hi_wcets(set, gamma);
+    return lo_mode_schedulable(scaled) && hi_mode_schedulable(scaled, s);
   };
-  for (const McTask& t : set) {
-    if (t.is_hi()) {
-      const Ticks c_lo = scaled(t.wcet(Mode::LO), t.deadline(Mode::LO));
-      const Ticks c_hi = std::max(c_lo, scaled(t.wcet(Mode::HI), t.deadline(Mode::HI)));
-      tasks.push_back(McTask::hi(t.name(), c_lo, c_hi, t.deadline(Mode::LO),
-                                 t.deadline(Mode::HI), t.period(Mode::LO)));
-    } else {
-      const Ticks cap = std::min(t.deadline(Mode::LO),
-                                 is_inf(t.deadline(Mode::HI)) ? kInfTicks
-                                                              : t.deadline(Mode::HI));
-      const Ticks c = scaled(t.wcet(Mode::LO), cap);
-      tasks.push_back(McTask::lo(t.name(), c, t.deadline(Mode::LO), t.period(Mode::LO),
-                                 t.deadline(Mode::HI), t.period(Mode::HI)));
-    }
-  }
-  return TaskSet(std::move(tasks));
-}
-
-namespace {
-
-// Generic bisection for the largest factor in [1, max] passing `ok`.
-std::optional<double> bisect_max(double max_factor, double resolution,
-                                 const std::function<bool(double)>& ok) {
   if (!ok(1.0)) return std::nullopt;
-  if (ok(max_factor)) return max_factor;
-  double lo = 1.0, hi = max_factor;  // ok(lo), !ok(hi)
-  while (hi - lo > resolution) {
+  if (ok(options.max_factor)) return options.max_factor;
+  double lo = 1.0, hi = options.max_factor;  // ok(lo), !ok(hi)
+  while (hi - lo > options.resolution) {
     const double mid = 0.5 * (lo + hi);
     (ok(mid) ? lo : hi) = mid;
   }
   return lo;
-}
-
-}  // namespace
-
-std::optional<double> max_tolerable_gamma(const TaskSet& set, double s,
-                                          const SensitivityOptions& options) {
-  return bisect_max(options.max_factor, options.resolution, [&](double gamma) {
-    const TaskSet scaled = scale_hi_wcets(set, gamma);
-    return lo_mode_schedulable(scaled) && hi_mode_schedulable(scaled, s);
-  });
-}
-
-std::optional<double> max_wcet_inflation(const TaskSet& set, double s,
-                                         const SensitivityOptions& options) {
-  // Clamping makes feasibility technically non-monotone at saturation;
-  // bisection still converges because the unclamped demand is monotone and
-  // the clamp only ever reduces it.
-  return bisect_max(options.max_factor, options.resolution, [&](double alpha) {
-    const TaskSet scaled = inflate_wcets(set, alpha);
-    return lo_mode_schedulable(scaled) && hi_mode_schedulable(scaled, s);
-  });
 }
 
 }  // namespace rbs

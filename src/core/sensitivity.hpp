@@ -1,10 +1,10 @@
-// Sensitivity analysis: how much WCET pessimism / load growth a design
-// tolerates before its speedup budget breaks.
+// Sensitivity analysis: how much WCET pessimism a design tolerates before
+// its speedup budget breaks.
 //
 // Fig. 5b sweeps the HI-WCET uncertainty gamma = C(HI)/C(LO); a designer's
 // dual question is "given my hardware caps the speedup at s, how large may
-// gamma grow?" -- and similarly for uniform load inflation. Both quantities
-// are monotone, so exact bisection applies on top of Theorem 2 / Corollary 5.
+// gamma grow?". The answer is monotone in gamma, so exact bisection applies
+// on top of Theorem 2.
 #pragma once
 
 #include <optional>
@@ -18,10 +18,6 @@ namespace rbs {
 /// gamma >= 1.
 TaskSet scale_hi_wcets(const TaskSet& set, double gamma);
 
-/// Returns `set` with every WCET (both modes) scaled by alpha and clamped
-/// into [1, D(mode)] -- the uniform load-inflation model.
-TaskSet inflate_wcets(const TaskSet& set, double alpha);
-
 struct SensitivityOptions {
   double resolution = 1e-3;  ///< bisection width on the scaling factor
   double max_factor = 64.0;  ///< search ceiling
@@ -33,11 +29,5 @@ struct SensitivityOptions {
 /// meaning "insensitive beyond the ceiling".)
 std::optional<double> max_tolerable_gamma(const TaskSet& set, double s,
                                           const SensitivityOptions& options = {});
-
-/// Largest uniform execution-time inflation alpha (all C(LO) and C(HI)
-/// scaled by alpha, deadlines/periods fixed) keeping the system schedulable
-/// with HI-mode speedup s. nullopt when alpha = 1 already fails.
-std::optional<double> max_wcet_inflation(const TaskSet& set, double s,
-                                         const SensitivityOptions& options = {});
 
 }  // namespace rbs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "core/dbf.hpp"
@@ -65,71 +66,6 @@ Objective evaluate(const TaskSet& set) {
 }
 
 }  // namespace
-
-std::optional<double> min_y_for_speedup(const ImplicitSet& set, double x, double s_max,
-                                        double tolerance, double y_max) {
-  auto ok = [&](double y) { return hi_mode_schedulable(set.materialize(x, y), s_max); };
-  // Even unbounded degradation cannot beat termination; use it as the
-  // feasibility oracle (dropped LO tasks contribute no HI-mode demand).
-  if (!hi_mode_schedulable(set.materialize_terminating(x), s_max)) return std::nullopt;
-  if (ok(1.0)) return 1.0;
-  if (!ok(y_max)) return std::nullopt;  // saturation needs more than y_max
-  double lo = 1.0, hi = y_max;          // !ok(lo), ok(hi)
-  while (hi - lo > tolerance) {
-    const double mid = 0.5 * (lo + hi);
-    (ok(mid) ? hi : lo) = mid;
-  }
-  return hi;
-}
-
-DegradeResult degrade_lo_services(TaskSet set, double s_max, double y_cap, int max_iters) {
-  DegradeResult result{std::move(set), false, 0.0, 0.0};
-  AnalysisReport current = speedup_report(result.set, s_max);
-
-  for (int iter = 0; iter < max_iters && !current.hi_schedulable; ++iter) {
-    // Candidate step per LO task: stretch T(HI) and D(HI) by ~12.5% of T(LO)
-    // (at least one tick), capped at y_cap * T(LO).
-    std::optional<std::size_t> best_task;
-    Ticks best_period = 0, best_deadline = 0;
-    AnalysisReport best = current;
-
-    for (std::size_t i = 0; i < result.set.size(); ++i) {
-      const McTask& t = result.set[i];
-      if (t.is_hi() || t.dropped_in_hi()) continue;
-      const Ticks t_lo = t.period(Mode::LO);
-      const Ticks cap = static_cast<Ticks>(y_cap * static_cast<double>(t_lo));
-      if (t.period(Mode::HI) >= cap) continue;
-      const Ticks step = std::max<Ticks>(1, t_lo / 8);
-      const Ticks new_period = std::min(cap, t.period(Mode::HI) + step);
-      const Ticks new_deadline = std::max(t.deadline(Mode::HI), new_period);
-
-      std::vector<McTask> tasks = result.set.tasks();
-      tasks[i].set_hi_service(new_deadline, new_period);
-      const AnalysisReport report = speedup_report(TaskSet(std::move(tasks)), s_max);
-      if (definitely_lt(report.s_min, best.s_min, kStrictTol)) {
-        best = report;
-        best_task = i;
-        best_period = new_period;
-        best_deadline = new_deadline;
-      }
-    }
-
-    if (!best_task) break;  // no stretch helps any more
-    std::vector<McTask> tasks = result.set.tasks();
-    tasks[*best_task].set_hi_service(best_deadline, best_period);
-    result.set = TaskSet(std::move(tasks));
-    current = best;
-  }
-
-  result.s_min = current.s_min;
-  result.feasible = current.hi_schedulable;
-  for (const McTask& t : result.set)
-    if (!t.is_hi() && !t.dropped_in_hi())
-      result.total_stretch += static_cast<double>(t.period(Mode::HI)) /
-                                  static_cast<double>(t.period(Mode::LO)) -
-                              1.0;
-  return result;
-}
 
 MinXResult utilization_min_x(const ImplicitSet& set) {
   MinXResult result;

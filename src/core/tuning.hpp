@@ -13,8 +13,6 @@
 // schedulability holds, minimising the required speedup.
 #pragma once
 
-#include <optional>
-
 #include "core/closed_form.hpp"
 #include "core/task.hpp"
 
@@ -42,14 +40,6 @@ MinXResult min_x_for_lo(const ImplicitSet& set, double tolerance = 1e-4);
 /// Figs. 6-7 magnitudes are consistent with this rule (see EXPERIMENTS.md).
 MinXResult utilization_min_x(const ImplicitSet& set);
 
-/// Minimum common service-degradation factor y >= 1 such that the set
-/// materialised at (x, y) is HI-schedulable at `s_max` (the facade's
-/// verdict) -- "how much service must the LO tasks give up for this
-/// hardware?". nullopt when even terminating the LO tasks (y -> inf) is not
-/// enough. Monotone in y, so exact bisection applies.
-std::optional<double> min_y_for_speedup(const ImplicitSet& set, double x, double s_max,
-                                        double tolerance = 1e-3, double y_max = 64.0);
-
 struct TightenResult {
   TaskSet set;          ///< input set with tuned LO-mode deadlines of HI tasks
   double s_min = 0.0;   ///< achieved minimum speedup after tuning
@@ -60,22 +50,5 @@ struct TightenResult {
 /// deadline of whichever HI task yields the largest drop in s_min while the
 /// set stays LO-mode schedulable. Stops at a local optimum or `max_iters`.
 TightenResult tighten_lo_deadlines(TaskSet set, int max_iters = 64);
-
-struct DegradeResult {
-  TaskSet set;               ///< input set with stretched LO-task HI services
-  bool feasible = false;     ///< HI mode schedulable at s_max was reached
-  double s_min = 0.0;        ///< achieved required speedup
-  double total_stretch = 0;  ///< sum over LO tasks of (T(HI)/T(LO) - 1)
-};
-
-/// Greedy per-task service degradation (the y-side dual of
-/// tighten_lo_deadlines): repeatedly stretch the HI-mode period+deadline of
-/// whichever LO task buys the largest drop in s_min per unit of stretch,
-/// until the set is HI-schedulable at s_max (the facade's verdict) or every
-/// task is degraded to `y_cap` (then infeasible -- consider termination).
-/// Stretching only touches HI-mode parameters, so LO-mode schedulability is
-/// unaffected.
-DegradeResult degrade_lo_services(TaskSet set, double s_max, double y_cap = 16.0,
-                                  int max_iters = 256);
 
 }  // namespace rbs

@@ -1,7 +1,5 @@
 #include "core/vd.hpp"
 
-#include <limits>
-
 namespace rbs {
 
 EdfVdResult edf_vd_schedulable(const ImplicitSet& set) { return edf_vd_schedulable(set, 1.0); }
@@ -32,20 +30,6 @@ EdfVdResult edf_vd_schedulable(const ImplicitSet& set, double s) {
     result.x = x;
   }
   return result;
-}
-
-double edf_vd_min_speedup(const ImplicitSet& set) {
-  const double u_lo_lo = set.u_lo_lo();
-  double u_hi_lo = 0.0;
-  for (const ImplicitTask& t : set.tasks())
-    if (t.criticality == Criticality::HI) u_hi_lo += t.u_lo();
-  const double u_hi_hi = set.u_hi_hi();
-
-  if (u_lo_lo + u_hi_hi <= 1.0) return 1.0;  // no speedup needed
-  if (u_lo_lo >= 1.0) return std::numeric_limits<double>::infinity();
-  const double x = u_hi_lo / (1.0 - u_lo_lo);
-  if (x > 1.0) return std::numeric_limits<double>::infinity();
-  return x * u_lo_lo + u_hi_hi;
 }
 
 }  // namespace rbs

@@ -30,8 +30,4 @@ EdfVdResult edf_vd_schedulable(const ImplicitSet& set);
 /// EDF-VD schedulability when HI mode may run at speedup factor `s`.
 EdfVdResult edf_vd_schedulable(const ImplicitSet& set, double s);
 
-/// The smallest HI-mode speedup for which EDF-VD's sufficient test passes
-/// (+inf when the LO-mode condition cannot be met by any x in (0, 1]).
-double edf_vd_min_speedup(const ImplicitSet& set);
-
 }  // namespace rbs

@@ -4,7 +4,6 @@
 
 #include "core/analysis.hpp"
 #include "core/edf.hpp"
-#include "core/speedup.hpp"
 
 namespace rbs {
 
@@ -94,13 +93,6 @@ MlcAnalysis analyze_mlc(const MlcSystem& system, const std::vector<double>& spee
     result.schedulable = result.schedulable && level.hi_schedulable;
   }
   return result;
-}
-
-std::vector<double> mlc_min_speedups(const MlcSystem& system) {
-  std::vector<double> speeds;
-  for (int k = 1; k < system.num_levels(); ++k)
-    speeds.push_back(min_speedup_value(system.projection(k)));
-  return speeds;
 }
 
 }  // namespace rbs

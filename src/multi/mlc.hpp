@@ -74,7 +74,4 @@ struct MlcAnalysis {
 /// (size K-1; speeds[k-1] is the processor speed in mode k).
 MlcAnalysis analyze_mlc(const MlcSystem& system, const std::vector<double>& speeds);
 
-/// Convenience: the minimum per-transition speedups (no budgets).
-std::vector<double> mlc_min_speedups(const MlcSystem& system);
-
 }  // namespace rbs

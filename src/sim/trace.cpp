@@ -20,6 +20,7 @@ std::string to_string(TraceEvent::Kind kind) {
   return "?";
 }
 
+// rbs-lint: allow(api-unreached) -- the JSON trace reader's event names.
 bool parse_event_kind(const std::string& name, TraceEvent::Kind& out) {
   using Kind = TraceEvent::Kind;
   static constexpr Kind kAll[] = {

@@ -77,6 +77,7 @@ void write_trace_json(std::ostream& os, const TaskSet& set, const SimMetrics& re
      << "}\n}\n";
 }
 
+// rbs-lint: allow(api-unreached) -- feeds the reader's round-trip tests.
 std::string trace_to_json(const TaskSet& set, const SimMetrics& result) {
   std::ostringstream os;
   write_trace_json(os, set, result);
@@ -385,6 +386,9 @@ Status map_document(const JsonValue& root, TraceDocument& doc) {
 
 }  // namespace
 
+// The JSON trace reader checks that the writer stress_protocol uses
+// round-trips, and is the target of the seeded trace fuzzer.
+// rbs-lint: allow(api-unreached) -- the trace writer's round-trip reader.
 Expected<TraceDocument> parse_trace_json(const std::string& text) {
   Expected<JsonValue> root = JsonParser(text).parse();
   if (!root) return root.status();
@@ -394,6 +398,7 @@ Expected<TraceDocument> parse_trace_json(const std::string& text) {
   return doc;
 }
 
+// rbs-lint: allow(api-unreached) -- the trace writer's round-trip reader.
 Expected<TraceDocument> read_trace_json(std::istream& in) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
@@ -401,6 +406,7 @@ Expected<TraceDocument> read_trace_json(std::istream& in) {
   return parse_trace_json(buffer.str());
 }
 
+// rbs-lint: allow(api-unreached) -- the trace writer's round-trip reader.
 Expected<TraceDocument> read_trace_json_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::error("cannot open '" + path + "'");

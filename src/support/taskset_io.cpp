@@ -170,12 +170,6 @@ Expected<TaskSet> fold_error(std::variant<TaskSet, ParseError> result) {
 
 }  // namespace
 
-Expected<TaskSet> load_task_set(std::istream& in) { return fold_error(read_task_set(in)); }
-
-Expected<TaskSet> load_task_set_file(const std::string& path) {
-  return fold_error(read_task_set_file(path));
-}
-
 void write_task_set(std::ostream& out, const TaskSet& set) {
   out << "# name, crit, C(LO), C(HI), D(LO), D(HI), T(LO), T(HI)\n";
   auto tick = [](Ticks t) { return is_inf(t) ? std::string("inf") : std::to_string(t); };
@@ -221,6 +215,7 @@ Directive parse_directive(const std::string& comment, std::size_t& value, std::s
 
 }  // namespace
 
+// rbs-lint: allow(api-unreached) -- the reader of `make_taskset --cores` output.
 Expected<PartitionedTaskSet> load_partitioned_task_set(std::istream& in) {
   // Slurp once so the directive scan and the flat parse see the same bytes.
   std::ostringstream buffer;
@@ -285,7 +280,7 @@ Expected<PartitionedTaskSet> load_partitioned_task_set(std::istream& in) {
 
   // Pass 2: the flat reader owns all per-field validation and diagnostics.
   std::istringstream flat(text);
-  Expected<TaskSet> set = load_task_set(flat);
+  Expected<TaskSet> set = fold_error(read_task_set(flat));
   if (!set) return set.status();
   // Both passes count exactly the non-blank stripped lines, so they agree.
   PartitionedTaskSet result;
@@ -296,6 +291,7 @@ Expected<PartitionedTaskSet> load_partitioned_task_set(std::istream& in) {
   return result;
 }
 
+// rbs-lint: allow(api-unreached) -- the reader of `make_taskset --cores` output.
 Expected<PartitionedTaskSet> load_partitioned_task_set_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::error("cannot open '" + path + "'");

@@ -35,12 +35,6 @@ struct ParseError {
 /// Parses a task set from a file path.
 [[nodiscard]] std::variant<TaskSet, ParseError> read_task_set_file(const std::string& path);
 
-/// Expected-returning variants of the readers: the ParseError is folded into
-/// the error message ("line N: ..."), so callers can propagate a single
-/// Status through CLI plumbing instead of unpacking the variant.
-[[nodiscard]] Expected<TaskSet> load_task_set(std::istream& in);
-[[nodiscard]] Expected<TaskSet> load_task_set_file(const std::string& path);
-
 /// Writes `set` in the same format (round-trips through read_task_set).
 void write_task_set(std::ostream& out, const TaskSet& set);
 

@@ -43,7 +43,6 @@ struct Tolerance {
     return diff <= absolute || diff <= relative * mag;
   }
   constexpr bool le(double a, double b) const { return a <= b || eq(a, b); }
-  constexpr bool ge(double a, double b) const { return a >= b || eq(a, b); }
   constexpr bool lt(double a, double b) const { return a < b && !eq(a, b); }
   constexpr bool gt(double a, double b) const { return a > b && !eq(a, b); }
   constexpr bool zero(double a) const { return eq(a, 0.0); }
@@ -87,9 +86,6 @@ constexpr bool approx_eq(double a, double b, const Tolerance& tol = kTimeTol) {
 }
 constexpr bool approx_le(double a, double b, const Tolerance& tol = kTimeTol) {
   return tol.le(a, b);
-}
-constexpr bool approx_ge(double a, double b, const Tolerance& tol = kTimeTol) {
-  return tol.ge(a, b);
 }
 constexpr bool approx_zero(double a, const Tolerance& tol = kTimeTol) { return tol.zero(a); }
 constexpr bool definitely_lt(double a, double b, const Tolerance& tol = kTimeTol) {

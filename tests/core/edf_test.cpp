@@ -189,7 +189,7 @@ TEST(EdfBoundaryTest, FullUtilizationWithOverflowingHyperperiodIsInconclusive) {
   constexpr Ticks p = 999'999'937;
   constexpr Ticks q = 999'999'929;
   const TaskSet set({McTask::lo("a", p, 2 * p - 1, 2 * p), McTask::lo("b", q, 2 * q, 2 * q)});
-  EXPECT_EQ(lo_test_window(set, 1.0).last, kInfTicks - 1);
+  EXPECT_EQ(LoDemandTable(set).window(1.0).last, kInfTicks - 1);
   EdfTestOptions options;
   options.max_breakpoints = 1'000;
   const EdfTestResult r = lo_mode_test(set, options);
@@ -206,7 +206,7 @@ TEST(EdfBoundaryTest, SupplyIsComparedExactly) {
   const TaskSet set({McTask::lo("a", c, d, (Ticks{1} << 59) + 2)});
   EdfTestOptions options;
   options.speed = std::nextafter(1.0, 0.0);
-  ASSERT_GE(lo_test_window(set, options.speed).last, d);
+  ASSERT_GE(LoDemandTable(set).window(options.speed).last, d);
   const EdfTestResult r = lo_mode_test(set, options);
   EXPECT_FALSE(r.schedulable);
   EXPECT_TRUE(r.conclusive);
@@ -221,7 +221,7 @@ TEST(EdfBoundaryTest, UtilizationWindowEndIsRoundedUp) {
   const TaskSet set({McTask::lo("a", p53 + 1, p53 + 2, 2 * p53 + 4)});
   EdfTestOptions options;
   options.speed = std::nextafter(1.0, 0.0);
-  EXPECT_GE(lo_test_window(set, options.speed).last, p53 + 2);
+  EXPECT_GE(LoDemandTable(set).window(options.speed).last, p53 + 2);
   const EdfTestResult r = lo_mode_test(set, options);
   EXPECT_FALSE(r.schedulable);
   EXPECT_TRUE(r.conclusive);

@@ -307,7 +307,8 @@ TEST(FitsTest, EveryBreakpointCapBracketsTheTrueSmin) {
 
 /// The LO-mode forward walk over the utilization window L_a alone, written
 /// without the library's breakpoint merger: the reference for the
-/// hyperperiod bound of lo_test_window. Needs U definitely below the speed.
+/// hyperperiod bound of LoDemandTable::window. Needs U definitely below the
+/// speed.
 EdfTestResult utilization_window_walk(const TaskSet& set, double speed) {
   double u = 0.0;
   double slack = 0.0;

@@ -161,10 +161,10 @@ TEST(SpanAnalysisAllocTest, FallbackAllocationsDoNotGrowWithTiers) {
                                       : set.size() - set.hi_count() + 1);
       }
       if (pass == 0) continue;
-      // The sacrifice order (and its sort's buffer) and the tier list, once
-      // each, however many tiers a call visits.
+      // The sacrifice order and the tier list, once each, however many
+      // tiers a call visits; the order's sort takes no buffer.
       EXPECT_EQ(set_allocations.size(), 1u) << set_tiers.size() << " tier counts";
-      EXPECT_LE(*set_allocations.rbegin(), 3u);
+      EXPECT_EQ(*set_allocations.rbegin(), 2u);
       tiers_visited.insert(set_tiers.begin(), set_tiers.end());
     }
   }

@@ -79,7 +79,7 @@ TEST(QpaTest, NearCriticalWideWindowIsDecidedByTheForwardWalk) {
   const TaskSet set(tasks);
   EdfTestOptions options;
   options.speed = 10.0 * (1.0 + 2e-9);
-  ASSERT_EQ(lo_test_window(set, options.speed).last, kInfTicks - 1);
+  ASSERT_EQ(LoDemandTable(set).window(options.speed).last, kInfTicks - 1);
 
   const EdfTestResult walked = lo_mode_test(set, options);
   EXPECT_FALSE(walked.schedulable);
@@ -116,7 +116,7 @@ TEST(QpaTest, AgreesWhereDemandPassesInt64) {
   const TaskSet set(tasks);
   EdfTestOptions options;
   options.speed = 10.0;
-  ASSERT_EQ(lo_test_window(set, options.speed).last, kInfTicks - 1);
+  ASSERT_EQ(LoDemandTable(set).window(options.speed).last, kInfTicks - 1);
 
   const EdfTestResult walked = lo_mode_test(set, options);
   EXPECT_TRUE(walked.schedulable);

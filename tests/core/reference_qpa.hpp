@@ -7,8 +7,8 @@
 // Zhang & Burns, "Schedulability Analysis for Real-Time Systems with EDF
 // Scheduling" (IEEE TC 2009): instead of checking the demand inequality
 // sum DBF_LO(Delta) <= speed * Delta at every step point up to the bound L
-// (the window min(L_a, H) of lo_test_window, shared with the forward walk),
-// QPA iterates backwards from L --
+// (the window min(L_a, H) of LoDemandTable::window, shared with the forward
+// walk), QPA iterates backwards from L --
 //
 //     t <- max{ d : d < L }                (d ranges over absolute step points)
 //     while  h(t) <= t  and  h(t) > d_min:
@@ -71,7 +71,7 @@ inline EdfTestResult qpa_lo_test(const TaskSet& set, const EdfTestOptions& optio
   using qpa_detail::max_step_below;
   EdfTestResult result;
   // The same window as lo_mode_test.
-  const LoWindow window = lo_test_window(set, options.speed);
+  const LoWindow window = LoDemandTable(set).window(options.speed);
   if (window.verdict) {
     result.schedulable = *window.verdict;
     return result;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/reset.hpp"
 #include "core/speedup.hpp"
@@ -43,30 +44,10 @@ TEST(AnalyzeDegradedTest, BelowSMinLicensesMissesAndPicksFallback) {
     EXPECT_TRUE(hi_mode_schedulable(reduced.value(), 1.0));
     EXPECT_LE(g.s_min_with_fallback, 1.0 + 1e-9);
     EXPECT_TRUE(std::isfinite(g.delta_r));
-    EXPECT_NEAR(g.delta_r, degraded_resetting_time(set, 1.0, g.fallback), 1e-9);
+    EXPECT_NEAR(g.delta_r, resetting_time_value(reduced.value(), 1.0), 1e-9);
   } else {
     EXPECT_TRUE(std::isinf(g.delta_r));
   }
-}
-
-TEST(BoostFaultMarginTest, MarginNeverExceedsNominalSMin) {
-  const TaskSet set = table1_base();
-  const BoostFaultMargin m = boost_fault_margin(set);
-  EXPECT_NEAR(m.s_min, 4.0 / 3.0, 1e-6);
-  EXPECT_LE(m.margin, m.s_min + 1e-9);
-  // Table I has exactly one LO task (tau2, index 1).
-  ASSERT_EQ(m.max_fallback.terminated.size(), 1u);
-  EXPECT_EQ(m.max_fallback.terminated[0], 1u);
-}
-
-TEST(BoostFaultMarginTest, MarginSeparatesFeasibleFromHopeless) {
-  const TaskSet set = table1_base();
-  const BoostFaultMargin m = boost_fault_margin(set);
-  EXPECT_TRUE(analyze_degraded(set, m.margin + 1e-6).feasible);
-  const DegradedGuarantee hopeless = analyze_degraded(set, m.margin * 0.9);
-  EXPECT_FALSE(hopeless.feasible);
-  EXPECT_TRUE(std::isinf(hopeless.delta_r));
-  EXPECT_TRUE(hopeless.hi_mode_misses_licensed);
 }
 
 TEST(ApplyTerminationTest, TerminatesListedLoTasks) {
@@ -88,65 +69,27 @@ TEST(ApplyTerminationTest, RejectsBadIndexLists) {
   EXPECT_TRUE(apply_termination(set, {}).is_ok());
 }
 
-TEST(InflateDetectionDelayTest, InflatesOnlyHiBudgets) {
-  const TaskSet set = table1_base();  // tau1: C=(3,5), D(LO)=4
-  const Expected<TaskSet> inflated = inflate_detection_delay(set, 1);
-  ASSERT_TRUE(inflated.is_ok());
-  EXPECT_EQ(inflated.value()[0].wcet(Mode::LO), 4);  // 3 + 1
-  EXPECT_EQ(inflated.value()[0].wcet(Mode::HI), 5);  // unchanged
-  EXPECT_EQ(inflated.value()[1].wcet(Mode::LO), 2);  // LO task untouched
-  // Inflation trades HI-mode carry-over demand for LO-mode load: s_min may
-  // move either way, but the LO-mode demand strictly grows.
-  EXPECT_GT(inflated.value()[0].utilization(Mode::LO), set[0].utilization(Mode::LO));
-}
-
-TEST(InflateDetectionDelayTest, CapsAtHiWcetAndReportsBrokenModels) {
-  // delta = 2 pushes tau1's C(LO) to 5 > D(LO) = 4: no guarantee survives.
-  EXPECT_FALSE(inflate_detection_delay(table1_base(), 2));
-  EXPECT_FALSE(inflate_detection_delay(table1_base(), -1));
-
-  // With deadline slack the inflation caps at C(HI).
-  const TaskSet roomy({McTask::hi("t", 1, 5, 6, 8, 8)});
-  const Expected<TaskSet> inflated = inflate_detection_delay(roomy, 100);
-  ASSERT_TRUE(inflated.is_ok());
-  EXPECT_EQ(inflated.value()[0].wcet(Mode::LO), 5);
-}
-
-TEST(InflateDetectionDelayTest, ZeroDelayIsIdentity) {
-  const TaskSet set = table1_base();
-  const Expected<TaskSet> same = inflate_detection_delay(set, 0);
-  ASSERT_TRUE(same.is_ok());
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    EXPECT_EQ(same.value()[i].wcet(Mode::LO), set[i].wcet(Mode::LO));
-    EXPECT_EQ(same.value()[i].wcet(Mode::HI), set[i].wcet(Mode::HI));
-  }
-}
-
 TEST(DegradedResettingTimeTest, MatchesResetAnalysisOnReducedSet) {
   const TaskSet set = table1_base();
-  EXPECT_NEAR(degraded_resetting_time(set, 2.0, {}), resetting_time_value(set, 2.0), 1e-9);
+  // No fallback at full speed: the dwell is the set's own (Example 2).
+  EXPECT_NEAR(analyze_degraded(set, 2.0).delta_r, resetting_time_value(set, 2.0), 1e-9);
 
+  // Below s_min = 4/3 the fallback terminates tau2, and the dwell is that of
+  // the reduced set apply_termination builds.
+  constexpr double kSlow = 1.25;
+  const DegradedGuarantee g = analyze_degraded(set, kSlow);
+  ASSERT_EQ(g.fallback.terminated, std::vector<std::size_t>{1});
   const Expected<TaskSet> reduced = apply_termination(set, {1});
   ASSERT_TRUE(reduced.is_ok());
-  FallbackPlan fallback;
-  fallback.terminated = {1};
-  EXPECT_NEAR(degraded_resetting_time(set, 2.0, fallback),
-              resetting_time_value(reduced.value(), 2.0), 1e-9);
+  EXPECT_NEAR(g.delta_r, resetting_time_value(reduced.value(), kSlow), 1e-9);
 
   // The caller's carry-over model reaches the fallback Delta_R: aborting the
   // terminated task's carry-over job shortens the dwell.
   AnalysisLimits discard;
   discard.discard_dropped_carryover = true;
-  const double discarded = Analyzer(discard).analyze(reduced.value(), 2.0).value().delta_r;
-  EXPECT_NEAR(degraded_resetting_time(set, 2.0, fallback, discard), discarded, 1e-9);
-  EXPECT_LT(discarded, resetting_time_value(reduced.value(), 2.0));
-}
-
-TEST(DegradedResettingTimeTest, SlowerSpeedInflatesDwell) {
-  const TaskSet set = table1_base();
-  const double fast = degraded_resetting_time(set, 2.0, {});
-  const double slow = degraded_resetting_time(set, 1.5, {});
-  EXPECT_GT(slow, fast);
+  const double discarded = Analyzer(discard).analyze(reduced.value(), kSlow).value().delta_r;
+  EXPECT_NEAR(analyze_degraded(set, kSlow, discard).delta_r, discarded, 1e-9);
+  EXPECT_LT(discarded, g.delta_r);
 }
 
 TEST(AnalyzeDegradedTest, DegradedExampleToleratesSlowdown) {

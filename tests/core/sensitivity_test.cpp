@@ -1,9 +1,8 @@
-// Tests for the sensitivity analyses (gamma and uniform WCET inflation).
+// Tests for the sensitivity analysis (the HI-WCET uncertainty gamma).
 #include "core/sensitivity.hpp"
 
 #include <gtest/gtest.h>
 
-#include "core/edf.hpp"
 #include "core/speedup.hpp"
 #include "gen/fms.hpp"
 #include "gen/paper_examples.hpp"
@@ -61,42 +60,6 @@ TEST(MaxGammaTest, FmsToleratesSubstantialUncertaintyAtTwoX) {
   const auto gamma = max_tolerable_gamma(fms, 2.0);
   ASSERT_TRUE(gamma.has_value());
   EXPECT_GT(*gamma, 1.5);  // 2x speedup buys real certification headroom
-}
-
-TEST(MaxInflationTest, ConsistentAndMonotone) {
-  const TaskSet set = table1_base();
-  const auto a2 = max_wcet_inflation(set, 2.0);
-  const auto a15 = max_wcet_inflation(set, 1.5);
-  ASSERT_TRUE(a2.has_value());
-  ASSERT_TRUE(a15.has_value());
-  EXPECT_GE(*a2 + 1e-9, *a15);  // more speedup tolerates more inflation
-  EXPECT_GE(*a2, 1.0);
-}
-
-TEST(MaxInflationTest, InfeasibleBaseRejected) {
-  // LO-mode infeasible from the start.
-  const TaskSet bad({McTask::lo("a", 2, 2, 50), McTask::lo("b", 2, 2, 50)});
-  EXPECT_FALSE(max_wcet_inflation(bad, 4.0).has_value());
-}
-
-TEST(MaxInflationTest, BoundIsSharp) {
-  const TaskSet set = table1_base();
-  const auto alpha = max_wcet_inflation(set, 2.0, {1e-4, 64.0});
-  ASSERT_TRUE(alpha.has_value());
-  ASSERT_LT(*alpha, 64.0);  // LO mode must cap it well below the ceiling
-  const TaskSet at = inflate_wcets(set, *alpha);
-  EXPECT_TRUE(lo_mode_schedulable(at));
-  EXPECT_TRUE(hi_mode_schedulable(at, 2.0));
-}
-
-TEST(InflateWcetsTest, ScalesBothModesAndClamps) {
-  const TaskSet set = table1_base();
-  const TaskSet doubled = inflate_wcets(set, 2.0);
-  // tau1: C(LO) 3 -> clamp(6, [1, D(LO)=4]) = 4; C(HI) 5 -> clamp(10, D(HI)=7) = 7.
-  EXPECT_EQ(doubled[0].wcet(Mode::LO), 4);
-  EXPECT_EQ(doubled[0].wcet(Mode::HI), 7);
-  // tau2: C 2 -> 4 (fits D(LO)=5).
-  EXPECT_EQ(doubled[1].wcet(Mode::LO), 4);
 }
 
 }  // namespace

@@ -128,79 +128,6 @@ TEST(TightenTest, RefiningCommonFactorNeverLoses) {
   EXPECT_GT(tested, 0);
 }
 
-TEST(MinYTest, OneWhenNoDegradationNeeded) {
-  // Plenty of headroom: even y = 1 fits a generous speedup.
-  const auto y = min_y_for_speedup(light_set(), 0.5, 3.0);
-  ASSERT_TRUE(y.has_value());
-  EXPECT_DOUBLE_EQ(*y, 1.0);
-}
-
-TEST(MinYTest, BisectionFindsThreshold) {
-  const ImplicitSet skel = light_set();
-  const double x = 0.5;
-  // Target between s_min at y=1 and at termination so a threshold exists.
-  const double s_at_1 = min_speedup_value(skel.materialize(x, 1.0));
-  const double s_term = min_speedup_value(skel.materialize_terminating(x));
-  const double target = 0.5 * (s_at_1 + s_term);
-  const auto y = min_y_for_speedup(skel, x, target, 1e-4);
-  ASSERT_TRUE(y.has_value());
-  EXPECT_GT(*y, 1.0);
-  // Feasible at the reported y, infeasible a notch below.
-  EXPECT_LE(min_speedup_value(skel.materialize(x, *y)), target + 1e-9);
-  if (*y > 1.02)
-    EXPECT_GT(min_speedup_value(skel.materialize(x, *y - 0.02)), target - 1e-9);
-}
-
-TEST(MinYTest, InfeasibleWhenTerminationIsNotEnough) {
-  // Dense HI tasks: dropping LO tasks cannot reach a tiny speedup target.
-  const ImplicitSet skel({
-      {"h", Criticality::HI, 10, 3, 9},
-      {"l", Criticality::LO, 10, 2, 2},
-  });
-  EXPECT_FALSE(min_y_for_speedup(skel, 0.5, 0.3).has_value());
-}
-
-TEST(MinYTest, MonotoneInTarget) {
-  const ImplicitSet skel = light_set();
-  const auto y_tight = min_y_for_speedup(skel, 0.5, 0.9);
-  const auto y_loose = min_y_for_speedup(skel, 0.5, 1.4);
-  if (y_tight && y_loose) EXPECT_GE(*y_tight + 1e-9, *y_loose);
-}
-
-TEST(DegradeTest, ReachesTargetOnTable1) {
-  // Base Table I needs 4/3; stretching tau2's HI service must reach s <= 1
-  // (the paper's degraded variant achieves 12/13).
-  const DegradeResult r = degrade_lo_services(table1_base(), 1.0);
-  EXPECT_TRUE(r.feasible);
-  EXPECT_LE(r.s_min, 1.0 + 1e-12);
-  EXPECT_GT(r.total_stretch, 0.0);
-  EXPECT_TRUE(lo_mode_schedulable(r.set));
-  // Only LO-task HI-mode parameters changed.
-  EXPECT_EQ(r.set[0].deadline(Mode::LO), 4);
-  EXPECT_EQ(r.set[1].period(Mode::LO), 15);
-  EXPECT_GE(r.set[1].period(Mode::HI), 15);
-}
-
-TEST(DegradeTest, AlreadyFeasibleIsIdentity) {
-  const DegradeResult r = degrade_lo_services(table1_base(), 2.0);
-  EXPECT_TRUE(r.feasible);
-  EXPECT_DOUBLE_EQ(r.total_stretch, 0.0);
-  EXPECT_NEAR(r.s_min, 4.0 / 3.0, 1e-12);
-}
-
-TEST(DegradeTest, HiOnlyDemandCannotBeDegradedAway) {
-  // The HI task alone already needs > target: no LO stretch can help.
-  const TaskSet set({McTask::hi("h", 3, 5, 4, 7, 7), McTask::lo("l", 2, 15, 15)});
-  const double hi_only = min_speedup_value(TaskSet({McTask::hi("h", 3, 5, 4, 7, 7)}));
-  const DegradeResult r = degrade_lo_services(set, hi_only * 0.5);
-  EXPECT_FALSE(r.feasible);
-}
-
-TEST(DegradeTest, ReportedSpeedupMatchesSet) {
-  const DegradeResult r = degrade_lo_services(table1_base(), 1.0);
-  EXPECT_NEAR(r.s_min, min_speedup_value(r.set), 1e-12);
-}
-
 TEST(TightenTest, InfeasibleLoModeReturnsUnchanged) {
   const TaskSet bad({McTask::lo("a", 6, 10, 10), McTask::lo("b", 6, 10, 10)});
   const TightenResult r = tighten_lo_deadlines(bad);

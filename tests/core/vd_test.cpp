@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace rbs {
 namespace {
 
@@ -52,11 +50,7 @@ TEST(EdfVdTest, SpeedupRescuesOverloadedSet) {
       {"l", Criticality::LO, 10, 5, 5},
   });
   EXPECT_TRUE(edf_vd_schedulable(set, 1.5).schedulable);
-  EXPECT_NEAR(edf_vd_min_speedup(set), 1.5, 1e-12);
-}
-
-TEST(EdfVdTest, MinSpeedupIsOneWhenPlainEdfWorks) {
-  EXPECT_DOUBLE_EQ(edf_vd_min_speedup(easy_set()), 1.0);
+  EXPECT_FALSE(edf_vd_schedulable(set, 1.49).schedulable);
 }
 
 TEST(EdfVdTest, LoModeSaturationIsHopeless) {
@@ -66,7 +60,6 @@ TEST(EdfVdTest, LoModeSaturationIsHopeless) {
       {"l", Criticality::LO, 10, 10, 10},
   });
   EXPECT_FALSE(edf_vd_schedulable(set, 100.0).schedulable);
-  EXPECT_TRUE(std::isinf(edf_vd_min_speedup(set)));
 }
 
 TEST(EdfVdTest, XAboveOneIsRejected) {
@@ -76,16 +69,6 @@ TEST(EdfVdTest, XAboveOneIsRejected) {
       {"l", Criticality::LO, 10, 3, 3},
   });
   EXPECT_FALSE(edf_vd_schedulable(set, 100.0).schedulable);
-  EXPECT_TRUE(std::isinf(edf_vd_min_speedup(set)));
-}
-
-TEST(EdfVdTest, MinSpeedupConsistentWithTest) {
-  for (const ImplicitSet& set : {easy_set(), tight_set()}) {
-    const double s = edf_vd_min_speedup(set);
-    ASSERT_TRUE(std::isfinite(s));
-    EXPECT_TRUE(edf_vd_schedulable(set, s).schedulable);
-    if (s > 1.0) EXPECT_FALSE(edf_vd_schedulable(set, s - 0.01).schedulable);
-  }
 }
 
 TEST(EdfVdTest, HiOnlySet) {

@@ -4,7 +4,7 @@
 // the real campaign gather path (static: rbs_det catches the injected
 // unordered iteration; runtime: a jobs-1-vs-8 byte-compare catches the
 // completion-order gather it produces), and whole-tool serial/parallel
-// output identity across all sixteen rules.
+// output identity across all seventeen rules.
 #include "rbs_lint/det.hpp"
 
 #include <chrono>
@@ -403,17 +403,17 @@ TEST(DetRuntimeGateTest, CompletionOrderGatherIsCaughtByByteCompare) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-tool parity: one invocation running all sixteen rules (per-file,
-// rt pass and det pass together) is byte-identical at any --jobs value.
+// Whole-tool parity: one invocation running all seventeen rules (per-file,
+// rt, det and api passes together) is byte-identical at any --jobs value.
 // ---------------------------------------------------------------------------
 
-TEST(DetParallelScanTest, AllSixteenRulesJobsOutputMatchesSerial) {
+TEST(DetParallelScanTest, AllRulesJobsOutputMatchesSerial) {
   const std::vector<std::string> roots = {
       kSourceDir + "/src/core", kSourceDir + "/src/campaign",
       kSourceDir + "/src/service", kSourceDir + "/tools/rbs_lint"};
   Options serial;
   serial.rules = all_rule_names();
-  ASSERT_EQ(serial.rules.size(), 16u);
+  ASSERT_EQ(serial.rules.size(), 17u);
   Options parallel = serial;
   parallel.jobs = 8;
   const auto a = lint_paths(roots, serial);

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "rbs_lint/api.hpp"
+
 namespace rbs::lint {
 namespace {
 
@@ -56,6 +58,9 @@ TEST(RbsLintCorpusTest, GoldenDiagnostics) {
 TEST(RbsLintCorpusTest, EveryRuleFiresSomewhereInCorpus) {
   const std::vector<std::string> lines = corpus_lines();
   for (const std::string& rule : all_rule_names()) {
+    // The corpus has no main, so api-unreached reports nothing there by
+    // design; its fixture program lives in api_reach_test.cpp.
+    if (rule == kRuleApiUnreached) continue;
     const std::string tag = "[" + rule + "]";
     bool found = false;
     for (const std::string& line : lines)
@@ -189,14 +194,14 @@ TEST(RbsLintJsonTest, FormatJsonEscapesAndStructures) {
   EXPECT_EQ(format_json({}), "[]\n");
 }
 
-TEST(RbsLintRuleListTest, SixteenRulesWithSummaries) {
+TEST(RbsLintRuleListTest, EveryRuleHasASummary) {
   const std::vector<RuleInfo> rules = all_rules();
-  ASSERT_EQ(rules.size(), 16u);
+  ASSERT_EQ(rules.size(), 17u);
   for (const RuleInfo& rule : rules) {
     EXPECT_FALSE(rule.name.empty());
     EXPECT_FALSE(rule.summary.empty()) << rule.name;
   }
-  EXPECT_EQ(all_rule_names().size(), 16u);
+  EXPECT_EQ(all_rule_names().size(), 17u);
 }
 
 TEST(RbsLintSourceTest, LockDisciplineHonorsGuardScopes) {

@@ -102,7 +102,8 @@ TEST(MlcProjectionTest, TransitionIndexBoundsChecked) {
 
 TEST(MlcAnalysisTest, EndToEndThreeLevels) {
   const MlcSystem system = three_level_system();
-  const std::vector<double> s_mins = mlc_min_speedups(system);
+  // s_min does not depend on the speed budgeted for a transition.
+  const std::vector<double> s_mins = analyze_mlc(system, {1.0, 1.0}).level_speedups;
   ASSERT_EQ(s_mins.size(), 2u);
   for (double s : s_mins) EXPECT_TRUE(std::isfinite(s));
 
@@ -111,6 +112,7 @@ TEST(MlcAnalysisTest, EndToEndThreeLevels) {
   const MlcAnalysis analysis = analyze_mlc(system, budget);
   EXPECT_TRUE(analysis.mode0_schedulable);
   EXPECT_TRUE(analysis.schedulable);
+  EXPECT_EQ(analysis.level_speedups, s_mins);
   ASSERT_EQ(analysis.reset_times.size(), 2u);
   for (double dr : analysis.reset_times) EXPECT_TRUE(std::isfinite(dr));
 

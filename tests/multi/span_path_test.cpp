@@ -7,6 +7,8 @@
 //    full: assignment, core_s_min and core_delta_r bit-equal.
 //  * The span find_fallback against apply_termination + Analyzer::fits,
 //    tier by tier, and its result against the tier those decide.
+//  * analyze_degraded, on one task vector and one storage, against the
+//    same tiers plus separate facade calls: every field bit-equal.
 //  * One storage reused across shuffled sets and requests: every report
 //    equals a fresh one-shot facade call, field for field, counters
 //    included, so nothing a call leaves in the storage reaches the next.
@@ -14,6 +16,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -26,6 +29,7 @@
 #include "core/grid_sets.hpp"
 #include "core/partition.hpp"
 #include "core/resilience.hpp"
+#include "core/speedup.hpp"
 #include "core/tuning.hpp"
 #include "gen/rng.hpp"
 #include "gen/taskgen.hpp"
@@ -263,15 +267,12 @@ TEST(SpanPathTest, FallbackTiersMatchApplyTerminationAndFits) {
     }
     past_tier0 += want.fallback.tier() > 0 ? 1 : 0;
 
-    // The search itself, in its span and TaskSet forms.
+    // The search itself.
     tasks.assign(set.begin(), set.end());
     const FallbackFit got = find_fallback(tasks, speed, max_reset, limits, storage);
-    const FallbackFit one_shot = find_fallback(set, speed, max_reset, limits);
-    for (const FallbackFit* fit : {&got, &one_shot}) {
-      EXPECT_EQ(fit->feasible, want.feasible) << "set " << i;
-      EXPECT_EQ(fit->fallback.terminated, want.fallback.terminated) << "set " << i;
-      EXPECT_EQ(fit->within_budget, want.within_budget) << "set " << i;
-    }
+    EXPECT_EQ(got.feasible, want.feasible) << "set " << i;
+    EXPECT_EQ(got.fallback.terminated, want.fallback.terminated) << "set " << i;
+    EXPECT_EQ(got.within_budget, want.within_budget) << "set " << i;
     // The vector holds the last tier decided.
     const TaskSet last = apply_termination(set, want.feasible ? want.fallback.terminated : order)
                              .value();
@@ -283,6 +284,116 @@ TEST(SpanPathTest, FallbackTiersMatchApplyTerminationAndFits) {
   EXPECT_GT(with_dropped, 200);
   EXPECT_GT(past_tier0, 100);
   EXPECT_GT(finite_budget, 300);
+}
+
+// ---- analyze_degraded ----------------------------------------------------
+
+/// analyze_degraded as the TaskSet-per-call algorithm computes it: the tiers
+/// built by apply_termination and decided by Analyzer::fits without a dwell
+/// budget, then separate facade calls on the set as given or the accepted
+/// tier -- Theorem 2 alone at speed 1 for each s_min, Corollary 5 alone at
+/// `speed` for Delta_R -- each +inf should the facade reject its request.
+DegradedGuarantee reference_degraded(const TaskSet& set, double speed,
+                                     const AnalysisLimits& limits) {
+  const Analyzer analyzer(limits);
+  const auto s_min_of = [&](const TaskSet& tier) {
+    const Expected<AnalysisReport> report =
+        analyzer.analyze(tier, 1.0, {.speedup = true, .reset = false, .lo = false});
+    return report ? report->s_min : kInf;
+  };
+  DegradedGuarantee g;
+  g.achieved_speed = speed;
+  g.nominal_s_min = s_min_of(set);
+  g.s_min_with_fallback = g.nominal_s_min;
+  g.delta_r = kInf;
+
+  AnalysisRequest request;
+  request.speed = speed;
+  request.parts = {.speedup = true, .reset = true, .lo = false};
+  request.limits = limits;
+  const std::vector<std::size_t> order = sacrifice_order(set);
+  std::vector<std::size_t> terminated;
+  std::optional<TaskSet> accepted;
+  for (std::size_t tier = 0; tier <= order.size() && !accepted; ++tier) {
+    if (tier > 0) terminated.push_back(order[tier - 1]);
+    request.set = apply_termination(set, terminated).value();
+    const Expected<AnalysisReport> fits = Analyzer().fits(request, kInf);
+    if (fits && fits->hi_schedulable) accepted = request.set;
+  }
+  g.schedulable_unmodified = accepted && terminated.empty();
+  g.hi_mode_misses_licensed = !g.schedulable_unmodified;
+  if (!accepted) return g;
+  g.feasible = true;
+  g.fallback.terminated = terminated;
+  if (!g.schedulable_unmodified) g.s_min_with_fallback = s_min_of(*accepted);
+  const Expected<AnalysisReport> reset =
+      analyzer.analyze(*accepted, speed, {.speedup = false, .reset = true, .lo = false});
+  g.delta_r = reset ? reset->delta_r : kInf;
+  return g;
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+TEST(SpanPathTest, AnalyzeDegradedMatchesTaskSetPerCallAlgorithm) {
+  Rng rng(2404);
+  AnalysisLimits discard;
+  discard.discard_dropped_carryover = true;
+  int sets = 0;
+  int with_dropped = 0;
+  int unmodified = 0;
+  int fallback = 0;
+  int infeasible = 0;
+  int discard_shortens = 0;
+  for (int i = 0; sets < 1000; ++i) {
+    ASSERT_LT(i, 10000) << "the generator yields too few sets";
+    std::optional<TaskSet> drawn = paper_set(rng, 0.5 + 0.1 * static_cast<double>(i % 5),
+                                             i % 3 == 0, false);
+    if (!drawn) continue;
+    // Terminate a few LO tasks in the input, so the tiers skip dropped ones.
+    std::vector<std::size_t> dropped;
+    for (std::size_t t = 0; t < drawn->size(); ++t)
+      if (!(*drawn)[t].is_hi() && rng.uniform_int(0, 4) == 0) dropped.push_back(t);
+    const TaskSet set = apply_termination(*drawn, dropped).value();
+    with_dropped += dropped.empty() ? 0 : 1;
+    ++sets;
+
+    const double u_hi = set.total_utilization(Mode::HI);
+    const double s_min = min_speedup_value(set);
+    for (const double speed :
+         {0.9 * u_hi, u_hi, s_min * (1 - 1e-6), s_min * (1 + 1e-6), 1.0, 2.0}) {
+      double delta_r_default = 0.0;
+      for (const AnalysisLimits& limits : {AnalysisLimits{}, discard}) {
+        const DegradedGuarantee got = analyze_degraded(set, speed, limits);
+        const DegradedGuarantee want = reference_degraded(set, speed, limits);
+        EXPECT_EQ(bits(got.achieved_speed), bits(want.achieved_speed));
+        EXPECT_EQ(bits(got.nominal_s_min), bits(want.nominal_s_min));
+        EXPECT_EQ(got.schedulable_unmodified, want.schedulable_unmodified);
+        EXPECT_EQ(got.feasible, want.feasible);
+        EXPECT_EQ(got.fallback.terminated, want.fallback.terminated);
+        EXPECT_EQ(bits(got.s_min_with_fallback), bits(want.s_min_with_fallback));
+        EXPECT_EQ(bits(got.delta_r), bits(want.delta_r));
+        EXPECT_EQ(got.hi_mode_misses_licensed, want.hi_mode_misses_licensed);
+        if (::testing::Test::HasFailure()) {
+          ADD_FAILURE() << "set " << i << " speed " << speed << " discard "
+                        << limits.discard_dropped_carryover;
+          return;
+        }
+        if (!limits.discard_dropped_carryover) {
+          delta_r_default = got.delta_r;
+          unmodified += got.schedulable_unmodified ? 1 : 0;
+          fallback += got.feasible && !got.schedulable_unmodified ? 1 : 0;
+          infeasible += got.feasible ? 0 : 1;
+        } else if (got.delta_r < delta_r_default) {
+          ++discard_shortens;
+        }
+      }
+    }
+  }
+  EXPECT_GT(with_dropped, 500);
+  EXPECT_GT(unmodified, 2000);
+  EXPECT_GT(fallback, 2000);
+  EXPECT_GT(infeasible, 200);
+  EXPECT_GT(discard_shortens, 3000);
 }
 
 // ---- storage reuse -------------------------------------------------------

@@ -11,12 +11,12 @@
 #include <vector>
 
 #include "core/analysis.hpp"
+#include "core/analysis_storage.hpp"
 #include "core/budget.hpp"
 #include "core/dvfs.hpp"
 #include "core/partition.hpp"
 #include "core/resilience.hpp"
 #include "core/speedup.hpp"
-#include "core/tuning.hpp"
 #include "gen/paper_examples.hpp"
 #include "multi/resilience.hpp"
 
@@ -31,7 +31,9 @@ std::vector<std::pair<std::string, bool>> verdicts(const TaskSet& set, double s)
   constexpr double kNoBudget = std::numeric_limits<double>::infinity();
   out.emplace_back("fits",
                    Analyzer().fits({set, s, 1.0, {}, {}}, kNoBudget).value().hi_schedulable);
-  const FallbackFit fallback = find_fallback(set, s, kNoBudget);
+  std::vector<McTask> tasks = set.tasks();
+  AnalysisStorage storage;
+  const FallbackFit fallback = find_fallback(tasks, s, kNoBudget, {}, storage);
   out.emplace_back("find_fallback", fallback.feasible && fallback.fallback.tier() == 0);
 
   PartitionOptions options;
@@ -55,10 +57,6 @@ std::vector<std::pair<std::string, bool>> verdicts(const TaskSet& set, double s)
 
   out.emplace_back("min_feasible_level",
                    min_feasible_level(set, FrequencyMenu::cubic({s})).feasible);
-
-  // Accepting means no stretch is needed; rejecting means some is.
-  const DegradeResult degraded = degrade_lo_services(set, s);
-  out.emplace_back("degrade_lo_services", degraded.feasible && degraded.total_stretch <= 0.0);
   return out;
 }
 
@@ -73,14 +71,6 @@ TEST(VerdictBoundaryTest, EveryConsumerAgreesAtSMin) {
   // Clearly below s_min: rejected everywhere.
   for (const auto& [name, ok] : verdicts(set, s_min * (1 - 1e-6)))
     EXPECT_FALSE(ok) << name << " accepts s_min * (1 - 1e-6)";
-}
-
-TEST(VerdictBoundaryTest, DegradingBelowSMinNeedsAStretch) {
-  const TaskSet set = table1_base();
-  const double s = min_speedup_value(set) * (1 - 1e-6);
-  const DegradeResult degraded = degrade_lo_services(set, s);
-  EXPECT_TRUE(degraded.feasible);
-  EXPECT_NEAR(degraded.total_stretch, 1.0 / 15.0, 1e-12);  // one 1-tick step of T(LO) = 15
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <variant>
 
 #include "core/task.hpp"
 #include "support/cli.hpp"
@@ -73,56 +74,65 @@ TEST(TaskSetCreateTest, ConstraintViolationsBecomeErrors) {
 
 // ---- degenerate-input rejection at load time ------------------------------
 
-Expected<TaskSet> load(const std::string& text) {
+std::variant<TaskSet, ParseError> load(const std::string& text) {
   std::istringstream in(text);
-  return load_task_set(in);
+  return read_task_set(in);
+}
+
+/// The parser's error on `text`; fails the test when it parsed.
+ParseError load_error(const std::string& text) {
+  const std::variant<TaskSet, ParseError> parsed = load(text);
+  EXPECT_TRUE(std::holds_alternative<ParseError>(parsed)) << text;
+  const ParseError* err = std::get_if<ParseError>(&parsed);
+  return err ? *err : ParseError{};
 }
 
 TEST(TasksetLoadTest, ValidFileRoundTrips) {
-  const Expected<TaskSet> set = load(
+  const std::variant<TaskSet, ParseError> parsed = load(
       "# name, crit, C(LO), C(HI), D(LO), D(HI), T(LO), T(HI)\n"
       "guidance, HI, 5, 10, 50, 100, 100, 100\n"
       "logging,  LO, 50, 50, 1000, inf, 1000, inf\n");
-  ASSERT_TRUE(set.is_ok()) << set.error_message();
-  EXPECT_EQ(set.value().size(), 2u);
-  EXPECT_TRUE(set.value()[1].dropped_in_hi());
+  const TaskSet* set = std::get_if<TaskSet>(&parsed);
+  ASSERT_NE(set, nullptr) << std::get<ParseError>(parsed).message;
+  EXPECT_EQ(set->size(), 2u);
+  EXPECT_TRUE((*set)[1].dropped_in_hi());
 }
 
 TEST(TasksetLoadTest, RejectsDegenerateParameters) {
   // Negative C.
-  EXPECT_FALSE(load("t, HI, -5, 10, 50, 100, 100, 100\n"));
+  load_error("t, HI, -5, 10, 50, 100, 100, 100\n");
   // NaN is not a tick count.
-  EXPECT_FALSE(load("t, HI, nan, 10, 50, 100, 100, 100\n"));
+  load_error("t, HI, nan, 10, 50, 100, 100, 100\n");
   // C(HI) < C(LO).
-  EXPECT_FALSE(load("t, HI, 10, 5, 50, 100, 100, 100\n"));
+  load_error("t, HI, 10, 5, 50, 100, 100, 100\n");
   // D > T.
-  EXPECT_FALSE(load("t, LO, 5, 5, 200, 200, 100, 100\n"));
+  load_error("t, LO, 5, 5, 200, 200, 100, 100\n");
   // Zero period.
-  EXPECT_FALSE(load("t, LO, 5, 5, 50, 50, 0, 0\n"));
+  load_error("t, LO, 5, 5, 50, 50, 0, 0\n");
   // C > D.
-  EXPECT_FALSE(load("t, HI, 60, 60, 50, 100, 100, 100\n"));
+  load_error("t, HI, 60, 60, 50, 100, 100, 100\n");
 }
 
 TEST(TasksetLoadTest, ErrorsCarryLineNumbers) {
-  const Expected<TaskSet> bad = load(
+  const ParseError bad = load_error(
       "ok, HI, 5, 10, 50, 100, 100, 100\n"
       "broken, HI, 5, 10\n");
-  ASSERT_FALSE(bad.is_ok());
-  EXPECT_NE(bad.error_message().find("line 2"), std::string::npos);
+  EXPECT_EQ(bad.line, 2);
 }
 
 TEST(TasksetLoadTest, RejectsDuplicateNames) {
-  const Expected<TaskSet> bad = load(
+  const ParseError bad = load_error(
       "twin, HI, 5, 10, 50, 100, 100, 100\n"
       "twin, LO, 5, 5, 50, 50, 100, 100\n");
-  ASSERT_FALSE(bad.is_ok());
-  EXPECT_NE(bad.error_message().find("duplicate"), std::string::npos);
+  EXPECT_NE(bad.message.find("duplicate"), std::string::npos);
 }
 
 TEST(TasksetLoadTest, MissingFileIsAnError) {
-  const Expected<TaskSet> missing = load_task_set_file("/nonexistent/tasks.csv");
-  ASSERT_FALSE(missing.is_ok());
-  EXPECT_NE(missing.error_message().find("cannot open"), std::string::npos);
+  const std::variant<TaskSet, ParseError> missing =
+      read_task_set_file("/nonexistent/tasks.csv");
+  const ParseError* err = std::get_if<ParseError>(&missing);
+  ASSERT_NE(err, nullptr);
+  EXPECT_NE(err->message.find("cannot open"), std::string::npos);
 }
 
 // ---- checked CLI getters --------------------------------------------------

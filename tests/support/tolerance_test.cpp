@@ -17,7 +17,7 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 TEST(ToleranceTest, InfinityIsNotNearAnyFiniteValue) {
   EXPECT_FALSE(approx_le(kInf, 2.0, kSpeedTol));
   EXPECT_FALSE(approx_eq(kInf, 1e300, kTimeTol));
-  EXPECT_FALSE(approx_ge(-kInf, -1e300, kTimeTol));
+  EXPECT_FALSE(approx_le(-1e300, -kInf, kTimeTol));
   EXPECT_TRUE(definitely_gt(kInf, 100.0, kTimeTol));
   EXPECT_TRUE(definitely_lt(2.0, kInf, kStrictTol));
   EXPECT_TRUE(definitely_lt(-kInf, 0.0, kSpeedTol));

@@ -33,12 +33,7 @@ does. The kernel's throughput rides on one tight loop where a single
 accidental allocation or rescan shows up immediately, which is exactly what
 the tighter screen is for.
 
-Flat throughput artifacts (results/BENCH_service.json from `service_load
---json`, results/BENCH_multicore.json from `bench_multicore --json`) are also
-accepted: when the JSON document has no "benchmarks" array the screen switches
-to throughput mode, comparing every `*_per_sec` field. Throughput regresses
-in the opposite direction from time -- a rate is flagged (exit 1) when the
-current rate falls below reference * (1 - tolerance).
+Pipeline throughput is measured end to end by bench/suite/run.py, not here.
 
 Only the standard library is used; there is nothing to install.
 """
@@ -125,47 +120,6 @@ def drift_work(current, reference):
     return mismatches
 
 
-def load_rates(doc):
-    """Returns {field name: rate} for flat `--json` throughput artifacts."""
-    prefix = doc.get("benchmark", "")
-    rates = {}
-    for key, value in doc.items():
-        if key.endswith("_per_sec") and isinstance(value, (int, float)):
-            rates[f"{prefix}/{key}" if prefix else key] = float(value)
-    return rates
-
-
-def drift_rates(current, reference, tolerance):
-    """Throughput screen: regression when current < reference * (1 - tol)."""
-    regressions = []
-    names = sorted(set(reference) | set(current))
-    width = max((len(name) for name in names), default=10)
-    print(f"{'rate':<{width}}  {'ref /s':>12}  {'cur /s':>12}  {'delta':>8}")
-    for name in names:
-        if name not in reference:
-            print(f"{name:<{width}}  {'no baseline':>12}  {current[name]:>12.2f}  {'new':>8}")
-            continue
-        ref = reference[name]
-        if name not in current:
-            print(f"{name:<{width}}  {ref:>12.2f}  {'missing':>12}  {'--':>8}")
-            regressions.append((name, "missing from current run"))
-            continue
-        cur = current[name]
-        delta = (cur - ref) / ref if ref > 0 else 0.0
-        flag = ""
-        if delta < -tolerance:
-            flag = "  REGRESSED"
-            regressions.append((name, f"{delta:+.1%} vs reference"))
-        print(f"{name:<{width}}  {ref:>12.2f}  {cur:>12.2f}  {delta:>+7.1%}{flag}")
-    if regressions:
-        print(f"\n{len(regressions)} rate(s) below -{tolerance:.0%} tolerance:")
-        for name, why in regressions:
-            print(f"  {name}: {why}")
-        return _EXIT_TIMING
-    print(f"\nall rates within -{tolerance:.0%} of reference")
-    return 0
-
-
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("current", help="fresh bench_perf --benchmark_format=json output")
@@ -189,12 +143,6 @@ def main(argv):
 
     current_doc = load_doc(args.current)
     reference_doc = load_doc(args.reference)
-    if "benchmarks" not in reference_doc:
-        # Flat throughput artifact (service_load / bench_multicore --json).
-        return drift_rates(
-            load_rates(current_doc), load_rates(reference_doc), args.tolerance
-        )
-
     current = load_times(current_doc)
     reference = load_times(reference_doc)
 

@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "campaign/pool.hpp"
+#include "rbs_lint/api.hpp"
 #include "rbs_lint/det.hpp"
 #include "rbs_lint/rt.hpp"
 #include "rbs_lint/semantic.hpp"
@@ -642,6 +643,9 @@ std::vector<RuleInfo> all_rules() {
       {kRuleDetFpReassoc,
        "no floating-point accumulation inside submit(...) reachable from "
        "RBS_DET_PATH; gather into per-item slots and reduce serially"},
+      {kRuleApiUnreached,
+       "every free function with external linkage under src/ is reached from "
+       "a main in the scan (api.hpp), or allowed with a reason"},
   };
 }
 
@@ -679,11 +683,12 @@ std::vector<Diagnostic> lint_source(const std::string& path, const std::string& 
   const Lexed lexed = lex(text);
   const FileIndex index = build_index(lexed.tokens);
   std::vector<Diagnostic> diags = Checker(path, lexed, index, options, extra_guarded).run();
-  // Single-unit rt + det passes so string-driven tests and one-file
-  // invocations see the discipline rules; lint_paths runs the project-wide
-  // variants instead.
+  // Single-unit rt, det and api passes so string-driven tests and one-file
+  // invocations see the whole-program rules; lint_paths runs the
+  // project-wide variants instead.
   append_rt(diags, rt_check({{path, &lexed, &index}}), options);
   append_rt(diags, det_check({{path, &lexed, &index}}), options);
+  append_rt(diags, api_check({{path, &lexed, &index}}), options);
   std::stable_sort(diags.begin(), diags.end(),
                    [](const Diagnostic& a, const Diagnostic& b) {
                      if (a.line != b.line) return a.line < b.line;
@@ -813,15 +818,17 @@ std::vector<Diagnostic> lint_paths(const std::vector<std::string>& paths,
   for (const Unit& unit : units)
     diags.insert(diags.end(), unit.diags.begin(), unit.diags.end());
 
-  // Project-wide rt and det passes over every unit at once: RBS_HOT_PATH /
-  // RBS_DET_PATH reachability crosses file boundaries, so they cannot run
-  // per file. Serial by design -- the walks are cheap next to lexing.
+  // Project-wide rt, det and api passes over every unit at once:
+  // RBS_HOT_PATH / RBS_DET_PATH / main reachability crosses file
+  // boundaries, so they cannot run per file. Serial by design -- the walks
+  // are cheap next to lexing.
   std::vector<RtUnit> rt_units;
   for (std::size_t slot = 0; slot < files.size(); ++slot)
     if (units[slot].indexed)
       rt_units.push_back({files[slot], &units[slot].lexed, &units[slot].index});
   append_rt(diags, rt_check(rt_units), options);
   append_rt(diags, det_check(rt_units), options);
+  append_rt(diags, api_check(rt_units), options);
 
   std::stable_sort(diags.begin(), diags.end(),
                    [](const Diagnostic& a, const Diagnostic& b) {

@@ -44,6 +44,10 @@
 //   det-fp-reassoc     no floating-point accumulation inside submit(...)
 //                      reachable from RBS_DET_PATH; gather into per-item
 //                      slots and reduce serially
+//   api-unreached      every free function with external linkage under src/
+//                      is reached from a main in the scan (api.hpp: the
+//                      public API no pipeline reaches), or allowed with a
+//                      reason
 //
 // Suppression: a comment `// rbs-lint: allow(rule)` (comma-separated list
 // accepted) silences the named rule on its own line and the next line.

@@ -308,6 +308,11 @@ FileIndex build_index(const std::vector<Token>& tokens) {
         fn.line = tok.line;
         fn.held_mutexes = std::move(head.held_mutexes);
         fn.no_analysis = head.no_analysis;
+        for (const Scope& s : stack)
+          if (s.kind == Scope::Kind::kNamespace && s.name.empty()) fn.internal_linkage = true;
+        for (std::size_t k = head_start; k < i && fn.class_name.empty(); ++k)
+          if (tokens[k].kind == TokKind::kIdent && tokens[k].text == "static")
+            fn.internal_linkage = true;
         fn.hot_path = head.hot_path;
         fn.rt_safe = head.rt_safe;
         fn.rt_escape = head.rt_escape;

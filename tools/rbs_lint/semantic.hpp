@@ -50,6 +50,9 @@ struct FunctionInfo {
   /// RBS_ACQUIRE / RBS_RELEASE, read from the definition site.
   std::vector<std::string> held_mutexes;
   bool no_analysis = false;  ///< RBS_NO_THREAD_SAFETY_ANALYSIS on the definition
+  /// Internal linkage: defined in an unnamed namespace, or declared `static`
+  /// outside any class. The api-unreached pass (api.hpp) skips these.
+  bool internal_linkage = false;
 
   // Real-time discipline flags (support/rt_annotations.hpp), read from the
   // definition site; rt.cpp merges in declaration-site annotations too.

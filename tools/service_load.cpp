@@ -1,6 +1,7 @@
 // Load driver for the analysis server: deterministic request traces with
-// fault injection, overload assertions for the acceptance suite, and the
-// BENCH_service.json throughput artifact.
+// fault injection, overload assertions for the acceptance suite, and a JSON
+// summary of the run (--json) whose counters the recovery tests read.
+// Service throughput is measured by bench/suite/run.py.
 //
 //   service_load [--requests N] [--workers N] [--seed N] [--queue N]
 //                [--hi-fraction F] [--hi-enter N] [--lo-exit N]
