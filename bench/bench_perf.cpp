@@ -379,17 +379,20 @@ std::vector<Probe> first_fit_probes() {
   return probes;
 }
 
-// Analyzer::fits over the probe list, as partition_first_fit asks it.
-// `breakpoints` sums the decision reports' fused and LO ticks over the list,
-// so the exact gate covers the decision exits and the LO-mode window.
+// The decision probes over the probe list, as partition_first_fit asks them:
+// analyze_tasks with a dwell budget, in one AnalysisStorage kept warm across
+// the list. `breakpoints` sums the decision reports' fused and LO ticks over
+// the list, so the exact gate covers the decision exits and the LO-mode
+// window.
 void BM_FitsProbe(benchmark::State& state) {
   const std::vector<Probe> probes = first_fit_probes();
-  const Analyzer analyzer;
+  AnalysisStorage storage;
   std::size_t breakpoints = 0;
   for (auto _ : state) {
     breakpoints = 0;
     for (const Probe& probe : probes) {
-      const AnalysisReport r = analyzer.fits(probe.request, probe.max_reset).value();
+      const AnalysisReport r =
+          analyze_tasks(probe.request.set, probe.request, storage, probe.max_reset).value();
       breakpoints += r.fused_breakpoints + r.lo_breakpoints;
       benchmark::DoNotOptimize(r.system_schedulable);
     }

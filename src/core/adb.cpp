@@ -1,22 +1,10 @@
 #include "core/adb.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "support/rt_annotations.hpp"
 
 namespace rbs {
-
-namespace {
-
-Ticks residual_demand(const McTask& task, Ticks w) {
-  if (w < 0) return 0;
-  const Ticks c_lo = task.wcet(Mode::LO);
-  const Ticks c_hi = task.wcet(Mode::HI);
-  return std::min(w, c_lo) + (c_hi - c_lo);
-}
-
-}  // namespace
 
 Ticks adb_hi(const McTask& task, Ticks delta, bool discard_dropped_carryover) {
   assert(delta >= 0 && delta < kInfTicks);
@@ -26,7 +14,8 @@ Ticks adb_hi(const McTask& task, Ticks delta, bool discard_dropped_carryover) {
   const Ticks gap = t - task.deadline(Mode::LO);  // T(HI) - D(LO) of Eq. (9)
   const Ticks q = delta / t;
   const Ticks rho = delta % t;
-  return residual_demand(task, rho - gap) + (q + 1) * task.wcet(Mode::HI);
+  return residual_demand(rho - gap, task.wcet(Mode::LO), task.wcet(Mode::HI)) +
+         (q + 1) * task.wcet(Mode::HI);
 }
 
 RBS_HOT_PATH Ticks adb_hi_total(std::span<const McTask> tasks, Ticks delta,

@@ -424,7 +424,6 @@ Expected<AnalysisReport> Analyzer::analyze(const TaskSet& set, double speed,
   AnalysisRequest request;
   request.speed = speed;
   request.parts = parts;
-  request.limits = limits_;
   AnalysisStorage storage;
   return analyze_tasks(set, request, storage);
 }

@@ -179,22 +179,19 @@ struct AnalysisReport {
   return approx_le(delta_r, max_reset, kTimeTol);
 }
 
-/// The facade. Stateless apart from default limits, hence freely shareable:
-/// `analyze()` is a pure function of its arguments and may be called from any
-/// number of threads concurrently (the campaign engine relies on this). Each
-/// call runs analyze_tasks over request.set with a storage of its own.
+/// The facade. Stateless, hence freely shareable: `analyze()` is a pure
+/// function of its arguments and may be called from any number of threads
+/// concurrently (the campaign engine relies on this). Each call runs
+/// analyze_tasks over request.set with a storage of its own.
 class Analyzer {
  public:
-  Analyzer() = default;
-  explicit Analyzer(AnalysisLimits limits) : limits_(limits) {}
 
   /// Runs the requested sub-analyses under `request.limits`. Errors (rather
   /// than asserting or silently coercing) on a non-positive or non-finite
   /// speed, a latency outside [0, kInfTicks) and on degenerate limits.
   [[nodiscard]] Expected<AnalysisReport> analyze(const AnalysisRequest& request) const;
 
-  /// Convenience overload borrowing `set` (no copy) and using the analyzer's
-  /// default limits.
+  /// Convenience overload borrowing `set` (no copy), under default limits.
   [[nodiscard]] Expected<AnalysisReport> analyze(const TaskSet& set, double speed = 1.0,
                                                  const AnalysisParts& parts = {}) const;
 
@@ -210,9 +207,6 @@ class Analyzer {
   /// once a segment starts definitely past it. Errors as analyze() does.
   [[nodiscard]] Expected<AnalysisReport> fits(const AnalysisRequest& request,
                                               double max_reset) const;
-
- private:
-  AnalysisLimits limits_;
 };
 
 /// Free-function form of the facade for one-off calls.

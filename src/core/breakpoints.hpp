@@ -26,6 +26,7 @@
 // the masks that hit it and, per consumer, the summed jumps and slopes.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstdint>
@@ -64,12 +65,18 @@ struct TaggedSeq {
 /// Consumers a merger sums deltas for: mask bit c is consumer c.
 inline constexpr unsigned kMergerConsumers = 2;
 
+/// The carry-over residual r(w) of Eq. (6): 0 for w < 0,
+/// min(w, C(LO)) + C(HI) - C(LO) otherwise.
+inline Ticks residual_demand(Ticks w, Ticks c_lo, Ticks c_hi) {
+  if (w < 0) return 0;
+  return std::min(w, c_lo) + (c_hi - c_lo);
+}
+
 /// Appends the breakpoint sequences of one carry-over ramp family, tagged
 /// `mask`, with their deltas, and returns the family's slope just right of
 /// Delta = 0. The family is the demand r(rho - offset) + q*C(HI) (plus a
-/// constant), with q = Delta div T, rho = Delta mod T and the carry-over
-/// residual r(w) = 0 for w < 0, min(w, C(LO)) + C(HI) - C(LO) otherwise:
-/// DBF_HI with offset g = D(HI) - D(LO) (Lemma 1), ADB_HI with offset
+/// constant), with q = Delta div T, rho = Delta mod T and r the carry-over
+/// residual above: DBF_HI with offset g = D(HI) - D(LO) (Lemma 1), ADB_HI with offset
 /// T(HI) - D(LO) (Theorem 4). Constrained deadlines give
 /// 0 <= offset <= offset + C(LO) <= T. Deltas per tick, k >= 1:
 ///

@@ -1,24 +1,11 @@
 #include "core/dbf.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <numeric>
 
 #include "support/rt_annotations.hpp"
 
 namespace rbs {
-
-namespace {
-
-// r(tau_i, delta, w) of Eq. (6) given the already-computed w value.
-Ticks residual_demand(const McTask& task, Ticks w) {
-  if (w < 0) return 0;
-  const Ticks c_lo = task.wcet(Mode::LO);
-  const Ticks c_hi = task.wcet(Mode::HI);
-  return std::min(w, c_lo) + (c_hi - c_lo);
-}
-
-}  // namespace
 
 // Eq. 4 as the paper writes it: the oracle the LO-mode demand tests check
 // LoDemandTable's walk against.
@@ -38,7 +25,8 @@ Ticks dbf_hi(const McTask& task, Ticks delta) {
   const Ticks g = task.deadline_extension();  // D(HI) - D(LO) >= 0
   const Ticks q = delta / t;
   const Ticks rho = delta % t;  // (delta mod T(HI)) of Eq. (5)
-  return residual_demand(task, rho - g) + q * task.wcet(Mode::HI);
+  return residual_demand(rho - g, task.wcet(Mode::LO), task.wcet(Mode::HI)) +
+         q * task.wcet(Mode::HI);
 }
 
 // rbs-lint: allow(api-unreached) -- the total of the Eq. 4 oracle above.

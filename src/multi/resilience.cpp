@@ -228,6 +228,21 @@ std::string to_string(CoreFaultClass fault_class) {
   return "?";
 }
 
+Status check_partition(const std::vector<std::vector<std::size_t>>& assignment, std::size_t n,
+                       const std::string& prefix) {
+  std::vector<char> seen(n, 0);
+  for (const auto& core_tasks : assignment) {
+    for (std::size_t g : core_tasks) {
+      if (g >= n) return Status::error(prefix + ": assignment names a task index out of range");
+      if (seen[g]) return Status::error(prefix + ": task assigned to more than one core");
+      seen[g] = 1;
+    }
+  }
+  for (std::size_t g = 0; g < n; ++g)
+    if (!seen[g]) return Status::error(prefix + ": task assigned to no core");
+  return Status::ok();
+}
+
 // RBS_DET_PATH: MulticoreSim replays the spare assignments this returns and
 // the multicore_k1 digest hashes them, so every plan must be a pure function
 // of the request.
@@ -249,17 +264,9 @@ RBS_DET_PATH Expected<MultiReport> analyze_resilience(const MultiRequest& reques
   if (request.tolerance > 0 && !request.consider_fail_stop && !request.consider_boost_denial)
     return Status::error("multi: tolerance > 0 with every fault class disabled");
 
-  std::vector<char> seen(request.set.size(), 0);
-  for (const auto& core_tasks : request.assignment) {
-    for (std::size_t g : core_tasks) {
-      if (g >= request.set.size())
-        return Status::error("multi: assignment names a task index out of range");
-      if (seen[g]) return Status::error("multi: task assigned to more than one core");
-      seen[g] = 1;
-    }
-  }
-  for (std::size_t g = 0; g < seen.size(); ++g)
-    if (!seen[g]) return Status::error("multi: task assigned to no core");
+  if (Status partition = check_partition(request.assignment, request.set.size(), "multi");
+      !partition.is_ok())
+    return partition;
 
   const std::size_t num_classes =
       static_cast<std::size_t>(request.consider_fail_stop) +

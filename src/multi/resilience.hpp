@@ -144,6 +144,12 @@ struct MultiRequest {
 /// on malformed partitions, budgets, or a scenario space over max_scenarios.
 [[nodiscard]] Expected<MultiReport> analyze_resilience(const MultiRequest& request);
 
+/// Checks MultiRequest::assignment's contract: `assignment` is an exact
+/// partition of [0, n), every index in range and on exactly one core. The
+/// error names the first violation after `prefix` ("multi: ...").
+[[nodiscard]] Status check_partition(const std::vector<std::vector<std::size_t>>& assignment,
+                                     std::size_t n, const std::string& prefix);
+
 /// Looks up the precomputed scenario for an exact faulted-core set (ascending
 /// indices, parallel classes); nullptr when not enumerated.
 [[nodiscard]] const FailureScenario* find_scenario(const MultiReport& report,

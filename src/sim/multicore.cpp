@@ -25,18 +25,12 @@ Expected<MulticoreReport> MulticoreSim::run(const MulticoreRequest& request) {
   if (cores == 0) return Status::error("multicore: assignment must name at least one core");
   if (!request.core_faults.empty() && request.core_faults.size() != cores)
     return Status::error("multicore: core_faults size must equal the core count");
-  std::vector<char> seen(n, 0);
+  if (Status partition = multi::check_partition(request.assignment, n, "multicore");
+      !partition.is_ok())
+    return partition;
   std::vector<std::size_t> home(n, 0);
-  for (std::size_t c = 0; c < cores; ++c) {
-    for (std::size_t g : request.assignment[c]) {
-      if (g >= n) return Status::error("multicore: assignment names a task index out of range");
-      if (seen[g]) return Status::error("multicore: task assigned to more than one core");
-      seen[g] = 1;
-      home[g] = c;
-    }
-  }
-  for (std::size_t g = 0; g < n; ++g)
-    if (!seen[g]) return Status::error("multicore: task assigned to no core");
+  for (std::size_t c = 0; c < cores; ++c)
+    for (std::size_t g : request.assignment[c]) home[g] = c;
   if (!request.config.start_times.empty() && request.config.start_times.size() != n)
     return Status::error("multicore: start_times size must match the task set");
   if (!request.config.scripted_arrivals.empty() &&

@@ -294,7 +294,7 @@ TEST(FitsTest, EveryBreakpointCapBracketsTheTrueSmin) {
       SCOPED_TRACE("cap " + std::to_string(cap) + " of " + std::to_string(uncapped));
       AnalysisLimits limits;
       limits.max_breakpoints = cap;
-      const AnalysisReport r = Analyzer(limits).analyze(c.set, 1.0, kHiOnly).value();
+      const AnalysisReport r = Analyzer().analyze({c.set, 1.0, 1.0, kHiOnly, limits}).value();
       EXPECT_GE(r.s_min_error_bound, 0.0);
       EXPECT_GE(r.s_min + r.s_min_error_bound, truth * (1 - 1e-12));
       for (double s : {truth * (1 - 1e-6), truth, truth * (1 + 1e-6)})

@@ -15,7 +15,9 @@ namespace {
 AnalysisReport capped_report(const TaskSet& set, std::size_t max_breakpoints) {
   AnalysisLimits limits;
   limits.max_breakpoints = max_breakpoints;
-  return Analyzer(limits).analyze(set, 2.0, {.speedup = true, .reset = true, .lo = false}).value();
+  return Analyzer()
+      .analyze({set, 2.0, 1.0, {.speedup = true, .reset = true, .lo = false}, limits})
+      .value();
 }
 
 TEST(SpeedupLimitsTest, BreakpointCapReportsHonestError) {

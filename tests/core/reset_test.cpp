@@ -19,7 +19,9 @@ namespace {
 AnalysisReport reset_report(const TaskSet& set, double s, bool discard = false) {
   AnalysisLimits limits;
   limits.discard_dropped_carryover = discard;
-  return Analyzer(limits).analyze(set, s, {.speedup = false, .reset = true, .lo = false}).value();
+  return Analyzer()
+      .analyze({set, s, 1.0, {.speedup = false, .reset = true, .lo = false}, limits})
+      .value();
 }
 
 TEST(ResetTest, Table1AtSpeedTwoIsSix) {

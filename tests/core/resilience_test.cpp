@@ -87,7 +87,8 @@ TEST(DegradedResettingTimeTest, MatchesResetAnalysisOnReducedSet) {
   // terminated task's carry-over job shortens the dwell.
   AnalysisLimits discard;
   discard.discard_dropped_carryover = true;
-  const double discarded = Analyzer(discard).analyze(reduced.value(), kSlow).value().delta_r;
+  const double discarded =
+      Analyzer().analyze({reduced.value(), kSlow, 1.0, {}, discard}).value().delta_r;
   EXPECT_NEAR(analyze_degraded(set, kSlow, discard).delta_r, discarded, 1e-9);
   EXPECT_LT(discarded, g.delta_r);
 }

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <fstream>
+#include <variant>
 
 #include "cache/waymodel.hpp"
 #include "core/edf.hpp"
@@ -55,14 +55,13 @@ TEST_P(DcplCrossTest, GreedyNeverWorseAndMonotoneInWays) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DcplCrossTest, testing::Range(1, 9));
 
 TEST(ShippedWorkloadTest, FmsFileParsesAndCertifies) {
-  // The test may run from the source root, build/, or build/tests/.
-  std::variant<TaskSet, ParseError> parsed = ParseError{};
-  for (const char* prefix : {"", "../", "../../"}) {
-    parsed = read_task_set_file(std::string(prefix) + "examples/data/fms.tasks");
-    if (std::holds_alternative<TaskSet>(parsed)) break;
-  }
-  if (!std::holds_alternative<TaskSet>(parsed))
-    GTEST_SKIP() << "examples/data/fms.tasks not reachable from test cwd";
+  // RBS_SOURCE_DIR (tests/CMakeLists.txt) finds the file from any build
+  // directory; a file that cannot be read fails the test.
+  const std::variant<TaskSet, ParseError> parsed =
+      read_task_set_file(RBS_SOURCE_DIR "/examples/data/fms.tasks");
+  if (const ParseError* error = std::get_if<ParseError>(&parsed))
+    FAIL() << RBS_SOURCE_DIR "/examples/data/fms.tasks (line " << error->line
+           << "): " << error->message;
   const TaskSet& fms = std::get<TaskSet>(parsed);
   EXPECT_EQ(fms.size(), 11u);
   EXPECT_TRUE(lo_mode_schedulable(fms));

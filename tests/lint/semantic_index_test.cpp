@@ -98,18 +98,18 @@ TEST(SemanticIndexTest, RtAnnotatedDeclarationIsHarvested) {
   const RtDecl& step = index.rt_decls[0];
   EXPECT_EQ(step.class_name, "Engine");
   EXPECT_EQ(step.name, "step");
-  EXPECT_TRUE(step.hot_path);
-  EXPECT_FALSE(step.rt_safe);
+  EXPECT_TRUE(step.rt.root);
+  EXPECT_FALSE(step.rt.safe);
 
   const RtDecl& audited = index.rt_decls[1];
   EXPECT_EQ(audited.class_name, "Engine");
-  EXPECT_TRUE(audited.rt_safe);
+  EXPECT_TRUE(audited.rt.safe);
 
   const RtDecl& boot = index.rt_decls[2];
   EXPECT_EQ(boot.class_name, "");
   EXPECT_EQ(boot.name, "cold_boot");
-  EXPECT_TRUE(boot.rt_escape);
-  EXPECT_TRUE(boot.rt_escape_has_reason);
+  EXPECT_TRUE(boot.rt.escape);
+  EXPECT_TRUE(boot.rt.escape_has_reason);
 }
 
 TEST(SemanticIndexTest, PlainStatementsAreNotHarvestedAsDeclarations) {
@@ -139,10 +139,10 @@ TEST(SemanticIndexTest, LeadingAnnotationDoesNotShadowFunctionName) {
   ASSERT_NE(cold, nullptr);
   ASSERT_NE(hot, nullptr);
   ASSERT_NE(leaf, nullptr);
-  EXPECT_TRUE(cold->rt_escape);
-  EXPECT_TRUE(cold->rt_escape_has_reason);
-  EXPECT_TRUE(hot->hot_path);
-  EXPECT_TRUE(leaf->rt_safe);
+  EXPECT_TRUE(cold->rt.escape);
+  EXPECT_TRUE(cold->rt.escape_has_reason);
+  EXPECT_TRUE(hot->rt.root);
+  EXPECT_TRUE(leaf->rt.safe);
 }
 
 TEST(SemanticIndexTest, GnuAttributeDoesNotHideDefinition) {
@@ -168,7 +168,7 @@ TEST(SemanticIndexTest, TrailingAnnotationOnDefinitionIsRead) {
       "};\n");
   const FunctionInfo* run = find_fn(index, "run");
   ASSERT_NE(run, nullptr);
-  EXPECT_TRUE(run->hot_path);
+  EXPECT_TRUE(run->rt.root);
   EXPECT_EQ(run->class_name, "Sim");
 }
 
@@ -176,8 +176,8 @@ TEST(SemanticIndexTest, ReasonlessEscapeRecordsMissingReason) {
   const FileIndex index = index_of("RBS_RT_ESCAPE() int cold() { return 0; }\n");
   const FunctionInfo* cold = find_fn(index, "cold");
   ASSERT_NE(cold, nullptr);
-  EXPECT_TRUE(cold->rt_escape);
-  EXPECT_FALSE(cold->rt_escape_has_reason);
+  EXPECT_TRUE(cold->rt.escape);
+  EXPECT_FALSE(cold->rt.escape_has_reason);
 }
 
 TEST(SemanticIndexTest, GuardedMembersInNestedClasses) {

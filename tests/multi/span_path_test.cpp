@@ -295,10 +295,9 @@ TEST(SpanPathTest, FallbackTiersMatchApplyTerminationAndFits) {
 /// `speed` for Delta_R -- each +inf should the facade reject its request.
 DegradedGuarantee reference_degraded(const TaskSet& set, double speed,
                                      const AnalysisLimits& limits) {
-  const Analyzer analyzer(limits);
   const auto s_min_of = [&](const TaskSet& tier) {
-    const Expected<AnalysisReport> report =
-        analyzer.analyze(tier, 1.0, {.speedup = true, .reset = false, .lo = false});
+    const Expected<AnalysisReport> report = Analyzer().analyze(
+        {tier, 1.0, 1.0, {.speedup = true, .reset = false, .lo = false}, limits});
     return report ? report->s_min : kInf;
   };
   DegradedGuarantee g;
@@ -326,8 +325,8 @@ DegradedGuarantee reference_degraded(const TaskSet& set, double speed,
   g.feasible = true;
   g.fallback.terminated = terminated;
   if (!g.schedulable_unmodified) g.s_min_with_fallback = s_min_of(*accepted);
-  const Expected<AnalysisReport> reset =
-      analyzer.analyze(*accepted, speed, {.speedup = false, .reset = true, .lo = false});
+  const Expected<AnalysisReport> reset = Analyzer().analyze(
+      {*accepted, speed, 1.0, {.speedup = false, .reset = true, .lo = false}, limits});
   g.delta_r = reset ? reset->delta_r : kInf;
   return g;
 }

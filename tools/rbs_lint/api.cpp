@@ -1,6 +1,5 @@
 #include "rbs_lint/api.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -11,10 +10,6 @@
 namespace rbs::lint {
 
 namespace {
-
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == TokKind::kPunct && t.text == s;
-}
 
 bool under_src(const std::string& path) {
   for (const auto& part : std::filesystem::path(path))
@@ -35,54 +30,29 @@ std::string allow_reason(const std::string& comment) {
 
 class ApiPass {
  public:
-  explicit ApiPass(const std::vector<RtUnit>& units) : units_(units) { build_tables(); }
+  explicit ApiPass(const std::vector<RtUnit>& units) : graph_(units) {
+    reached_.assign(graph_.size(), 0);
+    for (std::size_t g = 0; g < graph_.size(); ++g) {
+      const FunctionInfo& info = graph_.fn(g);
+      if (!info.class_name.empty()) classes_.insert(info.class_name);
+      else if (info.name == "main" && !info.internal_linkage) mark(g);
+    }
+  }
 
   std::vector<Diagnostic> run() {
     if (queue_.empty()) return {};  // no main: nothing is a program here
-    for (std::size_t u = 0; u < units_.size(); ++u) scan_initializers(u);
+    for (std::size_t u = 0; u < graph_.units().size(); ++u) scan_initializers(u);
     while (!queue_.empty()) {
       const std::size_t g = queue_.back();
       queue_.pop_back();
       scan(g);
     }
     report_unreached();
-    std::sort(diags_.begin(), diags_.end(), [](const Diagnostic& a, const Diagnostic& b) {
-      if (a.file != b.file) return a.file < b.file;
-      if (a.line != b.line) return a.line < b.line;
-      if (a.rule != b.rule) return a.rule < b.rule;
-      return a.message < b.message;
-    });
+    sort_diagnostics(diags_);
     return std::move(diags_);
   }
 
  private:
-  struct FnId {
-    std::size_t unit = 0;
-    std::size_t index = 0;  ///< into units[unit].index->functions
-  };
-
-  const FunctionInfo& fn(std::size_t g) const {
-    return units_[ids_[g].unit].index->functions[ids_[g].index];
-  }
-  const std::vector<Token>& toks(std::size_t g) const {
-    return units_[ids_[g].unit].lexed->tokens;
-  }
-
-  void build_tables() {
-    for (std::size_t u = 0; u < units_.size(); ++u) {
-      const FileIndex& index = *units_[u].index;
-      for (std::size_t f = 0; f < index.functions.size(); ++f) {
-        ids_.push_back({u, f});
-        const FunctionInfo& info = index.functions[f];
-        by_name_[info.name].push_back(ids_.size() - 1);
-        if (!info.class_name.empty()) classes_.insert(info.class_name);
-      }
-    }
-    reached_.assign(ids_.size(), 0);
-    for (std::size_t g = 0; g < ids_.size(); ++g)
-      if (fn(g).name == "main" && fn(g).class_name.empty() && !fn(g).internal_linkage) mark(g);
-  }
-
   void mark(std::size_t g) {
     if (reached_[g]) return;
     reached_[g] = 1;
@@ -91,16 +61,13 @@ class ApiPass {
 
   /// Marks every function the identifier at t[i] may name.
   void mention(const std::vector<Token>& t, std::size_t i) {
-    const auto hit = by_name_.find(t[i].text);
-    if (hit == by_name_.end()) return;
-    const bool member = i > 0 && (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->"));
-    std::string qualifier;
-    if (!member && i >= 2 && is_punct(t[i - 1], "::") && t[i - 2].kind == TokKind::kIdent)
-      qualifier = t[i - 2].text;
-    const bool class_qualified = classes_.count(qualifier) > 0;
-    for (const std::size_t g : hit->second) {
-      const std::string& owner = fn(g).class_name;
-      if (member ? owner.empty() : class_qualified && owner != qualifier) continue;
+    const std::vector<std::size_t>* same_name = graph_.named(t[i].text);
+    if (same_name == nullptr) return;
+    const CallSite site = call_site(t, i);
+    const bool class_qualified = classes_.count(site.qualifier) > 0;
+    for (const std::size_t g : *same_name) {
+      const std::string& owner = graph_.fn(g).class_name;
+      if (site.member ? owner.empty() : class_qualified && owner != site.qualifier) continue;
       mark(g);
     }
   }
@@ -108,8 +75,8 @@ class ApiPass {
   /// A reached function's declaration head -- return and parameter types,
   /// default arguments, constructor initializers -- and its body.
   void scan(std::size_t g) {
-    const FunctionInfo& info = fn(g);
-    const std::vector<Token>& t = toks(g);
+    const FunctionInfo& info = graph_.fn(g);
+    const std::vector<Token>& t = graph_.toks(g);
     for (std::size_t i = info.header_begin; i < info.body_end && i < t.size(); ++i)
       if (t[i].kind == TokKind::kIdent) mention(t, i);
   }
@@ -118,9 +85,10 @@ class ApiPass {
   /// to the `;` that ends the declaration at the same brace depth. A
   /// function body ends the initializer, which was then a default argument.
   void scan_initializers(std::size_t u) {
-    const std::vector<Token>& t = units_[u].lexed->tokens;
+    const RtUnit& unit = graph_.units()[u];
+    const std::vector<Token>& t = unit.lexed->tokens;
     std::vector<std::uint8_t> in_body(t.size(), 0);
-    for (const FunctionInfo& info : units_[u].index->functions)
+    for (const FunctionInfo& info : unit.index->functions)
       for (std::size_t i = info.body_begin; i <= info.body_end && i < t.size(); ++i)
         in_body[i] = 1;
     int depth = 0;
@@ -144,8 +112,8 @@ class ApiPass {
 
   /// Line of the definition's name (its head may span lines).
   int name_line(std::size_t g) const {
-    const FunctionInfo& info = fn(g);
-    const std::vector<Token>& t = toks(g);
+    const FunctionInfo& info = graph_.fn(g);
+    const std::vector<Token>& t = graph_.toks(g);
     for (std::size_t i = info.header_begin; i + 1 < info.body_begin && i + 1 < t.size(); ++i)
       if (t[i].kind == TokKind::kIdent && t[i].text == info.name && is_punct(t[i + 1], "("))
         return t[i].line;
@@ -153,29 +121,30 @@ class ApiPass {
   }
 
   void report_unreached() {
+    const std::vector<RtUnit>& units = graph_.units();
     std::vector<std::map<int, std::set<std::string>>> allows;
-    for (const RtUnit& unit : units_) allows.push_back(allow_comments(*unit.lexed));
-    for (std::size_t g = 0; g < ids_.size(); ++g) {
-      const FunctionInfo& info = fn(g);
-      const std::size_t u = ids_[g].unit;
+    for (const RtUnit& unit : units) allows.push_back(allow_comments(*unit.lexed));
+    for (std::size_t g = 0; g < graph_.size(); ++g) {
+      const FunctionInfo& info = graph_.fn(g);
+      const std::size_t u = graph_.unit_of(g);
       if (reached_[g] || !info.class_name.empty() || info.internal_linkage ||
-          !under_src(units_[u].path))
+          !under_src(units[u].path))
         continue;
       const int line = name_line(g);
-      bool allowed = false;
+      bool excused = false;
       for (const int probe : {line, line - 1}) {
         const auto rules = allows[u].find(probe);
         if (rules == allows[u].end() || rules->second.count(kRuleApiUnreached) == 0) continue;
-        if (!allow_reason(units_[u].lexed->comments.at(probe)).empty()) {
-          allowed = true;
+        if (!allow_reason(units[u].lexed->comments.at(probe)).empty()) {
+          excused = true;
         } else {
-          diags_.push_back({units_[u].path, probe, kRuleApiUnreached,
+          diags_.push_back({units[u].path, probe, kRuleApiUnreached,
                             "allow(api-unreached) on `" + info.name +
                                 "` gives no reason; say why it stays -- allow ignored"});
         }
       }
-      if (!allowed)
-        diags_.push_back({units_[u].path, line, kRuleApiUnreached,
+      if (!excused)
+        diags_.push_back({units[u].path, line, kRuleApiUnreached,
                           "`" + info.name +
                               "` has external linkage under src/, but no main in the scan "
                               "reaches it; delete it, give it a caller, or allow it with "
@@ -183,9 +152,7 @@ class ApiPass {
     }
   }
 
-  const std::vector<RtUnit>& units_;
-  std::vector<FnId> ids_;
-  std::map<std::string, std::vector<std::size_t>> by_name_;
+  const CallGraph graph_;
   std::set<std::string> classes_;  ///< every class that owns an indexed member
   std::vector<std::uint8_t> reached_;
   std::vector<std::size_t> queue_;

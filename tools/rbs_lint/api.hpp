@@ -2,9 +2,9 @@
 //
 // Reports every free function with external linkage defined under src/ that
 // no `main` in the scan reaches: code that only tests call, which no
-// pipeline, bench, tool or example runs. The walk is the rt and det passes'
-// whole-project call graph over the same units, widened from calls to
-// mentions:
+// pipeline, bench, tool or example runs. The walk reads the function table
+// the rt and det passes read (walk.hpp's CallGraph), over the same units,
+// widened from calls to mentions:
 //
 //   roots   every free `main` in the scan. With none (the fixture corpus, a
 //           src/-only scan) the pass reports nothing.
@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "rbs_lint/lint.hpp"
-#include "rbs_lint/rt.hpp"
+#include "rbs_lint/walk.hpp"
 
 namespace rbs::lint {
 

@@ -1,28 +1,14 @@
 #include "rbs_lint/det.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 namespace rbs::lint {
 
 namespace {
-
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == TokKind::kPunct && t.text == s;
-}
-
-/// Index one past the matching closer for the opener at `i`.
-std::size_t skip_group(const std::vector<Token>& t, std::size_t i, const char* open,
-                       const char* close) {
-  int depth = 0;
-  for (; i < t.size(); ++i) {
-    if (is_punct(t[i], open)) ++depth;
-    else if (is_punct(t[i], close) && --depth == 0) return i + 1;
-  }
-  return t.size();
-}
 
 // The unordered container templates whose iteration order is bucket-salted.
 const std::set<std::string>& unordered_types() {
@@ -71,88 +57,55 @@ const std::set<std::string>& engine_types() {
   return k;
 }
 
-const std::set<std::string>& control_keywords() {
-  static const std::set<std::string> k = {"if",       "while",   "for",      "switch",
-                                          "catch",    "sizeof",  "alignof",  "return",
-                                          "decltype", "noexcept", "typeid"};
-  return k;
+/// Final identifier of the range expression in `for (decl : expr)`: the
+/// last identifier at paren depth 1 before the closing ')'. Returns "" when
+/// the group has no top-level ':' (an ordinary for loop).
+std::string range_for_target(const std::vector<Token>& t, std::size_t open_paren) {
+  int depth = 0;
+  bool past_colon = false;
+  std::string last;
+  for (std::size_t i = open_paren; i < t.size(); ++i) {
+    if (is_punct(t[i], "(")) { ++depth; continue; }
+    if (is_punct(t[i], ")")) {
+      if (--depth == 0) return past_colon ? last : std::string();
+      continue;
+    }
+    if (depth == 1 && is_punct(t[i], ":")) { past_colon = true; continue; }
+    if (past_colon && t[i].kind == TokKind::kIdent) last = t[i].text;
+  }
+  return {};
 }
 
-/// One function in the merged project-wide table.
-struct FnId {
-  std::size_t unit = 0;
-  std::size_t index = 0;  ///< into units[unit].index->functions
-};
+/// Identifiers declared `double x` / `float x` inside [begin, end):
+/// candidate floating-point accumulators for det-fp-reassoc.
+std::set<std::string> fp_locals(const std::vector<Token>& t, std::size_t begin,
+                                std::size_t end) {
+  std::set<std::string> out;
+  for (std::size_t i = begin; i + 1 < end; ++i)
+    if (t[i].kind == TokKind::kIdent && (t[i].text == "double" || t[i].text == "float") &&
+        t[i + 1].kind == TokKind::kIdent)
+      out.insert(t[i + 1].text);
+  return out;
+}
 
-class DetPass {
+const DisciplineFamily kDetFamily = {&FunctionInfo::det, &RtDecl::det, "RBS_DET_ESCAPE",
+                                     "watchdog_deadline_never_in_output", kRuleDetWallclock,
+                                     "det path"};
+
+class DetPass : public DisciplinePass {
  public:
-  explicit DetPass(const std::vector<RtUnit>& units) : units_(units) { build_tables(); }
-
-  std::vector<Diagnostic> run() {
-    check_escape_reasons();
-    mark_roots();
-    walk();
-    std::sort(diags_.begin(), diags_.end(), [](const Diagnostic& a, const Diagnostic& b) {
-      if (a.file != b.file) return a.file < b.file;
-      if (a.line != b.line) return a.line < b.line;
-      if (a.rule != b.rule) return a.rule < b.rule;
-      return a.message < b.message;
-    });
-    return std::move(diags_);
+  explicit DetPass(const std::vector<RtUnit>& units) : DisciplinePass(units, kDetFamily) {
+    for (const RtUnit& unit : units) collect_unordered_names(unit.lexed->tokens);
   }
 
  private:
-  const FunctionInfo& fn(std::size_t g) const {
-    return units_[ids_[g].unit].index->functions[ids_[g].index];
-  }
-  const std::vector<Token>& toks(std::size_t g) const {
-    return units_[ids_[g].unit].lexed->tokens;
-  }
-
-  void build_tables() {
-    for (std::size_t u = 0; u < units_.size(); ++u) {
-      const FileIndex& index = *units_[u].index;
-      for (std::size_t f = 0; f < index.functions.size(); ++f) {
-        const std::size_t g = ids_.size();
-        ids_.push_back({u, f});
-        const FunctionInfo& info = index.functions[f];
-        by_name_[info.name].push_back(g);
-        root_flag_.push_back(info.det_path);
-        safe_.push_back(info.det_safe);
-        escape_.push_back(info.det_escape);
-        escape_reason_.push_back(info.det_escape_has_reason);
-      }
-      suppressions_.push_back(allow_comments(*units_[u].lexed));
-      collect_unordered_names(*units_[u].lexed);
-    }
-    // Declaration-site annotations flow onto the matching definitions
-    // (exact (class, name) match; annotate whichever site reads better).
-    for (std::size_t u = 0; u < units_.size(); ++u) {
-      for (const RtDecl& decl : units_[u].index->rt_decls) {
-        if (!decl.det_path && !decl.det_safe && !decl.det_escape) continue;
-        auto hit = by_name_.find(decl.name);
-        if (hit == by_name_.end()) continue;
-        for (std::size_t g : hit->second) {
-          if (fn(g).class_name != decl.class_name) continue;
-          root_flag_[g] = root_flag_[g] || decl.det_path;
-          safe_[g] = safe_[g] || decl.det_safe;
-          if (decl.det_escape) {
-            escape_[g] = true;
-            escape_reason_[g] = escape_reason_[g] || decl.det_escape_has_reason;
-          }
-        }
-      }
-    }
-  }
-
   /// Records every identifier declared with an unordered container type
   /// anywhere in the unit: `std::unordered_map<K, V> index_;` records
   /// `index_`. Names are pooled across units (final-identifier matching, the
   /// mutex-identity approximation), so a member declared in a header flags
   /// iteration from the implementation file. Aliases (`using M =
   /// unordered_map<...>`) are not chased -- the documented limit.
-  void collect_unordered_names(const Lexed& lexed) {
-    const std::vector<Token>& t = lexed.tokens;
+  void collect_unordered_names(const std::vector<Token>& t) {
     for (std::size_t i = 0; i < t.size(); ++i) {
       if (t[i].kind != TokKind::kIdent || unordered_types().count(t[i].text) == 0)
         continue;
@@ -163,132 +116,10 @@ class DetPass {
     }
   }
 
-  bool suppressed(std::size_t unit, const std::string& rule, int line) const {
-    const auto& map = suppressions_[unit];
-    for (int probe : {line, line - 1}) {
-      auto it = map.find(probe);
-      if (it != map.end() && it->second.count(rule) > 0) return true;
-    }
-    return false;
-  }
-
-  void report(std::size_t unit, const std::string& rule, int line, std::string message) {
-    if (suppressed(unit, rule, line)) return;
-    diags_.push_back({units_[unit].path, line, rule, std::move(message)});
-  }
-
-  /// An RBS_DET_ESCAPE with no reason is malformed: report it and ignore the
-  /// escape (the body is walked like ordinary code), so a missing reason can
-  /// never silently widen the audited surface.
-  void check_escape_reasons() {
-    for (std::size_t g = 0; g < ids_.size(); ++g) {
-      if (!escape_[g]) continue;
-      if (!escape_reason_[g]) {
-        report(ids_[g].unit, kRuleDetWallclock, fn(g).line,
-               "RBS_DET_ESCAPE on `" + fn(g).name +
-                   "` has no reason; justify it like "
-                   "RBS_DET_ESCAPE(watchdog_deadline_never_in_output) -- "
-                   "annotation ignored");
-        escape_[g] = false;
-      }
-    }
-    for (std::size_t u = 0; u < units_.size(); ++u)
-      for (const RtDecl& decl : units_[u].index->rt_decls)
-        if (decl.det_escape && !decl.det_escape_has_reason &&
-            by_name_.count(decl.name) == 0)
-          report(u, kRuleDetWallclock, decl.line,
-                 "RBS_DET_ESCAPE on `" + decl.name +
-                     "` has no reason; justify it like "
-                     "RBS_DET_ESCAPE(watchdog_deadline_never_in_output) -- "
-                     "annotation ignored");
-  }
-
-  /// True when the walk must stop at `g` without scanning its body.
-  bool shielded(std::size_t g) const { return safe_[g] || escape_[g]; }
-
-  void mark_roots() {
-    root_of_.assign(ids_.size(), SIZE_MAX);
-    for (std::size_t g = 0; g < ids_.size(); ++g)
-      if (root_flag_[g] && root_of_[g] == SIZE_MAX) {
-        root_of_[g] = g;
-        queue_.push_back(g);
-      }
-  }
-
-  /// Callee candidates for a call site; identical policy to the rt pass.
-  void resolve(const std::string& name, bool member, const std::string& qualifier,
-               const std::string& caller_class, std::vector<std::size_t>* out) const {
-    out->clear();
-    auto hit = by_name_.find(name);
-    if (hit == by_name_.end()) return;
-    const std::vector<std::size_t>& all = hit->second;
-    if (!qualifier.empty()) {
-      for (std::size_t g : all)
-        if (fn(g).class_name == qualifier) out->push_back(g);
-      return;
-    }
-    if (member) {
-      for (std::size_t g : all)
-        if (!fn(g).class_name.empty()) out->push_back(g);
-      return;
-    }
-    if (!caller_class.empty()) {
-      for (std::size_t g : all)
-        if (fn(g).class_name == caller_class) out->push_back(g);
-      if (!out->empty()) return;
-    }
-    for (std::size_t g : all)
-      if (fn(g).class_name.empty()) out->push_back(g);
-  }
-
-  void walk() {
-    std::vector<std::size_t> callees;
-    while (!queue_.empty()) {
-      const std::size_t g = queue_.back();
-      queue_.pop_back();
-      if (shielded(g)) continue;  // audited leaf / justified escape
-      scan_body(g, &callees);
-    }
-  }
-
-  /// Final identifier of the range expression in `for (decl : expr)`: the
-  /// last identifier at paren depth 1 before the closing ')'. Returns "" when
-  /// the group has no top-level ':' (an ordinary for loop).
-  static std::string range_for_target(const std::vector<Token>& t, std::size_t open_paren) {
-    int depth = 0;
-    bool past_colon = false;
-    std::string last;
-    for (std::size_t i = open_paren; i < t.size(); ++i) {
-      if (is_punct(t[i], "(")) { ++depth; continue; }
-      if (is_punct(t[i], ")")) {
-        if (--depth == 0) return past_colon ? last : std::string();
-        continue;
-      }
-      if (depth == 1 && is_punct(t[i], ":")) { past_colon = true; continue; }
-      if (past_colon && t[i].kind == TokKind::kIdent) last = t[i].text;
-    }
-    return {};
-  }
-
-  /// Identifiers declared `double x` / `float x` inside [begin, end):
-  /// candidate floating-point accumulators for det-fp-reassoc.
-  static std::set<std::string> fp_locals(const std::vector<Token>& t, std::size_t begin,
-                                         std::size_t end) {
-    std::set<std::string> out;
-    for (std::size_t i = begin; i + 1 < end; ++i)
-      if (t[i].kind == TokKind::kIdent && (t[i].text == "double" || t[i].text == "float") &&
-          t[i + 1].kind == TokKind::kIdent)
-        out.insert(t[i + 1].text);
-    return out;
-  }
-
-  void scan_body(std::size_t g, std::vector<std::size_t>* callees) {
-    const std::vector<Token>& t = toks(g);
-    const FunctionInfo& info = fn(g);
-    const std::size_t unit = ids_[g].unit;
-    const std::string& root = fn(root_of_[g]).name;
-    const std::string where =
-        "`" + info.name + "`, reachable from det path `" + root + "`";
+  void scan_body(std::size_t g, const std::string& where) override {
+    const std::vector<Token>& t = graph().toks(g);
+    const FunctionInfo& info = graph().fn(g);
+    const std::size_t unit = graph().unit_of(g);
 
     // Argument-group ranges of submit(...) calls in this body: a floating-
     // point accumulation inside one runs on a pool worker, so the reduction
@@ -380,14 +211,9 @@ class DetPass {
       }
 
       // Calls (including .begin() on unordered names).
-      if (i + 1 >= t.size() || !is_punct(t[i + 1], "(")) continue;
-      if (control_keywords().count(tok.text) > 0) continue;
-      const bool member = i > 0 && (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->"));
-      std::string qualifier;
-      if (!member && i >= 2 && is_punct(t[i - 1], "::") && t[i - 2].kind == TokKind::kIdent)
-        qualifier = t[i - 2].text;
-
-      if (member && iteration_members().count(tok.text) > 0 && i >= 2 &&
+      if (!is_call(t, i)) continue;
+      const CallSite site = call_site(t, i);
+      if (site.member && iteration_members().count(tok.text) > 0 && i >= 2 &&
           t[i - 2].kind == TokKind::kIdent && unordered_names_.count(t[i - 2].text) > 0) {
         report(unit, kRuleDetUnorderedIter, tok.line,
                "`" + t[i - 2].text + "." + tok.text + "()` iterates an unordered "
@@ -395,13 +221,13 @@ class DetPass {
                    "; bucket order is salted per process");
         continue;
       }
-      if (!member && clock_calls().count(tok.text) > 0) {
+      if (!site.member && clock_calls().count(tok.text) > 0) {
         report(unit, kRuleDetWallclock, tok.line,
                "call to `" + tok.text + "` in " + where +
                    "; wall-clock reads are not reproducible");
         continue;
       }
-      if (!member && rng_calls().count(tok.text) > 0) {
+      if (!site.member && rng_calls().count(tok.text) > 0) {
         report(unit, kRuleDetRng, tok.line,
                "call to `" + tok.text + "` in " + where +
                    "; global-state RNG has no per-item stream -- use the "
@@ -409,28 +235,11 @@ class DetPass {
         continue;
       }
 
-      resolve(tok.text, member, qualifier, info.class_name, callees);
-      for (std::size_t callee : *callees) {
-        if (shielded(callee)) continue;
-        if (root_of_[callee] == SIZE_MAX) {
-          root_of_[callee] = root_of_[g];
-          queue_.push_back(callee);
-        }
-      }
-      // Unresolved callees (std internals, function pointers, std::function
-      // targets) are skipped: the documented conservative fallback.
+      follow(g, tok.text, site);
     }
   }
 
-  const std::vector<RtUnit>& units_;
-  std::vector<FnId> ids_;
-  std::map<std::string, std::vector<std::size_t>> by_name_;
-  std::vector<std::uint8_t> root_flag_, safe_, escape_, escape_reason_;
-  std::vector<std::map<int, std::set<std::string>>> suppressions_;
   std::set<std::string> unordered_names_;  ///< pooled across units by final identifier
-  std::vector<std::size_t> root_of_;  ///< SIZE_MAX = unreached; else root fn id
-  std::vector<std::size_t> queue_;
-  std::vector<Diagnostic> diags_;
 };
 
 }  // namespace

@@ -1,11 +1,11 @@
 // rbs_det: the project-wide determinism discipline pass (rules 13-16).
 //
-// A breadth-first reachability walk over the whole-project call graph rooted
-// at functions annotated RBS_DET_PATH (src/support/det_annotations.hpp) --
-// the same merged-unit machinery as the rt pass (rt.cpp), retargeted from
-// "must not allocate or block" to "every result byte must be reproducible
-// across runs, machines and --jobs counts". Every function reachable from a
-// det root must stay free of:
+// A reachability walk over the whole-project call graph rooted at functions
+// annotated RBS_DET_PATH (src/support/det_annotations.hpp) -- the discipline
+// walk the rt pass also runs (walk.hpp), retargeted from "must not allocate
+// or block" to "every result byte must be reproducible across runs, machines
+// and --jobs counts". Every function reachable from a det root must stay
+// free of:
 //
 //   det-unordered-iter  iteration over std::unordered_{map,set,multimap,
 //                       multiset}: range-for over an unordered-declared name,
@@ -37,8 +37,8 @@
 // by (class, name). A reason-less escape is reported (under det-wallclock)
 // and ignored, so it can never silently widen the audited surface.
 //
-// Call resolution is the rt pass's: name-based and conservative (see rt.hpp).
-// Unordered-declared names are collected across ALL units by final
+// Call resolution is the discipline walk's: name-based and conservative (see
+// walk.hpp). Unordered-declared names are collected across ALL units by final
 // identifier, mirroring the mutex-identity approximation: `index_` declared
 // unordered in one header flags iteration of `index_` on any det path.
 // The compiler-side half of det-fp-reassoc is -ffp-contract=off on the
@@ -49,7 +49,7 @@
 #include <vector>
 
 #include "rbs_lint/lint.hpp"
-#include "rbs_lint/rt.hpp"
+#include "rbs_lint/walk.hpp"
 
 namespace rbs::lint {
 

@@ -77,7 +77,7 @@ class Checker {
  public:
   /// Takes the prebuilt semantic index by value: the extra_guarded facts are
   /// folded into this private copy while the caller's index stays pristine
-  /// for the project-wide rt pass.
+  /// for the whole-program passes.
   Checker(const std::string& path, const Lexed& lexed, FileIndex index,
           const Options& options, const std::vector<std::string>& extra_guarded)
       : path_(path), lexed_(lexed), index_(std::move(index)) {
@@ -119,16 +119,8 @@ class Checker {
     return enabled_.empty() || enabled_.count(rule) > 0;
   }
 
-  bool suppressed(const std::string& rule, int line) const {
-    for (int probe : {line, line - 1}) {
-      auto it = suppressions_.find(probe);
-      if (it != suppressions_.end() && it->second.count(rule) > 0) return true;
-    }
-    return false;
-  }
-
   void report(const std::string& rule, int line, std::string message) {
-    if (!rule_enabled(rule) || suppressed(rule, line)) return;
+    if (!rule_enabled(rule) || allowed(suppressions_, rule, line)) return;
     diags_.push_back({path_, line, rule, std::move(message)});
   }
 
@@ -665,14 +657,16 @@ std::string normalize_path(const std::string& path) {
 
 namespace {
 
-/// Appends the rt-pass diagnostics the caller's rule selection keeps.
-/// rt_check handles `// rbs-lint: allow(...)` itself; rule enabling and
-/// baselines stay the caller's business, matching the per-file rules.
-void append_rt(std::vector<Diagnostic>& diags, std::vector<Diagnostic> rt,
-               const Options& options) {
+/// Runs the whole-program passes (rt, det, api) over `units` and appends the
+/// diagnostics the caller's rule selection keeps. The passes handle
+/// `// rbs-lint: allow(...)` themselves; rule enabling and baselines stay
+/// the caller's business, matching the per-file rules.
+void append_whole_program(std::vector<Diagnostic>& diags, const std::vector<RtUnit>& units,
+                          const Options& options) {
   const std::set<std::string> enabled(options.rules.begin(), options.rules.end());
-  for (Diagnostic& d : rt)
-    if (enabled.empty() || enabled.count(d.rule) > 0) diags.push_back(std::move(d));
+  for (const auto check : {rt_check, det_check, api_check})
+    for (Diagnostic& d : check(units))
+      if (enabled.empty() || enabled.count(d.rule) > 0) diags.push_back(std::move(d));
 }
 
 }  // namespace
@@ -683,12 +677,10 @@ std::vector<Diagnostic> lint_source(const std::string& path, const std::string& 
   const Lexed lexed = lex(text);
   const FileIndex index = build_index(lexed.tokens);
   std::vector<Diagnostic> diags = Checker(path, lexed, index, options, extra_guarded).run();
-  // Single-unit rt, det and api passes so string-driven tests and one-file
-  // invocations see the whole-program rules; lint_paths runs the
-  // project-wide variants instead.
-  append_rt(diags, rt_check({{path, &lexed, &index}}), options);
-  append_rt(diags, det_check({{path, &lexed, &index}}), options);
-  append_rt(diags, api_check({{path, &lexed, &index}}), options);
+  // The whole-program passes over this one unit, so string-driven tests and
+  // one-file invocations see their rules; lint_paths runs them over every
+  // unit instead.
+  append_whole_program(diags, {{path, &lexed, &index}}, options);
   std::stable_sort(diags.begin(), diags.end(),
                    [](const Diagnostic& a, const Diagnostic& b) {
                      if (a.line != b.line) return a.line < b.line;
@@ -749,7 +741,7 @@ std::vector<Diagnostic> lint_paths(const std::vector<std::string>& paths,
   };
 
   // Per-file work: lex once, index once, run the per-file rules. The Lexed
-  // and FileIndex are kept so the project-wide rt pass reuses them instead of
+  // and FileIndex are kept so the whole-program passes reuse them instead of
   // lexing a second time. Results live in slots indexed by the sorted file
   // list, so output is byte-identical at any --jobs value.
   struct Unit {
@@ -826,9 +818,7 @@ std::vector<Diagnostic> lint_paths(const std::vector<std::string>& paths,
   for (std::size_t slot = 0; slot < files.size(); ++slot)
     if (units[slot].indexed)
       rt_units.push_back({files[slot], &units[slot].lexed, &units[slot].index});
-  append_rt(diags, rt_check(rt_units), options);
-  append_rt(diags, det_check(rt_units), options);
-  append_rt(diags, api_check(rt_units), options);
+  append_whole_program(diags, rt_units, options);
 
   std::stable_sort(diags.begin(), diags.end(),
                    [](const Diagnostic& a, const Diagnostic& b) {

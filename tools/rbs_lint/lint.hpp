@@ -27,7 +27,8 @@
 //                      wrapper types
 //   rt-alloc           no heap allocation (new/malloc family, construction of
 //                      allocating std types) in functions reachable from
-//                      RBS_HOT_PATH roots (rt.hpp: project-wide call graph)
+//                      RBS_HOT_PATH roots (rt.hpp on walk.hpp's
+//                      project-wide call graph)
 //   rt-block           no mutex/condvar operations, RAII guard construction,
 //                      blocking I/O or sleeps reachable from RBS_HOT_PATH
 //   rt-unbounded       no throw, recursion cycles, or reason-less
@@ -77,7 +78,8 @@ struct Options {
   /// Path substrings to skip entirely (e.g. "lint/corpus").
   std::vector<std::string> excludes;
   /// Worker threads for the per-file scan in lint_paths (1 = serial). Output
-  /// is byte-identical at any value; the rt pass always runs serially after.
+  /// is byte-identical at any value; the whole-program passes (walk.hpp)
+  /// always run serially after.
   unsigned jobs = 1;
 };
 

@@ -1,6 +1,6 @@
 #include "rbs_lint/rt.hpp"
 
-#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <utility>
@@ -8,21 +8,6 @@
 namespace rbs::lint {
 
 namespace {
-
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == TokKind::kPunct && t.text == s;
-}
-
-/// Index one past the matching closer for the opener at `i`.
-std::size_t skip_group(const std::vector<Token>& t, std::size_t i, const char* open,
-                       const char* close) {
-  int depth = 0;
-  for (; i < t.size(); ++i) {
-    if (is_punct(t[i], open)) ++depth;
-    else if (is_punct(t[i], close) && --depth == 0) return i + 1;
-  }
-  return t.size();
-}
 
 // Mutex/condvar/thread operations: any member call with one of these names
 // blocks (or unblocks someone else) by design.
@@ -79,199 +64,41 @@ const std::set<std::string>& guard_types() {
   return k;
 }
 
-const std::set<std::string>& control_keywords() {
-  static const std::set<std::string> k = {"if",       "while",   "for",      "switch",
-                                          "catch",    "sizeof",  "alignof",  "return",
-                                          "decltype", "noexcept", "typeid"};
-  return k;
-}
-
-/// One function in the merged project-wide table.
-struct FnId {
-  std::size_t unit = 0;
-  std::size_t index = 0;  ///< into units[unit].index->functions
-};
-
 struct CallEdge {
   std::size_t to = 0;
   int line = 0;
   std::string callee;  ///< name as written at the call site
 };
 
-class RtPass {
- public:
-  explicit RtPass(const std::vector<RtUnit>& units) : units_(units) { build_tables(); }
+/// True when the identifier at `i` begins a construction of a type in
+/// `types`: `T v`, `T<...> v`, `T(...)`, `T{...}` -- but not `T&`, `T*`,
+/// `T::nested`, or a member access `.T`.
+bool constructs_type(const std::vector<Token>& t, std::size_t i,
+                     const std::set<std::string>& types) {
+  if (t[i].kind != TokKind::kIdent || types.count(t[i].text) == 0) return false;
+  if (i > 0 && (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->"))) return false;
+  std::size_t j = i + 1;
+  if (j < t.size() && is_punct(t[j], "<")) j = skip_group(t, j, "<", ">");
+  if (j >= t.size()) return false;
+  if (is_punct(t[j], "&") || is_punct(t[j], "&&") || is_punct(t[j], "*") ||
+      is_punct(t[j], "::"))
+    return false;
+  return t[j].kind == TokKind::kIdent || is_punct(t[j], "(") || is_punct(t[j], "{");
+}
 
-  std::vector<Diagnostic> run() {
-    check_escape_reasons();
-    mark_roots();
-    walk();
-    detect_recursion();
-    std::sort(diags_.begin(), diags_.end(), [](const Diagnostic& a, const Diagnostic& b) {
-      if (a.file != b.file) return a.file < b.file;
-      if (a.line != b.line) return a.line < b.line;
-      if (a.rule != b.rule) return a.rule < b.rule;
-      return a.message < b.message;
-    });
-    return std::move(diags_);
-  }
+const DisciplineFamily kRtFamily = {&FunctionInfo::rt, &RtDecl::rt, "RBS_RT_ESCAPE",
+                                    "cold_error_path_runs_once", kRuleRtUnbounded,
+                                    "hot path"};
+
+class RtPass : public DisciplinePass {
+ public:
+  explicit RtPass(const std::vector<RtUnit>& units) : DisciplinePass(units, kRtFamily) {}
 
  private:
-  const FunctionInfo& fn(std::size_t g) const {
-    return units_[ids_[g].unit].index->functions[ids_[g].index];
-  }
-  const std::vector<Token>& toks(std::size_t g) const {
-    return units_[ids_[g].unit].lexed->tokens;
-  }
-
-  void build_tables() {
-    for (std::size_t u = 0; u < units_.size(); ++u) {
-      const FileIndex& index = *units_[u].index;
-      for (std::size_t f = 0; f < index.functions.size(); ++f) {
-        const std::size_t g = ids_.size();
-        ids_.push_back({u, f});
-        const FunctionInfo& info = index.functions[f];
-        by_name_[info.name].push_back(g);
-        hot_.push_back(info.hot_path);
-        safe_.push_back(info.rt_safe);
-        escape_.push_back(info.rt_escape);
-        escape_reason_.push_back(info.rt_escape_has_reason);
-      }
-      suppressions_.push_back(allow_comments(*units_[u].lexed));
-    }
-    // Declaration-site annotations flow onto the matching definitions
-    // (exact (class, name) match; annotate whichever site reads better).
-    for (std::size_t u = 0; u < units_.size(); ++u) {
-      for (const RtDecl& decl : units_[u].index->rt_decls) {
-        auto hit = by_name_.find(decl.name);
-        if (hit == by_name_.end()) continue;
-        for (std::size_t g : hit->second) {
-          if (fn(g).class_name != decl.class_name) continue;
-          hot_[g] = hot_[g] || decl.hot_path;
-          safe_[g] = safe_[g] || decl.rt_safe;
-          if (decl.rt_escape) {
-            escape_[g] = true;
-            escape_reason_[g] = escape_reason_[g] || decl.rt_escape_has_reason;
-          }
-        }
-      }
-    }
-  }
-
-  bool suppressed(std::size_t unit, const std::string& rule, int line) const {
-    const auto& map = suppressions_[unit];
-    for (int probe : {line, line - 1}) {
-      auto it = map.find(probe);
-      if (it != map.end() && it->second.count(rule) > 0) return true;
-    }
-    return false;
-  }
-
-  void report(std::size_t unit, const std::string& rule, int line, std::string message) {
-    if (suppressed(unit, rule, line)) return;
-    diags_.push_back({units_[unit].path, line, rule, std::move(message)});
-  }
-
-  /// An RBS_RT_ESCAPE with no reason is malformed: report it and ignore the
-  /// escape (the body is walked like ordinary code), so a missing reason can
-  /// never silently widen the audited surface.
-  void check_escape_reasons() {
-    for (std::size_t g = 0; g < ids_.size(); ++g) {
-      if (!escape_[g]) continue;
-      if (!escape_reason_[g]) {
-        report(ids_[g].unit, kRuleRtUnbounded, fn(g).line,
-               "RBS_RT_ESCAPE on `" + fn(g).name +
-                   "` has no reason; justify it like "
-                   "RBS_RT_ESCAPE(cold_error_path_runs_once) -- annotation ignored");
-        escape_[g] = false;
-      }
-    }
-    for (std::size_t u = 0; u < units_.size(); ++u)
-      for (const RtDecl& decl : units_[u].index->rt_decls)
-        if (decl.rt_escape && !decl.rt_escape_has_reason &&
-            by_name_.count(decl.name) == 0)
-          report(u, kRuleRtUnbounded, decl.line,
-                 "RBS_RT_ESCAPE on `" + decl.name +
-                     "` has no reason; justify it like "
-                     "RBS_RT_ESCAPE(cold_error_path_runs_once) -- annotation ignored");
-  }
-
-  /// True when the walk must stop at `g` without scanning its body.
-  bool shielded(std::size_t g) const { return safe_[g] || escape_[g]; }
-
-  void mark_roots() {
-    root_of_.assign(ids_.size(), SIZE_MAX);
-    for (std::size_t g = 0; g < ids_.size(); ++g)
-      if (hot_[g] && root_of_[g] == SIZE_MAX) {
-        root_of_[g] = g;
-        queue_.push_back(g);
-      }
-  }
-
-  /// Callee candidates for a call site. `member` is true for `x.f()` /
-  /// `x->f()`; `qualifier` is X in `X::f()` (empty otherwise);
-  /// `caller_class` disambiguates unqualified calls.
-  void resolve(const std::string& name, bool member, const std::string& qualifier,
-               const std::string& caller_class, std::vector<std::size_t>* out) const {
-    out->clear();
-    auto hit = by_name_.find(name);
-    if (hit == by_name_.end()) return;
-    const std::vector<std::size_t>& all = hit->second;
-    if (!qualifier.empty()) {
-      for (std::size_t g : all)
-        if (fn(g).class_name == qualifier) out->push_back(g);
-      return;
-    }
-    if (member) {
-      // Receiver type is unknown: descend into every member function of that
-      // name (free functions cannot be the target of a member call).
-      for (std::size_t g : all)
-        if (!fn(g).class_name.empty()) out->push_back(g);
-      return;
-    }
-    // Unqualified: an enclosing-class member shadows free functions.
-    if (!caller_class.empty()) {
-      for (std::size_t g : all)
-        if (fn(g).class_name == caller_class) out->push_back(g);
-      if (!out->empty()) return;
-    }
-    for (std::size_t g : all)
-      if (fn(g).class_name.empty()) out->push_back(g);
-  }
-
-  /// True when the identifier at `i` begins a construction of a type in
-  /// `types`: `T v`, `T<...> v`, `T(...)`, `T{...}` -- but not `T&`, `T*`,
-  /// `T::nested`, or a member access `.T`.
-  bool constructs_type(const std::vector<Token>& t, std::size_t i,
-                       const std::set<std::string>& types) const {
-    if (t[i].kind != TokKind::kIdent || types.count(t[i].text) == 0) return false;
-    if (i > 0 && (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->"))) return false;
-    std::size_t j = i + 1;
-    if (j < t.size() && is_punct(t[j], "<")) j = skip_group(t, j, "<", ">");
-    if (j >= t.size()) return false;
-    if (is_punct(t[j], "&") || is_punct(t[j], "&&") || is_punct(t[j], "*") ||
-        is_punct(t[j], "::"))
-      return false;
-    return t[j].kind == TokKind::kIdent || is_punct(t[j], "(") || is_punct(t[j], "{");
-  }
-
-  void walk() {
-    std::vector<std::size_t> callees;
-    while (!queue_.empty()) {
-      const std::size_t g = queue_.back();
-      queue_.pop_back();
-      if (shielded(g)) continue;  // audited leaf / justified escape
-      scan_body(g, &callees);
-    }
-  }
-
-  void scan_body(std::size_t g, std::vector<std::size_t>* callees) {
-    const std::vector<Token>& t = toks(g);
-    const FunctionInfo& info = fn(g);
-    const std::size_t unit = ids_[g].unit;
-    const std::string& root = fn(root_of_[g]).name;
-    const std::string where =
-        "`" + info.name + "`, reachable from hot path `" + root + "`";
+  void scan_body(std::size_t g, const std::string& where) override {
+    const std::vector<Token>& t = graph().toks(g);
+    const FunctionInfo& info = graph().fn(g);
+    const std::size_t unit = graph().unit_of(g);
 
     for (std::size_t i = info.body_begin + 1;
          i < info.body_end && i < t.size(); ++i) {
@@ -311,21 +138,15 @@ class RtPass {
         continue;
       }
 
-      // Calls.
-      if (i + 1 >= t.size() || !is_punct(t[i + 1], "(")) continue;
-      if (control_keywords().count(tok.text) > 0) continue;
-      const bool member = i > 0 && (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->"));
-      std::string qualifier;
-      if (!member && i >= 2 && is_punct(t[i - 1], "::") && t[i - 2].kind == TokKind::kIdent)
-        qualifier = t[i - 2].text;
-
-      if (member && blocking_members().count(tok.text) > 0) {
+      if (!is_call(t, i)) continue;
+      const CallSite site = call_site(t, i);
+      if (site.member && blocking_members().count(tok.text) > 0) {
         report(unit, kRuleRtBlock, tok.line,
                "member call `." + tok.text + "()` in " + where +
                    "; hot paths must not block");
         continue;
       }
-      if (!member) {
+      if (!site.member) {
         if (alloc_calls().count(tok.text) > 0) {
           report(unit, kRuleRtAlloc, tok.line,
                  "call to `" + tok.text + "` in " + where +
@@ -340,7 +161,6 @@ class RtPass {
         }
       }
 
-      resolve(tok.text, member, qualifier, info.class_name, callees);
       // A member call through an explicit receiver (`x.size()`) fans out to
       // every same-name member, so it is descended for violations but kept
       // out of the cycle check: accessor wrappers like
@@ -348,24 +168,16 @@ class RtPass {
       // read as self-recursion. Unqualified, `X::f`, and `this->f` calls are
       // confident edges and do feed the cycle check.
       const bool confident =
-          !member || (i >= 2 && t[i - 2].kind == TokKind::kIdent && t[i - 2].text == "this");
-      for (std::size_t callee : *callees) {
-        if (shielded(callee)) continue;
+          !site.member || (i >= 2 && t[i - 2].kind == TokKind::kIdent && t[i - 2].text == "this");
+      for (std::size_t callee : follow(g, tok.text, site))
         if (confident) edges_[g].push_back({callee, tok.line, tok.text});
-        if (root_of_[callee] == SIZE_MAX) {
-          root_of_[callee] = root_of_[g];
-          queue_.push_back(callee);
-        }
-      }
-      // Unresolved callees (std internals, function pointers, std::function
-      // targets) are skipped: the documented conservative fallback.
     }
   }
 
   /// Any cycle among reached functions means unbounded stack depth.
-  void detect_recursion() {
+  void finish() override {
     enum : std::uint8_t { kWhite, kGray, kBlack };
-    std::vector<std::uint8_t> color(ids_.size(), kWhite);
+    std::vector<std::uint8_t> color(graph().size(), kWhite);
     std::set<std::pair<std::size_t, std::size_t>> reported;
 
     struct Frame {
@@ -373,8 +185,8 @@ class RtPass {
       std::size_t next_edge = 0;
     };
     std::vector<Frame> stack;
-    for (std::size_t start = 0; start < ids_.size(); ++start) {
-      if (root_of_[start] == SIZE_MAX || color[start] != kWhite) continue;
+    for (std::size_t start = 0; start < graph().size(); ++start) {
+      if (root_of(start) == kUnreached || color[start] != kWhite) continue;
       stack.push_back({start});
       color[start] = kGray;
       while (!stack.empty()) {
@@ -389,10 +201,10 @@ class RtPass {
         const CallEdge& edge = (*out)[frame.next_edge++];
         if (color[edge.to] == kGray) {
           if (reported.emplace(frame.g, edge.to).second)
-            report(ids_[frame.g].unit, kRuleRtUnbounded, edge.line,
-                   "call to `" + edge.callee + "` in `" + fn(frame.g).name +
+            report(graph().unit_of(frame.g), kRuleRtUnbounded, edge.line,
+                   "call to `" + edge.callee + "` in `" + graph().fn(frame.g).name +
                        "` closes a recursion cycle reachable from hot path `" +
-                       fn(root_of_[frame.g]).name +
+                       graph().fn(root_of(frame.g)).name +
                        "`; stack depth must be statically bounded");
           continue;
         }
@@ -404,15 +216,7 @@ class RtPass {
     }
   }
 
-  const std::vector<RtUnit>& units_;
-  std::vector<FnId> ids_;
-  std::map<std::string, std::vector<std::size_t>> by_name_;
-  std::vector<std::uint8_t> hot_, safe_, escape_, escape_reason_;
-  std::vector<std::map<int, std::set<std::string>>> suppressions_;
-  std::vector<std::size_t> root_of_;  ///< SIZE_MAX = unreached; else root fn id
-  std::vector<std::size_t> queue_;
-  std::map<std::size_t, std::vector<CallEdge>> edges_;
-  std::vector<Diagnostic> diags_;
+  std::map<std::size_t, std::vector<CallEdge>> edges_;  ///< confident edges, in call order
 };
 
 }  // namespace

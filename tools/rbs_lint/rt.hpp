@@ -1,9 +1,9 @@
 // rbs_rt: the project-wide real-time discipline pass (rules 10-12).
 //
-// A breadth-first reachability walk over the whole-project call graph rooted
-// at functions annotated RBS_HOT_PATH (src/support/rt_annotations.hpp). Every
-// function reachable from a hot root -- across files; lint_paths hands the
-// pass every lexed translation unit, headers included -- must stay free of:
+// A reachability walk over the whole-project call graph rooted at functions
+// annotated RBS_HOT_PATH (src/support/rt_annotations.hpp). Every function
+// reachable from a hot root -- across files; lint_paths hands the pass every
+// lexed translation unit, headers included -- must stay free of:
 //
 //   rt-alloc      heap allocation: `new`/`delete`, the malloc family,
 //                 make_unique/make_shared/to_string, and *construction* of
@@ -22,34 +22,21 @@
 // Annotations are honored at definition sites and at declaration sites
 // (`void step() RBS_HOT_PATH;` in a class body), matched by (class, name).
 //
-// Call resolution is name-based and conservative, sharing the signal-safety
-// rule's philosophy: unqualified calls prefer a same-class member, then free
-// functions; member calls descend into every indexed member function of that
-// name; unresolved callees (std internals, function pointers, std::function
-// targets) are skipped -- the documented fallback, see
-// docs/static-analysis.md "Real-time discipline".
+// The walk, its call resolution and its limits are the discipline walk's
+// (walk.hpp, shared with the det pass); this pass adds its body scanner and
+// the recursion check over confident call edges.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "rbs_lint/lint.hpp"
-#include "rbs_lint/semantic.hpp"
-#include "rbs_lint/token.hpp"
+#include "rbs_lint/walk.hpp"
 
 namespace rbs::lint {
 
 constexpr const char* kRuleRtAlloc = "rt-alloc";
 constexpr const char* kRuleRtBlock = "rt-block";
 constexpr const char* kRuleRtUnbounded = "rt-unbounded";
-
-/// One lexed + indexed translation unit handed to the project-wide pass.
-/// The pointees must outlive the rt_check call.
-struct RtUnit {
-  std::string path;
-  const Lexed* lexed = nullptr;
-  const FileIndex* index = nullptr;
-};
 
 /// Runs the discipline walk over every unit at once (the project-wide call
 /// graph). Diagnostics honor `// rbs-lint: allow(...)` comments; the caller

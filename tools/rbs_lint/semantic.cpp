@@ -7,28 +7,12 @@ namespace rbs::lint {
 
 namespace {
 
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == TokKind::kPunct && t.text == s;
-}
-
 bool is_kw(const std::string& s) {
   static const std::set<std::string> kKeywords = {
       "if",     "while",  "for",      "switch", "catch",  "sizeof", "alignof",
       "return", "typeid", "decltype", "else",   "do",     "try",    "co_await",
       "co_return", "co_yield", "new",  "delete", "throw",  "noexcept"};
   return kKeywords.count(s) > 0;
-}
-
-/// Index one past the matching closer for the opener at `i` ('(' / '<' / '[');
-/// tokens.size() when unbalanced.
-std::size_t skip_group(const std::vector<Token>& t, std::size_t i, const char* open,
-                       const char* close) {
-  int depth = 0;
-  for (; i < t.size(); ++i) {
-    if (is_punct(t[i], open)) ++depth;
-    else if (is_punct(t[i], close) && --depth == 0) return i + 1;
-  }
-  return t.size();
 }
 
 /// Final identifiers of each top-level comma-separated argument in the paren
@@ -86,14 +70,20 @@ struct HeadInfo {
   std::string qualifier;                    ///< Foo in `Foo::bar(...)`
   std::vector<std::string> held_mutexes;    ///< RBS_REQUIRES/ACQUIRE/RELEASE args
   bool no_analysis = false;
-  bool hot_path = false;
-  bool rt_safe = false;
-  bool rt_escape = false;
-  bool rt_escape_has_reason = false;
-  bool det_path = false;
-  bool det_safe = false;
-  bool det_escape = false;
-  bool det_escape_has_reason = false;
+  Discipline rt;
+  Discipline det;
+};
+
+/// The macros of each annotation family, and the HeadInfo marks they set.
+struct FamilyMacros {
+  const char* root;
+  const char* safe;
+  const char* escape;
+  Discipline HeadInfo::*marks;
+};
+const FamilyMacros kFamilyMacros[] = {
+    {"RBS_HOT_PATH", "RBS_RT_SAFE", "RBS_RT_ESCAPE", &HeadInfo::rt},
+    {"RBS_DET_PATH", "RBS_DET_SAFE", "RBS_DET_ESCAPE", &HeadInfo::det},
 };
 
 HeadInfo classify_head(const std::vector<Token>& t, std::size_t begin, std::size_t end) {
@@ -238,29 +228,26 @@ HeadInfo classify_head(const std::vector<Token>& t, std::size_t begin, std::size
   // ';'), so this scan covers the full range, unlike the k + 1 loop above.
   for (std::size_t k = begin; k < end; ++k) {
     if (t[k].kind != TokKind::kIdent) continue;
-    if (t[k].text == "RBS_HOT_PATH") info.hot_path = true;
-    if (t[k].text == "RBS_RT_SAFE") info.rt_safe = true;
-    if (t[k].text == "RBS_RT_ESCAPE") {
-      info.rt_escape = true;
-      info.rt_escape_has_reason = !annotation_arguments(t, k + 1).empty();
-    }
-    if (t[k].text == "RBS_DET_PATH") info.det_path = true;
-    if (t[k].text == "RBS_DET_SAFE") info.det_safe = true;
-    if (t[k].text == "RBS_DET_ESCAPE") {
-      info.det_escape = true;
-      info.det_escape_has_reason = !annotation_arguments(t, k + 1).empty();
+    for (const FamilyMacros& family : kFamilyMacros) {
+      Discipline& marks = info.*family.marks;
+      if (t[k].text == family.root) marks.root = true;
+      if (t[k].text == family.safe) marks.safe = true;
+      if (t[k].text == family.escape) {
+        marks.escape = true;
+        marks.escape_has_reason = !annotation_arguments(t, k + 1).empty();
+      }
     }
   }
   return info;
 }
 
 bool has_rt_annotation(const std::vector<Token>& t, std::size_t begin, std::size_t end) {
-  for (std::size_t k = begin; k < end; ++k)
-    if (t[k].kind == TokKind::kIdent &&
-        (t[k].text == "RBS_HOT_PATH" || t[k].text == "RBS_RT_SAFE" ||
-         t[k].text == "RBS_RT_ESCAPE" || t[k].text == "RBS_DET_PATH" ||
-         t[k].text == "RBS_DET_SAFE" || t[k].text == "RBS_DET_ESCAPE"))
-      return true;
+  for (std::size_t k = begin; k < end; ++k) {
+    if (t[k].kind != TokKind::kIdent) continue;
+    for (const FamilyMacros& family : kFamilyMacros)
+      if (t[k].text == family.root || t[k].text == family.safe || t[k].text == family.escape)
+        return true;
+  }
   return false;
 }
 
@@ -313,14 +300,8 @@ FileIndex build_index(const std::vector<Token>& tokens) {
         for (std::size_t k = head_start; k < i && fn.class_name.empty(); ++k)
           if (tokens[k].kind == TokKind::kIdent && tokens[k].text == "static")
             fn.internal_linkage = true;
-        fn.hot_path = head.hot_path;
-        fn.rt_safe = head.rt_safe;
-        fn.rt_escape = head.rt_escape;
-        fn.rt_escape_has_reason = head.rt_escape_has_reason;
-        fn.det_path = head.det_path;
-        fn.det_safe = head.det_safe;
-        fn.det_escape = head.det_escape;
-        fn.det_escape_has_reason = head.det_escape_has_reason;
+        fn.rt = head.rt;
+        fn.det = head.det;
         scope.function = index.functions.size();
         index.functions.push_back(std::move(fn));
       }
@@ -343,20 +324,12 @@ FileIndex build_index(const std::vector<Token>& tokens) {
       // classified here, so ordinary call statements cannot misfire.
       if (has_rt_annotation(tokens, head_start, i)) {
         HeadInfo head = classify_head(tokens, head_start, i);
-        if (head.kind == Scope::Kind::kFunction &&
-            (head.hot_path || head.rt_safe || head.rt_escape || head.det_path ||
-             head.det_safe || head.det_escape)) {
+        if (head.kind == Scope::Kind::kFunction && (head.rt.marked() || head.det.marked())) {
           RtDecl decl;
           decl.class_name = !head.qualifier.empty() ? head.qualifier : enclosing_class();
           decl.name = head.name;
-          decl.hot_path = head.hot_path;
-          decl.rt_safe = head.rt_safe;
-          decl.rt_escape = head.rt_escape;
-          decl.rt_escape_has_reason = head.rt_escape_has_reason;
-          decl.det_path = head.det_path;
-          decl.det_safe = head.det_safe;
-          decl.det_escape = head.det_escape;
-          decl.det_escape_has_reason = head.det_escape_has_reason;
+          decl.rt = head.rt;
+          decl.det = head.det;
           decl.line = tok.line;
           index.rt_decls.push_back(std::move(decl));
         }

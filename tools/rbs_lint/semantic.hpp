@@ -38,6 +38,20 @@ struct GuardedMember {
   int line = 0;
 };
 
+/// One annotation family's marks on a function: the real-time family
+/// (support/rt_annotations.hpp: RBS_HOT_PATH, RBS_RT_SAFE, RBS_RT_ESCAPE) or
+/// the determinism family (support/det_annotations.hpp: RBS_DET_PATH,
+/// RBS_DET_SAFE, RBS_DET_ESCAPE).
+struct Discipline {
+  bool root = false;    ///< RBS_HOT_PATH / RBS_DET_PATH: a root of the family's walk
+  bool safe = false;    ///< RBS_*_SAFE: audited leaf, not scanned or descended
+  bool escape = false;  ///< RBS_*_ESCAPE(reason): justified exception
+  bool escape_has_reason = false;  ///< the escape carried a non-empty reason
+
+  /// True when any of the family's macros is present.
+  bool marked() const { return root || safe || escape; }
+};
+
 /// One function definition with a body.
 struct FunctionInfo {
   std::string class_name;  ///< enclosing class or out-of-line qualifier; "" for free functions
@@ -54,35 +68,21 @@ struct FunctionInfo {
   /// outside any class. The api-unreached pass (api.hpp) skips these.
   bool internal_linkage = false;
 
-  // Real-time discipline flags (support/rt_annotations.hpp), read from the
-  // definition site; rt.cpp merges in declaration-site annotations too.
-  bool hot_path = false;   ///< RBS_HOT_PATH: a root of the rt reachability walk
-  bool rt_safe = false;    ///< RBS_RT_SAFE: audited leaf, not scanned or descended
-  bool rt_escape = false;  ///< RBS_RT_ESCAPE(reason): justified exception
-  bool rt_escape_has_reason = false;  ///< the escape carried a non-empty reason
-
-  // Determinism discipline flags (support/det_annotations.hpp), harvested the
-  // same way; det.cpp merges in declaration-site annotations too.
-  bool det_path = false;   ///< RBS_DET_PATH: a root of the det reachability walk
-  bool det_safe = false;   ///< RBS_DET_SAFE: audited leaf, not scanned or descended
-  bool det_escape = false; ///< RBS_DET_ESCAPE(reason): justified exception
-  bool det_escape_has_reason = false;  ///< the escape carried a non-empty reason
+  // Real-time and determinism marks, read from the definition site; the
+  // discipline walk (walk.hpp) merges in declaration-site annotations too.
+  Discipline rt;
+  Discipline det;
 };
 
 /// A function *declaration* (no body) carrying rt or det annotations, e.g.
-/// `void step() RBS_HOT_PATH;` in a class or header. rt.cpp and det.cpp match
-/// these to definitions by (class, name) so annotating either site is enough.
+/// `void step() RBS_HOT_PATH;` in a class or header. The discipline walk
+/// (walk.hpp) matches these to definitions by (class, name) so annotating
+/// either site is enough.
 struct RtDecl {
   std::string class_name;  ///< enclosing class or out-of-line qualifier; "" for free
   std::string name;
-  bool hot_path = false;
-  bool rt_safe = false;
-  bool rt_escape = false;
-  bool rt_escape_has_reason = false;
-  bool det_path = false;
-  bool det_safe = false;
-  bool det_escape = false;
-  bool det_escape_has_reason = false;
+  Discipline rt;
+  Discipline det;
   int line = 0;
 };
 

@@ -236,8 +236,18 @@ class Lexer {
 
 Lexed lex(const std::string& text) { return Lexer(text).run(); }
 
+std::size_t skip_group(const std::vector<Token>& t, std::size_t i, const char* open,
+                       const char* close) {
+  int depth = 0;
+  for (; i < t.size(); ++i) {
+    if (is_punct(t[i], open)) ++depth;
+    else if (is_punct(t[i], close) && --depth == 0) return i + 1;
+  }
+  return t.size();
+}
+
 std::map<int, std::set<std::string>> allow_comments(const Lexed& lexed) {
-  std::map<int, std::set<std::string>> allowed;
+  std::map<int, std::set<std::string>> allows;
   for (const auto& [line, text] : lexed.comments) {
     std::size_t at = text.find("rbs-lint:");
     if (at == std::string::npos) continue;
@@ -252,12 +262,21 @@ std::map<int, std::set<std::string>> allow_comments(const Lexed& lexed) {
       const std::size_t b = text.find_first_not_of(" \t", pos);
       if (b != std::string::npos && b < comma) {
         std::size_t e = text.find_last_not_of(" \t", comma - 1);
-        allowed[line].insert(text.substr(b, e - b + 1));
+        allows[line].insert(text.substr(b, e - b + 1));
       }
       pos = comma + 1;
     }
   }
-  return allowed;
+  return allows;
+}
+
+bool allowed(const std::map<int, std::set<std::string>>& allows, const std::string& rule,
+             int line) {
+  for (const int probe : {line, line - 1}) {
+    const auto it = allows.find(probe);
+    if (it != allows.end() && it->second.count(rule) > 0) return true;
+  }
+  return false;
 }
 
 }  // namespace rbs::lint

@@ -9,6 +9,7 @@
 // token stream definition.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <set>
 #include <string>
@@ -33,9 +34,24 @@ struct Lexed {
 /// Lexes one translation unit's text.
 Lexed lex(const std::string& text);
 
+/// True when `t` is the punctuator `s`.
+inline bool is_punct(const Token& t, const char* s) {
+  return t.kind == TokKind::kPunct && t.text == s;
+}
+
+/// Index one past the matching closer for the opener at `i` ('(' / '<' /
+/// '['); tokens.size() when unbalanced.
+std::size_t skip_group(const std::vector<Token>& t, std::size_t i, const char* open,
+                       const char* close);
+
 /// Parsed `// rbs-lint: allow(rule, ...)` comments: line -> suppressed rule
-/// names. Shared by the per-file rule engine (lint.cpp) and the project-wide
-/// rt pass (rt.cpp), which must honor the same suppression syntax.
+/// names. Shared by the per-file rule engine (lint.cpp) and the whole-program
+/// passes (walk.hpp), which must honor the same suppression syntax.
 std::map<int, std::set<std::string>> allow_comments(const Lexed& lexed);
+
+/// True when `allows` (from allow_comments) suppresses `rule` at `line`: an
+/// allow comment silences its own line and the next one.
+bool allowed(const std::map<int, std::set<std::string>>& allows, const std::string& rule,
+             int line);
 
 }  // namespace rbs::lint
