@@ -6,10 +6,9 @@
 
 namespace rbs {
 
-Ticks adb_hi(const McTask& task, Ticks delta, bool discard_dropped_carryover) {
+Ticks adb_hi(const McTask& task, Ticks delta) {
   assert(delta >= 0 && delta < kInfTicks);
-  if (task.dropped_in_hi())
-    return discard_dropped_carryover ? 0 : task.wcet(Mode::LO);
+  if (task.dropped_in_hi()) return task.wcet(Mode::LO);
   const Ticks t = task.period(Mode::HI);
   const Ticks gap = t - task.deadline(Mode::LO);  // T(HI) - D(LO) of Eq. (9)
   const Ticks q = delta / t;
@@ -18,10 +17,9 @@ Ticks adb_hi(const McTask& task, Ticks delta, bool discard_dropped_carryover) {
          (q + 1) * task.wcet(Mode::HI);
 }
 
-RBS_HOT_PATH Ticks adb_hi_total(std::span<const McTask> tasks, Ticks delta,
-                                bool discard_dropped_carryover) {
+RBS_HOT_PATH Ticks adb_hi_total(std::span<const McTask> tasks, Ticks delta) {
   Ticks sum = 0;
-  for (const McTask& t : tasks) sum += adb_hi(t, delta, discard_dropped_carryover);
+  for (const McTask& t : tasks) sum += adb_hi(t, delta);
   return sum;
 }
 

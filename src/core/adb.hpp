@@ -11,8 +11,8 @@
 // For a LO task terminated in HI mode (T(HI)=D(HI)=inf) the formula
 // degenerates to a constant C_i(LO): the carry-over job that was already
 // admitted still has to finish before the processor can idle, but no further
-// jobs arrive. Pass discard_dropped_carryover=true to model a runtime that
-// aborts the carry-over job instead (ablation; the simulator supports both).
+// jobs arrive. This is the runtime both simulator kernels implement: the
+// carry-over job runs to completion with no deadline.
 #pragma once
 
 #include <span>
@@ -24,11 +24,10 @@
 namespace rbs {
 
 /// Eq. (10) at integer Delta.
-[[nodiscard]] Ticks adb_hi(const McTask& task, Ticks delta, bool discard_dropped_carryover = false);
+[[nodiscard]] Ticks adb_hi(const McTask& task, Ticks delta);
 
 /// Sum over the tasks (a TaskSet converts).
-[[nodiscard]] Ticks adb_hi_total(std::span<const McTask> tasks, Ticks delta,
-                                 bool discard_dropped_carryover = false);
+[[nodiscard]] Ticks adb_hi_total(std::span<const McTask> tasks, Ticks delta);
 
 /// Appends the breakpoint sequences of adb_hi for one task to `out`, tagged
 /// `mask`, with their deltas (append_ramp_family): window starts k*T(HI),

@@ -162,8 +162,7 @@ struct ResetSearch {
   /// Decision mode (Analyzer::fits): the dwell budget; +inf never stops.
   double budget = std::numeric_limits<double>::infinity();
 
-  void init(std::span<const McTask> tasks, double s, double u_hi, Ticks lat,
-            const AnalysisLimits& limits) {
+  void init(std::span<const McTask> tasks, double s, double u_hi, Ticks lat) {
     speed = s;
     latency = lat;
     kink_offset = (speed - 1.0L) * static_cast<long double>(lat);
@@ -175,8 +174,7 @@ struct ResetSearch {
       delta_r = std::numeric_limits<double>::infinity();
       return;
     }
-    demand.value = adb_hi_total(tasks, 0, limits.discard_dropped_carryover);
-    if (demand.value <= 0) return;  // all carry-over discarded, no demand
+    demand.value = adb_hi_total(tasks, 0);  // > 0: every C >= 1
     active = true;
   }
 
@@ -360,7 +358,7 @@ RBS_DET_PATH Expected<AnalysisReport> analyze_tasks(std::span<const McTask> task
     reset.budget = *max_reset;
   }
   if (parts.speedup) speedup.init(tasks, report.u_hi, latency);
-  if (parts.reset) reset.init(tasks, speed, report.u_hi, latency, limits);
+  if (parts.reset) reset.init(tasks, speed, report.u_hi, latency);
 
   // --- the fused sweep -----------------------------------------------------
   // Setup in the caller's storage (the stop table in ring order, each

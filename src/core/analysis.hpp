@@ -61,10 +61,6 @@ struct AnalysisLimits {
   /// the residual via `s_min_error_bound` (the exact rule cannot fire when
   /// the supremum *equals* the utilization limit).
   double rel_tol = kSpeedTol.relative;
-  /// Model a runtime that aborts the carry-over job of a terminated LO task
-  /// at the mode switch (ablation; the paper's Eq. 10 corresponds to false).
-  /// Affects only the Delta_R sub-analysis.
-  bool discard_dropped_carryover = false;
 
   /// The reduced-effort preset the analysis server applies to HI-criticality
   /// requests while it is in its degraded ("HI") service mode: a 100x

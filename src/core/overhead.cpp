@@ -6,14 +6,14 @@
 
 namespace rbs {
 
-std::optional<TaskSet> inflate_for_overheads(const TaskSet& set, const OverheadModel& model) {
-  const Ticks per_job = 2 * model.context_switch;
+std::optional<TaskSet> inflate_for_overheads(const TaskSet& set, Ticks context_switch) {
+  const Ticks per_job = 2 * context_switch;
   std::vector<McTask> tasks;
   tasks.reserve(set.size());
   for (const McTask& t : set) {
     if (t.is_hi()) {
       const Ticks c_lo = t.wcet(Mode::LO) + per_job;
-      const Ticks c_hi = t.wcet(Mode::HI) + per_job + model.mode_switch;
+      const Ticks c_hi = t.wcet(Mode::HI) + per_job;
       if (c_lo > t.deadline(Mode::LO) || c_hi > t.deadline(Mode::HI)) return std::nullopt;
       tasks.push_back(McTask::hi(t.name(), c_lo, c_hi, t.deadline(Mode::LO),
                                  t.deadline(Mode::HI), t.period(Mode::LO)));
@@ -30,9 +30,7 @@ std::optional<TaskSet> inflate_for_overheads(const TaskSet& set, const OverheadM
 
 Ticks max_tolerable_context_switch(const TaskSet& set, double s, Ticks ceiling) {
   auto ok = [&](Ticks delta) {
-    OverheadModel model;
-    model.context_switch = delta;
-    const auto inflated = inflate_for_overheads(set, model);
+    const auto inflated = inflate_for_overheads(set, delta);
     return inflated && system_schedulable(*inflated, s);
   };
   if (!ok(0)) return -1;

@@ -1,20 +1,14 @@
 // Runtime-overhead accounting.
 //
-// The analyses assume zero-cost dispatching and mode switching. For a
-// deployment-grade bound, classic conservative WCET inflation folds the
-// overheads into the task parameters:
+// The analyses assume zero-cost dispatching. For a deployment-grade bound,
+// classic conservative WCET inflation folds the context/dispatch cost
+// delta_cs into the task parameters: each job incurs at most two scheduler
+// invocations chargeable to itself (release and resume-after-preemption is
+// charged to the preempting job), so C'(chi) = C(chi) + 2*delta_cs.
 //
-//   * context/dispatch cost delta_cs: each job incurs at most two scheduler
-//     invocations chargeable to itself (release and resume-after-preemption
-//     is charged to the preempting job), so C'(chi) = C(chi) + 2*delta_cs;
-//   * mode-switch cost delta_mode (re-programming DVFS, adjusting deadlines):
-//     incurred once per LO->HI transition; charging it to every HI task's
-//     C(HI) is conservative since at least one HI job is active at the
-//     switch and HI-mode demand bounds count at least that job.
-//
-// inflate_for_overheads applies the model; it fails (nullopt) when an
-// inflated WCET no longer fits its deadline -- the set cannot be certified
-// with these overheads.
+// inflate_for_overheads applies it; it fails (nullopt) when an inflated
+// WCET no longer fits its deadline -- the set cannot be certified with this
+// overhead.
 #pragma once
 
 #include <optional>
@@ -23,14 +17,10 @@
 
 namespace rbs {
 
-struct OverheadModel {
-  Ticks context_switch = 0;  ///< delta_cs per scheduler invocation
-  Ticks mode_switch = 0;     ///< delta_mode per LO->HI transition
-};
-
-/// Returns the overhead-inflated set, or nullopt when some inflated WCET
-/// exceeds its deadline (certification impossible at these overheads).
-std::optional<TaskSet> inflate_for_overheads(const TaskSet& set, const OverheadModel& model);
+/// Returns the set inflated by `context_switch` (delta_cs per scheduler
+/// invocation), or nullopt when some inflated WCET exceeds its deadline
+/// (certification impossible at this overhead).
+std::optional<TaskSet> inflate_for_overheads(const TaskSet& set, Ticks context_switch);
 
 /// Largest context-switch cost (ticks, by bisection over integers) at which
 /// the set remains schedulable with HI-mode speedup s; -1 if none.

@@ -35,19 +35,17 @@ RBS_DET_PATH PartitionResult partition_first_fit(const TaskSet& set, std::size_t
 
   std::vector<std::size_t> order(set.size());
   std::iota(order.begin(), order.end(), 0);
-  if (options.decreasing) {
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      // Exact weight comparison (see the header: an approximate "equal" is
-      // not transitive, breaking the strict weak ordering the sort needs).
-      // The weight is a pure function of the parameters, so the order is
-      // already invariant under renaming; the tie key extends that
-      // invariance to permutations of equal-utilization tasks.
-      const double wa = set[a].utilization(Mode::LO) + set[a].utilization(Mode::HI);
-      const double wb = set[b].utilization(Mode::LO) + set[b].utilization(Mode::HI);
-      if (wa != wb) return wa > wb;  // rbs-lint: allow(float-eq)
-      return tie_key(set[a]) < tie_key(set[b]);
-    });
-  }
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    // Exact weight comparison (see the header: an approximate "equal" is
+    // not transitive, breaking the strict weak ordering the sort needs).
+    // The weight is a pure function of the parameters, so the order is
+    // already invariant under renaming; the tie key extends that
+    // invariance to permutations of equal-utilization tasks.
+    const double wa = set[a].utilization(Mode::LO) + set[a].utilization(Mode::HI);
+    const double wb = set[b].utilization(Mode::LO) + set[b].utilization(Mode::HI);
+    if (wa != wb) return wa > wb;  // rbs-lint: allow(float-eq)
+    return tie_key(set[a]) < tie_key(set[b]);
+  });
 
   // Each probe is one decision question (Analyzer::fits, through its span
   // entry on the bin itself): the LO-mode test alone rejects most failing

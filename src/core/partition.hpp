@@ -73,9 +73,6 @@ struct PartitionOptions {
   /// the vector's size must equal the core count (a mismatch makes
   /// partition_first_fit return an infeasible result rather than guessing).
   std::vector<CoreBudget> core_budgets;
-  /// Sort tasks by decreasing utilization before packing (first-fit
-  /// decreasing); false keeps the input order (plain first-fit).
-  bool decreasing = true;
 };
 
 struct PartitionResult {
@@ -95,7 +92,7 @@ struct PartitionResult {
 /// Effective budget of core `c` under `options` (uniform or heterogeneous).
 CoreBudget core_budget(const PartitionOptions& options, std::size_t c);
 
-/// First-fit (decreasing) partitioning of `set` onto `cores` cores.
+/// First-fit decreasing partitioning of `set` onto `cores` cores.
 PartitionResult partition_first_fit(const TaskSet& set, std::size_t cores,
                                     const PartitionOptions& options = {});
 

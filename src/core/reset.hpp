@@ -13,9 +13,7 @@
 // s > U_HI (the HI-mode utilization); otherwise +inf is returned.
 //
 // The computation is the Corollary 5 part of the unified Analyzer facade
-// (core/analysis.hpp); `AnalysisLimits::discard_dropped_carryover` models a
-// runtime that aborts the carry-over job of a terminated LO task at the
-// mode switch (ablation; the paper's Eq. 10 corresponds to false).
+// (core/analysis.hpp).
 #pragma once
 
 #include "core/analysis.hpp"

@@ -28,16 +28,15 @@ TaskSet scale_hi_wcets(const TaskSet& set, double gamma) {
   return TaskSet(std::move(tasks));
 }
 
-std::optional<double> max_tolerable_gamma(const TaskSet& set, double s,
-                                          const SensitivityOptions& options) {
+std::optional<double> max_tolerable_gamma(const TaskSet& set, double s) {
   const auto ok = [&](double gamma) {
     const TaskSet scaled = scale_hi_wcets(set, gamma);
     return lo_mode_schedulable(scaled) && hi_mode_schedulable(scaled, s);
   };
   if (!ok(1.0)) return std::nullopt;
-  if (ok(options.max_factor)) return options.max_factor;
-  double lo = 1.0, hi = options.max_factor;  // ok(lo), !ok(hi)
-  while (hi - lo > options.resolution) {
+  if (ok(kMaxGamma)) return kMaxGamma;
+  double lo = 1.0, hi = kMaxGamma;  // ok(lo), !ok(hi)
+  while (hi - lo > kGammaResolution) {
     const double mid = 0.5 * (lo + hi);
     (ok(mid) ? lo : hi) = mid;
   }

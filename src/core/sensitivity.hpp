@@ -18,16 +18,15 @@ namespace rbs {
 /// gamma >= 1.
 TaskSet scale_hi_wcets(const TaskSet& set, double gamma);
 
-struct SensitivityOptions {
-  double resolution = 1e-3;  ///< bisection width on the scaling factor
-  double max_factor = 64.0;  ///< search ceiling
-};
+/// Bisection width on the scaling factor.
+inline constexpr double kGammaResolution = 1e-3;
+/// Search ceiling of the scaling factor.
+inline constexpr double kMaxGamma = 64.0;
 
 /// Largest gamma such that scale_hi_wcets(set, gamma) still satisfies
-/// s_min <= s *and* stays LO-mode schedulable. nullopt when even gamma = 1
-/// fails. (C(HI) saturates at D(HI), so the result can be max_factor,
-/// meaning "insensitive beyond the ceiling".)
-std::optional<double> max_tolerable_gamma(const TaskSet& set, double s,
-                                          const SensitivityOptions& options = {});
+/// s_min <= s *and* stays LO-mode schedulable, to within kGammaResolution.
+/// nullopt when even gamma = 1 fails. (C(HI) saturates at D(HI), so the
+/// result can be kMaxGamma, meaning "insensitive beyond the ceiling".)
+std::optional<double> max_tolerable_gamma(const TaskSet& set, double s);
 
 }  // namespace rbs

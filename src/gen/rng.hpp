@@ -6,13 +6,9 @@
 // pinned by seed).
 #pragma once
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdint>
 #include <random>
-
-#include "core/types.hpp"
 
 namespace rbs {
 
@@ -34,16 +30,6 @@ class Rng {
 
   /// True with probability p.
   bool bernoulli(double p) { return std::bernoulli_distribution(p)(engine_); }
-
-  /// Log-uniform integer in [lo, hi]: magnitudes are spread evenly, the usual
-  /// convention for periods spanning three decades (2 ms ... 2 s).
-  Ticks log_uniform_ticks(Ticks lo, Ticks hi) {
-    assert(1 <= lo && lo <= hi);
-    const double exponent = uniform(std::log(static_cast<double>(lo)),
-                                    std::log(static_cast<double>(hi) + 1.0));
-    const auto value = static_cast<Ticks>(std::exp(exponent));
-    return std::clamp(value, lo, hi);
-  }
 
   /// Derives an independent child seed (for per-task-set streams).
   std::uint64_t fork_seed() { return engine_(); }

@@ -11,19 +11,25 @@ namespace rbs {
 
 namespace {
 
-ImplicitTask draw_task(Rng& rng, Ticks period_min, Ticks period_max, double u_lo_min,
-                       double u_lo_max, double gamma_min, double gamma_max, double p_hi,
-                       bool log_uniform, int index) {
+constexpr double kULoMin = 0.01;  ///< per-task C(LO)/T range
+constexpr double kULoMax = 0.2;
+constexpr double kGammaMin = 1.0;  ///< C(HI)/C(LO) range of a HI task
+constexpr double kGammaMax = 3.0;
+constexpr double kPHi = 0.5;  ///< probability a task is HI-criticality
+constexpr double kRegionGamma = 10.0;  ///< Fig. 7's C(HI)/C(LO) of every HI task
+constexpr int kMaxRedraws = 1000;  ///< overshoot re-draws before giving up
+
+ImplicitTask draw_task(Rng& rng, Ticks period_min, Ticks period_max, double gamma_lo,
+                       double gamma_hi, double hi_probability, int index) {
   ImplicitTask t;
-  t.period = log_uniform ? rng.log_uniform_ticks(period_min, period_max)
-                         : rng.uniform_int(period_min, period_max);
-  const double u_lo = rng.uniform(u_lo_min, u_lo_max);
+  t.period = rng.uniform_int(period_min, period_max);
+  const double u_lo = rng.uniform(kULoMin, kULoMax);
   t.c_lo = std::max<Ticks>(
       1, static_cast<Ticks>(std::llround(u_lo * static_cast<double>(t.period))));
   t.c_lo = std::min(t.c_lo, t.period);
-  t.criticality = rng.bernoulli(p_hi) ? Criticality::HI : Criticality::LO;
+  t.criticality = rng.bernoulli(hi_probability) ? Criticality::HI : Criticality::LO;
   if (t.criticality == Criticality::HI) {
-    const double gamma = rng.uniform(gamma_min, gamma_max);
+    const double gamma = rng.uniform(gamma_lo, gamma_hi);
     t.c_hi = std::clamp(
         static_cast<Ticks>(std::llround(gamma * static_cast<double>(t.c_lo))), t.c_lo,
         t.period);
@@ -52,23 +58,21 @@ RBS_DET_PATH std::optional<ImplicitSet> generate_task_set(const GenParams& param
   int index = 0;
 
   while (true) {
-    const ImplicitTask t =
-        draw_task(rng, params.period_min, params.period_max, params.u_lo_min, params.u_lo_max,
-                  params.gamma_min, params.gamma_max, params.p_hi,
-                  params.log_uniform_periods, index);
+    const ImplicitTask t = draw_task(rng, params.period_min, params.period_max, kGammaMin,
+                                     kGammaMax, kPHi, index);
     const double new_lo = u_total_lo + t.u_lo();
     const double new_hi = u_hi_hi + (t.criticality == Criticality::HI ? t.u_hi() : 0.0);
     const double metric = std::max(new_lo, new_hi);
 
-    if (metric > params.u_bound + params.tolerance) {
-      if (++redraws > params.max_redraws) return std::nullopt;
+    if (metric > params.u_bound + kUBoundTolerance) {
+      if (++redraws > kMaxRedraws) return std::nullopt;
       continue;  // overshoot: re-draw this task
     }
     tasks.push_back(t);
     u_total_lo = new_lo;
     u_hi_hi = new_hi;
     ++index;
-    if (metric >= params.u_bound - params.tolerance) return ImplicitSet(std::move(tasks));
+    if (metric >= params.u_bound - kUBoundTolerance) return ImplicitSet(std::move(tasks));
   }
 }
 
@@ -94,15 +98,13 @@ RBS_DET_PATH ImplicitSet generate_uunifast_set(const UUniFastParams& params, Rng
   int index = 0;
   for (double u : utils) {
     ImplicitTask t;
-    t.period = params.log_uniform_periods
-                   ? rng.log_uniform_ticks(params.period_min, params.period_max)
-                   : rng.uniform_int(params.period_min, params.period_max);
+    t.period = rng.uniform_int(kPeriodMin, kPeriodMax);
     t.c_lo = std::clamp(
         static_cast<Ticks>(std::llround(std::min(u, 1.0) * static_cast<double>(t.period))),
         Ticks{1}, t.period);
-    t.criticality = rng.bernoulli(params.p_hi) ? Criticality::HI : Criticality::LO;
+    t.criticality = rng.bernoulli(kPHi) ? Criticality::HI : Criticality::LO;
     if (t.criticality == Criticality::HI) {
-      const double gamma = rng.uniform(params.gamma_min, params.gamma_max);
+      const double gamma = rng.uniform(kGammaMin, kGammaMax);
       t.c_hi = std::clamp(
           static_cast<Ticks>(std::llround(gamma * static_cast<double>(t.c_lo))), t.c_lo,
           t.period);
@@ -125,14 +127,13 @@ std::optional<ImplicitSet> generate_region_set(const RegionParams& params, Rng& 
   auto fill = [&](Criticality chi, double target) -> bool {
     double filled = 0.0;
     int redraws = 0;
-    while (filled < target - params.tolerance) {
-      const ImplicitTask t = draw_task(
-          rng, params.period_min, params.period_max, params.u_lo_min, params.u_lo_max,
-          params.gamma, params.gamma, /*p_hi=*/chi == Criticality::HI ? 1.0 : 0.0,
-          params.log_uniform_periods, index);
+    while (filled < target - kRegionTolerance) {
+      const ImplicitTask t =
+          draw_task(rng, kPeriodMin, kPeriodMax, kRegionGamma, kRegionGamma,
+                    /*hi_probability=*/chi == Criticality::HI ? 1.0 : 0.0, index);
       const double u = chi == Criticality::HI ? t.u_hi() : t.u_lo();
-      if (filled + u > target + params.tolerance) {
-        if (++redraws > params.max_redraws) return false;
+      if (filled + u > target + kRegionTolerance) {
+        if (++redraws > kMaxRedraws) return false;
         continue;
       }
       tasks.push_back(t);

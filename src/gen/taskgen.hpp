@@ -4,8 +4,7 @@
 // random tasks to this set until certain system utilization U_bound is met."
 // Parameter ranges follow the Fig. 6 caption exactly:
 //   * minimum inter-arrival times T drawn uniformly from [2 ms, 2 s]
-//     (1 tick = 0.1 ms) as in ref. [4]; a log-uniform option spreads the
-//     three decades evenly instead;
+//     (1 tick = 0.1 ms) as in ref. [4];
 //   * task LO-criticality utilization C(LO)/T(LO) uniform in [0.01, 0.2];
 //   * gamma = C(HI)/C(LO) uniform in [1, 3] for HI tasks (10 in Fig. 7);
 //   * each task is HI-criticality with probability 1/2.
@@ -14,10 +13,14 @@
 //   U_bound = max( sum_all C(LO)/T ,  sum_HI C(HI)/T ),
 // i.e. the larger of the LO-mode and HI-mode utilizations; a draw
 // overshooting the target is re-drawn so the final value lands within
-// `tolerance` of the target.
+// kUBoundTolerance of the target.
 //
 // Fig. 7 instead targets a *pair* (U_HI, U_LO) = (sum_HI C(HI)/T,
-// sum_LO C(LO)/T) within +-0.025 each; generate_region_set does that.
+// sum_LO C(LO)/T) within +-kRegionTolerance each, at gamma = 10 "to cover
+// more search spaces"; generate_region_set does that.
+//
+// The ranges above are fixed: only the targets and, for generate_task_set,
+// the period range are parameters.
 #pragma once
 
 #include <optional>
@@ -27,18 +30,17 @@
 
 namespace rbs {
 
+inline constexpr Ticks kPeriodMin = 20;     ///< 2 ms at 0.1 ms ticks
+inline constexpr Ticks kPeriodMax = 20000;  ///< 2 s
+/// Acceptance window of generate_task_set around u_bound.
+inline constexpr double kUBoundTolerance = 0.005;
+/// The paper's Fig. 7 neighbourhood U +- 0.025 of generate_region_set.
+inline constexpr double kRegionTolerance = 0.025;
+
 struct GenParams {
-  double u_bound = 0.5;     ///< target system utilization (see above)
-  double tolerance = 0.005; ///< acceptance window around u_bound
-  Ticks period_min = 20;    ///< 2 ms at 0.1 ms ticks
-  Ticks period_max = 20000; ///< 2 s
-  double u_lo_min = 0.01;
-  double u_lo_max = 0.2;
-  double gamma_min = 1.0;
-  double gamma_max = 3.0;
-  double p_hi = 0.5;        ///< probability a task is HI-criticality
-  bool log_uniform_periods = false;  // uniform, as in ref. [4]; log-uniform optional
-  int max_redraws = 1000;   ///< overshoot re-draws before giving up
+  double u_bound = 0.5;          ///< target system utilization (see above)
+  Ticks period_min = kPeriodMin;
+  Ticks period_max = kPeriodMax;
 };
 
 /// The generator's load metric: max(LO-mode total, HI-mode HI-task total).
@@ -50,16 +52,8 @@ double system_utilization(const ImplicitSet& set);
 std::optional<ImplicitSet> generate_task_set(const GenParams& params, Rng& rng);
 
 struct RegionParams {
-  double u_hi = 0.5;        ///< target sum_HI C(HI)/T
-  double u_lo = 0.5;        ///< target sum_LO C(LO)/T
-  double tolerance = 0.025; ///< the paper's neighbourhood U +- 0.025
-  Ticks period_min = 20;
-  Ticks period_max = 20000;
-  double u_lo_min = 0.01;
-  double u_lo_max = 0.2;
-  double gamma = 10.0;      ///< Fig. 7 uses gamma = 10 "to cover more search spaces"
-  bool log_uniform_periods = false;  // uniform, as in ref. [4]; log-uniform optional
-  int max_redraws = 1000;
+  double u_hi = 0.5;  ///< target sum_HI C(HI)/T
+  double u_lo = 0.5;  ///< target sum_LO C(LO)/T
 };
 
 /// One random skeleton set whose (U_HI, U_LO) lands in the target
@@ -74,12 +68,6 @@ std::vector<double> uunifast(int n, double u_total, Rng& rng);
 struct UUniFastParams {
   int n_tasks = 10;
   double u_total_lo = 0.5;  ///< sum of C(LO)/T over all tasks
-  Ticks period_min = 20;
-  Ticks period_max = 20000;
-  double gamma_min = 1.0;
-  double gamma_max = 3.0;
-  double p_hi = 0.5;
-  bool log_uniform_periods = false;
 };
 
 /// Fixed-size skeleton set with UUniFast LO-mode utilizations. Per-task

@@ -1,6 +1,7 @@
 #include "multi/resilience.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -261,22 +262,19 @@ RBS_DET_PATH Expected<MultiReport> analyze_resilience(const MultiRequest& reques
     return Status::error("multi: lo_speed must be finite and > 0");
   if (request.tolerance >= cores)
     return Status::error("multi: tolerance must leave at least one surviving core");
-  if (request.tolerance > 0 && !request.consider_fail_stop && !request.consider_boost_denial)
-    return Status::error("multi: tolerance > 0 with every fault class disabled");
 
   if (Status partition = check_partition(request.assignment, request.set.size(), "multi");
       !partition.is_ok())
     return partition;
 
-  const std::size_t num_classes =
-      static_cast<std::size_t>(request.consider_fail_stop) +
-      static_cast<std::size_t>(request.consider_boost_denial);
+  constexpr std::array<CoreFaultClass, 2> kClasses = {CoreFaultClass::kFailStop,
+                                                      CoreFaultClass::kBoostDenied};
   double scenario_count = 0.0;
   double choose = 1.0;
   double class_pow = 1.0;
   for (std::size_t j = 1; j <= request.tolerance; ++j) {
     choose = choose * static_cast<double>(cores - j + 1) / static_cast<double>(j);
-    class_pow *= static_cast<double>(num_classes);
+    class_pow *= static_cast<double>(kClasses.size());
     scenario_count += choose * class_pow;
   }
   if (scenario_count > static_cast<double>(request.max_scenarios))
@@ -295,23 +293,19 @@ RBS_DET_PATH Expected<MultiReport> analyze_resilience(const MultiRequest& reques
   }
   report.nominal_feasible = nominal;
 
-  std::vector<CoreFaultClass> enabled;
-  if (request.consider_fail_stop) enabled.push_back(CoreFaultClass::kFailStop);
-  if (request.consider_boost_denial) enabled.push_back(CoreFaultClass::kBoostDenied);
-
   bool all_scenarios_ok = true;
-  for (std::size_t j = 1; j <= request.tolerance && !enabled.empty(); ++j) {
+  for (std::size_t j = 1; j <= request.tolerance; ++j) {
     std::vector<std::size_t> combo(j);
     std::iota(combo.begin(), combo.end(), 0);
     while (true) {
       std::size_t total = 1;
-      for (std::size_t d = 0; d < j; ++d) total *= enabled.size();
+      for (std::size_t d = 0; d < j; ++d) total *= kClasses.size();
       for (std::size_t m = 0; m < total; ++m) {
         std::vector<CoreFaultClass> classes(j);
         std::size_t v = m;
         for (std::size_t d = 0; d < j; ++d) {
-          classes[d] = enabled[v % enabled.size()];
-          v /= enabled.size();
+          classes[d] = kClasses[v % kClasses.size()];
+          v /= kClasses.size();
         }
         FailureScenario sc = evaluate_scenario(ctx, combo, classes);
         ++report.scenarios_checked;

@@ -14,8 +14,8 @@
 //                      find_fallback at s' = lo_speed); only when no tier
 //                      suffices do its HI tasks migrate off.
 //
-// The analysis enumerates every set of <= k faulted cores crossed with the
-// enabled fault classes and precomputes, offline, a *spare assignment* for
+// The analysis enumerates every set of <= k faulted cores crossed with both
+// fault classes and precomputes, offline, a *spare assignment* for
 // each scenario: HI tasks of faulted cores migrate -- largest HI-mode
 // utilization first -- onto surviving, non-denied cores, each receiver
 // re-certified against its OWN budget by the Analyzer facade's verdicts
@@ -130,8 +130,6 @@ struct MultiRequest {
   /// Tolerate every combination of up to `tolerance` faulted cores. Must be
   /// < cores (at least one survivor). 0 checks only the nominal partition.
   std::size_t tolerance = 1;
-  bool consider_fail_stop = true;
-  bool consider_boost_denial = true;
   double lo_speed = 1.0;  ///< LO-mode speed (and a denied core's ceiling)
   /// Limits of every facade call, the fallback tiers' Delta_R included.
   AnalysisLimits limits;

@@ -24,7 +24,9 @@ namespace {
 /// serialize_report output; json_escape carries it through the journal as
 ///  losslessly.
 constexpr char kKeyValueSep = '\x1f';
-constexpr char kWalTag[] = "service-cache-v1";
+/// Bumped whenever the key format changes, so a WAL of unreachable keys
+/// opens as foreign and starts fresh.
+constexpr char kWalTag[] = "service-cache-v2";
 /// items bound in the WAL header; publishes are numbered sequentially and
 /// never approach it.
 constexpr std::uint64_t kWalItems = std::uint64_t{1} << 62;
@@ -133,10 +135,7 @@ RBS_DET_PATH std::string cache_key(const AnalysisRequest& request) {
   key += std::to_string(request.limits.max_breakpoints);
   key += ';';
   key += canonical_double(request.limits.rel_tol);
-  key += ';';
-  key += request.limits.discard_dropped_carryover ? '1' : '0';
-  // Appended only when set, so every zero-latency key (and every WAL written
-  // before the field existed) keeps its bytes.
+  // Appended only when set: a zero-latency key ends at rel_tol.
   if (request.latency != 0) {
     key += ';';
     key += std::to_string(request.latency);

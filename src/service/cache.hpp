@@ -83,9 +83,11 @@ class ResultCache {
   /// the same key, or elects the caller the leader for it.
   [[nodiscard]] Lookup lookup_or_begin(const std::string& key);
 
-  /// Leader-only: installs the value, appends it to the WAL, wakes waiters.
-  /// Returns the first WAL append error (the entry is still served from
-  /// memory; callers decide whether a degraded WAL is fatal).
+  /// Installs the value (overwriting an installed one), appends it to the
+  /// WAL, wakes waiters. Called by the key's leader, or to repair an entry
+  /// that no longer parses. Returns the first WAL append error (the entry is
+  /// still served from memory; callers decide whether a degraded WAL is
+  /// fatal).
   [[nodiscard]] Status publish(const std::string& key, const std::string& value);
 
   /// Leader-only: gives the key up without a value (the computation failed);

@@ -152,12 +152,12 @@ struct AnalysisServer::Impl {
           }
           response.report = std::move(result).value();
           response.serialized = serialize_report(response.report);
-          if (lookup.leader) {
-            // A WAL append failure degrades the warm start, never this
-            // response: publish() keeps serving the entry from memory.
-            const Status wal = cache.publish(key, response.serialized);
-            static_cast<void>(wal.is_ok());
-          }
+          // The leader publishes its result, and a repair overwrites the
+          // unparseable entry. A WAL append failure degrades the warm start,
+          // never this response: publish() keeps serving the entry from
+          // memory.
+          const Status wal = cache.publish(key, response.serialized);
+          static_cast<void>(wal.is_ok());
           return response;
         } catch (const std::exception& e) {
           last_error = e.what();

@@ -48,10 +48,6 @@ struct SimConfig {
   /// First release of each task at U[0, spread * T]; 0 = synchronous at t=0.
   double initial_offset_spread = 0.0;
 
-  /// Abort the carry-over job of a terminated LO task at the mode switch
-  /// instead of letting it finish (matches AnalysisLimits).
-  bool discard_dropped_carryover = false;
-
   /// DVFS transition latency: after the mode switch the processor keeps
   /// running at lo_speed for this long before hi_speed takes effect
   /// (matching AnalysisRequest::latency in the analysis). 0 = instantaneous

@@ -15,8 +15,8 @@
 //    fallback, overrun trigger, releases (in task order), deadline misses
 //    (in job-id order).
 //  * RNG draw order is preserved: initial offsets in task order at init;
-//    one jitter draw then one demand draw per release, in release order;
-//    fault draws from the dedicated stream at each mode switch.
+//    one jitter draw then one demand draw per release, in release order.
+//    Faults are scripted, so a mode switch draws nothing.
 #include "sim/event_kernel.hpp"
 
 #include <algorithm>
@@ -127,10 +127,6 @@ void EventKernel::init() {
   polled_ = cfg.faults.detection_period > 0.0;
 
   rng_ = Rng(cfg.seed);
-  // Dedicated fault stream: fault draws must not perturb demand/jitter
-  // draws, so fault-free and faulted runs share arrival processes.
-  fault_rng_ = Rng(cfg.faults.random.seed != 0 ? cfg.faults.random.seed
-                                               : cfg.seed ^ 0x9e3779b97f4a7c15ULL);
 
   // resize, not assign: every element is overwritten by the loop below, so
   // pre-filling would write each array twice per run.
@@ -866,8 +862,7 @@ double EventKernel::sample_demand(std::uint32_t task, double now, bool& overruns
 
 void EventKernel::switch_to_hi(double now) {
   mode_ = Mode::HI;
-  cur_fault_ =
-      resolve_fault(cfg_->faults, episode_index_++, fault_rng_, cfg_->lo_speed, cfg_->hi_speed);
+  cur_fault_ = resolve_fault(cfg_->faults, episode_index_++);
   episode_latency_ = cfg_->speed_change_latency + cur_fault_.extra_latency;
   episode_target_ = cur_fault_.deny_boost ? cfg_->lo_speed
                     : cur_fault_.achieved_speed > 0.0 ? cur_fault_.achieved_speed
@@ -885,30 +880,18 @@ void EventKernel::switch_to_hi(double now) {
     record_event(now, TraceEvent::Kind::kFaultEngaged);
   }
 
-  // Deadline rewrite, in job-id order: dropped tasks lose their deadline (or
-  // their carry-over job outright), everyone else extends to release + D(HI).
-  abandon_scratch_.clear();
+  // Deadline rewrite, in job-id order: the carry-over job of a dropped task
+  // loses its deadline, everyone else extends to release + D(HI).
   for (std::uint32_t slot : active_) {
     if (job_flags_[slot] & kFlagFinished) continue;
     const std::uint32_t i = job_task_[slot];
-    if (task_dropped_[i]) {
-      if (cfg_->discard_dropped_carryover) {
-        abandon_scratch_.push_back(slot);
-        record_event(now, TraceEvent::Kind::kJobAbandoned, slot);
-      } else {
-        job_deadline_[slot] = kInfTime;  // must still finish, but carries no deadline
-      }
-    } else {
-      job_deadline_[slot] = job_release_[slot] + task_d_hi_[i];
-    }
-  }
-  for (std::uint32_t slot : abandon_scratch_) {
-    abandon(slot);
-    ++result_.jobs_abandoned;
+    job_deadline_[slot] =
+        task_dropped_[i] ? kInfTime  // must still finish, but carries no deadline
+                         : job_release_[slot] + task_d_hi_[i];
   }
   edf_dirty_ = true;
   deadline_dirty_ = true;
-  running2_ = kUnknownSlot;  // abandons may have removed either runner-up
+  running2_ = kUnknownSlot;  // the rewritten deadlines reorder either runner-up
   deadline_min2_ = kUnknownTime;
   poll_armed_ = false;  // the LO-mode poll candidate dies with the switch
 

@@ -7,7 +7,7 @@
 // plus structure-of-arrays job/task state, so one dispatched instant costs
 // O(changes) instead of the stepping engine's O(tasks + jobs) rescans. The kernel is *equivalence-preserving*: it visits
 // exactly the instants the stepping engine visits, performs the same state
-// transitions in the same fixed order, and consumes the RNG streams in the
+// transitions in the same fixed order, and consumes the RNG stream in the
 // same order, so the resulting SimMetrics -- and the full trace -- are
 // bit-identical (enforced by tests/sim/differential_test.cpp). See
 // docs/simulator.md for the event taxonomy, the tie-break rule and the
@@ -153,7 +153,6 @@ class EventKernel {
   bool trace_on_ = false;  ///< cfg_->record_trace, cached off the hot path
   bool polled_ = false;    ///< cfg_->faults.detection_period > 0, cached
   Rng rng_{1};
-  Rng fault_rng_{1};
 
   // ---- per-task caches and release state (structure of arrays) -----------
   std::vector<double> task_t_lo_, task_t_hi_;  ///< periods as double

@@ -35,8 +35,6 @@ Status spec_status(const FaultSpec& spec, double lo_speed, double hi_speed,
   return Status::ok();
 }
 
-bool probability(double p) { return std::isfinite(p) && p >= 0.0 && p <= 1.0; }
-
 }  // namespace
 
 Status validate(const FaultPlan& plan, double lo_speed, double hi_speed) {
@@ -49,67 +47,20 @@ Status validate(const FaultPlan& plan, double lo_speed, double hi_speed) {
                                  "faults: episode " + std::to_string(i));
     if (!s) return s;
   }
-  const FaultPlan::Random& r = plan.random;
-  if (!probability(r.p_deny) || !probability(r.p_partial) || !probability(r.p_late) ||
-      !probability(r.p_throttle))
-    return Status::error("faults: random fault probabilities must lie in [0, 1]");
-  if (!probability(r.partial_min) || !probability(r.partial_max) ||
-      r.partial_min > r.partial_max)
-    return Status::error("faults: partial boost fraction range must satisfy "
-                         "0 <= partial_min <= partial_max <= 1");
-  if (!finite_nonneg(r.late_min) || !finite_nonneg(r.late_max) || r.late_min > r.late_max)
-    return Status::error("faults: extra-latency range must satisfy 0 <= late_min <= late_max");
-  if (!finite_nonneg(r.throttle_after_min) || !finite_nonneg(r.throttle_after_max) ||
-      r.throttle_after_min > r.throttle_after_max)
-    return Status::error("faults: throttle onset range must satisfy "
-                         "0 <= throttle_after_min <= throttle_after_max");
-  if (r.p_throttle > 0.0 && r.throttle_after_max <= 0.0)
-    return Status::error("faults: p_throttle > 0 requires a positive throttle onset range");
   return Status::ok();
 }
 
-FaultSpec resolve_fault(const FaultPlan& plan, std::size_t episode, Rng& rng, double lo_speed,
-                        double hi_speed) {
-  // A boost-denied core denies every episode, before the script and the
-  // random model and WITHOUT consuming random draws: the denial is a
-  // per-core hardware condition, not a per-episode event, and must not shift
-  // the fault streams of sibling cores in a multicore run.
+FaultSpec resolve_fault(const FaultPlan& plan, std::size_t episode) {
+  // A boost-denied core denies every episode: the denial is a per-core
+  // hardware condition, not a per-episode event.
   if (plan.boost_denied_on_core) {
     FaultSpec denied;
     denied.deny_boost = true;
     return denied;
   }
-
-  if (!plan.episodes.empty()) {
-    if (episode < plan.episodes.size()) return plan.episodes[episode];
-    if (plan.recycle) return plan.episodes[episode % plan.episodes.size()];
-  }
-
-  // Random model. Every draw below happens unconditionally so the stream
-  // stays aligned across episodes regardless of which faults fire.
-  FaultSpec spec;
-  const FaultPlan::Random& r = plan.random;
-  const bool deny = rng.bernoulli(r.p_deny);
-  const bool partial = rng.bernoulli(r.p_partial);
-  const double partial_f = rng.uniform(r.partial_min, r.partial_max);
-  const bool late = rng.bernoulli(r.p_late);
-  const double late_v = rng.uniform(r.late_min, r.late_max);
-  const bool throttle = rng.bernoulli(r.p_throttle);
-  const double throttle_at = rng.uniform(r.throttle_after_min, r.throttle_after_max);
-
-  if (deny) {
-    spec.deny_boost = true;
-  } else if (partial) {
-    // Lands between the nominal and the full boost speed; also correct for
-    // the paper's slowdown case (hi_speed < lo_speed, Example 1).
-    spec.achieved_speed = lo_speed + partial_f * (hi_speed - lo_speed);
-  } else if (late) {
-    spec.extra_latency = late_v;
-  } else if (throttle && throttle_at > 0.0) {
-    spec.throttle_after = throttle_at;
-    spec.throttle_speed = lo_speed;
-  }
-  return spec;
+  if (episode < plan.episodes.size()) return plan.episodes[episode];
+  if (!plan.recycle || plan.episodes.empty()) return FaultSpec{};
+  return plan.episodes[episode % plan.episodes.size()];
 }
 
 }  // namespace rbs::sim

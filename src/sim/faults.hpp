@@ -17,19 +17,18 @@
 //     HI jobs run past their budget in LO mode before the switch happens (or
 //     complete undetected).
 //
-// Faults are scriptable per HI-mode episode (entry i of `episodes` applies
-// to the i-th mode switch) and/or drawn per episode from an independently
-// seeded random stream, so failure scenarios replay bit-for-bit.
+// Faults are scripted per HI-mode episode (entry i of `episodes` applies to
+// the i-th mode switch), so failure scenarios replay bit-for-bit; a caller
+// that wants random faults draws them itself and scripts the result
+// (tools/stress_protocol does).
 // core/resilience.hpp answers the offline question of what remains
 // guaranteed under each of these faults; sim/watchdog.hpp checks every
 // simulated trace against that answer.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
-#include "gen/rng.hpp"
 #include "support/status.hpp"
 
 namespace rbs::sim {
@@ -62,31 +61,10 @@ struct FaultSpec {
 /// Per-run fault schedule injected via `SimConfig::faults`.
 struct FaultPlan {
   /// Scripted faults: the i-th HI-mode episode uses episodes[i]. Episodes
-  /// beyond the script fall through to the random model (below), or run
-  /// fault-free; with `recycle` the script wraps around instead.
+  /// beyond the script run fault-free; with `recycle` the script wraps
+  /// around instead.
   std::vector<FaultSpec> episodes;
   bool recycle = false;
-
-  /// Randomized per-episode faults, drawn independently for every episode
-  /// the script does not cover. At most one fault class fires per episode
-  /// (deny is checked first, then partial, late, throttle).
-  struct Random {
-    double p_deny = 0.0;
-    double p_partial = 0.0;
-    /// Partial boost lands at lo + f * (hi - lo), f uniform in
-    /// [partial_min, partial_max] (subset of [0, 1]).
-    double partial_min = 0.25;
-    double partial_max = 0.75;
-    double p_late = 0.0;
-    double late_min = 0.0;  ///< extra latency uniform in [late_min, late_max]
-    double late_max = 0.0;
-    double p_throttle = 0.0;
-    double throttle_after_min = 0.0;  ///< throttle onset uniform in this range
-    double throttle_after_max = 0.0;
-    /// Dedicated stream so fault draws never perturb demand/jitter draws;
-    /// 0 derives a child seed from SimConfig::seed.
-    std::uint64_t seed = 0;
-  } random;
 
   /// Budget-monitor polling period delta (ticks): overruns are detected only
   /// at global times k * delta. 0 = instantaneous detection (paper model).
@@ -104,16 +82,8 @@ struct FaultPlan {
 
   /// Permanent per-core boost denial (thermal capping of one core): EVERY
   /// HI-mode episode on this core runs entirely at lo_speed, as if each
-  /// episode drew FaultSpec{deny_boost}. Resolved before the script and the
-  /// random model and consumes no random draws, so flipping it on one core of
-  /// a multicore run never perturbs the fault streams of the others.
+  /// episode were scripted FaultSpec{deny_boost}. Resolved before the script.
   bool boost_denied_on_core = false;
-
-  bool enabled() const {
-    return detection_period > 0.0 || core_fail_at > 0.0 || boost_denied_on_core ||
-           !episodes.empty() || random.p_deny > 0.0 || random.p_partial > 0.0 ||
-           random.p_late > 0.0 || random.p_throttle > 0.0;
-  }
 };
 
 /// Checks a plan against the speed range of the run it will be injected
@@ -121,10 +91,7 @@ struct FaultPlan {
 [[nodiscard]] Status validate(const FaultPlan& plan, double lo_speed, double hi_speed);
 
 /// Resolves the fault afflicting `episode` (0-based mode-switch index) under
-/// `plan`, drawing from `rng` when the episode falls to the random model.
-/// Speeds are resolved against [lo_speed, hi_speed]. Deterministic given the
-/// rng state, so a replay with the same seed sees the same faults.
-FaultSpec resolve_fault(const FaultPlan& plan, std::size_t episode, Rng& rng, double lo_speed,
-                        double hi_speed);
+/// `plan`: a boost-denied core denies it, else the script decides.
+FaultSpec resolve_fault(const FaultPlan& plan, std::size_t episode);
 
 }  // namespace rbs::sim

@@ -34,7 +34,7 @@ struct TaskStats {
 struct SimMetrics {
   std::uint64_t jobs_released = 0;
   std::uint64_t jobs_completed = 0;
-  std::uint64_t jobs_abandoned = 0;  ///< discarded carry-over jobs of dropped tasks
+  std::uint64_t jobs_abandoned = 0;  ///< LO jobs aborted by turbo-budget fallbacks
   std::uint64_t preemptions = 0;
   std::uint64_t mode_switches = 0;     ///< LO -> HI transitions
   std::uint64_t budget_fallbacks = 0;  ///< boost episodes cut short by the

@@ -29,7 +29,7 @@ struct TraceEvent {
     kModeSwitchHi,
     kReset,           ///< idle instant: back to LO mode and nominal speed
     kDeadlineMiss,
-    kJobAbandoned,    ///< carry-over job of a terminated LO task discarded
+    kJobAbandoned,    ///< a LO job aborted by a turbo-budget fallback
     kBudgetFallback,  ///< turbo budget exhausted: nominal speed, LO tasks
                       ///< terminated for the rest of the episode
     kFaultEngaged,       ///< an injected boost fault armed at this mode switch

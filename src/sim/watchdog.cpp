@@ -23,7 +23,7 @@ std::string to_string(Violation::Kind kind) {
 WatchdogReport check_trace(const TaskSet& set, const SimConfig& cfg, const SimMetrics& result,
                            const WatchdogOptions& opts) {
   WatchdogReport report;
-  const double tol = opts.time_tolerance;
+  const double tol = kTimeTol.absolute;
 
   auto add = [&](Violation::Kind kind, double time, int task, std::uint64_t job,
                  std::string detail) {
@@ -130,15 +130,13 @@ WatchdogReport check_trace(const TaskSet& set, const SimConfig& cfg, const SimMe
 
   // ---- segment scan: every speed must be one the protocol can produce ----
   std::vector<double> hi_speeds = {cfg.lo_speed, cfg.hi_speed};
-  hi_speeds.insert(hi_speeds.end(), opts.extra_allowed_speeds.begin(),
-                   opts.extra_allowed_speeds.end());
   for (const FaultSpec& spec : cfg.faults.episodes) {
     if (spec.achieved_speed > 0.0) hi_speeds.push_back(spec.achieved_speed);
     if (spec.throttle_speed > 0.0) hi_speeds.push_back(spec.throttle_speed);
   }
   const auto speed_allowed = [&](double speed, const std::vector<double>& allowed) {
     for (double a : allowed)
-      if (std::abs(speed - a) <= opts.speed_tolerance * std::max(1.0, std::abs(a))) return true;
+      if (std::abs(speed - a) <= kSpeedTol.relative * std::max(1.0, std::abs(a))) return true;
     return false;
   };
 

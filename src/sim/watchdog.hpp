@@ -10,8 +10,8 @@
 //   * a reset (HI -> LO) taken while jobs were still pending, i.e. not at an
 //     idle instant (Section IV's runtime rule);
 //   * an execution segment at a speed the protocol cannot produce
-//     (LO mode != lo_speed; HI mode outside the engaged/boosting/faulted
-//     speed set);
+//     (LO mode != lo_speed; HI mode outside lo_speed, hi_speed and the
+//     partial-boost and throttle speeds the fault script names);
 //   * structurally broken traces (unordered times, double switches,
 //     completions without releases).
 //
@@ -26,7 +26,6 @@
 #include "core/task.hpp"
 #include "sim/job.hpp"
 #include "sim/simulate.hpp"
-#include "support/tolerance.hpp"
 
 namespace rbs::sim {
 
@@ -51,11 +50,6 @@ struct WatchdogOptions {
   /// the check. Use the resetting time computed for the speed the episode
   /// actually achieved (core/resilience.hpp under faults).
   double delta_r_bound = kInfTime;
-  /// Speeds the protocol may legitimately run at beyond {lo_speed, hi_speed}
-  /// -- injected partial-boost and throttle speeds.
-  std::vector<double> extra_allowed_speeds;
-  double time_tolerance = kTimeTol.absolute;
-  double speed_tolerance = kSpeedTol.relative;
 };
 
 struct Violation {

@@ -55,10 +55,7 @@ TEST(AdbTest, AdbDominatesDbfHi) {
 
 TEST(AdbTest, DroppedTaskContributesItsCarryOverOnly) {
   const McTask t = McTask::lo_terminated("tau2", 3, 12, 12);
-  for (Ticks d : {0, 1, 50, 5000}) {
-    EXPECT_EQ(adb_hi(t, d), 3);
-    EXPECT_EQ(adb_hi(t, d, /*discard_dropped_carryover=*/true), 0);
-  }
+  for (Ticks d : {0, 1, 50, 5000}) EXPECT_EQ(adb_hi(t, d), 3);
 }
 
 TEST(AdbTest, PeriodicityShiftProperty) {
@@ -146,18 +143,15 @@ std::vector<TaskSet> delta_cases() {
 }
 
 TEST(AdbDeltaTest, RunningAdbHiMatchesTaskSums) {
-  for (const bool discard : {false, true}) {
-    for (const TaskSet& set : delta_cases()) {
-      SCOPED_TRACE(describe(set[0]) + (discard ? " (discard)" : ""));
-      std::vector<TaggedSeq> seqs;
-      RunningDemand start;
-      start.value = adb_hi_total(set, 0, discard);
-      for (const McTask& t : set) start.slope += adb_hi_breakpoints(t, 1u, seqs);
-      expect_running_total(
-          seqs, start, two_hyperperiods(set),
-          [&](Ticks d) { return adb_hi_total(set, d, discard); },
-          [&](Ticks d) { return adb_hi_total_left(set, d, discard); });
-    }
+  for (const TaskSet& set : delta_cases()) {
+    SCOPED_TRACE(describe(set[0]));
+    std::vector<TaggedSeq> seqs;
+    RunningDemand start;
+    start.value = adb_hi_total(set, 0);
+    for (const McTask& t : set) start.slope += adb_hi_breakpoints(t, 1u, seqs);
+    expect_running_total(
+        seqs, start, two_hyperperiods(set), [&](Ticks d) { return adb_hi_total(set, d); },
+        [&](Ticks d) { return adb_hi_total_left(set, d); });
   }
 }
 

@@ -35,10 +35,9 @@ constexpr AnalysisParts kFused{.speedup = true, .reset = true, .lo = false};
 /// `latency` (all parts, LO mode at unit speed) matches the exact oracle:
 /// s_min bit for bit when it is attained at a finite interval, the witness
 /// interval, Delta_R to 1e-9 relative, and all three verdicts.
-void expect_matches_oracle(const TaskSet& set, double speed, const AnalysisLimits& limits = {},
-                           Ticks latency = 0) {
+void expect_matches_oracle(const TaskSet& set, double speed, Ticks latency = 0) {
   SCOPED_TRACE("speed = " + std::to_string(speed) + ", latency = " + std::to_string(latency));
-  AnalysisRequest request{set, speed, 1.0, {}, limits};
+  AnalysisRequest request{set, speed, 1.0, {}, {}};
   request.latency = latency;
   const AnalysisReport r = analyze(request).value();
 
@@ -83,8 +82,7 @@ void expect_matches_oracle(const TaskSet& set, double speed, const AnalysisLimit
   }
 
   // Corollary 5.
-  const double delta_r =
-      oracle::exact_delta_r(set, speed, limits.discard_dropped_carryover, latency);
+  const double delta_r = oracle::exact_delta_r(set, speed, latency);
   ASSERT_FALSE(std::isnan(delta_r)) << "oracle scan did not reach the crossing";
   if (std::isinf(delta_r)) {
     EXPECT_TRUE(std::isinf(r.delta_r));
@@ -193,17 +191,6 @@ TEST(AnalysisFacadeTest, AgreesOnDroppedTaskSets) {
   const TaskSet all_dropped({McTask::lo_terminated("a", 2, 10, 10),
                              McTask::lo_terminated("b", 3, 12, 12)});
   expect_matches_oracle(all_dropped, 1.5);
-}
-
-TEST(AnalysisFacadeTest, AgreesWithDiscardedCarryover) {
-  AnalysisLimits limits;
-  limits.discard_dropped_carryover = true;
-  const TaskSet dropped = table1_implicit().materialize_terminating(0.6);
-  for (double speed : {1.2, 2.0}) expect_matches_oracle(dropped, speed, limits);
-  const TaskSet all_dropped({McTask::lo_terminated("a", 2, 10, 10),
-                             McTask::lo_terminated("b", 3, 12, 12)});
-  expect_matches_oracle(all_dropped, 1.5, limits);
-  EXPECT_DOUBLE_EQ(analyze({all_dropped, 1.5, 1.0, kFused, limits}).value().delta_r, 0.0);
 }
 
 TEST(AnalysisFacadeTest, AgreesOnRandomizedSets) {
@@ -372,7 +359,7 @@ TEST(AnalysisFacadeTest, AgreesUnderTransitionLatency) {
       std::vector<double> speeds = {1.5};
       if (!exact.infinite && exact.s_min.rounded() > 1.0)
         speeds.push_back(exact.s_min.rounded());
-      for (double s : speeds) expect_matches_oracle(set, s, {}, latency);
+      for (double s : speeds) expect_matches_oracle(set, s, latency);
     }
     ++analyzed;
   }
@@ -414,7 +401,7 @@ TEST(AnalysisFacadeTest, AgreesUnderTransitionLatencyOnSmallSets) {
     const double u_hi = set.total_utilization(Mode::HI);
     for (const Ticks latency : {Ticks{0}, rng.uniform_int(1, 29)})
       for (double s : {std::max(1.0, u_hi) + 0.25, 2.0})
-        expect_matches_oracle(set, s, {}, latency);
+        expect_matches_oracle(set, s, latency);
   }
 }
 
@@ -432,11 +419,11 @@ TEST(AnalysisFacadeTest, WindowDemandBetweenBreakpointsNeedsInfiniteSpeed) {
   EXPECT_TRUE(r.s_min_exact);
   EXPECT_EQ(r.s_min_argmax, 3);
   EXPECT_FALSE(r.hi_schedulable);
-  expect_matches_oracle(set, 2.0, {}, 3);
+  expect_matches_oracle(set, 2.0, 3);
   // One tick less and the window fits: 1 + (f(4) - 4)/(4 - 2) = 2.
   request.latency = 2;
   EXPECT_DOUBLE_EQ(analyze(request).value().s_min, 2.0);
-  expect_matches_oracle(set, 2.0, {}, 2);
+  expect_matches_oracle(set, 2.0, 2);
 }
 
 TEST(AnalysisFacadeTest, BreakpointCapUnderLatencyIsInexact) {

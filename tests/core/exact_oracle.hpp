@@ -94,10 +94,9 @@ struct Ratio {
 /// Theorem 4 (Eqs. 9-11) at Delta = x / 2, doubled:
 ///   ADB_HI = r(w') + (floor(Delta / T(HI)) + 1) * C(HI),
 ///   w' = (Delta mod T(HI)) - (T(HI) - D(LO)).
-/// A terminated task contributes its carry-over C(LO), or nothing when the
-/// runtime discards it.
-[[nodiscard]] inline Ticks arrived_demand_x2(const McTask& task, Ticks x, bool discard_carryover) {
-  if (task.dropped_in_hi()) return discard_carryover ? 0 : 2 * task.wcet(Mode::LO);
+/// A terminated task contributes its carry-over C(LO).
+[[nodiscard]] inline Ticks arrived_demand_x2(const McTask& task, Ticks x) {
+  if (task.dropped_in_hi()) return 2 * task.wcet(Mode::LO);
   const Ticks period = task.period(Mode::HI);
   const Ticks windows = floor_div(x, 2 * period);
   const Ticks w2 = (x - windows * 2 * period) - 2 * (period - task.deadline(Mode::LO));
@@ -127,9 +126,8 @@ template <class TwiceDemand>
   return sample(set, delta, [](const McTask& t, Ticks x) { return hi_demand_x2(t, x); });
 }
 
-[[nodiscard]] inline Sample arrived_demand(const TaskSet& set, Ticks delta, bool discard) {
-  return sample(set, delta,
-                [discard](const McTask& t, Ticks x) { return arrived_demand_x2(t, x, discard); });
+[[nodiscard]] inline Sample arrived_demand(const TaskSet& set, Ticks delta) {
+  return sample(set, delta, [](const McTask& t, Ticks x) { return arrived_demand_x2(t, x); });
 }
 
 // ---- utilizations and hyperperiods ------------------------------------------
@@ -219,8 +217,8 @@ struct Speedup {
 /// the supply s * Delta, or Delta + (Delta - L)^+ * (s - 1) under transition
 /// latency L (then s >= 1), scanning unit segments from 0: +inf when
 /// s <= U_HI, NaN if `max_ticks` segments do not reach the crossing.
-[[nodiscard]] inline double exact_delta_r(const TaskSet& set, double s, bool discard = false,
-                                           Ticks latency = 0, Ticks max_ticks = 10'000'000) {
+[[nodiscard]] inline double exact_delta_r(const TaskSet& set, double s, Ticks latency = 0,
+                                           Ticks max_ticks = 10'000'000) {
   if (set.empty()) return 0.0;
   const Ratio u = utilization(set, Mode::HI);
   const long double speed = s;
@@ -228,7 +226,7 @@ struct Speedup {
     return std::numeric_limits<double>::infinity();
 
   Ticks value = 0;  // ADB_HI(k), right-continuous
-  for (const McTask& t : set) value += arrived_demand_x2(t, 0, discard);
+  for (const McTask& t : set) value += arrived_demand_x2(t, 0);
   value /= 2;
   for (Ticks k = 0; k < max_ticks; ++k) {
     const auto start = static_cast<long double>(k);
@@ -241,7 +239,7 @@ struct Speedup {
         boosted ? (speed - 1.0L) * static_cast<long double>(latency) : 0.0L;
     if (static_cast<long double>(value) <= rate * start - offset) return static_cast<double>(k);
     // ADB is linear on (k, k + 1): value + slope * (Delta - k) = rate * Delta - offset.
-    const Sample next = arrived_demand(set, k + 1, discard);
+    const Sample next = arrived_demand(set, k + 1);
     const auto slope = static_cast<long double>(next.left - value);
     if (rate > slope) {
       const long double crossing =

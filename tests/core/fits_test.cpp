@@ -3,12 +3,12 @@
 // Every verdict fits gives must equal the full analysis's, on
 // paper-generator, UUniFast, harmonic-grid and exact-oracle sets, at speeds
 // on and around s_min (one ulp, 1e-12 and 1e-6 either side) and at 1 and 2,
-// against dwell budgets on and around Delta_R, under default, degraded,
-// randomly capped and carry-over-discarding limits, with and without a DVFS
-// transition latency; and every decision bracket must contain the true
-// s_min. Also here: no breakpoint cap reports a bracket below the true
-// s_min, and the LO-mode window min(L_a, H) gives the verdicts and first
-// violations of a walk over L_a alone.
+// against dwell budgets on and around Delta_R, under default, degraded and
+// randomly capped limits, with and without a DVFS transition latency; and
+// every decision bracket must contain the true s_min. Also here: no
+// breakpoint cap reports a bracket below the true s_min, and the LO-mode
+// window min(L_a, H) gives the verdicts and first violations of a walk over
+// L_a alone.
 #include "core/analysis.hpp"
 
 #include <gtest/gtest.h>
@@ -106,11 +106,11 @@ std::vector<double> budgets_around(double delta_r) {
   return {kInf, delta_r, delta_r + 1e-6, delta_r - 1e-6, delta_r / 2};
 }
 
-/// Every speed and budget of the grids above, cycling default, degraded,
-/// randomly capped and carry-over-discarding limits, under transition latency
-/// `latency`. Within 0.1% of U_HI, where Delta_R runs to millions of ticks,
-/// and below unit speed under a latency, where Delta_R is not defined, only
-/// the budget-free question is asked.
+/// Every speed and budget of the grids above, cycling default, degraded and
+/// randomly capped limits, under transition latency `latency`. Within 0.1%
+/// of U_HI, where Delta_R runs to millions of ticks, and below unit speed
+/// under a latency, where Delta_R is not defined, only the budget-free
+/// question is asked.
 void expect_fits_matches_around(const Case& c, Rng& rng, Ticks latency = 0) {
   AnalysisRequest probe{c.set, 2.0, 1.0, {}, {}};
   probe.latency = latency;
@@ -125,11 +125,10 @@ void expect_fits_matches_around(const Case& c, Rng& rng, Ticks latency = 0) {
     const double delta_r = parts.reset ? analyze(probe).value().delta_r : kInf;
     for (double budget : parts.reset ? budgets_around(delta_r) : std::vector<double>{kInf}) {
       AnalysisLimits limits;
-      if (round % 4 == 1) limits = AnalysisLimits::degraded();
-      if (round % 4 == 2)
+      if (round % 3 == 1) limits = AnalysisLimits::degraded();
+      if (round % 3 == 2)
         limits.max_breakpoints = static_cast<std::size_t>(rng.uniform_int(
             1, static_cast<std::int64_t>(uncapped.speedup_breakpoints) + 1));
-      if (round % 4 == 3) limits.discard_dropped_carryover = true;
       ++round;
       AnalysisRequest request{c.set, speed, 1.0, parts, limits};
       request.latency = latency;

@@ -47,19 +47,17 @@ inline Ticks dbf_hi_left(const McTask& task, Ticks delta) {
 }
 
 /// lim_{eps->0+} adb_hi(task, delta - eps), for delta >= 1.
-inline Ticks adb_hi_left(const McTask& task, Ticks delta,
-                         bool discard_dropped_carryover = false) {
+inline Ticks adb_hi_left(const McTask& task, Ticks delta) {
   assert(delta >= 1 && delta < kInfTicks);
-  if (task.dropped_in_hi()) return discard_dropped_carryover ? 0 : task.wcet(Mode::LO);
+  if (task.dropped_in_hi()) return task.wcet(Mode::LO);
   const Ticks gap = task.period(Mode::HI) - task.deadline(Mode::LO);  // T(HI) - D(LO), Eq. (9)
   return left_limits_detail::ramp_family_left(task, delta, gap, 1);
 }
 
 /// Sum of adb_hi_left over the whole set.
-inline Ticks adb_hi_total_left(const TaskSet& set, Ticks delta,
-                               bool discard_dropped_carryover = false) {
+inline Ticks adb_hi_total_left(const TaskSet& set, Ticks delta) {
   Ticks sum = 0;
-  for (const McTask& t : set) sum += adb_hi_left(t, delta, discard_dropped_carryover);
+  for (const McTask& t : set) sum += adb_hi_left(t, delta);
   return sum;
 }
 

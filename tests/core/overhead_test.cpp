@@ -11,21 +11,19 @@ namespace rbs {
 namespace {
 
 TEST(OverheadTest, ZeroOverheadIsIdentity) {
-  const auto inflated = inflate_for_overheads(table1_base(), {});
+  const auto inflated = inflate_for_overheads(table1_base(), 0);
   ASSERT_TRUE(inflated.has_value());
   for (std::size_t i = 0; i < inflated->size(); ++i)
     EXPECT_EQ(describe((*inflated)[i]), describe(table1_base()[i]));
 }
 
 TEST(OverheadTest, ContextSwitchChargedTwicePerJob) {
-  OverheadModel model;
-  model.context_switch = 1;
   // tau1 C(LO)=3 -> 5 > D(LO)=4: infeasible at this overhead.
-  EXPECT_FALSE(inflate_for_overheads(table1_base(), model).has_value());
+  EXPECT_FALSE(inflate_for_overheads(table1_base(), 1).has_value());
 
   // A roomier set absorbs it.
   const TaskSet roomy({McTask::hi("h", 2, 4, 10, 20, 20), McTask::lo("l", 3, 15, 15)});
-  const auto inflated = inflate_for_overheads(roomy, model);
+  const auto inflated = inflate_for_overheads(roomy, 1);
   ASSERT_TRUE(inflated.has_value());
   EXPECT_EQ((*inflated)[0].wcet(Mode::LO), 4);
   EXPECT_EQ((*inflated)[0].wcet(Mode::HI), 6);
@@ -33,31 +31,16 @@ TEST(OverheadTest, ContextSwitchChargedTwicePerJob) {
   EXPECT_EQ((*inflated)[1].wcet(Mode::HI), 5);  // LO tasks keep C(HI)=C(LO)
 }
 
-TEST(OverheadTest, ModeSwitchChargedToHiWcetsOnly) {
-  OverheadModel model;
-  model.mode_switch = 2;
-  const TaskSet roomy({McTask::hi("h", 2, 4, 10, 20, 20), McTask::lo("l", 3, 15, 15)});
-  const auto inflated = inflate_for_overheads(roomy, model);
-  ASSERT_TRUE(inflated.has_value());
-  EXPECT_EQ((*inflated)[0].wcet(Mode::LO), 2);  // LO-mode WCET untouched
-  EXPECT_EQ((*inflated)[0].wcet(Mode::HI), 6);
-  EXPECT_EQ((*inflated)[1].wcet(Mode::HI), 3);
-}
-
 TEST(OverheadTest, OverheadsOnlyIncreaseSpeedup) {
-  OverheadModel model;
-  model.context_switch = 0;
-  model.mode_switch = 1;
-  const auto inflated = inflate_for_overheads(table1_base(), model);
+  const TaskSet roomy({McTask::hi("h", 2, 4, 10, 20, 20), McTask::lo("l", 3, 15, 15)});
+  const auto inflated = inflate_for_overheads(roomy, 1);
   ASSERT_TRUE(inflated.has_value());
-  EXPECT_GE(min_speedup_value(*inflated) + 1e-12, min_speedup_value(table1_base()));
+  EXPECT_GE(min_speedup_value(*inflated) + 1e-12, min_speedup_value(roomy));
 }
 
 TEST(OverheadTest, TerminatedTaskInflatedToo) {
-  OverheadModel model;
-  model.context_switch = 1;
   const TaskSet set({McTask::lo_terminated("l", 2, 10, 10)});
-  const auto inflated = inflate_for_overheads(set, model);
+  const auto inflated = inflate_for_overheads(set, 1);
   ASSERT_TRUE(inflated.has_value());
   EXPECT_EQ((*inflated)[0].wcet(Mode::LO), 4);
   EXPECT_TRUE((*inflated)[0].dropped_in_hi());
@@ -68,14 +51,10 @@ TEST(MaxContextSwitchTest, RoomySetToleratesSome) {
   const Ticks tol = max_tolerable_context_switch(roomy, 2.0);
   EXPECT_GT(tol, 0);
   // Feasible at the reported value, infeasible one tick above.
-  OverheadModel at;
-  at.context_switch = tol;
-  const auto ok = inflate_for_overheads(roomy, at);
+  const auto ok = inflate_for_overheads(roomy, tol);
   ASSERT_TRUE(ok.has_value());
   EXPECT_TRUE(system_schedulable(*ok, 2.0));
-  OverheadModel above;
-  above.context_switch = tol + 1;
-  const auto bad = inflate_for_overheads(roomy, above);
+  const auto bad = inflate_for_overheads(roomy, tol + 1);
   EXPECT_TRUE(!bad.has_value() || !system_schedulable(*bad, 2.0));
 }
 

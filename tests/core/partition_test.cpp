@@ -92,24 +92,6 @@ TEST(PartitionTest, RejectedTaskReported) {
   ASSERT_TRUE(r.rejected_task.has_value());
 }
 
-TEST(PartitionTest, DecreasingNeverNeedsMoreCoresOnTheseSets) {
-  // FFD is a heuristic; on these workloads it should not lose to plain FF.
-  Rng rng(32);
-  GenParams params;
-  params.u_bound = 0.8;
-  for (int trial = 0; trial < 5; ++trial) {
-    const auto skeleton = generate_task_set(params, rng);
-    if (!skeleton) continue;
-    const TaskSet set = skeleton->materialize(0.7, 2.0);
-    PartitionOptions ffd;
-    PartitionOptions ff;
-    ff.decreasing = false;
-    const auto c1 = cores_needed(set, 8, ffd);
-    const auto c2 = cores_needed(set, 8, ff);
-    if (c1 && c2) EXPECT_LE(*c1, *c2 + 1);  // allow one-core slack for FF luck
-  }
-}
-
 TEST(PartitionTest, SpeedupBudgetBoundaryIsToleranceRouted) {
   // A budget sitting exactly on the pair's s_min (or within kSpeedTol of it)
   // must be accepted -- the acceptance reads the facade's hi_schedulable,

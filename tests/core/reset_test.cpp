@@ -14,13 +14,10 @@
 namespace rbs {
 namespace {
 
-/// The Corollary 5 part of the facade alone, optionally aborting the
-/// carry-over jobs of terminated LO tasks.
-AnalysisReport reset_report(const TaskSet& set, double s, bool discard = false) {
-  AnalysisLimits limits;
-  limits.discard_dropped_carryover = discard;
+/// The Corollary 5 part of the facade alone.
+AnalysisReport reset_report(const TaskSet& set, double s) {
   return Analyzer()
-      .analyze({set, s, 1.0, {.speedup = false, .reset = true, .lo = false}, limits})
+      .analyze({set, s, 1.0, {.speedup = false, .reset = true, .lo = false}, {}})
       .value();
 }
 
@@ -72,16 +69,6 @@ TEST(ResetTest, AllDroppedCarryOverOnly) {
   const TaskSet set({McTask::lo_terminated("a", 2, 10, 10),
                      McTask::lo_terminated("b", 3, 20, 20)});
   EXPECT_NEAR(resetting_time_value(set, 2.0), 5.0 / 2.0, 1e-9);
-  // Discarding the carry-over makes the reset instantaneous.
-  EXPECT_DOUBLE_EQ(reset_report(set, 2.0, /*discard=*/true).delta_r, 0.0);
-}
-
-TEST(ResetTest, DiscardingCarryOverNeverDelaysReset) {
-  const TaskSet set({McTask::hi("h", 3, 5, 4, 7, 7),
-                     McTask::lo_terminated("l", 2, 15, 15)});
-  for (double s : {1.0, 1.5, 2.0, 3.0})
-    EXPECT_LE(reset_report(set, s, /*discard=*/true).delta_r,
-              resetting_time_value(set, s) + 1e-9);
 }
 
 TEST(ResetTest, DegradationShortensReset) {

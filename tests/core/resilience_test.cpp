@@ -82,15 +82,6 @@ TEST(DegradedResettingTimeTest, MatchesResetAnalysisOnReducedSet) {
   const Expected<TaskSet> reduced = apply_termination(set, {1});
   ASSERT_TRUE(reduced.is_ok());
   EXPECT_NEAR(g.delta_r, resetting_time_value(reduced.value(), kSlow), 1e-9);
-
-  // The caller's carry-over model reaches the fallback Delta_R: aborting the
-  // terminated task's carry-over job shortens the dwell.
-  AnalysisLimits discard;
-  discard.discard_dropped_carryover = true;
-  const double discarded =
-      Analyzer().analyze({reduced.value(), kSlow, 1.0, {}, discard}).value().delta_r;
-  EXPECT_NEAR(analyze_degraded(set, kSlow, discard).delta_r, discarded, 1e-9);
-  EXPECT_LT(discarded, g.delta_r);
 }
 
 TEST(AnalyzeDegradedTest, DegradedExampleToleratesSlowdown) {

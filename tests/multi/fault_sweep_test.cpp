@@ -109,7 +109,6 @@ TEST(FaultSweepTest, NonTolerantPartitionDemonstrablyMisses) {
   CoreBudget budget;
   budget.hi_speedup = 1.5;
   offline.budgets.assign(2, budget);
-  offline.consider_boost_denial = false;
   const auto plan = multi::analyze_resilience(offline);
   ASSERT_TRUE(plan.is_ok());
   EXPECT_TRUE(plan->nominal_feasible);

@@ -59,11 +59,6 @@ TEST(ResilienceTest, RejectsMalformedRequests) {
   EXPECT_FALSE(analyze_resilience(request).is_ok());
 
   request = two_light_cores();
-  request.consider_fail_stop = false;
-  request.consider_boost_denial = false;
-  EXPECT_FALSE(analyze_resilience(request).is_ok());
-
-  request = two_light_cores();
   request.assignment = {{0, 2}, {3}};  // task 1 unassigned
   EXPECT_FALSE(analyze_resilience(request).is_ok());
 
@@ -132,7 +127,6 @@ TEST(ResilienceTest, ShedPlanFitsTheReceiversBudget) {
   request.set = TaskSet({h0, h1, McTask::lo("l1", 4, 10, 10)});
   request.assignment = {{0}, {1, 2}};
   request.budgets.assign(2, CoreBudget{2.0, std::numeric_limits<double>::infinity()});
-  request.consider_boost_denial = false;
   const auto report = analyze_resilience(request);
   ASSERT_TRUE(report.is_ok());
   const FailureScenario* sc = find_scenario(*report, {0}, {CoreFaultClass::kFailStop});
@@ -165,7 +159,6 @@ TEST(ResilienceTest, OverloadedMergeIsReportedNotTolerant) {
   CoreBudget budget;
   budget.hi_speedup = 1.5;
   request.budgets.assign(2, budget);
-  request.consider_boost_denial = false;
   const auto report = analyze_resilience(request);
   ASSERT_TRUE(report.is_ok());
   EXPECT_TRUE(report->nominal_feasible);

@@ -11,9 +11,12 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/journal.hpp"
 #include "core/analysis.hpp"
 #include "core/task.hpp"
 #include "service/cache.hpp"
+#include "support/taskset_io.hpp"
+#include "support/tolerance.hpp"
 
 namespace rbs::service {
 namespace {
@@ -117,8 +120,7 @@ TEST(CacheKeyTest, DistinguishesSpeedPartsAndLimits) {
   EXPECT_NE(cache_key(degraded), key)
       << "degraded results must never be served to full-exactness requests";
 
-  // The transition latency is appended only when set, so zero-latency keys
-  // keep the bytes they had before the field existed.
+  // The transition latency is appended only when set.
   AnalysisRequest latency = base;
   latency.latency = 3;
   const std::string latency_key = cache_key(latency);
@@ -126,6 +128,20 @@ TEST(CacheKeyTest, DistinguishesSpeedPartsAndLimits) {
   EXPECT_EQ(latency_key.rfind(key, 0), 0u);
   latency.latency = 4;
   EXPECT_NE(cache_key(latency), latency_key);
+}
+
+TEST(CacheKeyTest, RequestSectionEndsAtRelTolThenLatency) {
+  AnalysisRequest request;
+  request.set = paper_set();
+  request.speed = 2.0;
+  // speed ; lo_speed ; parts ; max_breakpoints ; rel_tol, after the set.
+  const std::string tail = '\x1e' + canonical_double(2.0) + ';' + canonical_double(1.0) +
+                           ";111;" + std::to_string(kBreakpointBudget) + ';' +
+                           canonical_double(kSpeedTol.relative);
+  const std::string key = cache_key(request);
+  EXPECT_EQ(key, canonical_task_set(request.set) + tail);
+  request.latency = 3;
+  EXPECT_EQ(cache_key(request), key + ";3");
 }
 
 TEST(ResultCacheTest, LruEvictsLeastRecentlyUsed) {
@@ -329,6 +345,26 @@ TEST_F(CacheWalTest, CompactionIsByteIdenticalAcrossRuns) {
   EXPECT_EQ(compacted, twin_compacted)
       << "compacted WALs must not depend on anything but the recency list";
   std::remove(twin_path.c_str());
+}
+
+TEST_F(CacheWalTest, WalOfTheV1KeyFormatOpensFresh) {
+  // A v1 WAL holds keys with a field the key no longer has: no request can
+  // reach them, so the cache starts fresh instead of replaying them.
+  ResultCache::Options options;
+  options.journal_path = wal_path();
+  {
+    Expected<campaign::JournalWriter> writer = campaign::JournalWriter::create(
+        options.journal_path, {0, std::uint64_t{1} << 62, "service-cache-v1"});
+    ASSERT_TRUE(writer.is_ok()) << writer.status().message();
+    ASSERT_TRUE(writer.value()
+                    .append({0, 1, campaign::JournalRecord::Kind::kOk, std::string("k\x1fv")})
+                    .is_ok());
+  }
+  Expected<ResultCache> cache_or = ResultCache::open(options);
+  ASSERT_TRUE(cache_or.is_ok()) << cache_or.status().message();
+  EXPECT_EQ(cache_or.value().stats().warm_entries, 0u);
+  ASSERT_TRUE(cache_or.value().lookup_or_begin("k").leader);
+  cache_or.value().abandon("k");
 }
 
 TEST_F(CacheWalTest, CorruptWalIsDiscardedNotFatal) {

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <future>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,7 @@
 #include "core/analysis.hpp"
 #include "core/task.hpp"
 #include "service/admission.hpp"
+#include "service/cache.hpp"
 #include "service/server.hpp"
 
 namespace rbs::service {
@@ -273,6 +275,36 @@ TEST(ServiceCacheTest, IdenticalRequestsCoalesceToOneAnalysis) {
   const ServiceStats stats = server.stats();
   EXPECT_EQ(stats.cache_misses, 1u);
   EXPECT_EQ(stats.cache_hits + stats.coalesced, 7u);
+}
+
+TEST(ServiceCacheTest, UnparseableEntryIsRecomputedAndRepaired) {
+  const std::string wal = testing::TempDir() + "/service_repair_wal.jsonl";
+  std::remove(wal.c_str());
+  const AnalysisRequest request = make_request(0, Criticality::HI);
+  {
+    ResultCache::Options cache_options;
+    cache_options.journal_path = wal;
+    Expected<ResultCache> cache_or = ResultCache::open(cache_options);
+    ASSERT_TRUE(cache_or.is_ok()) << cache_or.status().message();
+    ASSERT_TRUE(cache_or.value().lookup_or_begin(cache_key(request)).leader);
+    ASSERT_TRUE(cache_or.value().publish(cache_key(request), "not a report").is_ok());
+  }
+
+  ServerOptions options;
+  options.workers = 1;
+  options.cache.journal_path = wal;
+  Expected<AnalysisServer> server_or = AnalysisServer::open(std::move(options));
+  ASSERT_TRUE(server_or.is_ok()) << server_or.status().message();
+  AnalysisServer& server = server_or.value();
+
+  const Response first = server.submit(1, request).get();
+  ASSERT_TRUE(first.status.is_ok()) << first.status.message();
+  EXPECT_FALSE(first.cache_hit) << "a bad entry is recomputed, never served";
+  const Response second = server.submit(2, request).get();
+  ASSERT_TRUE(second.status.is_ok()) << second.status.message();
+  EXPECT_TRUE(second.cache_hit) << "the recomputed report must replace the bad entry";
+  EXPECT_EQ(second.serialized, first.serialized);
+  std::remove(wal.c_str());
 }
 
 // The soak: a live multi-worker burst with transient faults. Run under TSan

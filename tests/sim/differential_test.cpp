@@ -3,7 +3,7 @@
 // oracle; it is compiled into the test binary only).
 //
 // The rewrite's contract is not "statistically similar" but *bit-identical*:
-// both kernels must visit the same instants, consume the RNG streams in the
+// both kernels must visit the same instants, consume the RNG stream in the
 // same order and accumulate the same floating-point sums, so every field of
 // SimMetrics -- and the full recorded trace -- compares equal with ==, no
 // tolerances. A seeded corpus of generated task sets crossed with every
@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,7 @@ TEST(DifferentialTest, EventKernelMatchesOracleAcrossCorpus) {
   // every protocol dimension it claims to cross.
   std::uint64_t switches = 0, fallbacks = 0, faults = 0, misses = 0, throttles = 0,
                 abandoned = 0, undetected = 0;
+  std::map<std::string, std::uint64_t> faults_by_scenario, throttles_by_scenario;
   for (std::uint64_t set_seed : {17u, 23u, 41u}) {
     const TaskSet set = make_set(set_seed, 0.6);
     for (const auto& [name, proto] : corpus) {
@@ -73,16 +75,43 @@ TEST(DifferentialTest, EventKernelMatchesOracleAcrossCorpus) {
         throttles += metrics.throttle_downs;
         abandoned += metrics.jobs_abandoned;
         undetected += metrics.undetected_overruns;
+        faults_by_scenario[name] += metrics.faults_injected;
+        throttles_by_scenario[name] += metrics.throttle_downs;
       }
     }
   }
+  EXPECT_EQ(corpus.size(), 10u);
   EXPECT_GT(switches, 0u) << "corpus never switched to HI mode";
   EXPECT_GT(fallbacks, 0u) << "corpus never hit the turbo budget";
   EXPECT_GT(faults, 0u) << "corpus never injected a fault";
   EXPECT_GT(misses, 0u) << "corpus never missed a deadline";
   EXPECT_GT(throttles, 0u) << "corpus never throttled";
-  EXPECT_GT(abandoned, 0u) << "corpus never abandoned a carry-over job";
+  EXPECT_GT(abandoned, 0u) << "corpus never abandoned a job at a turbo-budget fallback";
   EXPECT_GT(undetected, 0u) << "corpus never slipped an overrun past the poll";
+
+  // The fault scripts: each scenario injects, each throttle it scripts
+  // fires, and together they use every boost-fault class.
+  std::size_t scripts = 0;
+  bool deny = false, partial = false, late = false, throttle = false;
+  for (const auto& [name, proto] : corpus) {
+    if (proto.faults.episodes.empty()) continue;
+    ++scripts;
+    EXPECT_GT(faults_by_scenario[name], 0u) << name << " never injected a fault";
+    bool throttles_here = false;
+    for (const FaultSpec& spec : proto.faults.episodes) {
+      deny = deny || spec.deny_boost;
+      partial = partial || spec.achieved_speed > 0.0;
+      late = late || spec.extra_latency > 0.0;
+      throttles_here = throttles_here || spec.throttle_after > 0.0;
+    }
+    if (throttles_here) {
+      EXPECT_GT(throttles_by_scenario[name], 0u) << name << " never throttled";
+    }
+    throttle = throttle || throttles_here;
+  }
+  EXPECT_EQ(scripts, 2u) << "scripted-faults and adversarial-combination";
+  EXPECT_TRUE(deny && partial && late && throttle)
+      << "the fault scripts must cover deny, partial, late and throttle episodes";
 }
 
 TEST(DifferentialTest, ScriptedArrivalsMatchOracle) {
@@ -121,19 +150,14 @@ TEST(DifferentialTest, DegradedLoServiceAndTerminationMatchOracle) {
   const TaskSet set({McTask::hi("h", 2, 8, 10, 30, 30),
                      McTask::lo("keep", 3, 20, 20, 40, 40),
                      McTask::lo_terminated("drop", 2, 25, 25)});
-  for (bool discard : {false, true}) {
-    SimConfig cfg;
-    cfg.horizon = 5000.0;
-    cfg.hi_speed = 2.0;
-    cfg.demand.overrun_probability = 0.4;
-    cfg.discard_dropped_carryover = discard;
-    cfg.record_trace = true;
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      cfg.seed = seed;
-      run_both_and_compare(set, cfg,
-                           std::string("degraded discard=") + (discard ? "1" : "0") +
-                               " seed=" + std::to_string(seed));
-    }
+  SimConfig cfg;
+  cfg.horizon = 5000.0;
+  cfg.hi_speed = 2.0;
+  cfg.demand.overrun_probability = 0.4;
+  cfg.record_trace = true;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    cfg.seed = seed;
+    run_both_and_compare(set, cfg, "degraded seed=" + std::to_string(seed));
   }
 }
 

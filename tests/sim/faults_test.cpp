@@ -38,18 +38,6 @@ TEST(FaultPlanValidateTest, RejectsBadFields) {
     plan.episodes.back().achieved_speed = 2.5;  // above max(lo, hi)
     EXPECT_FALSE(validate(plan, 1.0, 2.0));
   }
-  {
-    FaultPlan plan;
-    plan.random.p_deny = 1.5;
-    EXPECT_FALSE(validate(plan, 1.0, 2.0));
-  }
-  {
-    FaultPlan plan;
-    plan.random.p_late = 0.5;
-    plan.random.late_min = 3.0;
-    plan.random.late_max = 1.0;  // inverted range
-    EXPECT_FALSE(validate(plan, 1.0, 2.0));
-  }
 }
 
 TEST(FaultPlanValidateTest, SlowdownSystemsAllowPartialBelowLoSpeed) {
@@ -67,40 +55,14 @@ TEST(ResolveFaultTest, ScriptedEpisodesIndexAndRecycle) {
   plan.episodes[0].deny_boost = true;
   plan.episodes[1].extra_latency = 2.0;
 
-  Rng rng(1);
-  EXPECT_TRUE(resolve_fault(plan, 0, rng, 1.0, 2.0).deny_boost);
-  EXPECT_DOUBLE_EQ(resolve_fault(plan, 1, rng, 1.0, 2.0).extra_latency, 2.0);
-  // Beyond the script, no random model: fault-free.
-  EXPECT_FALSE(resolve_fault(plan, 2, rng, 1.0, 2.0).any());
+  EXPECT_TRUE(resolve_fault(plan, 0).deny_boost);
+  EXPECT_DOUBLE_EQ(resolve_fault(plan, 1).extra_latency, 2.0);
+  // Beyond the script: fault-free.
+  EXPECT_FALSE(resolve_fault(plan, 2).any());
 
   plan.recycle = true;
-  EXPECT_TRUE(resolve_fault(plan, 2, rng, 1.0, 2.0).deny_boost);
-  EXPECT_DOUBLE_EQ(resolve_fault(plan, 5, rng, 1.0, 2.0).extra_latency, 2.0);
-}
-
-TEST(ResolveFaultTest, RandomModelIsDeterministicPerSeed) {
-  FaultPlan plan;
-  plan.random.p_deny = 0.3;
-  plan.random.p_partial = 0.3;
-  plan.random.p_late = 0.2;
-  plan.random.late_max = 3.0;
-  plan.random.p_throttle = 0.2;
-  plan.random.throttle_after_min = 1.0;
-  plan.random.throttle_after_max = 4.0;
-
-  Rng a(42), b(42);
-  for (std::size_t e = 0; e < 50; ++e) {
-    const FaultSpec fa = resolve_fault(plan, e, a, 1.0, 2.0);
-    const FaultSpec fb = resolve_fault(plan, e, b, 1.0, 2.0);
-    EXPECT_EQ(fa.deny_boost, fb.deny_boost);
-    EXPECT_DOUBLE_EQ(fa.extra_latency, fb.extra_latency);
-    EXPECT_DOUBLE_EQ(fa.achieved_speed, fb.achieved_speed);
-    EXPECT_DOUBLE_EQ(fa.throttle_after, fb.throttle_after);
-    // At most one fault class per episode.
-    const int classes = (fa.deny_boost ? 1 : 0) + (fa.achieved_speed > 0.0 ? 1 : 0) +
-                        (fa.extra_latency > 0.0 ? 1 : 0) + (fa.throttle_after > 0.0 ? 1 : 0);
-    EXPECT_LE(classes, 1);
-  }
+  EXPECT_TRUE(resolve_fault(plan, 2).deny_boost);
+  EXPECT_DOUBLE_EQ(resolve_fault(plan, 5).extra_latency, 2.0);
 }
 
 // ---- simulator integration ------------------------------------------------

@@ -31,11 +31,7 @@ class Engine {
   Engine(const TaskSet& set, const SimConfig& cfg)
       : set_(set),
         cfg_(cfg),
-        rng_(cfg.seed),
-        // Dedicated fault stream: fault draws must not perturb demand/jitter
-        // draws, so fault-free and faulted runs share arrival processes.
-        fault_rng_(cfg.faults.random.seed != 0 ? cfg.faults.random.seed
-                                               : cfg.seed ^ 0x9e3779b97f4a7c15ULL) {}
+        rng_(cfg.seed) {}
 
   // Test-only oracle: exempt from the hot-path discipline (the production
   // event kernel carries the RBS_HOT_PATH annotation instead).
@@ -386,8 +382,7 @@ class Engine {
 
   void switch_to_hi(double now) {
     mode_ = Mode::HI;
-    cur_fault_ =
-        resolve_fault(cfg_.faults, episode_index_++, fault_rng_, cfg_.lo_speed, cfg_.hi_speed);
+    cur_fault_ = resolve_fault(cfg_.faults, episode_index_++);
     episode_latency_ = cfg_.speed_change_latency + cur_fault_.extra_latency;
     episode_target_ = cur_fault_.deny_boost ? cfg_.lo_speed
                       : cur_fault_.achieved_speed > 0.0 ? cur_fault_.achieved_speed
@@ -405,25 +400,14 @@ class Engine {
       record_event(now, TraceEvent::Kind::kFaultEngaged);
     }
 
-    std::vector<std::uint64_t>& abandoned = scratch_ids_;
-    abandoned.clear();
     for (Job& j : jobs_) {
       if (j.finished(kEpsWork)) continue;
       const McTask& task = set_[j.task_index];
       if (task.dropped_in_hi()) {
-        if (cfg_.discard_dropped_carryover) {
-          abandoned.push_back(j.id);
-          record_event(now, TraceEvent::Kind::kJobAbandoned, j);
-        } else {
-          j.deadline = kInfTime;  // must still finish, but carries no deadline
-        }
+        j.deadline = kInfTime;  // must still finish, but carries no deadline
       } else {
         j.deadline = j.release + static_cast<double>(task.deadline(Mode::HI));
       }
-    }
-    for (std::uint64_t id : abandoned) {
-      erase_job(id);
-      ++result_.jobs_abandoned;
     }
   }
 
@@ -478,7 +462,6 @@ class Engine {
   const TaskSet& set_;
   const SimConfig& cfg_;
   Rng rng_;
-  Rng fault_rng_;
 
   // Per-episode boost-fault state (sim/faults.hpp).
   FaultSpec cur_fault_;

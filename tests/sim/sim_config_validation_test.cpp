@@ -7,6 +7,7 @@
 
 #include <limits>
 
+#include "sim/config.hpp"
 #include "sim/simulate.hpp"
 
 namespace rbs::sim {
@@ -164,10 +165,13 @@ TEST(SimConfigValidationTest, RejectsScriptWithDecreasingReleases) {
 
 TEST(SimConfigValidationTest, RejectsInvalidFaultPlan) {
   SimConfig cfg;
-  cfg.faults.random.p_deny = 2.0;  // probability out of range
-  const TaskSet set = two_tasks();
-  Simulator simulator;
-  EXPECT_FALSE(simulator.run(set, cfg).is_ok());
+  cfg.faults.episodes.resize(2);
+  cfg.faults.episodes[1].extra_latency = -1.0;
+  // validate_config forwards the fault plan's own error.
+  const Status status = validate_config(two_tasks(), cfg);
+  ASSERT_FALSE(status.is_ok());
+  EXPECT_EQ(status.message(), "faults: episode 1: extra_latency must be finite and >= 0");
+  expect_rejected(cfg, "faults: episode 1");
 }
 
 TEST(SimLimitsValidationTest, RejectsZeroEventBudget) {

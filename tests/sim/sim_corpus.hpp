@@ -138,8 +138,7 @@ inline std::vector<std::pair<std::string, SimConfig>> config_corpus() {
   {
     SimConfig cfg = base;
     cfg.speed_change_latency = 3.0;
-    cfg.discard_dropped_carryover = true;
-    corpus.emplace_back("dvfs-latency+discard", cfg);
+    corpus.emplace_back("dvfs-latency", cfg);
   }
   {
     SimConfig cfg = base;
@@ -156,18 +155,18 @@ inline std::vector<std::pair<std::string, SimConfig>> config_corpus() {
   }
   {
     SimConfig cfg = base;
-    cfg.faults.random.p_deny = 0.2;
-    cfg.faults.random.p_partial = 0.3;
-    cfg.faults.random.partial_min = 0.3;
-    cfg.faults.random.partial_max = 0.9;
-    cfg.faults.random.p_late = 0.3;
-    cfg.faults.random.late_min = 1.0;
-    cfg.faults.random.late_max = 10.0;
-    cfg.faults.random.p_throttle = 0.2;
-    cfg.faults.random.throttle_after_min = 5.0;
-    cfg.faults.random.throttle_after_max = 30.0;
+    // One episode of each fault class, then a clean one, recycled.
+    cfg.faults.episodes = {
+        {.deny_boost = true},
+        {.achieved_speed = 1.3},  // partial boost
+        {.extra_latency = 7.5},   // late boost
+        {.throttle_after = 12.0, .throttle_speed = 1.0},
+        {.achieved_speed = 1.8},
+        {},
+    };
+    cfg.faults.recycle = true;
     cfg.speed_change_latency = 1.0;
-    corpus.emplace_back("random-faults", cfg);
+    corpus.emplace_back("scripted-faults", cfg);
   }
   {
     SimConfig cfg = base;
@@ -182,7 +181,13 @@ inline std::vector<std::pair<std::string, SimConfig>> config_corpus() {
     cfg.release_jitter = 0.05;
     cfg.max_boost_duration = 25.0;
     cfg.faults.detection_period = 4.0;
-    cfg.faults.random.p_deny = 0.5;
+    // Denied, clean, then a late boost that throttles to a partial speed.
+    cfg.faults.episodes = {
+        {.deny_boost = true},
+        {},
+        {.extra_latency = 2.0, .throttle_after = 8.0, .throttle_speed = 1.5},
+    };
+    cfg.faults.recycle = true;
     corpus.emplace_back("adversarial-combination", cfg);
   }
   return corpus;

@@ -160,17 +160,6 @@ TEST(SimModeTest, CarryOverOfDroppedTaskCompletesByDefault) {
   EXPECT_EQ(r.jobs_completed, r.jobs_released);
 }
 
-TEST(SimModeTest, CarryOverOfDroppedTaskCanBeDiscarded) {
-  const TaskSet set({McTask::hi("h", 2, 8, 4, 10, 10),
-                     McTask::lo_terminated("l", 6, 20, 20)});
-  SimConfig cfg = quiet(40.0);
-  cfg.demand.overrun_probability = 1.0;
-  cfg.hi_speed = 2.0;
-  cfg.discard_dropped_carryover = true;
-  const SimMetrics r = Simulator().run(set, cfg).value().metrics;
-  EXPECT_GT(r.jobs_abandoned, 0u);
-}
-
 TEST(SimModeTest, DegradedLoTaskSpacingInHiMode) {
   // LO task degraded to T(HI)=40: releases inside one HI episode must be >=
   // 40 apart. Keep the system in HI mode for a while via a heavy HI task.

@@ -41,7 +41,7 @@ TEST(ExpectedTest, ValueAndErrorPaths) {
   EXPECT_FALSE(static_cast<bool>(bad));
   EXPECT_EQ(bad.error_message(), "nope");
   EXPECT_EQ(bad.value_or(-1), -1);
-  EXPECT_THROW(bad.value(), std::logic_error);
+  EXPECT_THROW(static_cast<void>(bad.value()), std::logic_error);
 }
 
 TEST(ExpectedTest, MoveOutOfValue) {
