@@ -120,8 +120,8 @@ int main(int argc, char** argv) {
             if (verdict) {
               item.tolerant = verdict->tolerant;
               item.scenarios = static_cast<double>(verdict->scenarios_checked);
-              for (const multi::CoreReport& core : verdict->core_reports)
-                item.worst_s_min = std::max(item.worst_s_min, core.s_min);
+              for (const double s_min : partition.core_s_min)
+                item.worst_s_min = std::max(item.worst_s_min, s_min);
               for (const multi::FailureScenario& scenario : verdict->scenarios)
                 item.migrations += static_cast<double>(scenario.migrations.size());
             }

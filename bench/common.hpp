@@ -28,21 +28,17 @@ inline void banner(const std::string& experiment, const std::string& description
 }
 
 /// Opens a CSV file in the --csv directory (if given); returns nullopt when
-/// the flag is absent. A failed open (missing/unwritable directory) is never
-/// fatal: the bench warns once per process and continues without CSV, no
-/// matter how many files it tried to open.
+/// the flag is absent. A file that cannot be opened (a missing or unwritable
+/// directory) ends the bench with exit status 1, so a caller that asked for
+/// the CSV never reads success without it.
 inline std::optional<CsvWriter> open_csv(const CliArgs& args, const std::string& name) {
   if (!args.has("csv")) return std::nullopt;
   const std::string dir = args.get_string("csv", ".");
   CsvWriter writer(dir + "/" + name);
   if (!writer.ok()) {
-    static bool warned = false;
-    if (!warned) {
-      warned = true;
-      std::cerr << "warning: cannot write CSV output under '" << dir
-                << "' (tried " << name << "); continuing without CSV\n";
-    }
-    return std::nullopt;
+    std::cerr << "error: cannot write CSV output under '" << dir << "' (tried " << name
+              << ")\n";
+    std::exit(1);
   }
   return writer;
 }

@@ -196,10 +196,15 @@ RBS_DET_PATH CampaignReport Supervisor::run(std::size_t count, const SupervisedF
 
   // ---- seed the queue, installing journaled verdicts for resume ------------
   {
-    std::vector<std::uint32_t> failed_attempts(count, 0);
-    std::vector<const JournalRecord*> final_verdict(count, nullptr);
-    std::vector<const JournalRecord*> last_failure(count, nullptr);
+    // Per-item journal state, built only for a resumed run; without one every
+    // item starts at attempt 1.
+    std::vector<std::uint32_t> failed_attempts;
+    std::vector<const JournalRecord*> final_verdict;
+    std::vector<const JournalRecord*> last_failure;
     if (resume != nullptr) {
+      failed_attempts.assign(count, 0);
+      final_verdict.assign(count, nullptr);
+      last_failure.assign(count, nullptr);
       for (const JournalRecord& record : resume->records) {
         if (record.index >= count) continue;  // header mismatch is caller-checked
         const auto i = static_cast<std::size_t>(record.index);
@@ -215,6 +220,10 @@ RBS_DET_PATH CampaignReport Supervisor::run(std::size_t count, const SupervisedF
     // (uncontended) lock so the annotation holds by construction.
     const LockGuard lock(state.mutex);
     for (std::size_t i = 0; i < count; ++i) {
+      if (resume == nullptr) {
+        state.queue.push_back({i, 1});
+        continue;
+      }
       ItemOutcome& out = report.items[i];
       report.retried += failed_attempts[i];
       if (final_verdict[i] != nullptr) {

@@ -82,8 +82,9 @@ struct PartitionResult {
   /// Required speedup of each core's final set (0 for an empty core).
   std::vector<double> core_s_min;
   /// Resetting time of each core's final set at its budget speed, in ticks
-  /// (0 for an empty core). Together with core_s_min these are the margins
-  /// the resilience analysis starts from.
+  /// (0 for an empty core). Together with core_s_min these are the core
+  /// margins of the assignment; the resilience analysis (multi/resilience.hpp)
+  /// reports only verdicts.
   std::vector<double> core_delta_r;
   /// Index of the first task that fit nowhere (when infeasible).
   std::optional<std::size_t> rejected_task;

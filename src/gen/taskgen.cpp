@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/det_annotations.hpp"
@@ -19,8 +20,10 @@ constexpr double kPHi = 0.5;  ///< probability a task is HI-criticality
 constexpr double kRegionGamma = 10.0;  ///< Fig. 7's C(HI)/C(LO) of every HI task
 constexpr int kMaxRedraws = 1000;  ///< overshoot re-draws before giving up
 
+/// One random task, unnamed: an overshooting draw is thrown away, so the
+/// generators name a task (name_task) only once they accept it.
 ImplicitTask draw_task(Rng& rng, Ticks period_min, Ticks period_max, double gamma_lo,
-                       double gamma_hi, double hi_probability, int index) {
+                       double gamma_hi, double hi_probability) {
   ImplicitTask t;
   t.period = rng.uniform_int(period_min, period_max);
   const double u_lo = rng.uniform(kULoMin, kULoMax);
@@ -33,12 +36,15 @@ ImplicitTask draw_task(Rng& rng, Ticks period_min, Ticks period_max, double gamm
     t.c_hi = std::clamp(
         static_cast<Ticks>(std::llround(gamma * static_cast<double>(t.c_lo))), t.c_lo,
         t.period);
-    t.name = "hi" + std::to_string(index);
   } else {
     t.c_hi = t.c_lo;
-    t.name = "lo" + std::to_string(index);
   }
   return t;
+}
+
+/// Names the `index`-th task of a set "hi<index>" or "lo<index>".
+void name_task(ImplicitTask& t, int index) {
+  t.name = (t.criticality == Criticality::HI ? "hi" : "lo") + std::to_string(index);
 }
 
 }  // namespace
@@ -58,8 +64,8 @@ RBS_DET_PATH std::optional<ImplicitSet> generate_task_set(const GenParams& param
   int index = 0;
 
   while (true) {
-    const ImplicitTask t = draw_task(rng, params.period_min, params.period_max, kGammaMin,
-                                     kGammaMax, kPHi, index);
+    ImplicitTask t =
+        draw_task(rng, params.period_min, params.period_max, kGammaMin, kGammaMax, kPHi);
     const double new_lo = u_total_lo + t.u_lo();
     const double new_hi = u_hi_hi + (t.criticality == Criticality::HI ? t.u_hi() : 0.0);
     const double metric = std::max(new_lo, new_hi);
@@ -68,7 +74,8 @@ RBS_DET_PATH std::optional<ImplicitSet> generate_task_set(const GenParams& param
       if (++redraws > kMaxRedraws) return std::nullopt;
       continue;  // overshoot: re-draw this task
     }
-    tasks.push_back(t);
+    name_task(t, index);
+    tasks.push_back(std::move(t));
     u_total_lo = new_lo;
     u_hi_hi = new_hi;
     ++index;
@@ -108,11 +115,10 @@ RBS_DET_PATH ImplicitSet generate_uunifast_set(const UUniFastParams& params, Rng
       t.c_hi = std::clamp(
           static_cast<Ticks>(std::llround(gamma * static_cast<double>(t.c_lo))), t.c_lo,
           t.period);
-      t.name = "hi" + std::to_string(index);
     } else {
       t.c_hi = t.c_lo;
-      t.name = "lo" + std::to_string(index);
     }
+    name_task(t, index);
     tasks.push_back(std::move(t));
     ++index;
   }
@@ -128,15 +134,15 @@ std::optional<ImplicitSet> generate_region_set(const RegionParams& params, Rng& 
     double filled = 0.0;
     int redraws = 0;
     while (filled < target - kRegionTolerance) {
-      const ImplicitTask t =
-          draw_task(rng, kPeriodMin, kPeriodMax, kRegionGamma, kRegionGamma,
-                    /*hi_probability=*/chi == Criticality::HI ? 1.0 : 0.0, index);
+      ImplicitTask t = draw_task(rng, kPeriodMin, kPeriodMax, kRegionGamma, kRegionGamma,
+                                 /*hi_probability=*/chi == Criticality::HI ? 1.0 : 0.0);
       const double u = chi == Criticality::HI ? t.u_hi() : t.u_lo();
       if (filled + u > target + kRegionTolerance) {
         if (++redraws > kMaxRedraws) return false;
         continue;
       }
-      tasks.push_back(t);
+      name_task(t, index);
+      tasks.push_back(std::move(t));
       filled += u;
       ++index;
     }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <span>
 #include <utility>
@@ -68,39 +67,21 @@ bool accept_on_core(Ctx& ctx, const std::vector<std::size_t>& indices, const Cor
   return true;
 }
 
-CoreReport nominal_report(Ctx& ctx, const std::vector<std::size_t>& tasks,
-                          const CoreBudget& budget) {
-  CoreReport r;
-  r.speed_margin = budget.hi_speedup;
-  r.reset_margin = budget.max_reset;
-  if (tasks.empty()) {
-    r.feasible = true;
-    return r;
-  }
+// The nominal verdict of one core: the decision question its partition
+// probes ask (Analyzer::fits), whose verdicts equal the full analysis's, so
+// it stops as soon as they are known. A core with no tasks is feasible.
+bool nominal_feasible(Ctx& ctx, const std::vector<std::size_t>& tasks,
+                      const CoreBudget& budget) {
+  if (tasks.empty()) return true;
   AnalysisRequest areq;
   areq.speed = budget.hi_speedup;
   areq.lo_speed = ctx.req->lo_speed;
   areq.limits = ctx.req->limits;
   ++*ctx.analyzer_calls;
   const Expected<AnalysisReport> report =
-      analyze_tasks(ctx.local_tasks(tasks), areq, ctx.storage);
-  if (!report) {
-    r.s_min = std::numeric_limits<double>::infinity();
-    r.delta_r = std::numeric_limits<double>::infinity();
-    r.speed_margin = -std::numeric_limits<double>::infinity();
-    return r;
-  }
-  r.s_min = report->s_min;
-  r.delta_r = report->delta_r;
-  r.speed_margin = budget.hi_speedup - report->s_min;
-  r.reset_margin = std::isfinite(budget.max_reset)
-                       ? budget.max_reset - report->delta_r
-                       : std::numeric_limits<double>::infinity();
-  r.u_lo = report->u_lo;
-  r.u_hi = report->u_hi;
-  r.feasible =
-      report->system_schedulable && within_reset_budget(report->delta_r, budget.max_reset);
-  return r;
+      analyze_tasks(ctx.local_tasks(tasks), areq, ctx.storage, budget.max_reset);
+  return report && report->system_schedulable &&
+         within_reset_budget(report->delta_r, budget.max_reset);
 }
 
 FailureScenario evaluate_scenario(Ctx& ctx, std::vector<std::size_t> faulted,
@@ -285,12 +266,11 @@ RBS_DET_PATH Expected<MultiReport> analyze_resilience(const MultiRequest& reques
   report.tolerance = request.tolerance;
   Ctx ctx{&request, &report.analyzer_calls, {}, {}};
 
-  report.core_reports.reserve(cores);
+  // Every core is asked, also after an infeasible one, so analyzer_calls
+  // counts one check per core with tasks.
   bool nominal = true;
-  for (std::size_t c = 0; c < cores; ++c) {
-    report.core_reports.push_back(nominal_report(ctx, request.assignment[c], request.budgets[c]));
-    nominal = nominal && report.core_reports.back().feasible;
-  }
+  for (std::size_t c = 0; c < cores; ++c)
+    nominal = nominal_feasible(ctx, request.assignment[c], request.budgets[c]) && nominal;
   report.nominal_feasible = nominal;
 
   bool all_scenarios_ok = true;

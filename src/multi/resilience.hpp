@@ -27,8 +27,9 @@
 // outright may shed its own LO service instead: the same find_fallback tiers
 // are tried, and the terminated LO tasks are reported as ShedSteps. The
 // system is k-tolerant iff the nominal partition is feasible and every
-// scenario admits a feasible spare assignment. The nominal margins
-// (CoreReport) come from full analyses.
+// scenario admits a feasible spare assignment. The nominal verdict is one
+// decision question per core too; the core margins (s_min, Delta_R) of a
+// partition are PartitionResult's.
 //
 // Everything is deterministic: scenario order (subset-lexicographic, then
 // class digits), migration-pool order (decreasing U(HI), parameter-tuple
@@ -88,26 +89,18 @@ struct FailureScenario {
   std::vector<std::size_t> lost_lo;
 };
 
-/// Nominal margins of one core, mirroring AnalysisReport for the partition.
-struct CoreReport {
-  double s_min = 0.0;         ///< Theorem 2 requirement of the core's set
-  double delta_r = 0.0;       ///< Corollary 5 at the core's budget speed
-  double speed_margin = 0.0;  ///< hi_speedup - s_min (negative = infeasible)
-  double reset_margin = 0.0;  ///< max_reset - delta_r (+inf for no budget)
-  bool feasible = false;      ///< the facade's verdicts under the budget
-  double u_lo = 0.0;          ///< total LO-mode utilization of the core
-  double u_hi = 0.0;          ///< total HI-mode utilization of the core
-};
-
 /// Everything analyze_resilience learns about one partitioned system.
 struct MultiReport {
   std::size_t cores = 0;
   std::size_t tolerance = 0;       ///< the k the verdict is for
-  bool nominal_feasible = false;   ///< every core feasible with no fault
+  /// Every core feasible with no fault: for each core, the facade's verdicts
+  /// under its budget, system_schedulable and within_reset_budget(delta_r,
+  /// max_reset), as Analyzer::analyze of the core's set at hi_speedup and
+  /// lo_speed gives them.
+  bool nominal_feasible = false;
   /// The headline verdict: nominal_feasible and every enumerated scenario
   /// admits a feasible spare assignment.
   bool tolerant = false;
-  std::vector<CoreReport> core_reports;  ///< indexed by core
   /// Every enumerated scenario with its precomputed spare assignment, in
   /// deterministic order (subset-lexicographic, then class digits).
   std::vector<FailureScenario> scenarios;

@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <string_view>
@@ -83,11 +84,11 @@ Expected<std::int64_t> CliArgs::get_int_checked(const std::string& name,
   return parsed;
 }
 
-std::vector<std::string> CliArgs::flag_names() const {
-  std::vector<std::string> names;
-  names.reserve(flags_.size());
-  for (const auto& [name, _] : flags_) names.push_back(name);
-  return names;
+Status CliArgs::check_flags(std::initializer_list<std::string_view> known) const {
+  for (const auto& [name, _] : flags_)
+    if (std::find(known.begin(), known.end(), name) == known.end())
+      return Status::error("unknown flag --" + name);
+  return Status::ok();
 }
 
 }  // namespace rbs

@@ -1,13 +1,16 @@
 // Tiny command-line flag parser shared by the bench and example binaries.
 //
-// Supports `--flag value`, `--flag=value` and boolean `--flag`. Unknown flags
-// are collected so binaries can warn instead of silently ignoring typos.
+// Supports `--flag value`, `--flag=value` and boolean `--flag`. A binary
+// names the flags it reads to check_flags, which rejects the others, so a
+// typo stops the run instead of silently changing what runs.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/status.hpp"
@@ -35,8 +38,9 @@ class CliArgs {
   /// Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Flags that were parsed; used to report unknown options.
-  std::vector<std::string> flag_names() const;
+  /// The unknown-flag check: an error "unknown flag --<name>" naming the
+  /// first parsed flag (in name order) that is not in `known`, else ok.
+  [[nodiscard]] Status check_flags(std::initializer_list<std::string_view> known) const;
 
  private:
   std::optional<std::string> raw(const std::string& name) const;

@@ -171,5 +171,50 @@ TEST(LoDemandTableTest, ClampedAndEqualStartsMatch) {
   EXPECT_GT(expect_min_x_probes_match(set), 0);
 }
 
+TEST(LoDemandTableTest, UtilizationAboveTheSpeedAnswersFromTheWindow) {
+  // U definitely above the speed: the window rejects with no walk (violation
+  // 0, no breakpoint), and a later test at a speed above U walks the same
+  // table with the result of a table built for that test. Tables refilled by
+  // assign() and skeleton tables moved by prepare_hi_deadlines alike.
+  Rng rng(2104);
+  LoDemandTable reused;
+  int sets = 0;
+  for (int i = 0; sets < 200; ++i) {
+    ASSERT_LT(i, 2000) << "the generator yields too few sets";
+    GenParams params;
+    params.u_bound = 0.5 + 0.1 * static_cast<double>(i % 5);
+    std::optional<ImplicitSet> skeleton = generate_task_set(params, rng);
+    if (!skeleton) continue;
+    if (i % 2 == 0) skeleton = snap_to_grid(*skeleton, rng, kBenchGrid);
+    const MinXResult min_x = min_x_for_lo(*skeleton);
+    if (!min_x.feasible) continue;
+    ++sets;
+    SCOPED_TRACE("set " + std::to_string(i));
+    const TaskSet set = skeleton->materialize(min_x.x, 2.0);
+    const double u = set.total_utilization(Mode::LO);
+    EdfTestOptions below;
+    below.speed = 0.9 * u;
+    EdfTestOptions above;
+    above.speed = 1.0;
+
+    reused.assign(set);
+    const EdfTestResult rejected = reused.test(below);
+    EXPECT_FALSE(rejected.schedulable);
+    EXPECT_TRUE(rejected.conclusive);
+    EXPECT_EQ(rejected.violation_delta, 0);
+    EXPECT_EQ(rejected.breakpoints_visited, 0u);
+    expect_same(rejected, lo_mode_test(set, below));
+    EXPECT_FALSE(reference::qpa_lo_test(set, below).schedulable);
+    expect_same(reused.test(above), lo_mode_test(set, above));
+    expect_same(reused.test(below), rejected);
+
+    // A skeleton table whose first test is rejected by U: the bisection's
+    // probes then walk it as if that test had not been asked.
+    LoDemandTable table(*skeleton);
+    expect_same(table.test(below), lo_mode_test(skeleton->materialize(1.0, 1.0), below));
+    for (double x : {min_x.x, 1.0, 0.5 * min_x.x}) probe(table, *skeleton, x, above);
+  }
+}
+
 }  // namespace
 }  // namespace rbs

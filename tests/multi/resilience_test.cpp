@@ -29,6 +29,13 @@ MultiRequest two_light_cores() {
   return request;
 }
 
+/// The tasks `request` assigns to core `c`, in assignment order.
+TaskSet core_set(const MultiRequest& request, std::size_t c) {
+  std::vector<McTask> tasks;
+  for (std::size_t g : request.assignment[c]) tasks.push_back(request.set[g]);
+  return TaskSet(std::move(tasks));
+}
+
 /// A fault-free (k = 0) request placing all of `set` on one core.
 MultiRequest one_core(const TaskSet& set, const CoreBudget& budget) {
   MultiRequest request;
@@ -80,11 +87,13 @@ TEST(ResilienceTest, ToleranceZeroChecksOnlyTheNominalPartition) {
   EXPECT_TRUE(report->tolerant);
   EXPECT_EQ(report->scenarios_checked, 0u);
   EXPECT_TRUE(report->scenarios.empty());
-  ASSERT_EQ(report->core_reports.size(), 2u);
-  for (const CoreReport& core : report->core_reports) {
-    EXPECT_TRUE(core.feasible);
-    EXPECT_GT(core.speed_margin, 0.0);
-    EXPECT_GT(core.u_hi, 0.0);
+  for (std::size_t c = 0; c < 2; ++c) {
+    // Each core's verdict and speed margin, from the facade on its set.
+    const AnalysisReport full =
+        Analyzer().analyze(core_set(request, c), request.budgets[c].hi_speedup).value();
+    EXPECT_TRUE(full.system_schedulable);
+    EXPECT_GT(full.u_hi, 0.0);
+    EXPECT_GT(request.budgets[c].hi_speedup - full.s_min, 0.0);
   }
 }
 
@@ -209,19 +218,18 @@ TEST(ResilienceTest, DeterministicAcrossRepeatedRuns) {
 TEST(ResilienceTest, InfiniteSMinOrResetTimeIsNeverNominallyFeasible) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   // D(LO) = D(HI) with C(HI) > C(LO): s_min = +inf, beyond any budget.
-  auto report =
-      analyze_resilience(one_core(TaskSet({McTask::hi("a", 2, 3, 5, 5, 10)}), {2.0, kInf}));
+  MultiRequest request = one_core(TaskSet({McTask::hi("a", 2, 3, 5, 5, 10)}), {2.0, kInf});
+  auto report = analyze_resilience(request);
   ASSERT_TRUE(report.is_ok());
-  EXPECT_TRUE(std::isinf(report->core_reports[0].s_min));
-  EXPECT_FALSE(report->core_reports[0].feasible);
+  EXPECT_TRUE(std::isinf(Analyzer().analyze(core_set(request, 0), 2.0).value().s_min));
   EXPECT_FALSE(report->nominal_feasible);
   EXPECT_FALSE(report->tolerant);
 
   // U_HI = s_min = 1: at speed 1 Delta_R = +inf busts a 100-tick budget.
-  report =
-      analyze_resilience(one_core(TaskSet({McTask::hi("h", 1, 10, 1, 10, 10)}), {1.0, 100.0}));
+  request = one_core(TaskSet({McTask::hi("h", 1, 10, 1, 10, 10)}), {1.0, 100.0});
+  report = analyze_resilience(request);
   ASSERT_TRUE(report.is_ok());
-  EXPECT_TRUE(std::isinf(report->core_reports[0].delta_r));
+  EXPECT_TRUE(std::isinf(Analyzer().analyze(core_set(request, 0), 1.0).value().delta_r));
   EXPECT_FALSE(report->nominal_feasible);
   EXPECT_FALSE(report->tolerant);
 }
@@ -243,7 +251,6 @@ TEST(ResilienceTest, InexactSMinIsJudgedWithItsErrorBound) {
 
   const auto report = analyze_resilience(request);
   ASSERT_TRUE(report.is_ok());
-  EXPECT_FALSE(report->core_reports[0].feasible);
   EXPECT_FALSE(report->nominal_feasible);
 }
 

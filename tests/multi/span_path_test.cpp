@@ -12,6 +12,9 @@
 //  * One storage reused across shuffled sets and requests: every report
 //    equals a fresh one-shot facade call, field for field, counters
 //    included, so nothing a call leaves in the storage reaches the next.
+//  * analyze_resilience's nominal verdict, decision questions over its
+//    storage, against a full Analyzer::analyze of each core's set: for the
+//    system, and for each core alone as a one-core system.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,6 +36,7 @@
 #include "core/tuning.hpp"
 #include "gen/rng.hpp"
 #include "gen/taskgen.hpp"
+#include "multi/resilience.hpp"
 
 namespace rbs {
 namespace {
@@ -439,6 +443,153 @@ TEST(SpanPathTest, ReusedStorageMatchesFreshCalls) {
     }
   }
   EXPECT_GE(calls, 1000);
+}
+
+// ---- analyze_resilience's nominal verdicts -------------------------------
+
+/// The verdict a full analysis gives core `c` of `request`: the facade's
+/// system verdict at the core's budget speed and request.lo_speed, and its
+/// Delta_R within the dwell budget. `full` receives the report.
+bool full_verdict(const multi::MultiRequest& request, std::size_t c,
+                  Expected<AnalysisReport>& full) {
+  std::vector<McTask> tasks;
+  for (std::size_t g : request.assignment[c]) tasks.push_back(request.set[g]);
+  const CoreBudget& budget = request.budgets[c];
+  full = analyze({TaskSet(std::move(tasks)), budget.hi_speedup, request.lo_speed, {},
+                  request.limits});
+  return full && full->system_schedulable &&
+         within_reset_budget(full->delta_r, budget.max_reset);
+}
+
+/// Core `c` of `request` as a fault-free one-core system: its tasks in
+/// assignment order, its budget, the request's LO speed and limits.
+multi::MultiRequest core_alone(const multi::MultiRequest& request, std::size_t c) {
+  multi::MultiRequest alone;
+  std::vector<McTask> tasks;
+  alone.assignment.emplace_back();
+  for (std::size_t g : request.assignment[c]) {
+    alone.assignment[0].push_back(tasks.size());
+    tasks.push_back(request.set[g]);
+  }
+  alone.set = TaskSet(std::move(tasks));
+  alone.budgets = {request.budgets[c]};
+  alone.lo_speed = request.lo_speed;
+  alone.limits = request.limits;
+  alone.tolerance = 0;
+  return alone;
+}
+
+TEST(SpanPathTest, NominalVerdictsMatchFullAnalysis) {
+  Rng rng(2405);
+  // Hand-made cores beside the generated tasks: an unprepared HI task
+  // (D(LO) = D(HI), C(HI) > C(LO): s_min = +inf) and a task with
+  // U_HI = s_min = 1, whose Delta_R at speed 1 is +inf.
+  const McTask infinite_s_min = McTask::hi("inf_s", 2, 3, 5, 5, 10);
+  const McTask infinite_reset = McTask::hi("inf_r", 1, 10, 1, 10, 10);
+  int systems = 0;
+  int feasible = 0;
+  int infeasible = 0;
+  int inf_s_min = 0;
+  int inf_reset = 0;
+  int finite_budget = 0;
+  int partitioned = 0;
+  for (int i = 0; systems < 520; ++i) {
+    ASSERT_LT(i, 5000) << "the generator yields too few systems";
+    const std::size_t cores = 2 + static_cast<std::size_t>(i % 3);
+    const bool grid = i % 2 == 0;
+    std::vector<McTask> tasks;
+    bool generated = true;
+    for (std::size_t c = 0; c < cores && generated; ++c) {
+      const std::optional<TaskSet> core_set =
+          paper_set(rng, 0.3 + 0.05 * static_cast<double>(i % 4), grid, i % 7 == 0);
+      if (!core_set) generated = false;
+      else
+        for (const McTask& t : *core_set) tasks.push_back(t);
+    }
+    if (!generated) continue;
+    const int shape = i % 5;  // 0, 1: partition; 2: random; 3: +inf s_min; 4: +inf Delta_R
+    if (shape == 3) tasks.push_back(infinite_s_min);
+    if (shape == 4) tasks.push_back(infinite_reset);
+
+    multi::MultiRequest request;
+    request.set = TaskSet(std::move(tasks));
+    request.tolerance = 0;
+    if (i % 6 == 5) request.lo_speed = 0.9;
+    switch (i % 4) {
+      case 0: request.budgets.assign(cores, CoreBudget{}); break;  // s = 2, no dwell budget
+      case 1:
+        request.budgets.assign(
+            cores, CoreBudget{1.5, static_cast<double>(rng.uniform_int(500, 20000))});
+        break;
+      default:  // heterogeneous, finite budgets on some cores
+        for (std::size_t c = 0; c < cores; ++c)
+          request.budgets.push_back(
+              {1.0 + 0.25 * static_cast<double>(rng.uniform_int(0, 4)),
+               rng.uniform_int(0, 1) == 0 ? kInf
+                                          : static_cast<double>(rng.uniform_int(300, 30000))});
+        break;
+    }
+    const std::size_t n = request.set.size();
+    request.assignment.assign(cores, {});
+    if (shape < 2) {
+      PartitionOptions options;
+      options.core_budgets = request.budgets;
+      const PartitionResult partition = partition_first_fit(request.set, cores, options);
+      if (partition.feasible) {
+        request.assignment = partition.assignment;
+        ++partitioned;
+      } else {
+        for (std::size_t g = 0; g < n; ++g) request.assignment[g % cores].push_back(g);
+      }
+    } else {
+      // A random assignment; the hand-made task goes alone onto core 0, whose
+      // budget then reads its s_min and Delta_R at speed 1.
+      const std::size_t last = shape == 2 ? n : n - 1;
+      for (std::size_t g = 0; g < last; ++g)
+        request.assignment[static_cast<std::size_t>(
+                               rng.uniform_int(shape == 2 ? 0 : 1,
+                                               static_cast<std::int64_t>(cores) - 1))]
+            .push_back(g);
+      if (shape != 2) {
+        request.assignment[0].push_back(n - 1);
+        request.budgets[0] = {1.0, static_cast<double>(rng.uniform_int(50, 500))};
+      }
+    }
+    ++systems;
+
+    const Expected<multi::MultiReport> report = multi::analyze_resilience(request);
+    ASSERT_TRUE(report.is_ok()) << "system " << i << ": " << report.error_message();
+    std::size_t busy = 0;
+    bool all = true;  // an empty core is feasible
+    for (std::size_t c = 0; c < cores; ++c) {
+      finite_budget += std::isfinite(request.budgets[c].max_reset) ? 1 : 0;
+      if (request.assignment[c].empty()) continue;
+      ++busy;
+      Expected<AnalysisReport> full = Status::error("unset");
+      const bool verdict = full_verdict(request, c, full);
+      ASSERT_TRUE(full.is_ok());
+      all = all && verdict;
+      // The core's own nominal verdict: the core alone as a one-core system.
+      const Expected<multi::MultiReport> alone = multi::analyze_resilience(core_alone(request, c));
+      ASSERT_TRUE(alone.is_ok()) << "system " << i << " core " << c;
+      EXPECT_EQ(alone->nominal_feasible, verdict) << "system " << i << " core " << c;
+      EXPECT_EQ(alone->analyzer_calls, 1u) << "system " << i << " core " << c;
+      (verdict ? feasible : infeasible) += 1;
+      inf_s_min += std::isinf(full->s_min) ? 1 : 0;
+      const bool reset_only = full->lo_schedulable && full->hi_schedulable;
+      inf_reset += std::isinf(full->delta_r) && reset_only ? 1 : 0;
+    }
+    EXPECT_EQ(report->nominal_feasible, all) << "system " << i;
+    // One decision question per core with tasks.
+    EXPECT_EQ(report->analyzer_calls, busy) << "system " << i;
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(partitioned, 100);
+  EXPECT_GT(feasible, 300);
+  EXPECT_GT(infeasible, 300);
+  EXPECT_GT(inf_s_min, 50);
+  EXPECT_GT(inf_reset, 50);
+  EXPECT_GT(finite_budget, 300);
 }
 
 }  // namespace

@@ -100,10 +100,27 @@ TEST(CliTest, BooleanValueSpellings) {
 }
 
 TEST(CliTest, FlagNamesListed) {
+  // Both parsed flags are listed: naming both passes the check, and
+  // leaving either out names it.
   const char* argv[] = {"prog", "--one", "--two=2"};
   const CliArgs args(3, argv);
-  const auto names = args.flag_names();
-  EXPECT_EQ(names.size(), 2u);
+  EXPECT_TRUE(args.check_flags({"one", "two"}).is_ok());
+  EXPECT_EQ(args.check_flags({"one"}).message(), "unknown flag --two");
+  EXPECT_EQ(args.check_flags({"two", "three"}).message(), "unknown flag --one");
+}
+
+TEST(CliTest, UnknownFlagsRejected) {
+  // Positional arguments are not flags; a flag given as --name=value or as
+  // a boolean is checked by its name alone.
+  const char* argv[] = {"prog", "pos", "--seed", "3", "--bogus-flag", "--x=1"};
+  const CliArgs args(6, argv);
+  EXPECT_TRUE(args.check_flags({"seed", "bogus-flag", "x"}).is_ok());
+  const Status status = args.check_flags({"seed", "x"});
+  EXPECT_FALSE(status.is_ok());
+  EXPECT_EQ(status.message(), "unknown flag --bogus-flag");
+  EXPECT_FALSE(CliArgs(6, argv).check_flags({}).is_ok());
+  const char* none[] = {"prog", "positional"};
+  EXPECT_TRUE(CliArgs(2, none).check_flags({}).is_ok());
 }
 
 }  // namespace

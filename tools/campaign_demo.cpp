@@ -86,6 +86,13 @@ void hang_until_cancelled(const campaign::CancelToken& token) {
 
 int main(int argc, char** argv) {
   const rbs::CliArgs args(argc, argv);
+  if (const rbs::Status flags =
+          args.check_flags({"sets", "jobs", "seed", "item-ms", "inject-hang", "inject-fail",
+                            "item-deadline", "retries", "csv", "checkpoint", "resume"});
+      !flags) {
+    std::cerr << "error: " << flags.message() << "\n";
+    return 2;
+  }
   const auto n_sets = static_cast<std::size_t>(args.get_int("sets", 40));
   const std::int64_t inject_hang = args.get_int("inject-hang", -1);
   const std::int64_t inject_fail = args.get_int("inject-fail", -1);

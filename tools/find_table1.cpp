@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "rbs.hpp"
+#include "support/cli.hpp"
 
 namespace {
 
@@ -22,7 +23,12 @@ bool approximately(double v, double target, double tol) { return std::fabs(v - t
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // The search takes no flags.
+  if (const rbs::Status flags = rbs::CliArgs(argc, argv).check_flags({}); !flags) {
+    std::fprintf(stderr, "%s\n", flags.message().c_str());
+    return 2;
+  }
   // Staged facade queries keep the original pruning order: the cheap LO-mode
   // gate first, then the certificate, then the crossing search.
   const rbs::Analyzer analyzer;

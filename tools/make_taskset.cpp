@@ -26,6 +26,12 @@
 int main(int argc, char** argv) {
   using namespace rbs;
   const CliArgs args(argc, argv);
+  if (const Status flags = args.check_flags({"out", "u", "x", "y", "terminate", "uunifast",
+                                             "seed", "cores", "speedup", "max-reset"});
+      !flags) {
+    std::cerr << flags.message() << "\n";
+    return 2;
+  }
   const std::string out = args.get_string("out", "tasks.txt");
   const double u = args.get_double("u", 0.6);
   const double x = args.get_double("x", 0.5);

@@ -83,6 +83,15 @@ rbs::TaskSet trace_set(std::uint64_t seed, std::size_t index) {
 
 int main(int argc, char** argv) {
   const rbs::CliArgs args(argc, argv);
+  if (const rbs::Status flags = args.check_flags(
+          {"requests", "seed", "hi-fraction", "inject-fail-every", "repeat-every", "hook-ms",
+           "paused", "expect-overload", "quiet", "csv", "json", "dump", "workers", "queue",
+           "item-deadline", "retries", "backoff", "hi-enter", "lo-exit", "cache",
+           "cache-capacity"});
+      !flags) {
+    std::cerr << "error: " << flags.message() << "\n";
+    return 2;
+  }
   const auto n_requests = static_cast<std::size_t>(args.get_int("requests", 100));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const double hi_fraction = args.get_double("hi-fraction", 0.3);

@@ -268,13 +268,13 @@ int main(int argc, char** argv) {
               << "exit codes: 0 clean, 1 violation, 2 usage, 75 interrupted-but-resumable\n";
     return 0;
   }
-  for (const std::string& flag : args.flag_names())
-    if (flag != "seed" && flag != "sets" && flag != "plans" && flag != "horizon" &&
-        flag != "u-bound" && flag != "dump-repro" && flag != "verbose" && flag != "help" &&
-        flag != "checkpoint" && flag != "resume" && flag != "max-seconds") {
-      std::cerr << "unknown flag --" << flag << "\n";
-      return 2;
-    }
+  if (const rbs::Status flags =
+          args.check_flags({"seed", "sets", "plans", "horizon", "u-bound", "dump-repro",
+                            "verbose", "help", "checkpoint", "resume", "max-seconds"});
+      !flags) {
+    std::cerr << flags.message() << "\n";
+    return 2;
+  }
 
   const Expected<std::int64_t> seed = args.get_int_checked("seed", 1);
   const Expected<std::int64_t> n_sets = args.get_int_checked("sets", 8);
