@@ -19,6 +19,7 @@
 int main(int argc, char** argv) {
   using namespace rbs;
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"sets", "seed"});
   const int n_sets = static_cast<int>(args.get_int("sets", 100));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   bench::banner("Baselines & deployment",

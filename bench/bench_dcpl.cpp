@@ -19,6 +19,7 @@
 int main(int argc, char** argv) {
   using namespace rbs;
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"ways", "sets", "seed"});
   const int total_ways = static_cast<int>(args.get_int("ways", 16));
   const int n_sets = static_cast<int>(args.get_int("sets", 30));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));

@@ -14,6 +14,7 @@
 int main(int argc, char** argv) {
   using namespace rbs;
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"delta-max"}, {bench::kCsvFlags});
   const Ticks delta_max = args.get_int("delta-max", 40);
   bench::banner("Figure 1", "Total HI-mode demand vs. minimum-speedup supply (Lemma 1 +\n"
                             "Theorem 2) for the Table I example.");

@@ -17,6 +17,7 @@
 int main(int argc, char** argv) {
   using namespace rbs;
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"delta-max"}, {bench::kCsvFlags});
   const Ticks delta_max = args.get_int("delta-max", 24);
   bench::banner("Figure 3 / Example 2",
                 "Arrived demand after the mode switch vs. speeded-up supply, and the\n"

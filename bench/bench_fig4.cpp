@@ -16,6 +16,7 @@
 int main(int argc, char** argv) {
   using namespace rbs;
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {}, {bench::kCsvFlags});
   bench::banner("Figure 4 / Examples 3-4",
                 "Closed-form trade-offs between overrun preparation x, service\n"
                 "degradation y, speedup and resetting time (Lemmas 6-7).");

@@ -21,6 +21,7 @@
 int main(int argc, char** argv) {
   using namespace rbs;
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"gamma"}, {bench::kCsvFlags});
   const double gamma_a = args.get_double("gamma", 2.0);
   bench::banner("Figure 5 (FMS)",
                 "Required speedup over (x, y) and resetting time over (s, gamma) for\n"

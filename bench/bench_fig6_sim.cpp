@@ -92,6 +92,9 @@ void print_box(rbs::TextTable& table, double u, const rbs::BoxWhisker& b, double
 int main(int argc, char** argv) {
   using namespace rbs;
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"sets"},
+                     {bench::kCampaignFlags, bench::kXPolicyFlags, bench::kCheckpointFlags,
+                      bench::kCsvFlags});
   const int sets_per_point = static_cast<int>(args.get_int("sets", 200));
   const campaign::CampaignOptions campaign_options = bench::parse_campaign(args);
   const bench::XPolicy x_policy = bench::parse_x_policy(args, bench::XPolicy::kUtilization);

@@ -71,6 +71,9 @@ std::optional<Fig7Item> decode_item(const std::string& payload) {
 int main(int argc, char** argv) {
   using namespace rbs;
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"sets", "step"},
+                     {bench::kCampaignFlags, bench::kXPolicyFlags, bench::kCheckpointFlags,
+                      bench::kCsvFlags});
   const int sets_per_point = static_cast<int>(args.get_int("sets", 30));
   const double step = args.get_double("step", 0.1);
   const campaign::CampaignOptions campaign_options = bench::parse_campaign(args);

@@ -65,6 +65,7 @@ std::optional<MlcSystem> lift_to_three_levels(const ImplicitSet& skeleton, doubl
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"sets", "seed"});
   const int n_sets = static_cast<int>(args.get_int("sets", 100));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   bench::banner("Multi-level criticality (3 levels)",

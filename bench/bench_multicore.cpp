@@ -81,6 +81,8 @@ std::optional<TaskSet> generate_system(std::size_t cores, double u_per_core, Rng
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"sets", "u", "speedup", "tolerance"},
+                     {bench::kCampaignFlags, bench::kCheckpointFlags, bench::kCsvFlags});
   const auto n_sets = static_cast<std::size_t>(args.get_int("sets", 50));
   const double u = args.get_double("u", 0.35);
   const double speedup = args.get_double("speedup", 2.0);

@@ -37,10 +37,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <limits>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common.hpp"
@@ -368,7 +369,7 @@ std::vector<Probe> first_fit_probes() {
     for (const McTask& task : tasks) {
       for (std::vector<McTask>& bin : bins) {
         bin.push_back(task);
-        Probe probe{{TaskSet(bin), 0.7, 1.0, {}, {}}, max_reset};
+        Probe probe{{TaskSet(bin), 0.7, {}, {}}, max_reset};
         const AnalysisReport r = Analyzer().fits(probe.request, max_reset).value();
         probes.push_back(std::move(probe));
         if (r.system_schedulable && within_reset_budget(r.delta_r, max_reset)) break;
@@ -505,32 +506,38 @@ void BM_EventKernelThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EventKernelThroughput);
 
+/// The flags campaign mode reads besides those of bench::open_csv,
+/// bench::parse_campaign and bench::parse_checkpoint.
+constexpr std::string_view kCampaignModeFlags[] = {"smoke", "campaign", "sets", "json"};
+
 /// True for argv entries that belong to campaign mode, not google-benchmark.
 bool is_campaign_flag(const char* arg, bool* eats_value) {
-  static constexpr const char* kValueFlags[] = {"--jobs",       "--sets",
-                                                "--seed",       "--csv",
-                                                "--checkpoint", "--item-deadline",
-                                                "--retries",    "--json"};
-  static constexpr const char* kBoolFlags[] = {"--smoke", "--campaign", "--resume"};
-  *eats_value = false;
-  for (const char* flag : kBoolFlags)
-    if (std::strcmp(arg, flag) == 0) return true;
-  for (const char* flag : kValueFlags) {
-    if (std::strcmp(arg, flag) == 0) {
-      *eats_value = true;  // `--jobs 8` form: the next argv entry is the value
-      return true;
-    }
-    const std::size_t n = std::strlen(flag);
-    if (std::strncmp(arg, flag, n) == 0 && arg[n] == '=') return true;
-  }
-  return false;
+  std::string_view flag = arg;
+  if (flag.substr(0, 2) != "--") return false;
+  flag.remove_prefix(2);
+  const std::size_t eq = flag.find('=');
+  // `--jobs 8` form: the next argv entry is the value of every flag but the
+  // booleans.
+  *eats_value = eq == std::string_view::npos && flag != "smoke" && flag != "campaign" &&
+                flag != "resume";
+  flag = flag.substr(0, eq);
+  const auto in = [flag](std::span<const std::string_view> flags) {
+    return std::find(flags.begin(), flags.end(), flag) != flags.end();
+  };
+  return in(kCampaignModeFlags) || in(bench::kCampaignFlags) || in(bench::kCheckpointFlags) ||
+         in(bench::kCsvFlags);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  if (args.has("smoke") || args.has("campaign")) return run_campaign_mode(args);
+  if (args.has("smoke") || args.has("campaign")) {
+    bench::check_flags(args, {},
+                       {kCampaignModeFlags, bench::kCampaignFlags, bench::kCheckpointFlags,
+                        bench::kCsvFlags});
+    return run_campaign_mode(args);
+  }
 
   // Plain benchmark run: drop any campaign flags so google-benchmark's own
   // parser does not reject them.
@@ -554,6 +561,8 @@ int main(int argc, char** argv) {
   }
   int filtered_argc = static_cast<int>(filtered.size());
   benchmark::Initialize(&filtered_argc, filtered.data());
+  // What google-benchmark left is no flag of either mode.
+  bench::check_flags(CliArgs(filtered_argc, filtered.data()), {});
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, filtered.data())) return 1;
   benchmark::AddCustomContext("rbs_build_type", RBS_PERF_BUILD_TYPE);
   benchmark::AddCustomContext("rbs_cxx_flags", RBS_PERF_CXX_FLAGS);

@@ -10,6 +10,7 @@
 int main(int argc, char** argv) {
   using namespace rbs;
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {}, {bench::kCsvFlags});
   bench::banner("Table I / Example 1",
                 "Reconstructed example task set (see DESIGN.md section 5) and the\n"
                 "minimum processor speedup of Theorem 2 for both service variants.");

@@ -76,6 +76,7 @@ double empirical_s_need(const TaskSet& set, double s_min, int seeds,
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"sets", "seeds", "seed"});
   const int n_sets = static_cast<int>(args.get_int("sets", 12));
   const int seeds = static_cast<int>(args.get_int("seeds", 30));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));

@@ -159,6 +159,7 @@ std::optional<LatencyItem> decode_latency(const std::string& payload) {
 int main(int argc, char** argv) {
   using namespace rbs;
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"sets"}, {bench::kCampaignFlags, bench::kCheckpointFlags});
   const int n_sets = static_cast<int>(args.get_int("sets", 40));
   const campaign::CampaignOptions base_options = bench::parse_campaign(args);
   const bench::CheckpointConfig checkpoint = bench::parse_checkpoint(args);
@@ -390,7 +391,7 @@ int main(int argc, char** argv) {
               if (!set) return encode_latency(item);
               item.has_set = true;
               AnalysisRequest request{
-                  *set, 2.0, 1.0, {.speedup = true, .reset = true, .lo = false}, {}};
+                  *set, 2.0, {.speedup = true, .reset = true, .lo = false}, {}};
               for (std::size_t li = 0; li < kLatenciesMs.size(); ++li) {
                 token.throw_if_cancelled();
                 request.latency = static_cast<Ticks>(kLatenciesMs[li] * 10.0);

@@ -22,6 +22,7 @@
 int main(int argc, char** argv) {
   using namespace rbs;
   const CliArgs args(argc, argv);
+  bench::check_flags(args, {"sets", "seed", "horizon"});
   const int n_sets = static_cast<int>(args.get_int("sets", 40));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const double horizon = args.get_double("horizon", 200000.0);  // 20 s at 0.1 ms ticks

@@ -5,9 +5,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/journal.hpp"
@@ -25,6 +28,32 @@ namespace rbs::bench {
 /// Prints the standard experiment banner.
 inline void banner(const std::string& experiment, const std::string& description) {
   std::cout << "=== " << experiment << " ===\n" << description << "\n\n";
+}
+
+// The flags each shared reader below takes, named once: a bench passes the
+// lists of the readers it calls to check_flags beside its own flags.
+/// open_csv
+inline constexpr std::string_view kCsvFlags[] = {"csv"};
+/// parse_campaign
+inline constexpr std::string_view kCampaignFlags[] = {"jobs", "seed"};
+/// parse_checkpoint
+inline constexpr std::string_view kCheckpointFlags[] = {"checkpoint", "resume", "item-deadline",
+                                                        "retries"};
+/// parse_x_policy
+inline constexpr std::string_view kXPolicyFlags[] = {"x-policy"};
+
+/// Ends the bench with exit status 2 when `args` holds a flag that is neither
+/// one of `own` nor in one of the `shared` lists above, so a typo stops the
+/// run instead of silently changing what runs.
+inline void check_flags(const CliArgs& args, std::initializer_list<std::string_view> own,
+                        std::initializer_list<std::span<const std::string_view>> shared = {}) {
+  std::vector<std::string_view> known(own);
+  for (const std::span<const std::string_view> flags : shared)
+    known.insert(known.end(), flags.begin(), flags.end());
+  if (const Status status = args.check_flags(known); !status) {
+    std::cerr << "error: " << status.message() << "\n";
+    std::exit(2);
+  }
 }
 
 /// Opens a CSV file in the --csv directory (if given); returns nullopt when

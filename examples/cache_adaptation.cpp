@@ -20,6 +20,10 @@
 int main(int argc, char** argv) {
   using namespace rbs;
   const CliArgs args(argc, argv);
+  if (const Status flags = args.check_flags({"ways", "sensitivity"}); !flags) {
+    std::cerr << "error: " << flags.message() << "\n";
+    return 2;
+  }
   const int ways = static_cast<int>(args.get_int("ways", 16));
   const double sensitivity = args.get_double("sensitivity", 0.8);
 

@@ -27,6 +27,12 @@
 int main(int argc, char** argv) {
   using namespace rbs;
   const CliArgs args(argc, argv);
+  if (const Status flags =
+          args.check_flags({"max-speed", "max-boost", "ticks-per-ms", "file", "latency"});
+      !flags) {
+    std::cerr << "error: " << flags.message() << "\n";
+    return 2;
+  }
   const double max_speed = args.get_double("max-speed", 2.0);
   const double max_boost = args.get_double("max-boost", 10000.0);
   const double ticks_per_ms = args.get_double("ticks-per-ms", 10.0);
@@ -58,7 +64,7 @@ int main(int argc, char** argv) {
   }
 
   // 2. Minimum speedup, with and without the DVFS transition latency.
-  AnalysisRequest request{set, 1.0, 1.0, {.speedup = true, .reset = false, .lo = false}, {}};
+  AnalysisRequest request{set, 1.0, {.speedup = true, .reset = false, .lo = false}, {}};
   request.latency = static_cast<Ticks>(args.get_int("latency", 0));
   const double s_min = min_speedup_value(set);
   std::cout << "[2] minimum HI-mode speedup s_min = " << TextTable::num(s_min, 4)

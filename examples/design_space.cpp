@@ -21,6 +21,12 @@
 int main(int argc, char** argv) {
   using namespace rbs;
   const CliArgs args(argc, argv);
+  if (const Status flags =
+          args.check_flags({"u", "seed", "max-speed", "max-boost-ms"});
+      !flags) {
+    std::cerr << "error: " << flags.message() << "\n";
+    return 2;
+  }
   const double u_bound = args.get_double("u", 0.7);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const double max_speed = args.get_double("max-speed", 2.0);

@@ -19,6 +19,10 @@
 int main(int argc, char** argv) {
   using namespace rbs;
   const CliArgs args(argc, argv);
+  if (const Status flags = args.check_flags({"gamma", "speed", "minutes"}); !flags) {
+    std::cerr << "error: " << flags.message() << "\n";
+    return 2;
+  }
   const double gamma = args.get_double("gamma", 2.0);
   const double speed = args.get_double("speed", 2.0);
   const double minutes = args.get_double("minutes", 5.0);

@@ -22,6 +22,10 @@
 int main(int argc, char** argv) {
   using namespace rbs;
   const CliArgs args(argc, argv);
+  if (const Status flags = args.check_flags({"s1", "s2"}); !flags) {
+    std::cerr << "error: " << flags.message() << "\n";
+    return 2;
+  }
   const std::vector<double> speeds{args.get_double("s1", 1.5), args.get_double("s2", 2.0)};
 
   // {T, D, C} per mode; ticks are milliseconds.

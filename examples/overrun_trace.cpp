@@ -47,6 +47,10 @@ std::string mode_row(const rbs::sim::Trace& trace, double horizon) {
 int main(int argc, char** argv) {
   using namespace rbs;
   const CliArgs args(argc, argv);
+  if (const Status flags = args.check_flags({"speed", "horizon"}); !flags) {
+    std::cerr << "error: " << flags.message() << "\n";
+    return 2;
+  }
   const double speed = args.get_double("speed", 2.0);
   const double horizon = args.get_double("horizon", 40.0);
 

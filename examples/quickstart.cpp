@@ -8,9 +8,15 @@
 #include <iostream>
 
 #include "rbs.hpp"
+#include "support/cli.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace rbs;
+  // The example takes no flags.
+  if (const Status flags = CliArgs(argc, argv).check_flags({}); !flags) {
+    std::cerr << "error: " << flags.message() << "\n";
+    return 2;
+  }
 
   // Two safety-critical (HI) tasks and two best-effort (LO) tasks. Ticks are
   // milliseconds here. HI tasks carry two WCETs: the optimistic C(LO) used

@@ -311,7 +311,6 @@ RBS_DET_PATH Expected<AnalysisReport> analyze_tasks(std::span<const McTask> task
                                                     AnalysisStorage& storage,
                                                     std::optional<double> max_reset) {
   const double speed = request.speed;
-  const double lo_speed = request.lo_speed;
   const Ticks latency = request.latency;
   const AnalysisLimits& limits = request.limits;
   AnalysisParts parts = request.parts;
@@ -326,9 +325,6 @@ RBS_DET_PATH Expected<AnalysisReport> analyze_tasks(std::span<const McTask> task
   if (parts.reset && latency > 0 && speed < 1.0)
     return Status::error("analyze: Delta_R under a transition latency needs speed >= 1, got " +
                          std::to_string(speed));
-  if (parts.lo && (!std::isfinite(lo_speed) || lo_speed <= 0.0))
-    return Status::error("analyze: lo_speed must be positive and finite, got " +
-                         std::to_string(lo_speed));
   if (limits.max_breakpoints == 0)
     return Status::error("analyze: max_breakpoints must be positive");
   if (!(limits.rel_tol >= 0.0) || !std::isfinite(limits.rel_tol))
@@ -336,18 +332,17 @@ RBS_DET_PATH Expected<AnalysisReport> analyze_tasks(std::span<const McTask> task
 
   AnalysisReport report;
   report.speed = speed;
-  report.u_lo = total_utilization(tasks, Mode::LO);
   report.u_hi = total_utilization(tasks, Mode::HI);
 
   if (parts.lo) {
-    EdfTestOptions options;
-    options.speed = lo_speed;
-    options.max_breakpoints = limits.max_breakpoints;
     storage.lo.assign(tasks);
-    const EdfTestResult lo = storage.lo.test(options);
+    report.u_lo = storage.lo.utilization();  // the table sums U_LO as total_utilization does
+    const EdfTestResult lo = storage.lo.test(limits.max_breakpoints);
     report.lo_schedulable = lo.schedulable;
     report.lo_breakpoints = lo.breakpoints_visited;
     if (max_reset && !lo.schedulable) return report;
+  } else {
+    report.u_lo = total_utilization(tasks, Mode::LO);
   }
 
   SpeedupSearch speedup;

@@ -83,7 +83,7 @@ struct AnalysisLimits {
 struct AnalysisParts {
   bool speedup = true;  ///< s_min (Theorem 2) + the HI-mode verdict
   bool reset = true;    ///< Delta_R at `speed` (Corollary 5)
-  bool lo = true;       ///< LO-mode processor-demand test at `lo_speed`
+  bool lo = true;       ///< LO-mode processor-demand test at unit speed
 };
 
 /// One self-contained unit of analysis work: the set, the speeds to certify,
@@ -91,8 +91,7 @@ struct AnalysisParts {
 /// their task set so a campaign can ship them to worker threads wholesale.
 struct AnalysisRequest {
   TaskSet set;
-  double speed = 1.0;     ///< HI-mode speedup factor s for Delta_R / verdicts
-  double lo_speed = 1.0;  ///< LO-mode processor speed (1.0 in the paper)
+  double speed = 1.0;  ///< HI-mode speedup factor s for Delta_R / verdicts
   AnalysisParts parts;
   AnalysisLimits limits;
   /// Criticality of the *request* itself, mirroring the task model's levels:
@@ -141,7 +140,7 @@ struct AnalysisReport {
   bool delta_r_exact = true;
 
   // --- verdicts ------------------------------------------------------------
-  bool lo_schedulable = false;      ///< LO mode at lo_speed (parts.lo)
+  bool lo_schedulable = false;      ///< LO mode at unit speed (parts.lo)
   bool hi_schedulable = false;      ///< hi_schedulable_at(speed) (parts.speedup)
   bool system_schedulable = false;  ///< both of the above
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -13,60 +12,23 @@ namespace rbs {
 
 namespace {
 
-__extension__ typedef __int128 Wide;  // exact products of a mantissa and a tick count
-
-/// The supply speed * d of a processor at `speed`, compared exactly with an
-/// integer work. The speed is split once into mantissa * 2^shift with a
-/// 53-bit mantissa, so each product with a tick count needs at most 116 bits,
-/// and at most 126 once shifted left.
-class Supply {
- public:
-  explicit Supply(double speed) {
-    if (!(speed > 0.0)) return;  // mantissa 0: only zero work fits
-    if (std::isinf(speed)) {
-      shift_ = kPastTicks;
-      return;
-    }
-    int exponent = 0;
-    const double fraction = std::frexp(speed, &exponent);  // speed = fraction * 2^exponent
-    mantissa_ = static_cast<Wide>(std::ldexp(fraction, 53));
-    shift_ = exponent - 53;
-  }
-
-  /// Whether work <= speed * d holds exactly, for work >= 0 and d >= 1.
-  [[nodiscard]] bool covers(Wide work, Ticks d) const {
-    if (shift_ >= kPastTicks) return true;
-    const Wide supply = mantissa_ * d;
-    if (shift_ >= 0) return work <= (supply << shift_);
-    // For an integer work, work <= supply / 2^k iff work <= floor(supply / 2^k).
-    return work <= (-shift_ >= 120 ? Wide{0} : supply >> -shift_);
-  }
-
- private:
-  /// mantissa >= 2^52 and d >= 1, so a shift of 11 puts the supply past any
-  /// Ticks value.
-  static constexpr int kPastTicks = 11;
-  Wide mantissa_ = 0;
-  int shift_ = 0;
-};
-
 /// The end of the utilization window L_a: an integer above the exact bound
-/// S / (speed - U), where `slack` and `u` are the double sums of S and U over
+/// S / (1 - U), where `slack` and `u` are the double sums of S and U over
 /// `n` tasks (docs/ANALYSIS.md §1). Each of the n non-negative terms is
 /// rounded at most five times (C, T and T - D to double, C/T, the product)
 /// before recursive summation, so both sums are within a relative
 /// `sum_error` = (n + 6) * 2^-52 of the exact ones. Hence
-/// S <= slack * (1 + sum_error) and speed - U >= (speed - u) * (1 - r - 2^-51)
-/// with r = sum_error * u / (speed - u), and the last factor, 1 + 2^-49,
+/// S <= slack * (1 + sum_error) and 1 - U >= (1 - u) * (1 - r - 2^-51)
+/// with r = sum_error * u / (1 - u), and the last factor, 1 + 2^-49,
 /// outweighs the roundings of evaluating the bound. No factor is below 1,
-/// so the end is never below floor(slack / (speed - u)) + 1, the end before
+/// so the end is never below floor(slack / (1 - u)) + 1, the end before
 /// the bound was rounded up.
-Ticks utilization_window_end(double slack, double u, double speed, std::size_t n) {
+Ticks utilization_window_end(double slack, double u, std::size_t n) {
   constexpr double kUlp = std::numeric_limits<double>::epsilon();  // 2^-52
   const double sum_error = static_cast<double>(n + 6) * kUlp;
-  const double headroom = speed - u;
+  const double headroom = 1.0 - u;
   const double r = sum_error * u / headroom;
-  if (!(r < 0.5)) return kInfTicks - 1;  // U too close to the speed to bound
+  if (!(r < 0.5)) return kInfTicks - 1;  // U too close to 1 to bound
   const double quotient = slack / headroom;
   const double bound = quotient * (1.0 + sum_error) / (1.0 - r - 2.0 * kUlp) * (1.0 + 8.0 * kUlp);
   return bound < static_cast<double>(kInfTicks - 2) ? static_cast<Ticks>(bound) + 1
@@ -124,7 +86,7 @@ void LoDemandTable::arm() {
 
 void LoDemandTable::sum_slack() {
   // DBF_LO(tau_i, D) <= U_i * D + U_i * (T_i - D_i), so demand can exceed
-  // speed * D only below slack / (speed - U).
+  // D only below slack / (1 - U).
   slack_ = 0.0;
   implicit_ = true;
   for (const Task& t : tasks_) {
@@ -167,24 +129,24 @@ void LoDemandTable::prepare_hi_deadlines(double x) {
   for (std::size_t k = 0; k < ring_order_.size(); ++k) stops_[k] = tasks_[ring_order_[k]].stop;
 }
 
-LoWindow LoDemandTable::window(double speed) const {
-  // The utilization-vs-speed trichotomy is a *breakpoint* of the analysis:
-  // U is a sum of C/T ratios whose mathematical value can equal the speed
-  // exactly while the computed double lands an ulp off either side (e.g.
-  // three tasks with C/T = 1/3). The speed tolerance routes every such case
-  // to the exact comparison below instead of an absurd L_a.
-  if (definitely_gt(utilization_, speed, kSpeedTol)) return {false, 0};
+LoWindow LoDemandTable::window() const {
+  // The utilization-vs-1 trichotomy is a *breakpoint* of the analysis: U is
+  // a sum of C/T ratios whose mathematical value can equal 1 exactly while
+  // the computed double lands an ulp off either side (e.g. three tasks with
+  // C/T = 1/3). The speed tolerance routes every such case to the exact
+  // comparison below instead of an absurd L_a.
+  if (definitely_gt(utilization_, 1.0, kSpeedTol)) return {false, 0};
 
-  // With U <= speed the synchronous busy period ends by the hyperperiod H:
-  // the work released in [0, H) is U * H <= speed * H. Every first
-  // violation lies inside that busy period, so H bounds the window too.
-  if (definitely_lt(utilization_, speed, kSpeedTol)) {
-    const Ticks l_a = utilization_window_end(slack_, utilization_, speed, tasks_.size());
+  // With U <= 1 the synchronous busy period ends by the hyperperiod H: the
+  // work released in [0, H) is U * H <= H. Every first violation lies inside
+  // that busy period, so H bounds the window too.
+  if (definitely_lt(utilization_, 1.0, kSpeedTol)) {
+    const Ticks l_a = utilization_window_end(slack_, utilization_, tasks_.size());
     return {std::nullopt, hyperperiod(l_a).value_or(l_a)};
   }
 
-  // U == speed to tolerance: L_a degenerates, so compare the demand of one
-  // hyperperiod with the supply speed * H exactly.
+  // U == 1 to tolerance: L_a degenerates, so compare the demand of one
+  // hyperperiod with H exactly.
   const std::optional<Ticks> h = hyperperiod(kInfTicks);
   const std::optional<Ticks> work = h ? hyperperiod_demand(*h) : std::nullopt;
   if (!work) {
@@ -193,36 +155,37 @@ LoWindow LoDemandTable::window(double speed) const {
     if (implicit_) return {true, 0};
     return {std::nullopt, kInfTicks - 1};
   }
-  if (!Supply(speed).covers(*work, *h)) return {false, 0};
+  if (*work > *h) return {false, 0};
   if (implicit_) return {true, 0};
   return {std::nullopt, *h};
 }
 
-EdfTestResult LoDemandTable::test(const EdfTestOptions& options) {
+EdfTestResult LoDemandTable::test(std::size_t max_breakpoints) {
   EdfTestResult result;
-  const LoWindow window = this->window(options.speed);
+  const LoWindow window = this->window();
   if (window.verdict) {
     result.schedulable = *window.verdict;
     return result;  // an overload has no single witness point (violation 0)
   }
 
   // DBF_LO is a step function that is 0 before the first deadline (D >= 1):
-  // the running total only adds each tick's jumps. It is kept in 128 bits: at
-  // a speed of 8 or more, demand within the supply can pass int64 near the
-  // top of the window.
+  // the running total only adds each tick's jumps. The walk runs only for U
+  // within kSpeedTol of 1 or below, and every period is below kInfTicks, so
+  // sum C_i = sum U_i * T_i is about kInfTicks at most; a walk that has not
+  // stopped holds at most its previous tick plus one jump per task, about
+  // 2^61, far inside Ticks (docs/ANALYSIS.md §1).
   merger_.rearm(stops_);
-  const Supply supply(options.speed);
-  Wide demand = 0;
+  Ticks demand = 0;
   while (const auto point = merger_.next()) {
     const Ticks d = point->tick;
     if (d > window.last) break;
-    if (++result.breakpoints_visited > options.max_breakpoints) {
+    if (++result.breakpoints_visited > max_breakpoints) {
       result.schedulable = false;
       result.conclusive = false;
       return result;
     }
     demand += point->delta[0].jump;
-    if (!supply.covers(demand, d)) {
+    if (demand > d) {
       result.schedulable = false;
       result.violation_delta = d;
       return result;
@@ -232,14 +195,10 @@ EdfTestResult LoDemandTable::test(const EdfTestOptions& options) {
   return result;
 }
 
-EdfTestResult lo_mode_test(const TaskSet& set, const EdfTestOptions& options) {
-  return LoDemandTable(set).test(options);
+EdfTestResult lo_mode_test(const TaskSet& set, std::size_t max_breakpoints) {
+  return LoDemandTable(set).test(max_breakpoints);
 }
 
-bool lo_mode_schedulable(const TaskSet& set, double speed) {
-  EdfTestOptions options;
-  options.speed = speed;
-  return lo_mode_test(set, options).schedulable;
-}
+bool lo_mode_schedulable(const TaskSet& set) { return lo_mode_test(set).schedulable; }
 
 }  // namespace rbs

@@ -2,14 +2,14 @@
 //
 // In LO mode all tasks run with their LO-mode parameters on a unit-speed
 // processor, and the system is schedulable iff for every interval length
-// Delta > 0:  sum_i DBF_LO(tau_i, Delta) <= speed * Delta   [5].
+// Delta > 0:  sum_i DBF_LO(tau_i, Delta) <= Delta   [5].
 //
 // The test is pseudo-polynomial: demand is checked only at the step points
 // of the total demand function inside a finite window, the smaller of the
 // utilization-based bound L_a and the LO-mode hyperperiod H (which bounds
-// the synchronous busy period whenever U <= speed). LoDemandTable walks
-// those step points forward and compares demand with supply exactly; it is
-// the library's only LO-mode test, and lo_mode_test runs it once.
+// the synchronous busy period whenever U <= 1). LoDemandTable walks those
+// step points forward and compares demand with Delta in integer ticks; it
+// is the library's only LO-mode test, and lo_mode_test runs it once.
 // tests/core/reference_qpa.hpp keeps QPA, the backward iteration of Zhang &
 // Burns, as the oracle it is checked against.
 #pragma once
@@ -27,13 +27,6 @@
 
 namespace rbs {
 
-struct EdfTestOptions {
-  /// Processor speed available in LO mode (1.0 in the paper).
-  double speed = 1.0;
-  /// Safety valve for pathological sets with utilization ~ speed.
-  std::size_t max_breakpoints = kBreakpointBudget;
-};
-
 struct EdfTestResult {
   bool schedulable = false;
   /// True if the test ran to its exact stopping bound. When false (breakpoint
@@ -44,17 +37,17 @@ struct EdfTestResult {
   std::size_t breakpoints_visited = 0;
 };
 
-/// The interval lengths a LO-mode processor-demand test at `speed` must
-/// check (docs/ANALYSIS.md §1).
+/// The interval lengths the LO-mode processor-demand test must check
+/// (docs/ANALYSIS.md §1).
 struct LoWindow {
-  /// Set when the utilization decides alone: false when U > speed (no single
-  /// witness interval), true for implicit deadlines with U <= speed.
+  /// Set when the utilization decides alone: false when U > 1 (no single
+  /// witness interval), true for implicit deadlines with U <= 1.
   std::optional<bool> verdict;
   /// Otherwise every step point Delta <= last: min(L_a, H) when U is
-  /// definitely below the speed, with L_a rounded up past the exact bound;
-  /// H when U equals it (compared exactly at the hyperperiod); and
-  /// kInfTicks - 1, bounded only by the breakpoint budget, when U equals it
-  /// but H or the demand over H overflows.
+  /// definitely below 1, with L_a rounded up past the exact bound; H when U
+  /// equals 1 (compared exactly at the hyperperiod); and kInfTicks - 1,
+  /// bounded only by the breakpoint budget, when U equals 1 but H or the
+  /// demand over H overflows.
   Ticks last = 0;
 };
 
@@ -92,12 +85,17 @@ class LoDemandTable {
   /// ring in the merger but leaves every result exact.
   void prepare_hi_deadlines(double x) RBS_HOT_PATH;
 
-  /// The window of the test at `speed`, from U and the deadline slack summed
-  /// as a task set sums them.
-  [[nodiscard]] LoWindow window(double speed) const RBS_HOT_PATH;
+  /// The window of the test, from U and the deadline slack summed as a task
+  /// set sums them.
+  [[nodiscard]] LoWindow window() const RBS_HOT_PATH;
 
-  /// The processor-demand test at the current deadlines.
-  [[nodiscard]] EdfTestResult test(const EdfTestOptions& options = {}) RBS_HOT_PATH;
+  /// The processor-demand test at the current deadlines, inconclusive past
+  /// `max_breakpoints` step points.
+  [[nodiscard]] EdfTestResult test(std::size_t max_breakpoints = kBreakpointBudget)
+      RBS_HOT_PATH;
+
+  /// U, summed as TaskSet::total_utilization(Mode::LO) sums it, bit for bit.
+  [[nodiscard]] double utilization() const { return utilization_; }
 
  private:
   struct Task {
@@ -136,9 +134,10 @@ class LoDemandTable {
 };
 
 /// Full processor-demand test of the LO-mode parameters.
-[[nodiscard]] EdfTestResult lo_mode_test(const TaskSet& set, const EdfTestOptions& options = {});
+[[nodiscard]] EdfTestResult lo_mode_test(const TaskSet& set,
+                                         std::size_t max_breakpoints = kBreakpointBudget);
 
 /// Convenience wrapper returning only the verdict.
-[[nodiscard]] bool lo_mode_schedulable(const TaskSet& set, double speed = 1.0);
+[[nodiscard]] bool lo_mode_schedulable(const TaskSet& set);
 
 }  // namespace rbs

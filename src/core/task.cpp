@@ -119,12 +119,6 @@ double TaskSet::total_utilization(Mode mode) const { return rbs::total_utilizati
 
 Ticks TaskSet::total_hi_wcet() const { return rbs::total_hi_wcet(tasks_); }
 
-std::size_t TaskSet::hi_count() const {
-  std::size_t n = 0;
-  for (const McTask& t : tasks_) n += t.is_hi() ? 1 : 0;
-  return n;
-}
-
 double total_utilization(std::span<const McTask> tasks, Mode mode) {
   double lo_tasks = 0.0;
   double hi_tasks = 0.0;

@@ -111,9 +111,6 @@ class TaskSet {
   /// search (Section III, "computation efficiency").
   Ticks total_hi_wcet() const;
 
-  /// Number of HI-criticality tasks.
-  std::size_t hi_count() const;
-
  private:
   std::vector<McTask> tasks_;
 };

@@ -34,8 +34,6 @@ class Rng {
   /// Derives an independent child seed (for per-task-set streams).
   std::uint64_t fork_seed() { return engine_(); }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
 };

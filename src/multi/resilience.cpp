@@ -52,7 +52,6 @@ bool accept_on_core(Ctx& ctx, const std::vector<std::size_t>& indices, const Cor
   shed.clear();
   const std::span<McTask> local = ctx.local_tasks(indices);
   AnalysisRequest areq;
-  areq.lo_speed = ctx.req->lo_speed;
   areq.limits = ctx.req->limits;
   areq.parts = {.speedup = false, .reset = false, .lo = true};
   ++*ctx.analyzer_calls;
@@ -75,7 +74,6 @@ bool nominal_feasible(Ctx& ctx, const std::vector<std::size_t>& tasks,
   if (tasks.empty()) return true;
   AnalysisRequest areq;
   areq.speed = budget.hi_speedup;
-  areq.lo_speed = ctx.req->lo_speed;
   areq.limits = ctx.req->limits;
   ++*ctx.analyzer_calls;
   const Expected<AnalysisReport> report =
@@ -117,7 +115,7 @@ FailureScenario evaluate_scenario(Ctx& ctx, std::vector<std::size_t> faulted,
       cs.u_hi = 0.0;
       continue;
     }
-    // Boost denial: the core runs its episodes at lo_speed. Try to save the
+    // Boost denial: the core runs its episodes at speed 1. Try to save the
     // HI tasks locally by terminating LO service in tiers; only when no tier
     // suffices (or the degraded dwell busts the reset budget) do the HI
     // tasks migrate off. A LO-only core never enters HI mode, so denial is
@@ -127,7 +125,7 @@ FailureScenario evaluate_scenario(Ctx& ctx, std::vector<std::size_t> faulted,
     for (std::size_t g : cs.tasks) has_hi = has_hi || req.set[g].is_hi();
     if (!has_hi) continue;
     ++*ctx.analyzer_calls;
-    const FallbackFit fit = find_fallback(ctx.local_tasks(cs.tasks), req.lo_speed,
+    const FallbackFit fit = find_fallback(ctx.local_tasks(cs.tasks), 1.0,
                                           req.budgets[core].max_reset, req.limits, ctx.storage);
     if (fit.feasible && fit.within_budget) {
       for (std::size_t local : fit.fallback.terminated) cs.shed.push_back(cs.tasks[local]);
@@ -239,8 +237,6 @@ RBS_DET_PATH Expected<MultiReport> analyze_resilience(const MultiRequest& reques
     if (std::isnan(budget.max_reset) || budget.max_reset <= 0.0)
       return Status::error("multi: every max_reset must be > 0 (or +inf)");
   }
-  if (!(request.lo_speed > 0.0) || !std::isfinite(request.lo_speed))
-    return Status::error("multi: lo_speed must be finite and > 0");
   if (request.tolerance >= cores)
     return Status::error("multi: tolerance must leave at least one surviving core");
 

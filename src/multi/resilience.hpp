@@ -11,7 +11,7 @@
 //                      for every episode (FaultPlan::boost_denied_on_core):
 //                      the core first tries to save its HI tasks locally by
 //                      terminating LO tasks in tiers (core/resilience.hpp's
-//                      find_fallback at s' = lo_speed); only when no tier
+//                      find_fallback at the nominal s' = 1); only when no tier
 //                      suffices do its HI tasks migrate off.
 //
 // The analysis enumerates every set of <= k faulted cores crossed with both
@@ -19,7 +19,7 @@
 // each scenario: HI tasks of faulted cores migrate -- largest HI-mode
 // utilization first -- onto surviving, non-denied cores, each receiver
 // re-certified against its OWN budget by the Analyzer facade's verdicts
-// (LO-mode at lo_speed, `hi_schedulable` at hi_speedup, `within_reset_budget`
+// (LO-mode at unit speed, `hi_schedulable` at hi_speedup, `within_reset_budget`
 // against max_reset), asked as decision questions (Analyzer::fits, through
 // its span entry analyze_tasks) that stop as soon as the verdict is known.
 // One AnalysisStorage and one task vector serve every check of a call, so no
@@ -95,8 +95,8 @@ struct MultiReport {
   std::size_t tolerance = 0;       ///< the k the verdict is for
   /// Every core feasible with no fault: for each core, the facade's verdicts
   /// under its budget, system_schedulable and within_reset_budget(delta_r,
-  /// max_reset), as Analyzer::analyze of the core's set at hi_speedup and
-  /// lo_speed gives them.
+  /// max_reset), as Analyzer::analyze of the core's set at hi_speedup gives
+  /// them.
   bool nominal_feasible = false;
   /// The headline verdict: nominal_feasible and every enumerated scenario
   /// admits a feasible spare assignment.
@@ -123,7 +123,6 @@ struct MultiRequest {
   /// Tolerate every combination of up to `tolerance` faulted cores. Must be
   /// < cores (at least one survivor). 0 checks only the nominal partition.
   std::size_t tolerance = 1;
-  double lo_speed = 1.0;  ///< LO-mode speed (and a denied core's ceiling)
   /// Limits of every facade call, the fallback tiers' Delta_R included.
   AnalysisLimits limits;
   /// Upper bound on enumerated scenarios; exceeding it is an error rather

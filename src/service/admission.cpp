@@ -35,34 +35,15 @@ AdmissionDecision AdmissionController::admit(Criticality priority, std::size_t q
 
 void AdmissionController::observe_depth(std::size_t queue_depth) {
   const LockGuard lock(mutex_);
-  // A core deficit pins the overloaded mode: a drained backlog on a
-  // shrunken pool says nothing about surviving the next burst.
-  if (mode_ == ServiceMode::kHi && !core_deficit_ && queue_depth <= options_.lo_exit_depth) {
+  if (mode_ == ServiceMode::kHi && queue_depth <= options_.lo_exit_depth) {
     mode_ = ServiceMode::kLo;
     ++switches_to_lo_;
   }
 }
 
-void AdmissionController::observe_core_pool(std::size_t live_cores, std::size_t nominal_cores) {
-  const LockGuard lock(mutex_);
-  core_deficit_ = live_cores < nominal_cores;
-  if (core_deficit_ && mode_ == ServiceMode::kLo) {
-    mode_ = ServiceMode::kHi;
-    ++switches_to_hi_;
-  }
-  // Restoration does NOT switch back here: the mode drains through the
-  // usual observe_depth hysteresis so a repaired pool with a deep backlog
-  // keeps shedding until the backlog actually recedes.
-}
-
 ServiceMode AdmissionController::mode() const {
   const LockGuard lock(mutex_);
   return mode_;
-}
-
-bool AdmissionController::core_deficit() const {
-  const LockGuard lock(mutex_);
-  return core_deficit_;
 }
 
 std::uint64_t AdmissionController::switches_to_hi() const {

@@ -65,21 +65,10 @@ class AdmissionController {
       RBS_EXCLUDES(mutex_);
 
   /// Reports the post-dequeue depth from a worker. May switch HI -> LO once
-  /// the backlog has receded to the low-water mark -- unless a core deficit
-  /// (observe_core_pool) is pinning the overloaded mode.
+  /// the backlog has receded to the low-water mark.
   void observe_depth(std::size_t queue_depth) RBS_EXCLUDES(mutex_);
 
-  /// Reports the size of the live worker-core pool against its nominal size
-  /// (multicore deployments: a fail-stopped core shrinks the pool). A
-  /// deficit is an overload trigger independent of the queue depth -- the
-  /// controller switches LO -> HI immediately and stays there, regardless of
-  /// backlog, until the pool is restored AND the backlog satisfies the usual
-  /// low-water mark.
-  void observe_core_pool(std::size_t live_cores, std::size_t nominal_cores)
-      RBS_EXCLUDES(mutex_);
-
   [[nodiscard]] ServiceMode mode() const RBS_EXCLUDES(mutex_);
-  [[nodiscard]] bool core_deficit() const RBS_EXCLUDES(mutex_);
   [[nodiscard]] std::uint64_t switches_to_hi() const RBS_EXCLUDES(mutex_);
   [[nodiscard]] std::uint64_t switches_to_lo() const RBS_EXCLUDES(mutex_);
 
@@ -87,7 +76,6 @@ class AdmissionController {
   AdmissionOptions options_;
   mutable Mutex mutex_;
   ServiceMode mode_ RBS_GUARDED_BY(mutex_) = ServiceMode::kLo;
-  bool core_deficit_ RBS_GUARDED_BY(mutex_) = false;
   std::uint64_t switches_to_hi_ RBS_GUARDED_BY(mutex_) = 0;
   std::uint64_t switches_to_lo_ RBS_GUARDED_BY(mutex_) = 0;
 };

@@ -26,7 +26,7 @@ namespace {
 constexpr char kKeyValueSep = '\x1f';
 /// Bumped whenever the key format changes, so a WAL of unreachable keys
 /// opens as foreign and starts fresh.
-constexpr char kWalTag[] = "service-cache-v2";
+constexpr char kWalTag[] = "service-cache-v3";
 /// items bound in the WAL header; publishes are numbered sequentially and
 /// never approach it.
 constexpr std::uint64_t kWalItems = std::uint64_t{1} << 62;
@@ -125,8 +125,6 @@ RBS_DET_PATH std::string cache_key(const AnalysisRequest& request) {
   std::string key = canonical_task_set(request.set);
   key += '\x1e';
   key += canonical_double(request.speed);
-  key += ';';
-  key += canonical_double(request.lo_speed);
   key += ';';
   key += request.parts.speedup ? '1' : '0';
   key += request.parts.reset ? '1' : '0';

@@ -356,10 +356,4 @@ ServiceStats AnalysisServer::stats() const {
 
 ServiceMode AnalysisServer::mode() const { return impl_->admission.mode(); }
 
-void AnalysisServer::observe_core_pool(std::size_t live_cores, std::size_t nominal_cores) {
-  impl_->admission.observe_core_pool(live_cores, nominal_cores);
-}
-
-bool AnalysisServer::core_deficit() const { return impl_->admission.core_deficit(); }
-
 }  // namespace rbs::service

@@ -138,16 +138,6 @@ class AnalysisServer {
   /// Mode right now (stats().mode, without copying the rest).
   [[nodiscard]] ServiceMode mode() const;
 
-  /// Reports the live worker-core pool against its nominal size (multicore
-  /// deployments: a fail-stopped core shrinks the pool). A deficit is an
-  /// overload trigger: the server switches to its HI service mode at once
-  /// and stays there until the pool is restored and the backlog drains (see
-  /// AdmissionController::observe_core_pool).
-  void observe_core_pool(std::size_t live_cores, std::size_t nominal_cores);
-
-  /// True while a reported core deficit pins the overloaded mode.
-  [[nodiscard]] bool core_deficit() const;
-
  private:
   struct Impl;
   explicit AnalysisServer(std::unique_ptr<Impl> impl);

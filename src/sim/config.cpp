@@ -12,8 +12,6 @@ bool finite_nonneg(double v) { return std::isfinite(v) && v >= 0.0; }
 Status validate_config(const TaskSet& set, const SimConfig& cfg) {
   if (!std::isfinite(cfg.horizon) || cfg.horizon <= 0.0)
     return Status::error("config: horizon must be finite and > 0");
-  if (!std::isfinite(cfg.lo_speed) || cfg.lo_speed <= 0.0)
-    return Status::error("config: lo_speed must be finite and > 0");
   if (!std::isfinite(cfg.hi_speed) || cfg.hi_speed <= 0.0)
     return Status::error("config: hi_speed must be finite and > 0");
   if (!finite_nonneg(cfg.speed_change_latency))
@@ -64,7 +62,7 @@ Status validate_config(const TaskSet& set, const SimConfig& cfg) {
     }
   }
 
-  return validate(cfg.faults, cfg.lo_speed, cfg.hi_speed);
+  return validate(cfg.faults, cfg.hi_speed);
 }
 
 }  // namespace rbs::sim

@@ -32,8 +32,9 @@ struct DemandModel {
 
 struct SimConfig {
   double horizon = 1e6;  ///< simulated time (ticks)
-  double lo_speed = 1.0; ///< nominal processor speed
-  double hi_speed = 1.0; ///< speed while in HI mode (the paper's s)
+  /// Speed while in HI mode (the paper's s); LO mode runs at the nominal
+  /// speed 1.
+  double hi_speed = 1.0;
 
   DemandModel demand;
 
@@ -49,14 +50,14 @@ struct SimConfig {
   double initial_offset_spread = 0.0;
 
   /// DVFS transition latency: after the mode switch the processor keeps
-  /// running at lo_speed for this long before hi_speed takes effect
+  /// running at speed 1 for this long before hi_speed takes effect
   /// (matching AnalysisRequest::latency in the analysis). 0 = instantaneous
   /// boost.
   double speed_change_latency = 0.0;
 
   /// Turbo-budget fallback (Section IV remark): if a HI-mode episode lasts
   /// longer than this, the runtime stops overclocking -- speed returns to
-  /// lo_speed and *all* LO tasks are terminated (active jobs aborted, no new
+  /// 1 and *all* LO tasks are terminated (active jobs aborted, no new
   /// releases) until the idle-instant reset. 0 disables the fallback.
   /// Offline admissibility of this protocol is check_turbo_envelope's job.
   double max_boost_duration = 0.0;
@@ -93,10 +94,10 @@ struct SimConfig {
 };
 
 /// Checks `config` against `set` before any event-loop work: finite positive
-/// horizon and speeds, probabilities in [0, 1], non-negative latencies and
+/// horizon and HI-mode speed, probabilities in [0, 1], non-negative latencies and
 /// separations, well-formed scripted arrivals (size match, ascending release
 /// times, positive finite demands) and a valid fault plan. NaN anywhere is an
-/// error. Note hi_speed < lo_speed is deliberately *allowed*: the paper's
+/// error. Note hi_speed < 1 is deliberately *allowed*: the paper's
 /// Example 1 shows systems that slow down in HI mode (s_min < 1).
 [[nodiscard]] Status validate_config(const TaskSet& set, const SimConfig& config);
 

@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/job.hpp"
 #include "support/tolerance.hpp"
 
 namespace rbs::sim {
@@ -202,7 +201,7 @@ void EventKernel::init() {
   queue_.reserve(n + 16);
 
   mode_ = Mode::LO;
-  set_speed(cfg.lo_speed);
+  set_speed(1.0);
   hi_since_ = 0.0;
   last_switch_ = -1.0;
   fallback_active_ = false;
@@ -579,7 +578,7 @@ void EventKernel::process_instant(double now) {
       if (throttle_pending_ && now >= hi_since_ + cur_fault_.throttle_after - kEpsTime) {
         throttle_pending_ = false;
         boost_pending_ = false;
-        set_speed(cur_fault_.throttle_speed > 0.0 ? cur_fault_.throttle_speed : cfg_->lo_speed);
+        set_speed(cur_fault_.throttle_speed > 0.0 ? cur_fault_.throttle_speed : 1.0);
         ++result_.throttle_downs;
         record_event(now, TraceEvent::Kind::kThrottleDown);
       }
@@ -700,7 +699,6 @@ void EventKernel::complete(std::uint32_t slot, double now) {
   ++stats.completed;
   const double response = now - job_release_[slot];
   stats.max_response = std::max(stats.max_response, response);
-  stats.total_response += response;
   if (prev_job_ == job_id_[slot]) prev_job_ = kNoJob;
   if (flags & kFlagCrossed) {
     --crossed_count_;
@@ -864,10 +862,10 @@ void EventKernel::switch_to_hi(double now) {
   mode_ = Mode::HI;
   cur_fault_ = resolve_fault(cfg_->faults, episode_index_++);
   episode_latency_ = cfg_->speed_change_latency + cur_fault_.extra_latency;
-  episode_target_ = cur_fault_.deny_boost ? cfg_->lo_speed
+  episode_target_ = cur_fault_.deny_boost ? 1.0
                     : cur_fault_.achieved_speed > 0.0 ? cur_fault_.achieved_speed
                                                       : cfg_->hi_speed;
-  set_speed(episode_latency_ > 0.0 ? cfg_->lo_speed : episode_target_);
+  set_speed(episode_latency_ > 0.0 ? 1.0 : episode_target_);
   boost_pending_ = speed_ != episode_target_;
   // A denied boost never reaches a speed worth throttling down from.
   throttle_pending_ = !cur_fault_.deny_boost && cur_fault_.throttle_after > 0.0;
@@ -910,7 +908,7 @@ void EventKernel::switch_to_hi(double now) {
 void EventKernel::reset(double now) {
   result_.hi_dwell_times.push_back(now - hi_since_);
   mode_ = Mode::LO;
-  set_speed(cfg_->lo_speed);
+  set_speed(1.0);
   fallback_active_ = false;
   boost_pending_ = false;
   throttle_pending_ = false;
@@ -921,7 +919,7 @@ void EventKernel::reset(double now) {
 
 void EventKernel::budget_fallback(double now) {
   fallback_active_ = true;
-  set_speed(cfg_->lo_speed);  // overclocking ends here
+  set_speed(1.0);  // overclocking ends here
   boost_pending_ = false;
   throttle_pending_ = false;
   ++result_.budget_fallbacks;

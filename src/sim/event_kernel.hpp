@@ -23,7 +23,6 @@
 #include "sim/config.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/faults.hpp"
-#include "sim/job.hpp"
 #include "sim/metrics.hpp"
 #include "support/rt_annotations.hpp"
 #include "support/status.hpp"

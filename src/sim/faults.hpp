@@ -6,7 +6,7 @@
 // fail under thermal and power caps. A `FaultPlan` attached to `SimConfig`
 // makes the simulator exercise those failures:
 //
-//   * boost denied   -- the episode runs entirely at `lo_speed`;
+//   * boost denied   -- the episode runs entirely at the nominal speed 1;
 //   * boost late     -- extra engagement latency on top of
 //                       `speed_change_latency`;
 //   * partial boost  -- the achieved speed is some s' < `hi_speed`;
@@ -35,7 +35,7 @@ namespace rbs::sim {
 
 /// The boost faults afflicting ONE HI-mode episode.
 struct FaultSpec {
-  /// The boost never engages: the whole episode runs at `lo_speed`.
+  /// The boost never engages: the whole episode runs at speed 1.
   bool deny_boost = false;
 
   /// Additional engagement latency (ticks) on top of
@@ -49,7 +49,7 @@ struct FaultSpec {
   /// Mid-episode throttle: this long (ticks) after the mode switch ...
   double throttle_after = 0.0;
   /// ... the speed collapses to this value until the idle-instant reset
-  /// (0 = back to `lo_speed`). Only meaningful when throttle_after > 0.
+  /// (0 = back to speed 1). Only meaningful when throttle_after > 0.
   double throttle_speed = 0.0;
 
   /// True when any per-episode fault is armed.
@@ -81,14 +81,15 @@ struct FaultPlan {
   double core_fail_at = 0.0;
 
   /// Permanent per-core boost denial (thermal capping of one core): EVERY
-  /// HI-mode episode on this core runs entirely at lo_speed, as if each
+  /// HI-mode episode on this core runs entirely at speed 1, as if each
   /// episode were scripted FaultSpec{deny_boost}. Resolved before the script.
   bool boost_denied_on_core = false;
 };
 
 /// Checks a plan against the speed range of the run it will be injected
-/// into; every numeric field must be finite and inside its documented range.
-[[nodiscard]] Status validate(const FaultPlan& plan, double lo_speed, double hi_speed);
+/// into, between the nominal speed 1 and `hi_speed`; every numeric field
+/// must be finite and inside its documented range.
+[[nodiscard]] Status validate(const FaultPlan& plan, double hi_speed);
 
 /// Resolves the fault afflicting `episode` (0-based mode-switch index) under
 /// `plan`: a boost-denied core denies it, else the script decides.

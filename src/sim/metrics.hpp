@@ -2,12 +2,17 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/types.hpp"
 #include "sim/trace.hpp"
 
 namespace rbs::sim {
+
+/// The simulator's "never": the deadline of a terminated LO task's
+/// carry-over job, and the minimum over an empty set of instants.
+inline constexpr double kInfTime = std::numeric_limits<double>::infinity();
 
 /// One missed deadline (the job keeps executing; the miss is counted once).
 struct DeadlineMiss {
@@ -22,12 +27,7 @@ struct TaskStats {
   std::uint64_t released = 0;
   std::uint64_t completed = 0;
   std::uint64_t misses = 0;
-  double max_response = 0.0;    ///< worst completion - release (ticks)
-  double total_response = 0.0;  ///< for mean response time
-
-  double mean_response() const {
-    return completed ? total_response / static_cast<double>(completed) : 0.0;
-  }
+  double max_response = 0.0;  ///< worst completion - release (ticks)
 };
 
 /// The metrics of one simulation run (SimReport::metrics).

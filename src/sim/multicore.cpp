@@ -235,7 +235,6 @@ void MulticoreSim::merge_metrics(SimMetrics& combined, const SimMetrics& metrics
     into.completed += from.completed;
     into.misses += from.misses;
     into.max_response = std::max(into.max_response, from.max_response);
-    into.total_response += from.total_response;
   }
 }
 

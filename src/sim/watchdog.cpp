@@ -129,7 +129,7 @@ WatchdogReport check_trace(const TaskSet& set, const SimConfig& cfg, const SimMe
             std::to_string(result.misses.size()));
 
   // ---- segment scan: every speed must be one the protocol can produce ----
-  std::vector<double> hi_speeds = {cfg.lo_speed, cfg.hi_speed};
+  std::vector<double> hi_speeds = {1.0, cfg.hi_speed};
   for (const FaultSpec& spec : cfg.faults.episodes) {
     if (spec.achieved_speed > 0.0) hi_speeds.push_back(spec.achieved_speed);
     if (spec.throttle_speed > 0.0) hi_speeds.push_back(spec.throttle_speed);
@@ -160,9 +160,9 @@ WatchdogReport check_trace(const TaskSet& set, const SimConfig& cfg, const SimMe
     }
 
     if (seg.mode == Mode::LO) {
-      if (!speed_allowed(seg.speed, {cfg.lo_speed})) {
+      if (!speed_allowed(seg.speed, {1.0})) {
         std::ostringstream os;
-        os << "LO-mode segment at speed " << seg.speed << " (nominal is " << cfg.lo_speed << ")";
+        os << "LO-mode segment at speed " << seg.speed << " (nominal is 1)";
         add(Violation::Kind::kSpeedOutOfProtocol, seg.start, seg.task_index, seg.job_id,
             os.str());
       }

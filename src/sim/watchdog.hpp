@@ -10,7 +10,7 @@
 //   * a reset (HI -> LO) taken while jobs were still pending, i.e. not at an
 //     idle instant (Section IV's runtime rule);
 //   * an execution segment at a speed the protocol cannot produce
-//     (LO mode != lo_speed; HI mode outside lo_speed, hi_speed and the
+//     (LO mode != 1; HI mode outside 1, hi_speed and the
 //     partial-boost and throttle speeds the fault script names);
 //   * structurally broken traces (unordered times, double switches,
 //     completions without releases).
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/task.hpp"
-#include "sim/job.hpp"
 #include "sim/simulate.hpp"
 
 namespace rbs::sim {

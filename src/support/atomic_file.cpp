@@ -91,11 +91,4 @@ bool AtomicFile::commit() {
   return ok_;
 }
 
-void AtomicFile::abort() {
-  committed_ = true;
-  close_tmp();
-  std::remove(tmp_path_.c_str());
-  ok_ = false;
-}
-
 }  // namespace rbs

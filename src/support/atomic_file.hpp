@@ -19,8 +19,8 @@ namespace rbs {
 bool fsync_stream(std::FILE* file);
 
 /// Writes `<path>.tmp` and atomically renames it over `path` on commit().
-/// The destructor commits unless abort() was called; commit failures are
-/// observable through ok(). Move-only.
+/// The destructor commits; commit failures are observable through ok().
+/// Move-only.
 class AtomicFile {
  public:
   explicit AtomicFile(std::string path);
@@ -41,9 +41,6 @@ class AtomicFile {
   /// Flushes, fsyncs, closes, and renames the temporary over the final
   /// path. Idempotent; returns the final ok() verdict.
   bool commit();
-
-  /// Closes and deletes the temporary; the destination is left untouched.
-  void abort();
 
   const std::string& path() const { return path_; }
 

@@ -10,10 +10,7 @@ namespace rbs {
 CliArgs::CliArgs(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
-    if (arg.size() < 3 || arg.substr(0, 2) != "--") {
-      positional_.emplace_back(arg);
-      continue;
-    }
+    if (arg.size() < 3 || arg.substr(0, 2) != "--") continue;  // positional: no binary reads it
     arg.remove_prefix(2);
     const auto eq = arg.find('=');
     if (eq != std::string_view::npos) {
@@ -84,7 +81,7 @@ Expected<std::int64_t> CliArgs::get_int_checked(const std::string& name,
   return parsed;
 }
 
-Status CliArgs::check_flags(std::initializer_list<std::string_view> known) const {
+Status CliArgs::check_flags(std::span<const std::string_view> known) const {
   for (const auto& [name, _] : flags_)
     if (std::find(known.begin(), known.end(), name) == known.end())
       return Status::error("unknown flag --" + name);

@@ -9,9 +9,9 @@
 #include <initializer_list>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "support/status.hpp"
 
@@ -35,18 +35,17 @@ class CliArgs {
   [[nodiscard]] Expected<double> get_double_checked(const std::string& name, double fallback) const;
   [[nodiscard]] Expected<std::int64_t> get_int_checked(const std::string& name, std::int64_t fallback) const;
 
-  /// Positional (non-flag) arguments in order of appearance.
-  const std::vector<std::string>& positional() const { return positional_; }
-
   /// The unknown-flag check: an error "unknown flag --<name>" naming the
   /// first parsed flag (in name order) that is not in `known`, else ok.
-  [[nodiscard]] Status check_flags(std::initializer_list<std::string_view> known) const;
+  [[nodiscard]] Status check_flags(std::span<const std::string_view> known) const;
+  [[nodiscard]] Status check_flags(std::initializer_list<std::string_view> known) const {
+    return check_flags(std::span<const std::string_view>(known.begin(), known.size()));
+  }
 
  private:
   std::optional<std::string> raw(const std::string& name) const;
 
   std::map<std::string, std::string> flags_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace rbs

@@ -52,7 +52,6 @@ class [[nodiscard]] Status {
   [[nodiscard]] bool is_ok() const { return code_ == StatusCode::kOk; }
   explicit operator bool() const { return is_ok(); }
   [[nodiscard]] bool is_overloaded() const { return code_ == StatusCode::kOverloaded; }
-  [[nodiscard]] StatusCode code() const { return code_; }
   [[nodiscard]] const std::string& message() const { return message_; }
 
  private:

@@ -30,8 +30,6 @@ class TextTable {
   /// Renders the table (header, separator, rows) to `os`.
   void print(std::ostream& os) const;
 
-  std::size_t rows() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

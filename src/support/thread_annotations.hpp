@@ -66,7 +66,6 @@ class RBS_CAPABILITY("mutex") Mutex {
 
   void lock() RBS_ACQUIRE() { m_.lock(); }                    // rbs-lint: allow(raii-guard)
   void unlock() RBS_RELEASE() { m_.unlock(); }                // rbs-lint: allow(raii-guard)
-  bool try_lock() RBS_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
  private:
   friend class CondVar;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -37,7 +38,7 @@ constexpr AnalysisParts kFused{.speedup = true, .reset = true, .lo = false};
 /// interval, Delta_R to 1e-9 relative, and all three verdicts.
 void expect_matches_oracle(const TaskSet& set, double speed, Ticks latency = 0) {
   SCOPED_TRACE("speed = " + std::to_string(speed) + ", latency = " + std::to_string(latency));
-  AnalysisRequest request{set, speed, 1.0, {}, {}};
+  AnalysisRequest request{set, speed, {}, {}};
   request.latency = latency;
   const AnalysisReport r = analyze(request).value();
 
@@ -172,7 +173,7 @@ TEST(AnalysisFacadeTest, WorkCountersArePinned) {
   for (const Row& row : rows) {
     SCOPED_TRACE(std::to_string(row.set.size()) + " tasks, speed " + std::to_string(row.speed) +
                  ", latency " + std::to_string(row.latency));
-    AnalysisRequest request{row.set, row.speed, 1.0, {}, {}};
+    AnalysisRequest request{row.set, row.speed, {}, {}};
     request.latency = row.latency;
     const AnalysisReport r = analyze(request).value();
     EXPECT_EQ(r.speedup_breakpoints, row.speedup);
@@ -261,7 +262,7 @@ TEST(AnalysisFacadeTest, ExhaustedBudgetMatchesLegacyInexactPath) {
   // the facade keeps.
   AnalysisLimits limits;
   limits.max_breakpoints = 1;
-  const AnalysisReport r = analyze({table1_base(), 2.0, 1.0, kFused, limits}).value();
+  const AnalysisReport r = analyze({table1_base(), 2.0, kFused, limits}).value();
   // Theorem 2: a lower witness whose error bound still brackets s_min.
   const double exact = oracle::exact_s_min(table1_base()).s_min.rounded();
   EXPECT_FALSE(r.s_min_exact);
@@ -301,7 +302,7 @@ TEST(AnalysisFacadeTest, PartsGateTheVerdicts) {
 }
 
 TEST(AnalysisFacadeTest, RejectsDegenerateRequests) {
-  AnalysisRequest request{table1_base(), 0.0, 1.0, kFused, {}};
+  AnalysisRequest request{table1_base(), 0.0, kFused, {}};
   EXPECT_FALSE(analyze(request).is_ok());  // reset at speed 0
 
   request.speed = std::numeric_limits<double>::infinity();
@@ -315,12 +316,7 @@ TEST(AnalysisFacadeTest, RejectsDegenerateRequests) {
   request.limits.rel_tol = -1.0;
   EXPECT_FALSE(analyze(request).is_ok());
 
-  request.limits = {};
-  request.lo_speed = 0.0;
-  request.parts = {.speedup = false, .reset = false, .lo = true};
-  EXPECT_FALSE(analyze(request).is_ok());  // LO test at speed 0
-
-  request = {table1_base(), 2.0, 1.0, kFused, {}};
+  request = {table1_base(), 2.0, kFused, {}};
   for (Ticks latency : {Ticks{-1}, kInfTicks}) {
     request.latency = latency;
     EXPECT_FALSE(analyze(request).is_ok()) << "latency " << latency;
@@ -330,7 +326,7 @@ TEST(AnalysisFacadeTest, RejectsDegenerateRequests) {
 
   // The latency models a boost ramp: Delta_R under it needs s >= 1, while
   // s_min alone is still answered.
-  request = {table1_base(), 0.5, 1.0, kFused, {}};
+  request = {table1_base(), 0.5, kFused, {}};
   request.latency = 1;
   EXPECT_FALSE(analyze(request).is_ok());
   request.parts.reset = false;
@@ -412,7 +408,7 @@ TEST(AnalysisFacadeTest, WindowDemandBetweenBreakpointsNeedsInfiniteSpeed) {
   // breakpoint of its own catches it.
   const TaskSet set({McTask::lo_terminated("a", 8, 8, 21), McTask::hi("b", 2, 2, 2, 4, 5),
                      McTask::hi("c", 2, 4, 3, 5, 13)});
-  AnalysisRequest request{set, 2.0, 1.0, kFused, {}};
+  AnalysisRequest request{set, 2.0, kFused, {}};
   request.latency = 3;
   const AnalysisReport r = analyze(request).value();
   EXPECT_TRUE(std::isinf(r.s_min));
@@ -429,7 +425,7 @@ TEST(AnalysisFacadeTest, WindowDemandBetweenBreakpointsNeedsInfiniteSpeed) {
 TEST(AnalysisFacadeTest, BreakpointCapUnderLatencyIsInexact) {
   // Table I at L = 2 and s = 2: Delta_R = 7 takes more than two steps, so a
   // cap of 2 stops the crossing search first and must say so.
-  AnalysisRequest request{table1_base(), 2.0, 1.0, kFused, {}};
+  AnalysisRequest request{table1_base(), 2.0, kFused, {}};
   request.latency = 2;
   const AnalysisReport full = analyze(request).value();
   ASSERT_NEAR(full.delta_r, 7.0, 1e-12);
@@ -442,7 +438,7 @@ TEST(AnalysisFacadeTest, BreakpointCapUnderLatencyIsInexact) {
   // A Theorem 2 cap inside the window, where nothing bounds what is still to
   // come: an inexact report whose unbounded error never accepts a speed.
   // Uncapped, the window [0, 8] fits and s_min is U_HI = 0.2.
-  AnalysisRequest window{TaskSet({McTask::hi("h", 1, 2, 5, 10, 10)}), 2.0, 1.0,
+  AnalysisRequest window{TaskSet({McTask::hi("h", 1, 2, 5, 10, 10)}), 2.0,
                          {.speedup = true, .reset = false, .lo = false}, {}};
   window.latency = 8;
   ASSERT_TRUE(analyze(window).value().hi_schedulable);
@@ -451,6 +447,40 @@ TEST(AnalysisFacadeTest, BreakpointCapUnderLatencyIsInexact) {
   EXPECT_FALSE(capped_hi.s_min_exact);
   EXPECT_TRUE(std::isinf(capped_hi.s_min_error_bound));
   EXPECT_FALSE(capped_hi.hi_schedulable);
+}
+
+TEST(AnalysisFacadeTest, LoUtilizationIsTheSetSumBitForBit) {
+  // With parts.lo the report's U_LO is the LO-mode demand table's sum, and
+  // without it total_utilization's: both must be the set's own sum, bit for
+  // bit, on the full path and on the decision path (which returns early
+  // when the LO test fails). UUniFast sets of 3 to 64 tasks, with LO tasks
+  // terminated, at the LO-feasible x and at x past it, with U_LO up to 1.1.
+  Rng rng(2907);
+  int checked = 0;
+  int lo_rejected = 0;
+  for (int i = 0; i < 300; ++i) {
+    UUniFastParams params;
+    params.n_tasks = 3 + static_cast<int>(rng.uniform_int(0, 61));
+    params.u_total_lo = 0.5 + 0.05 * static_cast<double>(i % 13);
+    const ImplicitSet skeleton = generate_uunifast_set(params, rng);
+    const double x = i % 2 == 0 ? 1.0 : 0.3;
+    const TaskSet set =
+        i % 3 == 0 ? skeleton.materialize_terminating(x) : skeleton.materialize(x, 2.0);
+    const auto bits = [](double u) { return std::bit_cast<std::uint64_t>(u); };
+    const std::uint64_t want = bits(set.total_utilization(Mode::LO));
+    for (const bool lo : {true, false}) {
+      SCOPED_TRACE("set " + std::to_string(i) + (lo ? " with" : " without") + " the LO test");
+      const AnalysisRequest request{set, 1.5, {.speedup = false, .reset = false, .lo = lo}, {}};
+      const AnalysisReport full = analyze(request).value();
+      EXPECT_EQ(bits(full.u_lo), want);
+      const AnalysisReport decision = Analyzer().fits(request, 1000.0).value();
+      EXPECT_EQ(bits(decision.u_lo), want);
+      lo_rejected += lo && !decision.lo_schedulable ? 1 : 0;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 600);
+  EXPECT_GT(lo_rejected, 50);  // the decision path's early return is covered
 }
 
 TEST(AnalysisFacadeTest, InfiniteSpeedIsFineWithoutReset) {

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 
 #include "core/dbf.hpp"
 #include "gen/paper_examples.hpp"
@@ -54,12 +53,6 @@ TEST(EdfTest, HiTasksUseLoDeadlinesInLoMode) {
   EXPECT_TRUE(lo_mode_schedulable(loose));
 }
 
-TEST(EdfTest, SpeedParameterScalesSupply) {
-  const TaskSet set({McTask::lo("a", 2, 2, 100), McTask::lo("b", 2, 2, 100)});
-  EXPECT_FALSE(lo_mode_schedulable(set, 1.0));
-  EXPECT_TRUE(lo_mode_schedulable(set, 2.0));
-}
-
 TEST(EdfTest, Table1SetsSchedulable) {
   EXPECT_TRUE(lo_mode_schedulable(table1_base()));
   EXPECT_TRUE(lo_mode_schedulable(table1_degraded()));
@@ -96,11 +89,11 @@ TEST(EdfTest, DroppedTasksStillCountInLoMode) {
 // --- boundary-schedulability regressions (tolerance policy, PR 2) ---------
 // Demand-based MC analysis lives on exact breakpoints: "slack exactly 0"
 // is a reachable state, and raw float == / < flips verdicts there. These
-// pin the tolerance-routed behavior of the U-vs-speed trichotomy and the
+// pin the tolerance-routed behavior of the U-vs-1 trichotomy and the
 // zero-slack degenerate branch (support/tolerance.hpp).
 
 TEST(EdfBoundaryTest, ExactFullUtilizationStaysSchedulable) {
-  // U == speed exactly, implicit deadlines: bound_slack is exactly 0 and the
+  // U == 1 exactly, implicit deadlines: bound_slack is exactly 0 and the
   // degenerate branch must report schedulable, not walk an infinite window.
   const TaskSet set({McTask::lo("a", 1, 2, 2), McTask::lo("b", 1, 2, 2)});
   const EdfTestResult r = lo_mode_test(set);
@@ -142,7 +135,7 @@ TEST(EdfBoundaryTest, DefinitelyOverloadedStillRejected) {
   EXPECT_TRUE(r.conclusive);
 }
 
-/// U = 1/3 + 1/3 + 1/3 equals the speed and one deadline is constrained:
+/// U = 1/3 + 1/3 + 1/3 equals 1 and one deadline is constrained:
 /// L_a degenerates. The synchronous busy period ends at 180 ticks, and the
 /// set is schedulable.
 TaskSet full_utilization_constrained() {
@@ -165,7 +158,7 @@ TEST(EdfBoundaryTest, FullUtilizationWithConstrainedDeadlineIsDecided) {
   EXPECT_TRUE(r.conclusive);
   EXPECT_EQ(r.breakpoints_visited, 10u);
   const AnalysisReport report =
-      analyze({full_utilization_constrained(), 1.0, 1.0,
+      analyze({full_utilization_constrained(), 1.0,
                {.speedup = false, .reset = false, .lo = true}, {}})
           .value();
   EXPECT_TRUE(report.lo_schedulable);
@@ -173,7 +166,7 @@ TEST(EdfBoundaryTest, FullUtilizationWithConstrainedDeadlineIsDecided) {
 }
 
 TEST(EdfBoundaryTest, UtilizationWithinToleranceIsComparedExactly) {
-  // sum C * H / T against speed * H at H = 3 * 10^9, in integers.
+  // sum C * H / T against H at H = 3 * 10^9, in integers.
   const EdfTestResult above = lo_mode_test(full_utilization_plus(1));
   EXPECT_FALSE(above.schedulable);
   EXPECT_TRUE(above.conclusive);
@@ -183,61 +176,40 @@ TEST(EdfBoundaryTest, UtilizationWithinToleranceIsComparedExactly) {
 }
 
 TEST(EdfBoundaryTest, FullUtilizationWithOverflowingHyperperiodIsInconclusive) {
-  // U = 1/2 + 1/2 equals the speed and one deadline is constrained, but
+  // U = 1/2 + 1/2 equals 1 and one deadline is constrained, but
   // H = 2pq with primes p, q near 10^9 passes kInfTicks: only the breakpoint
   // budget bounds the walk, and running out of it decides nothing.
   constexpr Ticks p = 999'999'937;
   constexpr Ticks q = 999'999'929;
   const TaskSet set({McTask::lo("a", p, 2 * p - 1, 2 * p), McTask::lo("b", q, 2 * q, 2 * q)});
-  EXPECT_EQ(LoDemandTable(set).window(1.0).last, kInfTicks - 1);
-  EdfTestOptions options;
-  options.max_breakpoints = 1'000;
-  const EdfTestResult r = lo_mode_test(set, options);
+  EXPECT_EQ(LoDemandTable(set).window().last, kInfTicks - 1);
+  const EdfTestResult r = lo_mode_test(set, 1'000);
   EXPECT_FALSE(r.schedulable);
   EXPECT_FALSE(r.conclusive);
   EXPECT_EQ(r.breakpoints_visited, 1'001u);
 }
 
-TEST(EdfBoundaryTest, SupplyIsComparedExactly) {
-  // At speed 1 - 2^-53 the supply at D = 2^58 + 1 is C - 2^-53, which a
-  // long double rounds up to C; the demand C exceeds it.
-  const Ticks c = (Ticks{1} << 58) - 31;
-  const Ticks d = (Ticks{1} << 58) + 1;
-  const TaskSet set({McTask::lo("a", c, d, (Ticks{1} << 59) + 2)});
-  EdfTestOptions options;
-  options.speed = std::nextafter(1.0, 0.0);
-  ASSERT_GE(LoDemandTable(set).window(options.speed).last, d);
-  const EdfTestResult r = lo_mode_test(set, options);
+TEST(EdfBoundaryTest, UtilizationWindowEndIsRoundedUp) {
+  // C_a + C_b = D + 1 with U = 1 - 1.28e-9, and the coprime periods leave
+  // the window at L_a. The exact bound S / (1 - U) lies past D, but the
+  // double quotient q rounds below it: a window ending at floor(q) + 1 =
+  // 76,938,089,870,720,321 would stop 631,865,585 ticks short of D and pass
+  // the set. The rounded-up end (docs/ANALYSIS.md §1) reaches D.
+  constexpr Ticks d = 76'938'090'502'585'906;
+  const TaskSet set({McTask::lo("a", 38'441'985'307'823'115, d, 76'938'090'564'261'625),
+                     McTask::lo("b", 38'496'105'194'762'792, d, 76'938'090'637'600'583)});
+  const LoWindow window = LoDemandTable(set).window();
+  ASSERT_FALSE(window.verdict.has_value());
+  EXPECT_EQ(window.last, 76'938'196'763'055'729);
+  const EdfTestResult r = lo_mode_test(set);
   EXPECT_FALSE(r.schedulable);
   EXPECT_TRUE(r.conclusive);
   EXPECT_EQ(r.violation_delta, d);
-}
-
-TEST(EdfBoundaryTest, UtilizationWindowEndIsRoundedUp) {
-  // One task with C > speed * D at speed 1 - 2^-53. The exact bound
-  // slack / (speed - U) lies just above D, but in double it rounds to 2^53,
-  // so a window ending at its floor plus one would stop short of D.
-  const Ticks p53 = Ticks{1} << 53;
-  const TaskSet set({McTask::lo("a", p53 + 1, p53 + 2, 2 * p53 + 4)});
-  EdfTestOptions options;
-  options.speed = std::nextafter(1.0, 0.0);
-  EXPECT_GE(LoDemandTable(set).window(options.speed).last, p53 + 2);
-  const EdfTestResult r = lo_mode_test(set, options);
-  EXPECT_FALSE(r.schedulable);
-  EXPECT_TRUE(r.conclusive);
-  EXPECT_EQ(r.violation_delta, p53 + 2);
+  EXPECT_EQ(r.breakpoints_visited, 1u);
   const AnalysisReport report =
-      analyze({set, 1.0, options.speed, {.speedup = false, .reset = false, .lo = true}, {}})
-          .value();
+      analyze({set, 1.0, {.speedup = false, .reset = false, .lo = true}, {}}).value();
   EXPECT_FALSE(report.lo_schedulable);
   EXPECT_EQ(report.lo_breakpoints, 1u);
-}
-
-TEST(EdfBoundaryTest, FullUtilizationAtNonUnitSpeed) {
-  // Same boundary at speed 2: U == speed exactly with implicit deadlines.
-  const TaskSet set({McTask::lo("a", 2, 2, 2), McTask::lo("b", 2, 2, 2)});
-  EXPECT_TRUE(lo_mode_schedulable(set, 2.0));
-  EXPECT_FALSE(lo_mode_schedulable(set, 1.0));
 }
 
 }  // namespace

@@ -112,7 +112,7 @@ std::vector<double> budgets_around(double delta_r) {
 /// under a latency, where Delta_R is not defined, only the budget-free
 /// question is asked.
 void expect_fits_matches_around(const Case& c, Rng& rng, Ticks latency = 0) {
-  AnalysisRequest probe{c.set, 2.0, 1.0, {}, {}};
+  AnalysisRequest probe{c.set, 2.0, {}, {}};
   probe.latency = latency;
   const AnalysisReport uncapped = analyze(probe).value();
   const double s_min = c.truth.value_or(uncapped.s_min);
@@ -130,7 +130,7 @@ void expect_fits_matches_around(const Case& c, Rng& rng, Ticks latency = 0) {
         limits.max_breakpoints = static_cast<std::size_t>(rng.uniform_int(
             1, static_cast<std::int64_t>(uncapped.speedup_breakpoints) + 1));
       ++round;
-      AnalysisRequest request{c.set, speed, 1.0, parts, limits};
+      AnalysisRequest request{c.set, speed, parts, limits};
       request.latency = latency;
       expect_fits_matches(request, budget, c.truth);
     }
@@ -233,7 +233,7 @@ TEST(FitsTest, MatchesAnalyzeAndBracketsTheOracleUnderTransitionLatency) {
 TEST(FitsTest, StopsEarlierThanTheFullSweep) {
   // Table I at s = 2: the envelope U_HI + K/Delta drops below 2 before the
   // full search proves s_min = 4/3; at s = 1 the first ratio above 1 rejects.
-  AnalysisRequest request{table1_base(), 2.0, 1.0, kHiOnly, {}};
+  AnalysisRequest request{table1_base(), 2.0, kHiOnly, {}};
   const AnalysisReport full = analyze(request).value();
   const AnalysisReport accept = Analyzer().fits(request, kInf).value();
   EXPECT_TRUE(accept.hi_schedulable);
@@ -249,7 +249,7 @@ TEST(FitsTest, StopsEarlierThanTheFullSweep) {
 TEST(FitsTest, ResetSearchStopsPastTheBudget) {
   // Delta_R(4/3) = 9 on Table I: a 4-tick budget is decided before the
   // crossing, and reported with a lower bound past the budget.
-  const AnalysisRequest request{table1_base(), 4.0 / 3.0, 1.0,
+  const AnalysisRequest request{table1_base(), 4.0 / 3.0,
                                 {.speedup = false, .reset = true, .lo = false}, {}};
   const AnalysisReport full = analyze(request).value();
   ASSERT_NEAR(full.delta_r, 9.0, 1e-12);
@@ -267,14 +267,14 @@ TEST(FitsTest, LoFailureAnswersAlone) {
   // U_LO = 1.1: the LO-mode test rejects and the sweep never runs.
   const TaskSet set({McTask::hi("h", 6, 8, 10, 12, 12), McTask::lo("l", 6, 10, 10)});
   const AnalysisReport decision =
-      Analyzer().fits({set, 2.0, 1.0, {}, {}}, kInf).value();
+      Analyzer().fits({set, 2.0, {}, {}}, kInf).value();
   EXPECT_FALSE(decision.lo_schedulable);
   EXPECT_FALSE(decision.system_schedulable);
   EXPECT_EQ(decision.fused_breakpoints, 0u);
 }
 
 TEST(FitsTest, RejectsWhatAnalyzeRejects) {
-  AnalysisRequest request{table1_base(), 0.0, 1.0, {}, {}};
+  AnalysisRequest request{table1_base(), 0.0, {}, {}};
   EXPECT_FALSE(Analyzer().fits(request, 10.0).is_ok());  // Delta_R at speed 0
   // An infinite budget needs no Delta_R, so no finite speed either.
   request.speed = kInf;
@@ -293,11 +293,11 @@ TEST(FitsTest, EveryBreakpointCapBracketsTheTrueSmin) {
       SCOPED_TRACE("cap " + std::to_string(cap) + " of " + std::to_string(uncapped));
       AnalysisLimits limits;
       limits.max_breakpoints = cap;
-      const AnalysisReport r = Analyzer().analyze({c.set, 1.0, 1.0, kHiOnly, limits}).value();
+      const AnalysisReport r = Analyzer().analyze({c.set, 1.0, kHiOnly, limits}).value();
       EXPECT_GE(r.s_min_error_bound, 0.0);
       EXPECT_GE(r.s_min + r.s_min_error_bound, truth * (1 - 1e-12));
       for (double s : {truth * (1 - 1e-6), truth, truth * (1 + 1e-6)})
-        expect_fits_matches({c.set, s, 1.0, kHiOnly, limits}, kInf, truth);
+        expect_fits_matches({c.set, s, kHiOnly, limits}, kInf, truth);
     }
   }
 }
@@ -306,9 +306,8 @@ TEST(FitsTest, EveryBreakpointCapBracketsTheTrueSmin) {
 
 /// The LO-mode forward walk over the utilization window L_a alone, written
 /// without the library's breakpoint merger: the reference for the
-/// hyperperiod bound of LoDemandTable::window. Needs U definitely below the
-/// speed.
-EdfTestResult utilization_window_walk(const TaskSet& set, double speed) {
+/// hyperperiod bound of LoDemandTable::window. Needs U definitely below 1.
+EdfTestResult utilization_window_walk(const TaskSet& set) {
   double u = 0.0;
   double slack = 0.0;
   for (const McTask& t : set) {
@@ -316,7 +315,7 @@ EdfTestResult utilization_window_walk(const TaskSet& set, double speed) {
     slack += t.utilization(Mode::LO) *
              static_cast<double>(t.period(Mode::LO) - t.deadline(Mode::LO));
   }
-  const Ticks l_a = static_cast<Ticks>(slack / (speed - u)) + 1;
+  const Ticks l_a = static_cast<Ticks>(slack / (1.0 - u)) + 1;
   std::vector<Ticks> next;  // each task's next step point D + kT
   for (const McTask& t : set) next.push_back(t.deadline(Mode::LO));
   EdfTestResult result;
@@ -330,14 +329,32 @@ EdfTestResult utilization_window_walk(const TaskSet& set, double speed) {
       demand += set[i].wcet(Mode::LO);
       next[i] += set[i].period(Mode::LO);
     }
-    if (static_cast<long double>(demand) >
-        static_cast<long double>(speed) * static_cast<long double>(d)) {
+    if (demand > d) {
       result.violation_delta = d;
       return result;
     }
   }
   result.schedulable = true;
   return result;
+}
+
+/// `set` with its periods and deadlines 10^6 times longer and each C(LO)
+/// scaled, to the nearest tick, by 10^6 / (U * (1 + margin)): U comes to
+/// 1 / (1 + margin) up to a few 10^-7, and at speed 1 the set meets its
+/// deadlines where `set` meets them at speed U * (1 + margin), up to that
+/// rounding.
+TaskSet just_below_one(const TaskSet& set, double margin) {
+  constexpr Ticks kScale = 1'000'000;
+  const double factor =
+      static_cast<double>(kScale) / (set.total_utilization(Mode::LO) * (1 + margin));
+  std::vector<McTask> tasks;
+  for (const McTask& t : set) {
+    const Ticks d = t.deadline(Mode::LO) * kScale;
+    const Ticks c = std::clamp<Ticks>(
+        std::llround(static_cast<double>(t.wcet(Mode::LO)) * factor), 1, d);
+    tasks.push_back(McTask::lo(t.name(), c, d, t.period(Mode::LO) * kScale));
+  }
+  return TaskSet(tasks);
 }
 
 /// LO tasks with periods from `periods` and C(LO) up to T/n; about half
@@ -363,20 +380,18 @@ void expect_window_matches(const std::array<Ticks, N>& periods, std::uint64_t se
                            int* shortened, int* violated) {
   Rng rng(seed);
   for (int i = 0; i < 150; ++i) {
-    const TaskSet set = random_lo_set(rng, periods);
-    const double u = set.total_utilization(Mode::LO);
+    const TaskSet drawn = random_lo_set(rng, periods);
     for (double margin : {1e-3, 2e-4}) {
-      const double speed = u * (1 + margin);
-      SCOPED_TRACE("set " + std::to_string(i) + " speed " + std::to_string(speed));
-      EdfTestOptions options;
-      options.speed = speed;
-      const EdfTestResult expected = utilization_window_walk(set, speed);
-      const EdfTestResult walked = lo_mode_test(set, options);
+      SCOPED_TRACE("set " + std::to_string(i) + " margin " + std::to_string(margin));
+      const TaskSet set = just_below_one(drawn, margin);
+      ASSERT_TRUE(definitely_lt(set.total_utilization(Mode::LO), 1.0, kSpeedTol));
+      const EdfTestResult expected = utilization_window_walk(set);
+      const EdfTestResult walked = lo_mode_test(set);
       EXPECT_TRUE(walked.conclusive);
       EXPECT_EQ(walked.schedulable, expected.schedulable);
       EXPECT_EQ(walked.violation_delta, expected.violation_delta);
       EXPECT_LE(walked.breakpoints_visited, expected.breakpoints_visited);
-      const EdfTestResult qpa = reference::qpa_lo_test(set, options);
+      const EdfTestResult qpa = reference::qpa_lo_test(set);
       EXPECT_TRUE(qpa.conclusive);
       EXPECT_EQ(qpa.schedulable, expected.schedulable);
       *shortened += walked.breakpoints_visited < expected.breakpoints_visited ? 1 : 0;

@@ -19,14 +19,14 @@ namespace {
 
 /// Theorem 2 alone under transition latency `latency`.
 AnalysisReport speedup_at(const TaskSet& set, Ticks latency) {
-  AnalysisRequest request{set, 1.0, 1.0, {.speedup = true, .reset = false, .lo = false}, {}};
+  AnalysisRequest request{set, 1.0, {.speedup = true, .reset = false, .lo = false}, {}};
   request.latency = latency;
   return analyze(request).value();
 }
 
 /// Corollary 5 alone at speed `s` (>= 1) under transition latency `latency`.
 double delta_r_at(const TaskSet& set, double s, Ticks latency) {
-  AnalysisRequest request{set, s, 1.0, {.speedup = false, .reset = true, .lo = false}, {}};
+  AnalysisRequest request{set, s, {.speedup = false, .reset = true, .lo = false}, {}};
   request.latency = latency;
   return analyze(request).value().delta_r;
 }

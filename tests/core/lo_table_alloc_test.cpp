@@ -8,6 +8,7 @@
 // tests alone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
@@ -149,7 +150,9 @@ TEST(SpanAnalysisAllocTest, FallbackAllocationsDoNotGrowWithTiers) {
   std::set<std::size_t> tiers_visited;
   for (int pass = 0; pass < 2; ++pass) {  // the first pass warms the storage
     for (const TaskSet& set : sets) {
-      if (set.hi_count() == set.size()) continue;  // no tier past 0
+      const auto hi_tasks = static_cast<std::size_t>(
+          std::count_if(set.begin(), set.end(), [](const McTask& t) { return t.is_hi(); }));
+      if (hi_tasks == set.size()) continue;  // no tier past 0
       std::set<std::size_t> set_tiers;
       std::set<std::size_t> set_allocations;
       for (const double speed : {2.0, 1.2, 1.0, 0.8, 0.6}) {
@@ -158,7 +161,7 @@ TEST(SpanAnalysisAllocTest, FallbackAllocationsDoNotGrowWithTiers) {
         const FallbackFit fit = find_fallback(tasks, speed, 5000.0, {}, storage);
         set_allocations.insert(g_allocations.load() - before);
         set_tiers.insert(fit.feasible ? fit.fallback.tier() + 1
-                                      : set.size() - set.hi_count() + 1);
+                                      : set.size() - hi_tasks + 1);
       }
       if (pass == 0) continue;
       // The sacrifice order and the tier list, once each, however many

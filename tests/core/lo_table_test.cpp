@@ -4,11 +4,12 @@
 // materialised at that x, which builds a table afresh, and its verdict must
 // equal QPA's (tests/core/reference_qpa.hpp). Paper, UUniFast,
 // harmonic-grid and FMS skeletons, plus the edge cases of the window and of
-// the ring order: U within kSpeedTol of the speed, an overflowing
+// the ring order: U within kSpeedTol of 1 and above it, an overflowing
 // hyperperiod, deadlines clamped at C(LO), x = 1, and equal starts in one
 // period's ring that split and merge as x moves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <string>
@@ -38,13 +39,13 @@ void expect_same(const EdfTestResult& got, const EdfTestResult& want) {
 /// materialised there, field for field, and against QPA's verdict, which
 /// shares no walk with either; returns the verdict.
 bool probe(LoDemandTable& table, const ImplicitSet& skeleton, double x,
-           const EdfTestOptions& options) {
+           std::size_t max_breakpoints = kBreakpointBudget) {
   SCOPED_TRACE("x = " + std::to_string(x));
   table.prepare_hi_deadlines(x);
-  const EdfTestResult got = table.test(options);
+  const EdfTestResult got = table.test(max_breakpoints);
   const TaskSet set = skeleton.materialize(x, 1.0);
-  expect_same(got, lo_mode_test(set, options));
-  const EdfTestResult qpa = reference::qpa_lo_test(set, options);
+  expect_same(got, lo_mode_test(set, max_breakpoints));
+  const EdfTestResult qpa = reference::qpa_lo_test(set, max_breakpoints);
   if (got.conclusive && qpa.conclusive) EXPECT_EQ(got.schedulable, qpa.schedulable);
   return got.schedulable;
 }
@@ -56,19 +57,22 @@ struct Bisection {
 
 /// Replays min_x_for_lo's bisection on one table, checking every probe, then
 /// sweeps x down and up again over the same table.
-Bisection expect_probes_match(const ImplicitSet& skeleton, const EdfTestOptions& options = {}) {
+Bisection expect_probes_match(const ImplicitSet& skeleton,
+                              std::size_t max_breakpoints = kBreakpointBudget) {
   LoDemandTable table(skeleton);
-  expect_same(table.test(options), lo_mode_test(skeleton.materialize(1.0, 1.0), options));
+  expect_same(table.test(max_breakpoints),
+              lo_mode_test(skeleton.materialize(1.0, 1.0), max_breakpoints));
   Bisection bisection;
-  if (probe(table, skeleton, 1.0, options)) {
+  if (probe(table, skeleton, 1.0, max_breakpoints)) {
     double lo = 0.0;
     while (bisection.x - lo > 1e-4) {
       const double mid = 0.5 * (lo + bisection.x);
-      (probe(table, skeleton, mid, options) ? bisection.x : lo) = mid;
+      (probe(table, skeleton, mid, max_breakpoints) ? bisection.x : lo) = mid;
       ++bisection.probes;
     }
   }
-  for (double x : {0.05, 0.9, 1e-6, 0.5, 0.25, 1.0, 0.75, 0.1}) probe(table, skeleton, x, options);
+  for (double x : {0.05, 0.9, 1e-6, 0.5, 0.25, 1.0, 0.75, 0.1})
+    probe(table, skeleton, x, max_breakpoints);
   return bisection;
 }
 
@@ -146,12 +150,12 @@ TEST(LoDemandTableTest, OverflowingHyperperiodMatches) {
   constexpr Ticks p = 999'999'937;
   constexpr Ticks q = 999'999'929;
   const ImplicitSet set({{"h", Criticality::HI, 2 * p, p, p}, {"l", Criticality::LO, 2 * q, q, q}});
-  EdfTestOptions options;
-  options.max_breakpoints = 1'000;
-  expect_probes_match(set, options);
-  // Below the speed, the window is L_a alone.
-  options.speed = 1.5;
-  expect_probes_match(set, options);
+  expect_probes_match(set, 1'000);
+  // With l at half its work, U = 3/4 is definitely below 1: the fold gives
+  // up at its cap L_a, far below H, and the window is L_a alone.
+  const ImplicitSet below(
+      {{"h", Criticality::HI, 2 * p, p, p}, {"l", Criticality::LO, 2 * q, q / 2, q / 2}});
+  expect_probes_match(below, 1'000);
 }
 
 TEST(LoDemandTableTest, ClampedAndEqualStartsMatch) {
@@ -167,14 +171,14 @@ TEST(LoDemandTableTest, ClampedAndEqualStartsMatch) {
                          {"h5", Criticality::HI, 100, 1, 2}});
   LoDemandTable table(set);
   for (double x : {1.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.12, 0.5, 1e-6, 0.99, 1.0, 0.09})
-    probe(table, set, x, {});
+    probe(table, set, x);
   EXPECT_GT(expect_min_x_probes_match(set), 0);
 }
 
 TEST(LoDemandTableTest, UtilizationAboveTheSpeedAnswersFromTheWindow) {
-  // U definitely above the speed: the window rejects with no walk (violation
-  // 0, no breakpoint), and a later test at a speed above U walks the same
-  // table with the result of a table built for that test. Tables refilled by
+  // U definitely above 1: the window rejects with no walk (violation 0, no
+  // breakpoint), and the same table refilled with a set below 1 walks it
+  // with the result of a table built for that set. Tables refilled by
   // assign() and skeleton tables moved by prepare_hi_deadlines alike.
   Rng rng(2104);
   LoDemandTable reused;
@@ -191,28 +195,40 @@ TEST(LoDemandTableTest, UtilizationAboveTheSpeedAnswersFromTheWindow) {
     ++sets;
     SCOPED_TRACE("set " + std::to_string(i));
     const TaskSet set = skeleton->materialize(min_x.x, 2.0);
+    // One more LO task of period 1000 lifts U to about 1.1.
     const double u = set.total_utilization(Mode::LO);
-    EdfTestOptions below;
-    below.speed = 0.9 * u;
-    EdfTestOptions above;
-    above.speed = 1.0;
+    const Ticks c = std::min<Ticks>(1000, static_cast<Ticks>(std::ceil(1000 * (1.1 - u))));
+    std::vector<McTask> tasks = set.tasks();
+    tasks.push_back(McTask::lo("over", c, 1000, 1000));
+    const TaskSet over(tasks);
+    ASSERT_GT(over.total_utilization(Mode::LO), 1.05);
 
-    reused.assign(set);
-    const EdfTestResult rejected = reused.test(below);
+    reused.assign(over);
+    const EdfTestResult rejected = reused.test();
     EXPECT_FALSE(rejected.schedulable);
     EXPECT_TRUE(rejected.conclusive);
     EXPECT_EQ(rejected.violation_delta, 0);
     EXPECT_EQ(rejected.breakpoints_visited, 0u);
-    expect_same(rejected, lo_mode_test(set, below));
-    EXPECT_FALSE(reference::qpa_lo_test(set, below).schedulable);
-    expect_same(reused.test(above), lo_mode_test(set, above));
-    expect_same(reused.test(below), rejected);
+    expect_same(rejected, lo_mode_test(over));
+    EXPECT_FALSE(reference::qpa_lo_test(over).schedulable);
+    reused.assign(set);
+    expect_same(reused.test(), lo_mode_test(set));
+    reused.assign(over);
+    expect_same(reused.test(), rejected);
 
-    // A skeleton table whose first test is rejected by U: the bisection's
-    // probes then walk it as if that test had not been asked.
-    LoDemandTable table(*skeleton);
-    expect_same(table.test(below), lo_mode_test(skeleton->materialize(1.0, 1.0), below));
-    for (double x : {min_x.x, 1.0, 0.5 * min_x.x}) probe(table, *skeleton, x, above);
+    // A skeleton table above 1 stays rejected by U at every probe, and its
+    // skeleton below 1 walks a table of its own as lo_mode_test does.
+    std::vector<ImplicitTask> lifted = skeleton->tasks();
+    lifted.push_back({"over", Criticality::LO, 1000, c, c});
+    const ImplicitSet lifted_set(lifted);
+    LoDemandTable table(lifted_set);
+    expect_same(table.test(), lo_mode_test(lifted_set.materialize(1.0, 1.0)));
+    for (double x : {min_x.x, 1.0, 0.5 * min_x.x}) {
+      EXPECT_FALSE(probe(table, lifted_set, x));
+      EXPECT_EQ(table.test().breakpoints_visited, 0u);
+    }
+    LoDemandTable walked(*skeleton);
+    for (double x : {min_x.x, 1.0, 0.5 * min_x.x}) probe(walked, *skeleton, x);
   }
 }
 

@@ -16,7 +16,7 @@ AnalysisReport capped_report(const TaskSet& set, std::size_t max_breakpoints) {
   AnalysisLimits limits;
   limits.max_breakpoints = max_breakpoints;
   return Analyzer()
-      .analyze({set, 2.0, 1.0, {.speedup = true, .reset = true, .lo = false}, limits})
+      .analyze({set, 2.0, {.speedup = true, .reset = true, .lo = false}, limits})
       .value();
 }
 

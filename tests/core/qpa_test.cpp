@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/analysis.hpp"
+#include "core/dbf.hpp"
 #include "core/edf.hpp"
 #include "core/reference_qpa.hpp"
 #include "gen/rng.hpp"
@@ -42,10 +43,8 @@ TEST_P(QpaRandomTest, AgreesWithForwardSweepOnRandomSets) {
       // Random x stresses constrained deadlines (the interesting case).
       const double x = rng.uniform(0.05, 1.0);
       const TaskSet set = skeleton->materialize(x, 2.0);
-      for (double speed : {0.8, 1.0, 1.3}) {
-        EXPECT_EQ(reference::qpa_lo_schedulable(set, speed), lo_mode_schedulable(set, speed))
-            << "u=" << u << " x=" << x << " speed=" << speed << " trial=" << i;
-      }
+      EXPECT_EQ(reference::qpa_lo_schedulable(set), lo_mode_schedulable(set))
+          << "u=" << u << " x=" << x << " trial=" << i;
     }
   }
 }
@@ -67,62 +66,58 @@ TEST(QpaTest, ConvergesInFewIterations) {
 }
 
 TEST(QpaTest, NearCriticalWideWindowIsDecidedByTheForwardWalk) {
-  // Twenty tasks with C = D = T/2 and distinct periods near 10^10 at speed
-  // 10 * (1 + 2e-9): U = 10 is definitely below the speed, H overflows, and
-  // L_a is capped at kInfTicks - 1. The demand first exceeds the supply at
-  // the eleventh deadline, 11 * 5e9 + 121 > speed * 5,000,000,021.
+  // Twenty tasks with D = T/2, C = T/20 - 1 and distinct periods near 10^10:
+  // U = 1 - 3e-9 is definitely below 1, H overflows, and L_a is capped at
+  // kInfTicks - 1. The demand first exceeds Delta at the eleventh deadline,
+  // where it is 5,499,999,996 > 5,000,000,021.
   std::vector<McTask> tasks;
   for (Ticks i = 0; i < 20; ++i) {
     const Ticks period = 2 * (5'000'000'000 + 2 * i + 1);
-    tasks.push_back(McTask::lo("t" + std::to_string(i), period / 2, period / 2, period));
+    tasks.push_back(McTask::lo("t" + std::to_string(i), period / 20 - 1, period / 2, period));
   }
   const TaskSet set(tasks);
-  EdfTestOptions options;
-  options.speed = 10.0 * (1.0 + 2e-9);
-  ASSERT_EQ(LoDemandTable(set).window(options.speed).last, kInfTicks - 1);
+  ASSERT_EQ(LoDemandTable(set).window().last, kInfTicks - 1);
 
-  const EdfTestResult walked = lo_mode_test(set, options);
+  const EdfTestResult walked = lo_mode_test(set);
   EXPECT_FALSE(walked.schedulable);
   EXPECT_TRUE(walked.conclusive);
   EXPECT_EQ(walked.violation_delta, 5'000'000'021);
   EXPECT_EQ(walked.breakpoints_visited, 11u);
   const AnalysisReport report =
-      analyze({set, 1.0, options.speed, {.speedup = false, .reset = false, .lo = true}, {}})
-          .value();
+      analyze({set, 1.0, {.speedup = false, .reset = false, .lo = true}, {}}).value();
   EXPECT_FALSE(report.lo_schedulable);
   EXPECT_EQ(report.lo_breakpoints, 11u);
 
-  // QPA starts at the top of the window, where the demand is ~1.15e19 and
-  // only the 128-bit sum keeps it exact. Each backward step then shrinks t
-  // by about 2e-9 of itself, so QPA runs out of any budget without a
+  // QPA starts at the top of the window, and each backward step shrinks t
+  // by about 3e-9 of itself, so QPA runs out of any budget without a
   // verdict: it agrees that the set is not schedulable, inconclusively.
-  options.max_breakpoints = 1'000;
-  const EdfTestResult qpa = reference::qpa_lo_test(set, options);
+  const EdfTestResult qpa = reference::qpa_lo_test(set, 1'000);
   EXPECT_EQ(qpa.schedulable, walked.schedulable);
   EXPECT_FALSE(qpa.conclusive);
 }
 
-TEST(QpaTest, AgreesWhereDemandPassesInt64) {
-  // Twenty tasks with U = 9.99 at speed 10 and one constrained deadline:
-  // the window is kInfTicks - 1, and near its top the demand, still within
-  // the supply, passes INT64_MAX. Both tests sum it in 128 bits.
+TEST(QpaTest, AgreesWhereDemandPasses2Pow59) {
+  // Twenty tasks with U = 0.999 and one constrained deadline: the window is
+  // kInfTicks - 1, and near its top the demand, still within Delta, passes
+  // 2^59. The forward walk keeps it in Ticks (U <= 1 bounds it by about
+  // 2^61), QPA in 128 bits.
   std::vector<McTask> tasks;
   for (Ticks i = 0; i < 20; ++i) {
     const Ticks period = 100'000'000'000'000'000 + 2 * i + 1;
     const Ticks deadline = i == 0 ? period - 30'000'000'000'000'000 : period;
     tasks.push_back(
-        McTask::lo("t" + std::to_string(i), period / 2 - period / 2000, deadline, period));
+        McTask::lo("t" + std::to_string(i), period / 20 - period / 20'000, deadline, period));
   }
   const TaskSet set(tasks);
-  EdfTestOptions options;
-  options.speed = 10.0;
-  ASSERT_EQ(LoDemandTable(set).window(options.speed).last, kInfTicks - 1);
+  const LoWindow window = LoDemandTable(set).window();
+  ASSERT_EQ(window.last, kInfTicks - 1);
+  ASSERT_GT(dbf_lo_total(set, window.last), Ticks{1} << 59);
 
-  const EdfTestResult walked = lo_mode_test(set, options);
+  const EdfTestResult walked = lo_mode_test(set);
   EXPECT_TRUE(walked.schedulable);
   EXPECT_TRUE(walked.conclusive);
   EXPECT_EQ(walked.breakpoints_visited, 220u);
-  const EdfTestResult qpa = reference::qpa_lo_test(set, options);
+  const EdfTestResult qpa = reference::qpa_lo_test(set);
   EXPECT_TRUE(qpa.schedulable);
   EXPECT_TRUE(qpa.conclusive);
 }

@@ -6,7 +6,7 @@
 //
 // Zhang & Burns, "Schedulability Analysis for Real-Time Systems with EDF
 // Scheduling" (IEEE TC 2009): instead of checking the demand inequality
-// sum DBF_LO(Delta) <= speed * Delta at every step point up to the bound L
+// sum DBF_LO(Delta) <= Delta at every step point up to the bound L
 // (the window min(L_a, H) of LoDemandTable::window, shared with the forward
 // walk), QPA iterates backwards from L --
 //
@@ -16,14 +16,14 @@
 //         t <- max{ d : d < t} otherwise
 //     schedulable  iff  h(t) <= d_min
 //
-// where h(t) = sum DBF_LO(t) (scaled by 1/speed for a non-unit processor)
-// and d_min is the smallest relative deadline.
+// where h(t) = sum DBF_LO(t) and d_min is the smallest relative deadline.
 //
 // Overflow: the iteration starts at the top of the window, which can be
-// kInfTicks - 1, where the demand of a set exceeds int64. The demand sum is
-// therefore taken in 128 bits (each task's term, at most Delta + C, fits in
-// Ticks). Keep it free of the forward walk's breakpoint merger and running
-// demand: its value as an oracle is that the two share only the window.
+// kInfTicks - 1. The demand sum is taken in 128 bits (each task's term, at
+// most Delta + C, fits in Ticks), so it stays exact whatever the set's
+// demand there, without the forward walk's argument that U <= 1 bounds it.
+// Keep it free of the forward walk's breakpoint merger and running demand:
+// its value as an oracle is that the two share only the window.
 #pragma once
 
 #include <algorithm>
@@ -64,14 +64,16 @@ inline long double demand(const TaskSet& set, long double t) {
 
 }  // namespace qpa_detail
 
-/// QPA verdict for LO mode at the given processor speed. Semantically
-/// identical to lo_mode_test (both are exact); only the algorithm differs.
-inline EdfTestResult qpa_lo_test(const TaskSet& set, const EdfTestOptions& options = {}) {
+/// QPA verdict for LO mode, inconclusive past `max_breakpoints` iterations.
+/// Semantically identical to lo_mode_test (both are exact); only the
+/// algorithm differs.
+inline EdfTestResult qpa_lo_test(const TaskSet& set,
+                                 std::size_t max_breakpoints = kBreakpointBudget) {
   using qpa_detail::demand;
   using qpa_detail::max_step_below;
   EdfTestResult result;
   // The same window as lo_mode_test.
-  const LoWindow window = LoDemandTable(set).window(options.speed);
+  const LoWindow window = LoDemandTable(set).window();
   if (window.verdict) {
     result.schedulable = *window.verdict;
     return result;
@@ -79,7 +81,6 @@ inline EdfTestResult qpa_lo_test(const TaskSet& set, const EdfTestOptions& optio
   Ticks d_min_ticks = kInfTicks;
   for (const McTask& t : set) d_min_ticks = std::min(d_min_ticks, t.deadline(Mode::LO));
 
-  const auto speed = static_cast<long double>(options.speed);
   const auto d_min = static_cast<long double>(d_min_ticks);
 
   // The largest step point in the window, Delta <= last.
@@ -89,14 +90,14 @@ inline EdfTestResult qpa_lo_test(const TaskSet& set, const EdfTestOptions& optio
     return result;
   }
 
-  // Backward iteration; g(t) = h(t)/speed so the unit-speed algorithm applies.
+  // Backward iteration.
   while (true) {
-    if (++result.breakpoints_visited > options.max_breakpoints) {
+    if (++result.breakpoints_visited > max_breakpoints) {
       result.schedulable = false;
       result.conclusive = false;
       return result;
     }
-    const long double g = demand(set, t) / speed;
+    const long double g = demand(set, t);
     if (g > t) {
       result.schedulable = false;
       result.violation_delta = static_cast<Ticks>(std::floor(t));
@@ -119,10 +120,6 @@ inline EdfTestResult qpa_lo_test(const TaskSet& set, const EdfTestOptions& optio
 }
 
 /// Convenience wrapper returning only the verdict.
-inline bool qpa_lo_schedulable(const TaskSet& set, double speed = 1.0) {
-  EdfTestOptions options;
-  options.speed = speed;
-  return qpa_lo_test(set, options).schedulable;
-}
+inline bool qpa_lo_schedulable(const TaskSet& set) { return qpa_lo_test(set).schedulable; }
 
 }  // namespace rbs::reference

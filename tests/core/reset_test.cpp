@@ -17,7 +17,7 @@ namespace {
 /// The Corollary 5 part of the facade alone.
 AnalysisReport reset_report(const TaskSet& set, double s) {
   return Analyzer()
-      .analyze({set, s, 1.0, {.speedup = false, .reset = true, .lo = false}, {}})
+      .analyze({set, s, {.speedup = false, .reset = true, .lo = false}, {}})
       .value();
 }
 

@@ -96,7 +96,6 @@ TEST(TaskSetTest, UtilizationAggregates) {
   EXPECT_DOUBLE_EQ(set.utilization(Criticality::HI, Mode::HI), 0.4);
   EXPECT_DOUBLE_EQ(set.utilization(Criticality::LO, Mode::LO), 0.25);
   EXPECT_DOUBLE_EQ(set.total_utilization(Mode::LO), 0.45);
-  EXPECT_EQ(set.hi_count(), 1u);
   EXPECT_EQ(set.total_hi_wcet(), 7);
 }
 

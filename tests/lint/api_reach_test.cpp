@@ -1,9 +1,11 @@
 // The public-API reachability pass (tools/rbs_lint/api.hpp): a fixture
 // program -- a tools/ main over src/ functions reached by a call, through a
 // pointer, from a namespace-scope initializer, through a member and through
-// a namespace qualifier, beside ones that nothing reaches and ones allowed
-// with and without a reason -- driven through api_check directly, plus the
-// no-main and rule-selection edges through lint_source.
+// a namespace qualifier, members reached by a member call or not at all, and
+// a constructor and destructor nothing names, beside functions that nothing
+// reaches and ones allowed with and without a reason -- driven through
+// api_check directly, plus the no-main and rule-selection edges through
+// lint_source.
 #include "rbs_lint/api.hpp"
 
 #include <string>
@@ -55,14 +57,19 @@ const std::string kLibrary =
     "// rbs-lint: allow(api-unreached) -- a test oracle, kept on purpose\n"     // 18
     "int allowed(int x) { return x; }\n"                                   // 19
     "// rbs-lint: allow(api-unreached)\n"                                  // 20
-    "int allowed_without_reason(int x) { return x; }\n";                   // 21
+    "int allowed_without_reason(int x) { return x; }\n"                    // 21
+    "int Box::unused_member() const { return 5; }\n"                       // 22
+    "int Box::twice() const { return 2 * get(); }\n"                       // 23
+    "Crate::Crate() {}\n"                                                  // 24
+    "Crate::~Crate() {}\n";                                                // 25
 
 const std::string kMain =
     "#include \"lib.hpp\"\n"
     "int apply(int (*f)(int), int x) { return f(x); }\n"
     "int main() {\n"
     "  Box box;\n"
-    "  return called(1) + apply(pointee, 2) + box.get() + box.size() + lib::qualified(3);\n"
+    "  return called(1) + apply(pointee, 2) + box.get() + box.size() + box.twice() +\n"
+    "         lib::qualified(3);\n"
     "}\n";
 
 TEST(ApiReachTest, ReportsOnlyWhatNoMainReaches) {
@@ -80,6 +87,9 @@ TEST(ApiReachTest, ReportsOnlyWhatNoMainReaches) {
       "src/lib.cpp:20: error: [api-unreached] allow(api-unreached) on "
       "`allowed_without_reason` gives no reason; say why it stays -- allow ignored",
       "src/lib.cpp:21: error: [api-unreached] `allowed_without_reason" + unreached,
+      // Members are reported by class and name; constructors and destructors
+      // run unnamed, so they never are.
+      "src/lib.cpp:22: error: [api-unreached] `Box::unused_member" + unreached,
   };
   EXPECT_EQ(lines, want);
 }

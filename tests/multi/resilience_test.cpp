@@ -243,7 +243,7 @@ TEST(ResilienceTest, InexactSMinIsJudgedWithItsErrorBound) {
       one_core(table1_degraded(), {speed, std::numeric_limits<double>::infinity()});
   request.limits.max_breakpoints = 2;
   const AnalysisReport facade =
-      analyze({table1_degraded(), speed, 1.0, {}, request.limits}).value();
+      analyze({table1_degraded(), speed, {}, request.limits}).value();
   ASSERT_FALSE(facade.s_min_exact);
   ASSERT_LT(facade.s_min, speed);
   ASSERT_LT(speed, 12.0 / 13.0);

@@ -301,7 +301,7 @@ DegradedGuarantee reference_degraded(const TaskSet& set, double speed,
                                      const AnalysisLimits& limits) {
   const auto s_min_of = [&](const TaskSet& tier) {
     const Expected<AnalysisReport> report = Analyzer().analyze(
-        {tier, 1.0, 1.0, {.speedup = true, .reset = false, .lo = false}, limits});
+        {tier, 1.0, {.speedup = true, .reset = false, .lo = false}, limits});
     return report ? report->s_min : kInf;
   };
   DegradedGuarantee g;
@@ -330,7 +330,7 @@ DegradedGuarantee reference_degraded(const TaskSet& set, double speed,
   g.fallback.terminated = terminated;
   if (!g.schedulable_unmodified) g.s_min_with_fallback = s_min_of(*accepted);
   const Expected<AnalysisReport> reset = Analyzer().analyze(
-      {*accepted, speed, 1.0, {.speedup = false, .reset = true, .lo = false}, limits});
+      {*accepted, speed, {.speedup = false, .reset = true, .lo = false}, limits});
   g.delta_r = reset ? reset->delta_r : kInf;
   return g;
 }
@@ -420,7 +420,6 @@ TEST(SpanPathTest, ReusedStorageMatchesFreshCalls) {
       AnalysisRequest request;
       request.set = sets[index];
       request.speed = 0.8 + 0.2 * static_cast<double>(rng.uniform_int(0, 7));
-      request.lo_speed = rng.uniform_int(0, 3) == 0 ? 0.9 : 1.0;
       request.parts = {.speedup = rng.uniform_int(0, 3) != 0,
                        .reset = rng.uniform_int(0, 3) != 0,
                        .lo = rng.uniform_int(0, 3) != 0};
@@ -448,21 +447,20 @@ TEST(SpanPathTest, ReusedStorageMatchesFreshCalls) {
 // ---- analyze_resilience's nominal verdicts -------------------------------
 
 /// The verdict a full analysis gives core `c` of `request`: the facade's
-/// system verdict at the core's budget speed and request.lo_speed, and its
-/// Delta_R within the dwell budget. `full` receives the report.
+/// system verdict at the core's budget speed, and its Delta_R within the
+/// dwell budget. `full` receives the report.
 bool full_verdict(const multi::MultiRequest& request, std::size_t c,
                   Expected<AnalysisReport>& full) {
   std::vector<McTask> tasks;
   for (std::size_t g : request.assignment[c]) tasks.push_back(request.set[g]);
   const CoreBudget& budget = request.budgets[c];
-  full = analyze({TaskSet(std::move(tasks)), budget.hi_speedup, request.lo_speed, {},
-                  request.limits});
+  full = analyze({TaskSet(std::move(tasks)), budget.hi_speedup, {}, request.limits});
   return full && full->system_schedulable &&
          within_reset_budget(full->delta_r, budget.max_reset);
 }
 
 /// Core `c` of `request` as a fault-free one-core system: its tasks in
-/// assignment order, its budget, the request's LO speed and limits.
+/// assignment order, its budget and the request's limits.
 multi::MultiRequest core_alone(const multi::MultiRequest& request, std::size_t c) {
   multi::MultiRequest alone;
   std::vector<McTask> tasks;
@@ -473,7 +471,6 @@ multi::MultiRequest core_alone(const multi::MultiRequest& request, std::size_t c
   }
   alone.set = TaskSet(std::move(tasks));
   alone.budgets = {request.budgets[c]};
-  alone.lo_speed = request.lo_speed;
   alone.limits = request.limits;
   alone.tolerance = 0;
   return alone;
@@ -514,7 +511,6 @@ TEST(SpanPathTest, NominalVerdictsMatchFullAnalysis) {
     multi::MultiRequest request;
     request.set = TaskSet(std::move(tasks));
     request.tolerance = 0;
-    if (i % 6 == 5) request.lo_speed = 0.9;
     switch (i % 4) {
       case 0: request.budgets.assign(cores, CoreBudget{}); break;  // s = 2, no dwell budget
       case 1:

@@ -30,7 +30,7 @@ std::vector<std::pair<std::string, bool>> verdicts(const TaskSet& set, double s)
   out.emplace_back("hi_mode_schedulable", hi_mode_schedulable(set, s));
   constexpr double kNoBudget = std::numeric_limits<double>::infinity();
   out.emplace_back("fits",
-                   Analyzer().fits({set, s, 1.0, {}, {}}, kNoBudget).value().hi_schedulable);
+                   Analyzer().fits({set, s, {}, {}}, kNoBudget).value().hi_schedulable);
   std::vector<McTask> tasks = set.tasks();
   AnalysisStorage storage;
   const FallbackFit fallback = find_fallback(tasks, s, kNoBudget, {}, storage);

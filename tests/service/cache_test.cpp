@@ -134,9 +134,9 @@ TEST(CacheKeyTest, RequestSectionEndsAtRelTolThenLatency) {
   AnalysisRequest request;
   request.set = paper_set();
   request.speed = 2.0;
-  // speed ; lo_speed ; parts ; max_breakpoints ; rel_tol, after the set.
-  const std::string tail = '\x1e' + canonical_double(2.0) + ';' + canonical_double(1.0) +
-                           ";111;" + std::to_string(kBreakpointBudget) + ';' +
+  // speed ; parts ; max_breakpoints ; rel_tol, after the set.
+  const std::string tail = '\x1e' + canonical_double(2.0) + ";111;" +
+                           std::to_string(kBreakpointBudget) + ';' +
                            canonical_double(kSpeedTol.relative);
   const std::string key = cache_key(request);
   EXPECT_EQ(key, canonical_task_set(request.set) + tail);
@@ -236,6 +236,26 @@ class CacheWalTest : public testing::Test {
            testing::UnitTest::GetInstance()->current_test_info()->name() + ".jsonl";
   }
   void SetUp() override { std::remove(wal_path().c_str()); }
+
+  /// A WAL under `tag` holding one entry opens with no warm entry, and its
+  /// key is a miss.
+  void expect_opens_fresh(const char* tag) const {
+    ResultCache::Options options;
+    options.journal_path = wal_path();
+    {
+      Expected<campaign::JournalWriter> writer = campaign::JournalWriter::create(
+          options.journal_path, {0, std::uint64_t{1} << 62, tag});
+      ASSERT_TRUE(writer.is_ok()) << writer.status().message();
+      ASSERT_TRUE(writer.value()
+                      .append({0, 1, campaign::JournalRecord::Kind::kOk, std::string("k\x1fv")})
+                      .is_ok());
+    }
+    Expected<ResultCache> cache_or = ResultCache::open(options);
+    ASSERT_TRUE(cache_or.is_ok()) << cache_or.status().message();
+    EXPECT_EQ(cache_or.value().stats().warm_entries, 0u);
+    ASSERT_TRUE(cache_or.value().lookup_or_begin("k").leader);
+    cache_or.value().abandon("k");
+  }
 };
 
 TEST_F(CacheWalTest, WarmStartReplaysPublishedEntriesByteIdentically) {
@@ -350,21 +370,12 @@ TEST_F(CacheWalTest, CompactionIsByteIdenticalAcrossRuns) {
 TEST_F(CacheWalTest, WalOfTheV1KeyFormatOpensFresh) {
   // A v1 WAL holds keys with a field the key no longer has: no request can
   // reach them, so the cache starts fresh instead of replaying them.
-  ResultCache::Options options;
-  options.journal_path = wal_path();
-  {
-    Expected<campaign::JournalWriter> writer = campaign::JournalWriter::create(
-        options.journal_path, {0, std::uint64_t{1} << 62, "service-cache-v1"});
-    ASSERT_TRUE(writer.is_ok()) << writer.status().message();
-    ASSERT_TRUE(writer.value()
-                    .append({0, 1, campaign::JournalRecord::Kind::kOk, std::string("k\x1fv")})
-                    .is_ok());
-  }
-  Expected<ResultCache> cache_or = ResultCache::open(options);
-  ASSERT_TRUE(cache_or.is_ok()) << cache_or.status().message();
-  EXPECT_EQ(cache_or.value().stats().warm_entries, 0u);
-  ASSERT_TRUE(cache_or.value().lookup_or_begin("k").leader);
-  cache_or.value().abandon("k");
+  expect_opens_fresh("service-cache-v1");
+}
+
+TEST_F(CacheWalTest, WalOfTheV2KeyFormatOpensFresh) {
+  // v2 keys still carry the LO-mode speed between the speed and the parts.
+  expect_opens_fresh("service-cache-v2");
 }
 
 TEST_F(CacheWalTest, CorruptWalIsDiscardedNotFatal) {

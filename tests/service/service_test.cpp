@@ -380,93 +380,6 @@ TEST(AdmissionControllerTest, HysteresisBetweenEnterAndExitDepths) {
   EXPECT_FALSE(after.degrade);
 }
 
-TEST(AdmissionControllerTest, CoreDeficitForcesAndPinsHiMode) {
-  AdmissionOptions options;
-  options.hi_enter_depth = 10;
-  options.lo_exit_depth = 3;
-  AdmissionController admission(options);
-
-  // A shrunken pool is an overload trigger on its own: no backlog required.
-  admission.observe_core_pool(3, 4);
-  EXPECT_EQ(admission.mode(), ServiceMode::kHi);
-  EXPECT_TRUE(admission.core_deficit());
-  EXPECT_EQ(admission.switches_to_hi(), 1u);
-
-  // LO traffic is shed and HI degraded exactly as under queue overload.
-  EXPECT_FALSE(admission.admit(Criticality::LO, 0).admit);
-  const AdmissionDecision hi = admission.admit(Criticality::HI, 0);
-  EXPECT_TRUE(hi.admit);
-  EXPECT_TRUE(hi.degrade);
-
-  // A fully drained backlog does NOT recover while the deficit persists.
-  admission.observe_depth(0);
-  EXPECT_EQ(admission.mode(), ServiceMode::kHi);
-  EXPECT_EQ(admission.switches_to_lo(), 0u);
-
-  // Restoring the pool alone does not switch back either: recovery still
-  // drains through the depth hysteresis.
-  admission.observe_core_pool(4, 4);
-  EXPECT_FALSE(admission.core_deficit());
-  EXPECT_EQ(admission.mode(), ServiceMode::kHi);
-  admission.observe_depth(options.lo_exit_depth);
-  EXPECT_EQ(admission.mode(), ServiceMode::kLo);
-  EXPECT_EQ(admission.switches_to_lo(), 1u);
-}
-
-TEST(AdmissionControllerTest, CoreDeficitReportIsIdempotent) {
-  AdmissionController admission(AdmissionOptions{});
-  admission.observe_core_pool(1, 2);
-  admission.observe_core_pool(1, 2);  // repeated heartbeat, same deficit
-  EXPECT_EQ(admission.switches_to_hi(), 1u) << "no double-counted switch";
-  // A pool report that says "nominal" while already in LO mode is a no-op.
-  admission.observe_core_pool(2, 2);
-  admission.observe_depth(0);
-  admission.observe_core_pool(2, 2);
-  EXPECT_EQ(admission.mode(), ServiceMode::kLo);
-  EXPECT_EQ(admission.switches_to_hi(), 1u);
-}
-
-TEST(ServiceOverloadTest, ServerCorePoolReportShedsLoUntilRestoredAndDrained) {
-  ServerOptions options;
-  options.workers = 1;
-  options.start_paused = true;
-  options.admission.hi_enter_depth = 100;  // depth alone never triggers here
-  options.admission.lo_exit_depth = 0;
-  Expected<AnalysisServer> server_or = AnalysisServer::open(std::move(options));
-  ASSERT_TRUE(server_or.is_ok());
-  AnalysisServer& server = server_or.value();
-
-  server.observe_core_pool(1, 2);
-  EXPECT_TRUE(server.core_deficit());
-  EXPECT_EQ(server.mode(), ServiceMode::kHi);
-
-  std::vector<std::future<Response>> futures;
-  futures.push_back(server.submit(0, make_request(0, Criticality::LO)));
-  futures.push_back(server.submit(1, make_request(1, Criticality::HI)));
-  server.start();
-  server.drain();
-
-  const Response lo = futures[0].get();
-  EXPECT_TRUE(lo.status.is_overloaded()) << lo.status.message();
-  const Response hi = futures[1].get();
-  ASSERT_TRUE(hi.status.is_ok()) << hi.status.message();
-  EXPECT_TRUE(hi.degraded);
-
-  // Deficit outlives the drained queue: still HI after restoration, until a
-  // worker next observes the drained backlog (here: serving one HI request).
-  EXPECT_EQ(server.mode(), ServiceMode::kHi);
-  server.observe_core_pool(2, 2);
-  EXPECT_FALSE(server.core_deficit());
-  EXPECT_EQ(server.mode(), ServiceMode::kHi);
-  const Response bridge = server.submit(2, make_request(2, Criticality::HI)).get();
-  ASSERT_TRUE(bridge.status.is_ok()) << bridge.status.message();
-  server.drain();
-  EXPECT_EQ(server.mode(), ServiceMode::kLo);
-  const Response after = server.submit(3, make_request(3, Criticality::LO)).get();
-  EXPECT_TRUE(after.status.is_ok()) << after.status.message();
-  EXPECT_FALSE(after.degraded);
-}
-
 TEST(AdmissionControllerTest, DegenerateThresholdsAreClamped) {
   AdmissionOptions options;
   options.hi_enter_depth = 0;  // clamped to 1

@@ -1,5 +1,5 @@
-// Additional simulator coverage: non-unit nominal speed, idle behaviour,
-// per-episode accounting, and work-conservation invariants.
+// Additional simulator coverage: idle behaviour, per-episode accounting, and
+// work-conservation invariants.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,31 +9,6 @@
 
 namespace rbs::sim {
 namespace {
-
-TEST(LoSpeedTest, NominalSpeedScalesLoMode) {
-  // Double nominal speed halves every LO-mode response time.
-  const TaskSet set({McTask::lo("l", 6, 20, 20)});
-  SimConfig slow;
-  slow.horizon = 100.0;
-  SimConfig fast = slow;
-  fast.lo_speed = 2.0;
-  fast.hi_speed = 2.0;
-  const SimMetrics a = Simulator().run(set, slow).value().metrics;
-  const SimMetrics b = Simulator().run(set, fast).value().metrics;
-  EXPECT_NEAR(a.task_stats[0].max_response, 6.0, 1e-6);
-  EXPECT_NEAR(b.task_stats[0].max_response, 3.0, 1e-6);
-}
-
-TEST(LoSpeedTest, UnderclockedLoModeCanMiss) {
-  // At half speed the same task overruns its deadline window.
-  const TaskSet set({McTask::lo("l", 12, 20, 20)});
-  SimConfig cfg;
-  cfg.horizon = 100.0;
-  cfg.lo_speed = 0.5;
-  cfg.hi_speed = 0.5;
-  const SimMetrics r = Simulator().run(set, cfg).value().metrics;
-  EXPECT_TRUE(r.deadline_missed());
-}
 
 TEST(IdleTest, NoResetEventsInPureLoMode) {
   SimConfig cfg;

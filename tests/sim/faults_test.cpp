@@ -17,36 +17,36 @@ namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 TEST(FaultPlanValidateTest, DefaultPlanIsValid) {
-  EXPECT_TRUE(validate(FaultPlan{}, 1.0, 2.0).is_ok());
+  EXPECT_TRUE(validate(FaultPlan{}, 2.0).is_ok());
 }
 
 TEST(FaultPlanValidateTest, RejectsBadFields) {
   {
     FaultPlan plan;
     plan.detection_period = -1.0;
-    EXPECT_FALSE(validate(plan, 1.0, 2.0));
+    EXPECT_FALSE(validate(plan, 2.0));
   }
   {
     FaultPlan plan;
     plan.episodes.push_back({});
     plan.episodes.back().extra_latency = kNaN;
-    EXPECT_FALSE(validate(plan, 1.0, 2.0));
+    EXPECT_FALSE(validate(plan, 2.0));
   }
   {
     FaultPlan plan;
     plan.episodes.push_back({});
-    plan.episodes.back().achieved_speed = 2.5;  // above max(lo, hi)
-    EXPECT_FALSE(validate(plan, 1.0, 2.0));
+    plan.episodes.back().achieved_speed = 2.5;  // above max(1, hi)
+    EXPECT_FALSE(validate(plan, 2.0));
   }
 }
 
 TEST(FaultPlanValidateTest, SlowdownSystemsAllowPartialBelowLoSpeed) {
-  // Example 1: hi_speed < lo_speed is legal; a partial boost then lands
-  // between hi and lo, i.e. *above* hi_speed.
+  // Example 1: hi_speed < 1 is legal; a partial boost then lands between
+  // hi_speed and the nominal speed 1, i.e. *above* hi_speed.
   FaultPlan plan;
   plan.episodes.push_back({});
   plan.episodes.back().achieved_speed = 0.9;
-  EXPECT_TRUE(validate(plan, 1.0, 0.85).is_ok());
+  EXPECT_TRUE(validate(plan, 0.85).is_ok());
 }
 
 TEST(ResolveFaultTest, ScriptedEpisodesIndexAndRecycle) {
@@ -85,7 +85,7 @@ TEST(FaultInjectionTest, DeniedBoostNeverReachesHiSpeed) {
   const SimMetrics r = Simulator().run(table1_base(), cfg).value().metrics;
   ASSERT_GT(r.mode_switches, 0u);
   EXPECT_EQ(r.faults_injected, r.mode_switches);
-  for (const TraceSegment& s : r.trace.segments) EXPECT_DOUBLE_EQ(s.speed, cfg.lo_speed);
+  for (const TraceSegment& s : r.trace.segments) EXPECT_DOUBLE_EQ(s.speed, 1.0);
   bool fault_event = false;
   for (const TraceEvent& e : r.trace.events)
     fault_event |= e.kind == TraceEvent::Kind::kFaultEngaged;
@@ -116,13 +116,13 @@ TEST(FaultInjectionTest, LateBoostKeepsLoSpeedDuringExtraLatency) {
 
   const SimMetrics r = Simulator().run(table1_base(), cfg).value().metrics;
   ASSERT_GT(r.mode_switches, 0u);
-  bool hi_mode_at_lo_speed = false, boosted = false;
+  bool hi_mode_at_nominal_speed = false, boosted = false;
   for (const TraceSegment& s : r.trace.segments) {
     if (s.mode != Mode::HI) continue;
-    hi_mode_at_lo_speed |= s.speed == cfg.lo_speed;
+    hi_mode_at_nominal_speed |= approx_eq(s.speed, 1.0, kSpeedTol);
     boosted |= s.speed == cfg.hi_speed;
   }
-  EXPECT_TRUE(hi_mode_at_lo_speed);  // the latency window
+  EXPECT_TRUE(hi_mode_at_nominal_speed);  // the latency window
   EXPECT_TRUE(boosted);              // the boost does engage eventually
 }
 
@@ -201,11 +201,6 @@ TEST(SimConfigValidationTest, RejectsDegenerateConfigs) {
   }
   {
     SimConfig cfg;
-    cfg.lo_speed = 0.0;
-    EXPECT_FALSE(Simulator().run(set, cfg));
-  }
-  {
-    SimConfig cfg;
     cfg.demand.overrun_probability = 1.5;
     EXPECT_FALSE(Simulator().run(set, cfg));
   }
@@ -255,7 +250,7 @@ TEST(SimConfigValidationTest, ThrowingWrapperAndErrorMessage) {
 
 TEST(SimConfigValidationTest, SlowdownHiSpeedIsAccepted) {
   // Example 1's degraded system runs *slower* in HI mode; validation must
-  // not reject hi_speed < lo_speed.
+  // not reject hi_speed < 1.
   SimConfig cfg;
   cfg.horizon = 100.0;
   cfg.hi_speed = 0.95;

@@ -8,11 +8,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "gen/rng.hpp"
-#include "sim/job.hpp"
 #include "support/tolerance.hpp"
 
 namespace rbs::sim {
@@ -25,6 +25,23 @@ namespace {
 // above rounding noise yet far below one tick.
 constexpr double kEpsTime = kTimeTol.absolute;
 constexpr double kEpsWork = kTimeTol.absolute;
+
+/// One released job instance.
+struct Job {
+  std::size_t task_index = 0;
+  std::uint64_t id = 0;        ///< globally unique, in release order
+  double release = 0.0;        ///< absolute release time (ticks)
+  double deadline = 0.0;       ///< absolute *current* deadline; updated at the
+                               ///< mode switch (D(LO) -> D(HI)); +inf for the
+                               ///< carry-over job of a terminated LO task
+  double demand = 0.0;         ///< total execution requirement (work ticks)
+  double executed = 0.0;       ///< work done so far
+  bool overruns = false;       ///< demand > C(LO) (only possible for HI tasks)
+  bool miss_recorded = false;  ///< deadline miss already reported
+
+  double remaining() const { return demand - executed; }
+  bool finished(double eps) const { return executed >= demand - eps; }
+};
 
 class Engine {
  public:
@@ -82,7 +99,7 @@ class Engine {
     scratch_ids_.clear();
     scratch_ids_.reserve(set_.size() * 2 + 8);  // steady-state job population
     mode_ = Mode::LO;
-    speed_ = cfg_.lo_speed;
+    speed_ = 1.0;
     hi_since_ = 0.0;
     prev_job_.reset();
     next_job_id_ = 0;
@@ -253,7 +270,7 @@ class Engine {
         now >= hi_since_ + cur_fault_.throttle_after - kEpsTime) {
       throttle_pending_ = false;
       boost_pending_ = false;
-      speed_ = cur_fault_.throttle_speed > 0.0 ? cur_fault_.throttle_speed : cfg_.lo_speed;
+      speed_ = cur_fault_.throttle_speed > 0.0 ? cur_fault_.throttle_speed : 1.0;
       ++result_.throttle_downs;
       record_event(now, TraceEvent::Kind::kThrottleDown);
     }
@@ -315,7 +332,6 @@ class Engine {
     ++stats.completed;
     const double response = now - job.release;
     stats.max_response = std::max(stats.max_response, response);
-    stats.total_response += response;
     if (prev_job_ && *prev_job_ == job.id) prev_job_.reset();
     erase_job(job.id);
   }
@@ -384,10 +400,10 @@ class Engine {
     mode_ = Mode::HI;
     cur_fault_ = resolve_fault(cfg_.faults, episode_index_++);
     episode_latency_ = cfg_.speed_change_latency + cur_fault_.extra_latency;
-    episode_target_ = cur_fault_.deny_boost ? cfg_.lo_speed
+    episode_target_ = cur_fault_.deny_boost ? 1.0
                       : cur_fault_.achieved_speed > 0.0 ? cur_fault_.achieved_speed
                                                         : cfg_.hi_speed;
-    speed_ = episode_latency_ > 0.0 ? cfg_.lo_speed : episode_target_;
+    speed_ = episode_latency_ > 0.0 ? 1.0 : episode_target_;
     boost_pending_ = speed_ != episode_target_;
     // A denied boost never reaches a speed worth throttling down from.
     throttle_pending_ = !cur_fault_.deny_boost && cur_fault_.throttle_after > 0.0;
@@ -414,7 +430,7 @@ class Engine {
   void reset(double now) {
     result_.hi_dwell_times.push_back(now - hi_since_);
     mode_ = Mode::LO;
-    speed_ = cfg_.lo_speed;
+    speed_ = 1.0;
     fallback_active_ = false;
     boost_pending_ = false;
     throttle_pending_ = false;
@@ -424,7 +440,7 @@ class Engine {
 
   void budget_fallback(double now) {
     fallback_active_ = true;
-    speed_ = cfg_.lo_speed;  // overclocking ends here
+    speed_ = 1.0;  // overclocking ends here
     boost_pending_ = false;
     throttle_pending_ = false;
     ++result_.budget_fallbacks;

@@ -55,18 +55,6 @@ TEST(SimConfigValidationTest, RejectsInfiniteHorizon) {
   expect_rejected(cfg, "horizon");
 }
 
-TEST(SimConfigValidationTest, RejectsNonPositiveLoSpeed) {
-  SimConfig cfg;
-  cfg.lo_speed = 0.0;
-  expect_rejected(cfg, "lo_speed");
-}
-
-TEST(SimConfigValidationTest, RejectsNaNLoSpeed) {
-  SimConfig cfg;
-  cfg.lo_speed = kNaN;
-  expect_rejected(cfg, "lo_speed");
-}
-
 TEST(SimConfigValidationTest, RejectsNonPositiveHiSpeed) {
   SimConfig cfg;
   cfg.hi_speed = -1.0;

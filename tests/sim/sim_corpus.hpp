@@ -68,7 +68,6 @@ inline void expect_identical(const SimMetrics& a, const SimMetrics& b,
     EXPECT_EQ(a.task_stats[i].completed, b.task_stats[i].completed) << "task " << i;
     EXPECT_EQ(a.task_stats[i].misses, b.task_stats[i].misses) << "task " << i;
     EXPECT_EQ(a.task_stats[i].max_response, b.task_stats[i].max_response) << "task " << i;
-    EXPECT_EQ(a.task_stats[i].total_response, b.task_stats[i].total_response) << "task " << i;
   }
 
   ASSERT_EQ(a.hi_dwell_times.size(), b.hi_dwell_times.size());
@@ -170,8 +169,7 @@ inline std::vector<std::pair<std::string, SimConfig>> config_corpus() {
   }
   {
     SimConfig cfg = base;
-    cfg.lo_speed = 1.5;
-    cfg.hi_speed = 1.2;  // slowdown systems (paper's Example 1, s_min < 1)
+    cfg.hi_speed = 0.8;  // slowdown systems (paper's Example 1, s_min < 1)
     corpus.emplace_back("hi-slower-than-lo", cfg);
   }
   {

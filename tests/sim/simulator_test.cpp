@@ -27,16 +27,24 @@ TEST(SimBasicsTest, SingleTaskPeriodicRunsToCompletion) {
 }
 
 TEST(SimBasicsTest, SpeedScalesExecutionTime) {
-  const TaskSet set({McTask::lo("l", 4, 10, 10)});
-  SimConfig cfg = quiet(10.0);
-  cfg.lo_speed = 2.0;
+  // The job demands C(HI) = 6 and overruns its C(LO) = 2 at t = 2: the
+  // remaining demand 4 at hi_speed 2 finishes after 2 more time units.
+  const TaskSet set({McTask::hi("h", 2, 6, 20, 20, 20)});
+  SimConfig cfg = quiet(20.0);
+  cfg.hi_speed = 2.0;
+  cfg.demand.overrun_probability = 1.0;
   cfg.record_trace = true;
   const SimMetrics r = Simulator().run(set, cfg).value().metrics;
-  ASSERT_FALSE(r.trace.segments.empty());
-  // Demand 4 at speed 2 finishes after 2 time units.
-  const TraceSegment& seg = r.trace.segments.front();
-  EXPECT_EQ(seg.task_index, 0);
-  EXPECT_NEAR(seg.end - seg.start, 2.0, 1e-6);
+  ASSERT_GE(r.trace.segments.size(), 2u);
+  const TraceSegment& lo = r.trace.segments[0];
+  EXPECT_EQ(lo.task_index, 0);
+  EXPECT_EQ(lo.mode, Mode::LO);
+  EXPECT_NEAR(lo.end - lo.start, 2.0, 1e-6);
+  const TraceSegment& hi = r.trace.segments[1];
+  EXPECT_EQ(hi.task_index, 0);
+  EXPECT_EQ(hi.mode, Mode::HI);
+  EXPECT_DOUBLE_EQ(hi.speed, 2.0);
+  EXPECT_NEAR(hi.end - hi.start, 2.0, 1e-6);
 }
 
 TEST(SimBasicsTest, EdfPicksEarliestDeadline) {

@@ -72,7 +72,6 @@ TEST(TaskStatsTest, ResponseTimesWithinDeadlines) {
   EXPECT_GT(r.task_stats[0].max_response, 0.0);
   EXPECT_LE(r.task_stats[0].max_response, 7.0 + 1e-6);
   EXPECT_LE(r.task_stats[1].max_response, 5.0 + 1e-6);
-  EXPECT_LE(r.task_stats[0].mean_response(), r.task_stats[0].max_response + 1e-9);
 }
 
 TEST(BurstSeparationTest, SwitchesAreSeparated) {

@@ -94,7 +94,7 @@ TEST(WatchdogLicenseTest, BoostDeniedMissesAreLicensed) {
   // ... and with the degraded-guarantee license (achieved speed 1 < s_min)
   // the same trace certifies clean.
   WatchdogOptions licensed;
-  licensed.license.hi_mode_misses = !hi_mode_schedulable(set, cfg.lo_speed);
+  licensed.license.hi_mode_misses = !hi_mode_schedulable(set, 1.0);
   ASSERT_TRUE(licensed.license.hi_mode_misses);
   EXPECT_TRUE(check_trace(set, cfg, result, licensed).ok());
 }

@@ -39,7 +39,7 @@ TEST(TextTableTest, ShortRowsPadded) {
   t.add_row({"1"});
   std::ostringstream os;
   t.print(os);  // must not crash; row padded
-  EXPECT_EQ(t.rows(), 1u);
+  EXPECT_EQ(os.str(), "a  b  c\n-------\n1      \n");
 }
 
 TEST(CsvTest, EscapesSpecialCharacters) {
@@ -83,11 +83,14 @@ TEST(CliTest, ParsesFlagFormats) {
 }
 
 TEST(CliTest, PositionalArguments) {
+  // A positional argument is skipped: it names no flag, and check_flags
+  // does not see it.
   const char* argv[] = {"prog", "one", "--k", "v", "two"};
   const CliArgs args(5, argv);
-  ASSERT_EQ(args.positional().size(), 2u);
-  EXPECT_EQ(args.positional()[0], "one");
-  EXPECT_EQ(args.positional()[1], "two");
+  EXPECT_EQ(args.get_string("k", ""), "v");
+  EXPECT_FALSE(args.has("one"));
+  EXPECT_FALSE(args.has("two"));
+  EXPECT_TRUE(args.check_flags({"k"}).is_ok());
 }
 
 TEST(CliTest, BooleanValueSpellings) {

@@ -11,6 +11,12 @@ namespace rbs::lint {
 
 namespace {
 
+/// Constructors, destructors and operators run without a mention of their
+/// name (a declaration, a scope's end, an expression), so none is reported.
+bool implicitly_called(const FunctionInfo& info) {
+  return info.name == info.class_name || info.name.rfind("operator", 0) == 0;
+}
+
 bool under_src(const std::string& path) {
   for (const auto& part : std::filesystem::path(path))
     if (part == "src") return true;
@@ -127,7 +133,7 @@ class ApiPass {
     for (std::size_t g = 0; g < graph_.size(); ++g) {
       const FunctionInfo& info = graph_.fn(g);
       const std::size_t u = graph_.unit_of(g);
-      if (reached_[g] || !info.class_name.empty() || info.internal_linkage ||
+      if (reached_[g] || implicitly_called(info) || info.internal_linkage ||
           !under_src(units[u].path))
         continue;
       const int line = name_line(g);
@@ -143,12 +149,14 @@ class ApiPass {
                                 "` gives no reason; say why it stays -- allow ignored"});
         }
       }
-      if (!excused)
-        diags_.push_back({units[u].path, line, kRuleApiUnreached,
-                          "`" + info.name +
-                              "` has external linkage under src/, but no main in the scan "
-                              "reaches it; delete it, give it a caller, or allow it with "
-                              "a reason"});
+      if (excused) continue;
+      std::string name = info.name;
+      if (!info.class_name.empty()) name.insert(0, info.class_name + "::");
+      diags_.push_back({units[u].path, line, kRuleApiUnreached,
+                        "`" + name +
+                            "` has external linkage under src/, but no main in the scan "
+                            "reaches it; delete it, give it a caller, or allow it with "
+                            "a reason"});
     }
   }
 

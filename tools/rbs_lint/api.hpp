@@ -1,8 +1,8 @@
 // rbs_api: the project-wide public-API reachability pass (rule 17).
 //
-// Reports every free function with external linkage defined under src/ that
-// no `main` in the scan reaches: code that only tests call, which no
-// pipeline, bench, tool or example runs. The walk reads the function table
+// Reports every function with external linkage defined under src/, free or
+// member, that no `main` in the scan reaches: code that only tests call,
+// which no pipeline, bench, tool or example runs. The walk reads the function table
 // the rt and det passes read (walk.hpp's CallGraph), over the same units,
 // widened from calls to mentions:
 //
@@ -18,9 +18,10 @@
 // every member named f; `Q::f` reaches Q's members named f, or every
 // function named f when no indexed class is named Q (a namespace); a bare f
 // reaches every function so named, members included, and a class name
-// reaches its constructors. Members are walked for what they reach but
-// never reported, and neither are functions in an unnamed namespace or
-// declared `static`.
+// reaches its constructors. Constructors, destructors and operators run
+// without a mention of their name, so they are walked for what they reach
+// but never reported, and neither are functions in an unnamed namespace
+// (members of its classes included) or declared `static`.
 //
 // Exceptions: `// rbs-lint: allow(api-unreached) <reason>` on the line that
 // names the definition or the line before. An allow without a reason is

@@ -82,10 +82,10 @@ struct Scenario {
 double worst_achieved_speed(const SimConfig& cfg) {
   double worst = cfg.hi_speed;
   for (const rbs::sim::FaultSpec& e : cfg.faults.episodes) {
-    if (e.deny_boost) worst = std::min(worst, cfg.lo_speed);
+    if (e.deny_boost) worst = std::min(worst, 1.0);
     if (e.achieved_speed > 0.0) worst = std::min(worst, e.achieved_speed);
     if (e.throttle_after > 0.0)
-      worst = std::min(worst, e.throttle_speed > 0.0 ? e.throttle_speed : cfg.lo_speed);
+      worst = std::min(worst, e.throttle_speed > 0.0 ? e.throttle_speed : 1.0);
   }
   return worst;
 }
@@ -115,15 +115,16 @@ WatchdogOptions derive_license(const TaskSet& set, const SimConfig& cfg) {
   return opts;
 }
 
-rbs::sim::FaultSpec draw_fault(rbs::Rng& rng, int cls, double lo, double hi) {
+/// One fault of class `cls` for a run whose boost goes from speed 1 to `hi`.
+rbs::sim::FaultSpec draw_fault(rbs::Rng& rng, int cls, double hi) {
   rbs::sim::FaultSpec spec;
   switch (cls) {
     case 0: spec.deny_boost = true; break;
-    case 1: spec.achieved_speed = lo + rng.uniform(0.25, 0.75) * (hi - lo); break;
+    case 1: spec.achieved_speed = 1.0 + rng.uniform(0.25, 0.75) * (hi - 1.0); break;
     case 2: spec.extra_latency = rng.uniform(0.5, 4.0); break;
     default:
       spec.throttle_after = rng.uniform(0.5, 4.0);
-      spec.throttle_speed = lo + rng.uniform(0.0, 0.5) * (hi - lo);
+      spec.throttle_speed = 1.0 + rng.uniform(0.0, 0.5) * (hi - 1.0);
       break;
   }
   return spec;
@@ -197,7 +198,7 @@ void report_failure(const Scenario& sc, const WatchdogReport& report,
     std::cerr << "  t=" << v.time << " " << rbs::sim::to_string(v.kind) << " task=" << v.task_index
               << " job=" << v.job_id << ": " << v.detail << "\n";
   std::cerr << "minimal repro: " << job_count(repro) << " job(s)\n";
-  std::cerr << "config: lo_speed=" << sc.cfg.lo_speed << " hi_speed=" << sc.cfg.hi_speed
+  std::cerr << "config: hi_speed=" << sc.cfg.hi_speed
             << " horizon=" << sc.cfg.horizon << " seed=" << sc.cfg.seed
             << " detection_period=" << sc.cfg.faults.detection_period << "\n";
   std::cerr << "task set:\n";
@@ -378,7 +379,7 @@ int main(int argc, char** argv) {
     // -- generate a LO-mode-schedulable set with finite s_min ---------------
     // Periods are kept well under the horizon so each run releases hundreds
     // of jobs; x and y are spread out so s_min lands on both sides of 1
-    // (boost-denied is only interesting when s_min > lo_speed).
+    // (boost-denied is only interesting when s_min > 1).
     rbs::GenParams gen;
     gen.u_bound = u_bound.value();
     gen.period_min = 20;
@@ -427,7 +428,7 @@ int main(int argc, char** argv) {
       for (std::size_t e = 0; e < n_episodes; ++e) {
         const int episode_cls = cls == 4 ? static_cast<int>(rng.uniform_int(0, 3)) : cls;
         cfg.faults.episodes.push_back(rng.bernoulli(0.75)
-                                          ? draw_fault(rng, episode_cls, cfg.lo_speed, cfg.hi_speed)
+                                          ? draw_fault(rng, episode_cls, cfg.hi_speed)
                                           : rbs::sim::FaultSpec{});
       }
       cfg.faults.recycle = true;
@@ -442,7 +443,7 @@ int main(int argc, char** argv) {
       cfg.faults.episodes.push_back({});
       cfg.faults.episodes.back().deny_boost = true;
       cfg.faults.recycle = true;
-      const rbs::DegradedGuarantee d = rbs::analyze_degraded(set, cfg.lo_speed);
+      const rbs::DegradedGuarantee d = rbs::analyze_degraded(set, 1.0);
       if (d.feasible && !d.schedulable_unmodified) {
         const Expected<TaskSet> reduced = rbs::apply_termination(set, d.fallback.terminated);
         if (reduced) {
